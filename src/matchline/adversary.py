@@ -187,29 +187,48 @@ def origin_round_numerators(params: GenParams) -> list[np.ndarray]:
     return out
 
 
+def check_round_numerators(params: GenParams, rounds: list[np.ndarray]) -> None:
+    """Instance.validate's cell-count and containment checks on the sampled
+    numerators; raises ValueError on the first breach."""
+    if len(rounds) != params.i:
+        raise ValueError(f"expected {params.i} rounds, got {len(rounds)}")
+    for r, nums in enumerate(rounds, start=1):
+        cells = (params.n + 1) >> r
+        if len(nums) != cells:
+            raise ValueError(f"round {r}: expected {cells} requests")
+        # origin m lies in [m << width, (m + 1) << width) iff its top bits are m
+        if np.any((nums >> (r + params.grid_k)) != np.arange(cells)):
+            raise ValueError(f"round {r}: origin off its cell")
+
+
 def generate(params: GenParams) -> Instance:
     """Draw a full instance; deterministic in (seed, params)."""
     k = params.grid_k
+    nums_by_round = origin_round_numerators(params)
+    check_round_numerators(params, nums_by_round)
     servers = tuple(coord_from_integer(j, k) for j in range(1, params.n + 1))
     rounds = []
-    for r, nums in enumerate(origin_round_numerators(params), start=1):
+    for r, nums in enumerate(nums_by_round, start=1):
         entries = []
-        for m, num in enumerate(nums):
-            origin = Coord(int(num), k)
+        for m, num in enumerate(nums.tolist()):
+            origin = Coord(num, k)
             # origins already sit on the grid, so the snapped request equals them
             entries.append(RoundEntry(m, origin, origin))
         rounds.append(Round(r, tuple(entries)))
-    inst = Instance(params, servers, tuple(rounds))
-    inst.validate()
-    return inst
+    return Instance(params, servers, tuple(rounds))
+
+
+def arrival_indices(params: GenParams, r: int) -> list[int]:
+    """Cell indices of round r in arrival order (left-to-right or a seeded shuffle)."""
+    order = list(range((params.n + 1) >> r))
+    if params.request_order == ORDER_SHUFFLED:
+        Stream(params.seed, _TAG_ORDER, r).shuffle(order)
+    return order
 
 
 def arrival_order(instance: Instance, rnd: Round) -> list[RoundEntry]:
-    """Entries of one round in arrival order (left-to-right or a seeded shuffle)."""
-    entries = list(rnd.entries)
-    if instance.params.request_order == ORDER_SHUFFLED:
-        Stream(instance.params.seed, _TAG_ORDER, rnd.r).shuffle(entries)
-    return entries
+    """Entries of one round in arrival order."""
+    return [rnd.entries[m] for m in arrival_indices(instance.params, rnd.r)]
 
 
 def g_moments(ell: int, n: int) -> tuple[Fraction, Fraction]:

@@ -9,9 +9,15 @@ Four policies:
                        newly uses
   random_free          uniform random free server (seeded stream)
 
-Costs are exact integer numerators at the instance grid scale throughout;
-vectorized paths check that int64 cannot overflow and otherwise fall back to
-plain Python integers.
+Each policy is one kernel over exact integer numerators at the instance grid
+scale: the free servers are a sorted list of numerators (server j sits at
+j << grid_k), and a kernel serves one round, removes the servers it used and
+returns the round's cost.  Vectorized kernels run on int64 arrays when
+offline.exact_dtype says sums cannot overflow and on arrays of Python
+integers otherwise.
+
+A trial generates its instance once, as per-round numerator arrays, and
+plays every requested policy on it; Coord appears only in RunStats.
 """
 
 from __future__ import annotations
@@ -19,13 +25,22 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from matchline.adversary import GenParams, Instance, arrival_order, generate, rounds_for, default_grid_k
+from matchline.adversary import (
+    GenParams,
+    Instance,
+    arrival_indices,
+    arrival_order,
+    check_round_numerators,
+    default_grid_k,
+    origin_round_numerators,
+    rounds_for,
+)
 from matchline.geometry import Coord
-from matchline.offline import Assignment
+from matchline.offline import exact_dtype, sorted_cost_num
 from matchline.rng import Stream, stream_key
 
 GREEDY_NEAREST = "greedy_nearest"
@@ -37,6 +52,11 @@ ALGORITHM_KINDS = (GREEDY_NEAREST, BATCH_ROUND_OPTIMAL, PERMUTATION, RANDOM_FREE
 _TAG_TRIAL = "trial"
 _TAG_ALG = "alg"
 _TAG_CHOICE = "choice"
+
+# A kernel factory takes (free, seed, dtype) and returns serve(requests) -> cost.
+# free is the sorted list of free server numerators, shared with the caller;
+# serve removes every server it uses from it.
+Kernel = Callable[[Sequence[int]], int]
 
 
 @dataclass(frozen=True)
@@ -53,63 +73,39 @@ class AlgorithmSpec:
             raise ValueError(f"seed must be a 64-bit value, got {self.seed}")
 
 
-class ServerPool:
-    """Free servers in coordinate order plus the request -> server matching.
-
-    Server ids are 0-based indices into the original server tuple; matched
-    maps arrival number (0, 1, ...) to the server id that served it.
-    """
-
-    __slots__ = ("scale", "free_nums", "free_ids", "matched", "total")
-
-    def __init__(self, nums: Sequence[int], ids: Sequence[int], scale: int):
-        order = sorted(range(len(nums)), key=lambda t: nums[t])
-        self.free_nums = [nums[t] for t in order]
-        self.free_ids = [ids[t] for t in order]
-        self.scale = scale
-        self.matched: dict[int, int] = {}
-        self.total = len(nums)
-
-    @classmethod
-    def from_coords(cls, servers: Sequence[Coord]) -> "ServerPool":
-        if not servers:
-            raise ValueError("a pool needs at least one server")
-        k = max(c.k for c in servers)
-        return cls([c.at_scale(k) for c in servers], list(range(len(servers))), k)
-
-    @classmethod
-    def from_instance(cls, instance: Instance) -> "ServerPool":
-        return cls.from_coords(instance.servers)
-
-    @property
-    def free_count(self) -> int:
-        return len(self.free_nums)
-
-    def take(self, pos: int) -> int:
-        """Remove the free server at sorted position pos; records the match."""
-        sid = self.free_ids.pop(pos)
-        self.free_nums.pop(pos)
-        self.matched[len(self.matched)] = sid
-        return sid
+def _check_capacity(free: list[int], requests: Sequence[int]) -> None:
+    if len(requests) > len(free):
+        raise ValueError(f"{len(requests)} requests but only {len(free)} free servers")
 
 
-def serve_request_greedy(pool: ServerPool, request: Coord) -> tuple[int, Coord]:
-    """Serve with the nearest free server; equidistant neighbours resolve left."""
-    if pool.free_count == 0:
-        raise ValueError("no free server left")
-    num = request.at_scale(pool.scale)
-    pos = bisect.bisect_left(pool.free_nums, num)
-    if pos == 0:
-        choose = 0
-    elif pos == pool.free_count:
-        choose = pos - 1
-    else:
-        left_d = num - pool.free_nums[pos - 1]
-        right_d = pool.free_nums[pos] - num
-        choose = pos if right_d < left_d else pos - 1
-    cost = abs(num - pool.free_nums[choose])
-    sid = pool.take(choose)
-    return sid, Coord(cost, pool.scale)
+def _greedy(free: list[int], seed: int, dtype) -> Kernel:
+    """Nearest free server; equidistant neighbours resolve left."""
+
+    def serve(requests: Sequence[int]) -> int:
+        _check_capacity(free, requests)
+        total = 0
+        for x in requests:
+            pos = bisect.bisect_left(free, x)
+            if pos == len(free) or (pos and x - free[pos - 1] <= free[pos] - x):
+                pos -= 1
+            total += abs(x - free.pop(pos))
+        return total
+
+    return serve
+
+
+def _random_free(free: list[int], seed: int, dtype) -> Kernel:
+    """Uniform random free server, drawn from Stream(seed, "choice")."""
+    stream = Stream(seed, _TAG_CHOICE)
+
+    def serve(requests: Sequence[int]) -> int:
+        _check_capacity(free, requests)
+        total = 0
+        for x in requests:
+            total += abs(x - free.pop(stream.randbelow(len(free))))
+        return total
+
+    return serve
 
 
 # ---------------------------------------------------------------------------
@@ -117,20 +113,21 @@ def serve_request_greedy(pool: ServerPool, request: Coord) -> tuple[int, Coord]:
 #
 # With both sides sorted an optimal matching never crosses, so the DP
 #   dp[i][j] = min(dp[i][j-1], dp[i-1][j-1] + |req_i - srv_j|)
-# is exact, and row i is a running minimum of dp[i-1][j-1] + cost_j.
+# is exact, and row i is a running minimum of dp[i-1][j-1] + cost_j.  Row i
+# is only needed for i <= j <= i + (m - q): the first i requests take at
+# least i servers and leave m - j >= q - i for the rest.
 
-_INF = 1 << 62
 
-
-def _monotone_min_cost_numpy(req: np.ndarray, free: np.ndarray) -> tuple[int, list[int]]:
+def _monotone_min_cost(req: np.ndarray, free: np.ndarray) -> tuple[int, list[int]]:
+    """(cost, sorted server positions) of the cheapest injection of the
+    sorted requests into the sorted free servers; the leftmost server set
+    wins ties.  Works on int64 and on Python-int (object) arrays alike."""
     q, m = len(req), len(free)
-    dp = np.empty((q + 1, m + 1), dtype=np.int64)
-    dp[0] = 0
+    slack = m - q
+    dp = np.zeros((q + 1, m + 1), dtype=req.dtype)
     for i in range(1, q + 1):
-        cand = dp[i - 1, :-1] + np.abs(req[i - 1] - free)
-        np.minimum.accumulate(cand, out=cand)
-        dp[i, 0] = _INF
-        np.minimum(cand, _INF, out=dp[i, 1:])
+        cand = dp[i - 1, i - 1 : i + slack] + np.abs(req[i - 1] - free[i - 1 : i + slack])
+        np.minimum.accumulate(cand, out=dp[i, i : i + slack + 1])
     sel: list[int] = []
     j = m
     for i in range(q, 0, -1):
@@ -143,77 +140,21 @@ def _monotone_min_cost_numpy(req: np.ndarray, free: np.ndarray) -> tuple[int, li
     return int(dp[q, m]), sel
 
 
-def _monotone_min_cost_py(req: Sequence[int], free: Sequence[int]) -> tuple[int, list[int]]:
-    q, m = len(req), len(free)
-    inf = None
-    rows: list[list] = [[0] * (m + 1)]
-    for i in range(1, q + 1):
-        prev = rows[-1]
-        row = [inf] * (m + 1)
-        x = req[i - 1]
-        best = inf
-        for j in range(1, m + 1):
-            if prev[j - 1] is not inf:
-                c = prev[j - 1] + abs(x - free[j - 1])
-                if best is inf or c < best:
-                    best = c
-            row[j] = best
-        rows.append(row)
-    sel: list[int] = []
-    j = m
-    for i in range(q, 0, -1):
-        row = rows[i]
-        while j - 1 >= i and row[j] == row[j - 1]:
-            j -= 1
-        j -= 1
-        sel.append(j)
-    sel.reverse()
-    return rows[q][m], sel
-
-
-def _int64_matching_safe(count: int, max_abs: int) -> bool:
-    # sums of `count` distances, each < 2**bits(max_abs), must stay below _INF
-    return count.bit_length() + max_abs.bit_length() <= 61
-
-
-def serve_round_batch_optimal(pool: ServerPool, requests: Sequence[Coord]) -> Assignment:
-    """Serve a whole round with a minimum-cost matching into the free servers.
-
-    Returns an Assignment whose pairs are (request position in `requests`,
-    server id); the pool is updated.  Among equal-cost matchings the one
-    using the leftmost server set is chosen.
-    """
-    q = len(requests)
-    if q == 0:
-        return Assignment((), (), Coord(0, pool.scale))
-    if q > pool.free_count:
-        raise ValueError(f"{q} requests but only {pool.free_count} free servers")
-    k = pool.scale
-    nums = [c.at_scale(k) for c in requests]
-    order = sorted(range(q), key=lambda t: (nums[t], t))
-    req_sorted = [nums[t] for t in order]
-    max_abs = max(max(req_sorted[-1], pool.free_nums[-1]), 1)
-    if _int64_matching_safe(q, max_abs):
-        total, sel = _monotone_min_cost_numpy(
-            np.asarray(req_sorted, dtype=np.int64),
-            np.asarray(pool.free_nums, dtype=np.int64),
-        )
-    else:
-        total, sel = _monotone_min_cost_py(req_sorted, pool.free_nums)
-    pairs = []
-    costs = []
-    for rank, pos in enumerate(sel):
-        orig = order[rank]
-        pairs.append((orig, pool.free_ids[pos]))
-        costs.append(Coord(abs(req_sorted[rank] - pool.free_nums[pos]), k))
-    for pos in reversed(sel):
-        pool.take(pos)
-    by_request = sorted(range(q), key=lambda t: pairs[t][0])
-    return Assignment(
-        tuple(pairs[t] for t in by_request),
-        tuple(costs[t] for t in by_request),
-        Coord(total, k),
+def _serve_batch(free: list[int], requests: Sequence[int], dtype) -> int:
+    """Serve all requests at once with a minimum-cost matching."""
+    _check_capacity(free, requests)
+    if not requests:
+        return 0
+    total, sel = _monotone_min_cost(
+        np.sort(np.asarray(requests, dtype=dtype)), np.asarray(free, dtype=dtype)
     )
+    for pos in reversed(sel):
+        del free[pos]
+    return total
+
+
+def _batch(free: list[int], seed: int, dtype) -> Kernel:
+    return lambda requests: _serve_batch(free, requests, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -224,105 +165,52 @@ def serve_round_batch_optimal(pool: ServerPool, requests: Sequence[Coord]) -> As
 # R U {x} that uses the old servers plus exactly one new one, so the policy
 # evaluates, for every free server s, the perfect rank-pairing cost of
 # R U {x} against used U {s}, and serves x with the best such s (leftmost on
-# ties).  Inserting s at rank p leaves pairs < p alone and shifts the rest by
-# one, so each candidate costs O(1) after two prefix-sum passes.
+# ties).  Inserting s at rank p pairs R[a] with U[a] below p and R[a+1] with
+# U[a] from p on, so up to a constant every candidate costs
+#   sum_{a<p} (|R[a] - U[a]| - |R[a+1] - U[a]|) + |R[p] - s|,
+# one prefix sum for all candidates.  R, U and the free servers live in
+# preallocated buffers that shift by slice assignment.
 
 
-class PermutationState:
-    __slots__ = ("pool", "req", "used", "free", "use_numpy")
+def _permutation(free: list[int], seed: int, dtype) -> Kernel:
+    size = len(free)
+    req = np.empty(size, dtype=dtype)  # requests seen, sorted
+    used = np.empty(size, dtype=dtype)  # servers used, sorted
+    avail = np.array(free, dtype=dtype)  # mirrors `free`
+    rank = np.zeros(size, dtype=np.intp)  # used servers left of each free one
+    gain = np.zeros(size + 1, dtype=dtype)
+    seen = 0
 
-    def __init__(self, pool: ServerPool):
-        self.pool = pool
-        # requests may land one server spacing past the last server, hence 2x
-        n, max_abs = pool.total, max(2 * pool.free_nums[-1], 1)
-        self.use_numpy = _int64_matching_safe(n, max_abs)
-        if self.use_numpy:
-            self.req = np.empty(0, dtype=np.int64)
-            self.used = np.empty(0, dtype=np.int64)
-            self.free = np.asarray(pool.free_nums, dtype=np.int64)
-        else:
-            self.req = []
-            self.used = []
-            self.free = list(pool.free_nums)
+    def serve(requests: Sequence[int]) -> int:
+        nonlocal seen
+        _check_capacity(free, requests)
+        total = 0
+        for x in requests:
+            t, m = seen, len(free)
+            pos = int(req[:t].searchsorted(x, "right"))
+            req[pos + 1 : t + 1] = req[pos:t]
+            req[pos] = x
+            R, U, F, p = req[: t + 1], used[:t], avail[:m], rank[:m]
+            np.add.accumulate(np.abs(R[:-1] - U) - np.abs(R[1:] - U), out=gain[1 : t + 1])
+            best = int((gain[p] + np.abs(R[p] - F)).argmin())  # first minimum
+            s, q = free.pop(best), int(p[best])
+            used[q + 1 : t + 1] = used[q:t]
+            used[q] = s
+            avail[best : m - 1] = avail[best + 1 : m]
+            rank[best : m - 1] = rank[best + 1 : m] + 1
+            seen = t + 1
+            total += abs(x - s)
+        return total
 
-
-def serve_request_permutation(state: PermutationState, request: Coord) -> tuple[int, Coord]:
-    pool = state.pool
-    if pool.free_count == 0:
-        raise ValueError("no free server left")
-    x = request.at_scale(pool.scale)
-    if state.use_numpy:
-        return _serve_permutation_numpy(state, x)
-    return _serve_permutation_py(state, x)
-
-
-def _serve_permutation_numpy(state: PermutationState, x: int) -> tuple[int, Coord]:
-    pool = state.pool
-    pos_x = int(np.searchsorted(state.req, x, side="right"))
-    R = np.insert(state.req, pos_x, x)
-    U = state.used
-    d_keep = np.abs(R[:-1] - U) if len(U) else np.empty(0, dtype=np.int64)
-    d_shift = np.abs(R[1:] - U) if len(U) else np.empty(0, dtype=np.int64)
-    prefix = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(d_keep)))
-    suffix = np.concatenate((np.cumsum(d_shift[::-1])[::-1], np.zeros(1, dtype=np.int64)))
-    p = np.searchsorted(U, state.free, side="left")
-    totals = prefix[p] + np.abs(R[p] - state.free) + suffix[p]
-    best = int(np.argmin(totals))  # first minimum = leftmost free server
-    s_num = int(state.free[best])
-    cost = abs(x - s_num)
-    sid = pool.take(best)
-    state.req = R
-    state.used = np.insert(U, int(p[best]), s_num)
-    state.free = np.delete(state.free, best)
-    return sid, Coord(cost, pool.scale)
+    return serve
 
 
-def _serve_permutation_py(state: PermutationState, x: int) -> tuple[int, Coord]:
-    pool = state.pool
-    pos_x = bisect.bisect_right(state.req, x)
-    R = state.req
-    R.insert(pos_x, x)
-    U = state.used
-    t = len(R)
-    prefix = [0] * t
-    for a in range(t - 1):
-        prefix[a + 1] = prefix[a] + abs(R[a] - U[a])
-    suffix = [0] * t
-    for a in range(t - 2, -1, -1):
-        suffix[a] = suffix[a + 1] + abs(R[a + 1] - U[a])
-    best = None
-    best_total = None
-    best_p = 0
-    for pos, s in enumerate(state.free):
-        p = bisect.bisect_left(U, s)
-        total = prefix[p] + abs(R[p] - s) + suffix[p]
-        if best_total is None or total < best_total:
-            best, best_total, best_p = pos, total, p
-    s_num = state.free[best]
-    cost = abs(x - s_num)
-    sid = pool.take(best)
-    U.insert(best_p, s_num)
-    del state.free[best]
-    return sid, Coord(cost, pool.scale)
-
-
-class RandomFreeState:
-    __slots__ = ("pool", "stream")
-
-    def __init__(self, pool: ServerPool, seed: int):
-        self.pool = pool
-        self.stream = Stream(seed, _TAG_CHOICE)
-
-
-def serve_request_random_free(state: RandomFreeState, request: Coord) -> tuple[int, Coord]:
-    pool = state.pool
-    if pool.free_count == 0:
-        raise ValueError("no free server left")
-    num = request.at_scale(pool.scale)
-    pos = state.stream.randbelow(pool.free_count)
-    cost = abs(num - pool.free_nums[pos])
-    sid = pool.take(pos)
-    return sid, Coord(cost, pool.scale)
+_KERNELS = {
+    GREEDY_NEAREST: _greedy,
+    BATCH_ROUND_OPTIMAL: _batch,
+    PERMUTATION: _permutation,
+    RANDOM_FREE: _random_free,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -368,66 +256,52 @@ class RunStats:
         }
 
 
-def _offline_total_num(instance: Instance) -> int:
+@dataclass(frozen=True)
+class TrialRequests:
+    """One instance as integers: per-round request numerators at scale
+    grid_k in arrival order, and the offline rank-pairing total."""
+
+    params: GenParams
+    rounds: tuple[list[int], ...]
+    offline_num: int
+
+
+def requests_of(instance: Instance) -> TrialRequests:
+    """The integer view of a (validated) Instance."""
     k = instance.grid_k
-    req = [e.request.at_scale(k) for e in instance.all_entries()]
-    srv = [s.at_scale(k) for s in instance.servers]
-    if _int64_matching_safe(len(req), max(max(req, default=1), srv[-1])):
-        a = np.sort(np.asarray(req, dtype=np.int64))
-        b = np.asarray(srv, dtype=np.int64)
-        return int(np.abs(a - b).sum())
-    total = 0
-    for x, s in zip(sorted(req), srv):
-        total += abs(x - s)
-    return total
+    rounds = tuple(
+        [e.request.at_scale(k) for e in arrival_order(instance, rnd)] for rnd in instance.rounds
+    )
+    offline = sorted_cost_num(
+        [s.at_scale(k) for s in instance.servers], [x for nums in rounds for x in nums]
+    )
+    return TrialRequests(instance.params, rounds, offline)
 
 
-def run_with_prefix(
-    instance: Instance, spec: AlgorithmSpec, prefix_rounds: int, trial: int | None = None
+def play(
+    requests: TrialRequests, spec: AlgorithmSpec, prefix_rounds: int, trial: int | None = None
 ) -> RunStats:
-    """Play an instance: the first prefix_rounds rounds as one optimal batch,
+    """Play one instance: the first prefix_rounds rounds as one optimal batch,
     the remaining rounds online with the given policy."""
-    params = instance.params
+    params = requests.params
     if not 0 <= prefix_rounds <= params.i:
         raise ValueError(f"prefix_rounds must be in 0..{params.i}, got {prefix_rounds}")
-    pool = ServerPool.from_instance(instance)
-    k = pool.scale
-    n = instance.n
-
-    prefix_num = 0
-    if prefix_rounds:
-        batch = [e.request for rnd in instance.rounds[:prefix_rounds] for e in rnd.entries]
-        asn = serve_round_batch_optimal(pool, batch)
-        prefix_num = asn.total_cost.at_scale(k)
-
-    perm_state = PermutationState(pool) if spec.kind == PERMUTATION else None
-    rand_state = RandomFreeState(pool, spec.seed) if spec.kind == RANDOM_FREE else None
-
+    n, k = params.n, params.grid_k
+    # every sum adds at most n distances, each at most (n + 1) << k
+    dtype = exact_dtype(n, (n + 1) << k)
+    free = [j << k for j in range(1, n + 1)]
+    known = [x for nums in requests.rounds[:prefix_rounds] for x in nums]
+    prefix_num = _serve_batch(free, known, dtype)
+    serve = _KERNELS[spec.kind](free, spec.seed, dtype)
     round_nums: list[int] = []
-    for rnd in instance.rounds[prefix_rounds:]:
-        expected_free = ((n + 1) >> (rnd.r - 1)) - 1
-        if pool.free_count != expected_free:
-            raise RuntimeError(
-                f"round {rnd.r}: {pool.free_count} free servers, expected {expected_free}"
-            )
-        entries = arrival_order(instance, rnd)
-        if spec.kind == BATCH_ROUND_OPTIMAL:
-            asn = serve_round_batch_optimal(pool, [e.request for e in entries])
-            round_nums.append(asn.total_cost.at_scale(k))
-        else:
-            total = 0
-            for e in entries:
-                if spec.kind == GREEDY_NEAREST:
-                    _, cost = serve_request_greedy(pool, e.request)
-                elif spec.kind == PERMUTATION:
-                    _, cost = serve_request_permutation(perm_state, e.request)
-                else:
-                    _, cost = serve_request_random_free(rand_state, e.request)
-                total += cost.at_scale(k)
-            round_nums.append(total)
+    for r, nums in enumerate(requests.rounds[prefix_rounds:], start=prefix_rounds + 1):
+        expected_free = ((n + 1) >> (r - 1)) - 1
+        if len(free) != expected_free:
+            raise RuntimeError(f"round {r}: {len(free)} free servers, expected {expected_free}")
+        round_nums.append(serve(nums))
 
     online_num = prefix_num + sum(round_nums)
-    offline_num = _offline_total_num(instance)
+    offline_num = requests.offline_num
     if offline_num == 0:
         ratio = 1.0 if online_num == 0 else None
     else:
@@ -447,9 +321,48 @@ def run_with_prefix(
     )
 
 
+def run_with_prefix(
+    instance: Instance, spec: AlgorithmSpec, prefix_rounds: int, trial: int | None = None
+) -> RunStats:
+    """play() on an Instance."""
+    return play(requests_of(instance), spec, prefix_rounds, trial)
+
+
 def run(instance: Instance, spec: AlgorithmSpec, trial: int | None = None) -> RunStats:
     """Play all rounds online with the given policy."""
     return run_with_prefix(instance, spec, 0, trial)
+
+
+def run_trial(
+    n: int,
+    kinds: Sequence[str],
+    trial: int,
+    root_seed: int,
+    grid_k: int | None = None,
+    request_order: str = "left_to_right",
+    prefix_rounds: int = 0,
+) -> list[RunStats]:
+    """One seeded trial, generated once and played by every policy in kinds.
+
+    Generation and policy seeds derive from (root_seed, trial) so trials are
+    independent and order-insensitive; every policy sees the same instance.
+    """
+    k = default_grid_k(n) if grid_k is None else grid_k
+    params = GenParams(
+        i=rounds_for(n),
+        grid_k=k,
+        seed=stream_key(root_seed, _TAG_TRIAL, trial),
+        request_order=request_order,
+    )
+    origins = origin_round_numerators(params)
+    check_round_numerators(params, origins)
+    rounds = tuple(
+        nums[arrival_indices(params, r)].tolist() for r, nums in enumerate(origins, start=1)
+    )
+    servers = np.arange(1, n + 1, dtype=np.int64) << np.int64(k)
+    requests = TrialRequests(params, rounds, sorted_cost_num(servers, np.concatenate(origins)))
+    specs = [AlgorithmSpec(kind, stream_key(root_seed, _TAG_ALG, kind, trial)) for kind in kinds]
+    return [play(requests, spec, prefix_rounds, trial) for spec in specs]
 
 
 def run_single_trial(
@@ -461,18 +374,8 @@ def run_single_trial(
     request_order: str = "left_to_right",
     prefix_rounds: int = 0,
 ) -> RunStats:
-    """One seeded trial: derives per-trial generation and policy seeds from
-    (root_seed, trial) so trials are independent and order-insensitive."""
-    i = rounds_for(n)
-    k = default_grid_k(n) if grid_k is None else grid_k
-    params = GenParams(
-        i=i,
-        grid_k=k,
-        seed=stream_key(root_seed, _TAG_TRIAL, trial),
-        request_order=request_order,
-    )
-    spec = AlgorithmSpec(kind, seed=stream_key(root_seed, _TAG_ALG, kind, trial))
-    return run_with_prefix(generate(params), spec, prefix_rounds, trial=trial)
+    """run_trial for a single policy."""
+    return run_trial(n, (kind,), trial, root_seed, grid_k, request_order, prefix_rounds)[0]
 
 
 def run_trials(

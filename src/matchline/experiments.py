@@ -9,10 +9,13 @@ optionally writes four files into an output directory:
   rounds.csv     one row per (n, algorithm, online round)
   reports.json   the checker reports plus the configuration
 
-Outputs are byte-deterministic for a given configuration and seed: trials
-fan out to workers but are aggregated in a fixed order, exact integer cost
-sums happen before any float conversion, and the worker count never appears
-in a file.  Floats serialize via Python's shortest round-trip repr.
+A task is one (n, trial): it generates that instance once and plays every
+configured policy on it, so all policies of a trial see the same requests.
+Outputs are byte-deterministic for a given configuration and seed: tasks
+fan out to workers but are mapped and regrouped by (n, algorithm) in a
+fixed order, exact integer cost sums happen before any float conversion,
+and the worker count never appears in a file.  Floats serialize via
+Python's shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from matchline.adversary import ORDER_LEFT_TO_RIGHT, REQUEST_ORDERS, rounds_for
-from matchline.algorithms import ALGORITHM_KINDS, RunStats, run_single_trial
+from matchline.algorithms import ALGORITHM_KINDS, RunStats, run_trial
 from matchline.lemma_checks import (
     LemmaReport,
     empirical_report_from_stats,
@@ -131,31 +134,35 @@ class SuiteResult:
     reports: list[LemmaReport] = field(default_factory=list)
 
 
-def _trial_task(args: tuple) -> RunStats:
-    n, kind, trial, seed, grid_k, order, prefix = args
-    return run_single_trial(
-        n, kind, trial, seed, grid_k=grid_k, request_order=order, prefix_rounds=prefix
+def _trial_task(args: tuple) -> list[RunStats]:
+    n, kinds, trial, seed, grid_k, order, prefix = args
+    return run_trial(
+        n, kinds, trial, seed, grid_k=grid_k, request_order=order, prefix_rounds=prefix
     )
 
 
 def _collect_stats(config: ExperimentConfig) -> dict[tuple[int, str], list[RunStats]]:
     tasks = [
-        (n, kind, t, config.seed, config.grid_k, config.request_order,
+        (n, config.algorithms, t, config.seed, config.grid_k, config.request_order,
          config.prefix_known_rounds)
         for n in config.n_list
-        for kind in config.algorithms
         for t in range(config.trials)
     ]
-    if config.workers == 1:
+    # the pool starts all its processes up front, so never more than there are tasks
+    workers = min(config.workers, len(tasks))
+    if workers == 1:
         results = [_trial_task(task) for task in tasks]
     else:
-        chunk = max(1, len(tasks) // (config.workers * 8))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # map preserves task order, so scheduling cannot reorder results
             results = list(pool.map(_trial_task, tasks, chunksize=chunk))
-    stats: dict[tuple[int, str], list[RunStats]] = {}
-    for task, st in zip(tasks, results):
-        stats.setdefault((task[0], task[1]), []).append(st)
+    stats: dict[tuple[int, str], list[RunStats]] = {
+        (n, kind): [] for n in config.n_list for kind in config.algorithms
+    }
+    for runs in results:
+        for st in runs:
+            stats[(st.n, st.algorithm)].append(st)
     return stats
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from matchline.algorithms import ALGORITHM_KINDS, run_trials
+from matchline.algorithms import ALGORITHM_KINDS, run_trial
 from matchline.experiments import ExperimentConfig, run_suite, write_outputs
 from matchline.geometry import Coord
 from matchline.lemma_checks import (
@@ -43,10 +43,12 @@ def exact_moment_reports():
 
 @pytest.fixture(scope="module")
 def heavy_stats():
-    out = {}
+    # the runs of run_trials(n, kind, 500, ACCEPT_SEED), one instance per (n, trial)
+    out = {(n, kind): [] for n in (255, 1023) for kind in ALGORITHM_KINDS}
     for n in (255, 1023):
-        for kind in ALGORITHM_KINDS:
-            out[(n, kind)] = run_trials(n, kind, trials=500, root_seed=ACCEPT_SEED)
+        for t in range(500):
+            for st in run_trial(n, ALGORITHM_KINDS, t, ACCEPT_SEED):
+                out[(n, st.algorithm)].append(st)
     return out
 
 

@@ -10,6 +10,7 @@ from matchline.adversary import (
     GenParams,
     ORDER_SHUFFLED,
     arrival_order,
+    check_round_numerators,
     default_grid_k,
     expected_g,
     g_moments,
@@ -112,6 +113,18 @@ def test_validate_rejects_tampering():
     bad = dataclasses.replace(inst, rounds=(bad_round,) + inst.rounds[1:])
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_check_round_numerators_rejects_tampering():
+    params = GenParams(i=3, grid_k=5, seed=2)
+    nums = origin_round_numerators(params)
+    check_round_numerators(params, nums)
+    moved = [a.copy() for a in nums]
+    moved[0][1] = moved[0][0]  # round-1 cell 1 given a cell-0 origin
+    short = [nums[0][:-1]] + nums[1:]
+    for bad in (moved, short, nums[:-1]):
+        with pytest.raises(ValueError):
+            check_round_numerators(params, bad)
 
 
 def test_origin_round_numerators_match_generate():

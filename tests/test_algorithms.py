@@ -1,114 +1,119 @@
-"""Online policies: serving rules, batch DP, permutation invariant, runs."""
+"""Online policies: kernels against references, the shared trial runner, runs."""
 
+import dataclasses
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from matchline.adversary import GenParams, Instance, Round, RoundEntry, generate
+from matchline.adversary import GenParams, Instance, ORDER_SHUFFLED, Round, RoundEntry, generate
 from matchline.algorithms import (
     ALGORITHM_KINDS,
     AlgorithmSpec,
-    PermutationState,
-    RandomFreeState,
-    ServerPool,
-    _monotone_min_cost_numpy,
-    _monotone_min_cost_py,
+    _KERNELS,
+    _monotone_min_cost,
+    play,
+    requests_of,
     run,
     run_single_trial,
+    run_trial,
     run_trials,
     run_with_prefix,
-    serve_request_greedy,
-    serve_request_permutation,
-    serve_request_random_free,
-    serve_round_batch_optimal,
 )
 from matchline.geometry import Coord, coord_from_integer
-from matchline.rng import Stream
+from matchline.offline import exact_dtype
+from matchline.rng import Stream, stream_key
 
 
-def pool_at(values, k=4):
-    return ServerPool.from_coords([coord_from_integer(v, k) for v in values])
+def kernel(kind, free, seed=0, dtype=np.int64):
+    return _KERNELS[kind](free, seed, dtype)
+
+
+def serve_one(serve, free, x):
+    """Serve a single request; (server taken, cost)."""
+    before = list(free)
+    cost = serve([x])
+    (taken,) = [v for v in before if v not in free]
+    return taken, cost
+
+
+def at4(values):
+    return [v << 4 for v in values]
 
 
 def test_greedy_unique_nearest():
-    pool = pool_at([1, 2, 3])
-    sid, cost = serve_request_greedy(pool, Coord(38, 4))  # 2.375
-    assert sid == 1
-    assert cost.as_fraction() == Fraction(3, 8)
-    assert pool.free_count == 2
+    free = at4([1, 2, 3])
+    taken, cost = serve_one(kernel("greedy_nearest", free), free, 38)  # 2.375
+    assert taken == 2 << 4
+    assert cost == 6  # 3/8
+    assert len(free) == 2
 
 
 def test_greedy_tie_goes_left():
-    pool = pool_at([1, 3])
-    sid, cost = serve_request_greedy(pool, coord_from_integer(2, 4))
-    assert sid == 0
-    assert cost.as_fraction() == 1
+    free = at4([1, 3])
+    taken, cost = serve_one(kernel("greedy_nearest", free), free, 2 << 4)
+    assert taken == 1 << 4
+    assert cost == 1 << 4
 
 
 def test_greedy_boundary_requests():
-    pool = pool_at([2, 5])
-    sid, cost = serve_request_greedy(pool, coord_from_integer(1, 4))
-    assert sid == 0 and cost.as_fraction() == 1
-    sid, cost = serve_request_greedy(pool, coord_from_integer(7, 4))
-    assert sid == 1 and cost.as_fraction() == 2
+    free = at4([2, 5])
+    serve = kernel("greedy_nearest", free)
+    assert serve_one(serve, free, 1 << 4) == (2 << 4, 1 << 4)
+    assert serve_one(serve, free, 7 << 4) == (5 << 4, 2 << 4)
 
 
 def test_greedy_matches_linear_scan():
+    # the nearest server by linear scan, leftmost among equally near ones
     s = Stream(41, "greedy-oracle")
-    for _ in range(80):
+    for _ in range(200):
         size = 1 + s.randbelow(7)
         vals = sorted({s.randbelow(1 << 9) for _ in range(size)})
-        pool = ServerPool.from_coords([Coord(v, 5) for v in vals])
-        req = Coord(s.randbelow(1 << 9), 5)
-        _, cost = serve_request_greedy(pool, req)
-        best = min(abs(v - req.num) for v in vals)
-        assert cost.at_scale(5) == best
+        x = s.randbelow(1 << 9) if s.randbelow(2) else (vals[0] + vals[-1]) >> 1
+        free = list(vals)
+        taken, cost = serve_one(kernel("greedy_nearest", free), free, x)
+        best = min(abs(v - x) for v in vals)
+        assert cost == best
+        assert taken == next(v for v in vals if abs(v - x) == best)
 
 
 def test_greedy_empty_pool():
-    pool = pool_at([1])
-    serve_request_greedy(pool, coord_from_integer(1, 4))
+    free = at4([1])
+    serve = kernel("greedy_nearest", free)
+    serve([1 << 4])
     with pytest.raises(ValueError):
-        serve_request_greedy(pool, coord_from_integer(1, 4))
+        serve([1 << 4])
 
 
 def test_batch_single_request_equals_greedy():
     s = Stream(17, "batch1")
     for _ in range(40):
         vals = sorted({s.randbelow(200) for _ in range(1 + s.randbelow(6))})
-        req = Coord(s.randbelow(220), 3)
-        a = ServerPool.from_coords([Coord(v, 3) for v in vals])
-        b = ServerPool.from_coords([Coord(v, 3) for v in vals])
-        sid_g, cost_g = serve_request_greedy(a, req)
-        asn = serve_round_batch_optimal(b, [req])
-        assert asn.total_cost == cost_g
+        x = s.randbelow(220)
+        a, b = list(vals), list(vals)
+        assert kernel("batch_round_optimal", b)([x]) == kernel("greedy_nearest", a)([x])
         # on a cost tie the two rules may pick different servers; totals agree
-        assert asn.pairs[0][0] == 0
+        assert len(a) == len(b) == len(vals) - 1
 
 
 def test_batch_two_requests_example():
     # requests 1.875 and 2.125 into {1,2,3}: two optimal matchings cost 1,
     # the leftmost server set {1,2} wins
-    pool = pool_at([1, 2, 3])
-    asn = serve_round_batch_optimal(pool, [Coord(30, 4), Coord(34, 4)])
-    assert asn.total_cost.as_fraction() == 1
-    assert asn.pairs == ((0, 0), (1, 1))
-    assert pool.free_nums == [3 << 4]
+    free = at4([1, 2, 3])
+    assert kernel("batch_round_optimal", free)([30, 34]) == 1 << 4
+    assert free == [3 << 4]
 
 
 def test_batch_rejects_overflow_requests():
-    pool = pool_at([1, 2])
-    reqs = [coord_from_integer(v, 4) for v in (1, 2, 3)]
+    free = at4([1, 2])
     with pytest.raises(ValueError):
-        serve_round_batch_optimal(pool, reqs)
+        kernel("batch_round_optimal", free)(at4([1, 2, 3]))
 
 
 def test_batch_empty_round():
-    pool = pool_at([1])
-    asn = serve_round_batch_optimal(pool, [])
-    assert asn.pairs == () and asn.total_cost.as_fraction() == 0
+    free = at4([1])
+    assert kernel("batch_round_optimal", free)([]) == 0
+    assert free == at4([1])
 
 
 def _injection_min(req_nums, free_nums):
@@ -129,11 +134,13 @@ def test_batch_matches_injection_brute_force():
         m = 2 + s.randbelow(7)
         vals = sorted({s.randbelow(400) for _ in range(m)})
         q = 1 + s.randbelow(min(4, len(vals)))
-        reqs = [Coord(s.randbelow(440), 4) for _ in range(q)]
-        pool = ServerPool.from_coords([Coord(v, 4) for v in vals])
-        asn = serve_round_batch_optimal(pool, reqs)
-        want = _injection_min([r.num for r in reqs], vals)
-        assert asn.total_cost.at_scale(4) == want
+        reqs = [s.randbelow(440) for _ in range(q)]
+        free = list(vals)
+        cost = kernel("batch_round_optimal", free)(reqs)
+        assert cost == _injection_min(reqs, vals)
+        # the servers taken realize that cost
+        taken = sorted(set(vals) - set(free))
+        assert sum(abs(a - b) for a, b in zip(sorted(reqs), taken)) == cost
 
 
 def test_batch_matches_full_permutation_brute_force():
@@ -144,13 +151,11 @@ def test_batch_matches_full_permutation_brute_force():
         vals = sorted({s.randbelow(64) for _ in range(m)})
         q = 1 + s.randbelow(len(vals))
         reqs = [s.randbelow(72) for _ in range(q)]
-        pool = ServerPool.from_coords([Coord(v, 2) for v in vals])
-        asn = serve_round_batch_optimal(pool, [Coord(r, 2) for r in reqs])
         want = min(
             sum(abs(r - c) for r, c in zip(reqs, perm))
             for perm in itertools.permutations(vals, q)
         )
-        assert asn.total_cost.at_scale(2) == want
+        assert kernel("batch_round_optimal", list(vals))(reqs) == want
 
 
 def test_monotone_dp_python_path_agrees():
@@ -160,109 +165,190 @@ def test_monotone_dp_python_path_agrees():
         free = sorted({s.randbelow(512) for _ in range(m)})
         q = 1 + s.randbelow(len(free))
         req = sorted(s.randbelow(560) for _ in range(q))
-        total_np, sel_np = _monotone_min_cost_numpy(
+        total_np, sel_np = _monotone_min_cost(
             np.asarray(req, dtype=np.int64), np.asarray(free, dtype=np.int64)
         )
-        total_py, sel_py = _monotone_min_cost_py(req, free)
+        total_py, sel_py = _monotone_min_cost(
+            np.asarray(req, dtype=object), np.asarray(free, dtype=object)
+        )
+        assert type(total_py) is int
         assert total_np == total_py
         assert sel_np == sel_py
 
 
 def test_wide_scale_falls_back_to_python_ints():
-    # 8 servers at scale 55 exceed the int64 budget, forcing the pure
-    # Python paths; results must match the narrow-scale run exactly
+    # 8 servers at scale 55 exceed the int64 budget, forcing Python ints;
+    # every policy must serve exactly as at a narrow scale
     vals = [1, 2, 3, 5, 8, 11, 12, 15]
-    reqs = [4, 4, 9, 14]
-    wide_pool = ServerPool.from_coords([coord_from_integer(v, 55) for v in vals])
-    narrow_pool = ServerPool.from_coords([coord_from_integer(v, 4) for v in vals])
-    wide = serve_round_batch_optimal(wide_pool, [coord_from_integer(r, 55) for r in reqs])
-    narrow = serve_round_batch_optimal(narrow_pool, [coord_from_integer(r, 4) for r in reqs])
-    assert wide.total_cost.as_fraction() == narrow.total_cost.as_fraction()
-    assert [p for p, _ in wide.pairs] == [p for p, _ in narrow.pairs]
-    assert [sid for _, sid in wide.pairs] == [sid for _, sid in narrow.pairs]
+    rounds = [[4, 4, 9, 14], [6, 1], [13]]
+    assert exact_dtype(len(vals), 16 << 55) is object
+    assert exact_dtype(len(vals), 16 << 4) is np.int64
+    for kind in ALGORITHM_KINDS:
+        wide = [v << 55 for v in vals]
+        narrow = [v << 4 for v in vals]
+        serve_w = kernel(kind, wide, seed=3, dtype=object)
+        serve_n = kernel(kind, narrow, seed=3, dtype=np.int64)
+        for reqs in rounds:
+            cw = serve_w([r << 55 for r in reqs])
+            cn = serve_n([r << 4 for r in reqs])
+            assert cw == cn << 51, kind
+            assert wide == [v << 51 for v in narrow], kind
+
+
+def test_wide_instance_plays_like_narrow_one():
+    # the same instance at grid scales 4 and 55: 55 takes the Python-int path
+    narrow = generate(GenParams(i=3, grid_k=4, seed=19))
+    shift = 51
+    wide = Instance(
+        params=dataclasses.replace(narrow.params, grid_k=55),
+        servers=tuple(coord_from_integer(j, 55) for j in range(1, 8)),
+        rounds=tuple(
+            Round(rnd.r, tuple(
+                RoundEntry(e.subinterval, Coord(e.origin.num << shift, 55),
+                           Coord(e.request.num << shift, 55))
+                for e in rnd.entries
+            ))
+            for rnd in narrow.rounds
+        ),
+    )
+    wide.validate()
+    assert exact_dtype(7, 8 << 55) is object
+    for kind in ALGORITHM_KINDS:
+        for prefix in range(4):
+            a = run_with_prefix(narrow, AlgorithmSpec(kind, 9), prefix)
+            b = run_with_prefix(wide, AlgorithmSpec(kind, 9), prefix)
+            assert b.online_total == a.online_total and b.round_costs == a.round_costs
+            assert b.offline_total == a.offline_total and b.ratio == a.ratio
 
 
 def test_permutation_first_request_nearest():
-    pool = pool_at([1, 2])
-    state = PermutationState(pool)
-    sid, cost = serve_request_permutation(state, Coord(18, 4))  # 1.125
-    assert sid == 0
-    assert cost.as_fraction() == Fraction(1, 8)
+    free = at4([1, 2])
+    taken, cost = serve_one(kernel("permutation", free), free, 18)  # 1.125
+    assert taken == 1 << 4
+    assert cost == 2  # 1/8
 
 
 def test_permutation_two_close_requests():
     # 1.125 then 1.25: the optimum of both against {1,2} uses both servers,
     # so the second request must take server 2
-    pool = pool_at([1, 2])
-    state = PermutationState(pool)
-    serve_request_permutation(state, Coord(18, 4))
-    sid, cost = serve_request_permutation(state, Coord(20, 4))
-    assert sid == 1
-    assert cost.as_fraction() == Fraction(3, 4)
+    free = at4([1, 2])
+    serve = kernel("permutation", free)
+    serve([18])
+    taken, cost = serve_one(serve, free, 20)
+    assert taken == 2 << 4
+    assert cost == 12  # 3/4
 
 
 def test_permutation_used_set_stays_offline_optimal():
-    for seed in (3, 11, 29):
-        inst = generate(GenParams(i=3, grid_k=6, seed=seed))
-        pool = ServerPool.from_instance(inst)
-        state = PermutationState(pool)
-        server_vals = [c.at_scale(6) for c in inst.servers]
+    def check(server_vals, requests):
+        free = list(server_vals)
+        serve = kernel("permutation", free)
         seen = []
-        for e in inst.all_entries():
-            serve_request_permutation(state, e.request)
-            seen.append(e.request.at_scale(6))
-            used = sorted(
-                server_vals[sid] for sid in pool.matched.values()
-            )
+        for x in requests:
+            serve([x])
+            seen.append(x)
+            used = sorted(set(server_vals) - set(free))
             pair_cost = sum(abs(a - b) for a, b in zip(sorted(seen), used))
             assert pair_cost == _injection_min(seen, server_vals)
+
+    for seed in (3, 11, 29):
+        inst = generate(GenParams(i=3, grid_k=6, seed=seed))
+        servers = [c.at_scale(6) for c in inst.servers]
+        check(servers, [e.request.at_scale(6) for e in inst.all_entries()])
+    s = Stream(67, "perm-oracle")
+    for _ in range(150):
+        vals = sorted({s.randbelow(300) for _ in range(2 + s.randbelow(7))})
+        check(vals, [s.randbelow(320) for _ in range(1 + s.randbelow(len(vals)))])
 
 
 def test_permutation_python_path_agrees_with_numpy():
     vals = [1, 3, 4, 7, 9, 12, 13, 15]
     reqs = [5, 5, 2, 14, 8, 1]
-    wide = ServerPool.from_coords([coord_from_integer(v, 55) for v in vals])
-    narrow = ServerPool.from_coords([coord_from_integer(v, 6) for v in vals])
-    ws, ns = PermutationState(wide), PermutationState(narrow)
-    assert ws.use_numpy is False and ns.use_numpy is True
+    wide = [v << 55 for v in vals]
+    narrow = [v << 6 for v in vals]
+    ws = kernel("permutation", wide, dtype=exact_dtype(len(vals), 32 << 55))
+    ns = kernel("permutation", narrow, dtype=exact_dtype(len(vals), 32 << 6))
     for r in reqs:
-        wid, wcost = serve_request_permutation(ws, coord_from_integer(r, 55))
-        nid, ncost = serve_request_permutation(ns, coord_from_integer(r, 6))
-        assert wid == nid
-        assert wcost.as_fraction() == ncost.as_fraction()
+        wid, wcost = serve_one(ws, wide, r << 55)
+        nid, ncost = serve_one(ns, narrow, r << 6)
+        assert wid == nid << 49
+        assert wcost == ncost << 49
 
 
 def test_random_free_single_choice():
-    pool = pool_at([4])
-    state = RandomFreeState(pool, seed=0)
-    sid, cost = serve_request_random_free(state, coord_from_integer(3, 4))
-    assert sid == 0
-    assert cost.as_fraction() == 1
+    free = at4([4])
+    taken, cost = serve_one(kernel("random_free", free), free, 3 << 4)
+    assert taken == 4 << 4
+    assert cost == 1 << 4
 
 
 def test_random_free_reproducible():
     picks = []
     for _ in range(2):
-        pool = pool_at([1, 2, 3, 4, 5, 6, 7, 8])
-        state = RandomFreeState(pool, seed=99)
-        picks.append(
-            [serve_request_random_free(state, coord_from_integer(4, 4))[0] for _ in range(8)]
-        )
+        free = at4(range(1, 9))
+        serve = kernel("random_free", free, seed=99)
+        picks.append([serve_one(serve, free, 4 << 4)[0] for _ in range(8)])
     assert picks[0] == picks[1]
-    assert sorted(picks[0]) == list(range(8))
+    assert sorted(picks[0]) == at4(range(1, 9))
+    # the draws are Stream(seed, "choice").randbelow over the free count
+    stream, pool = Stream(99, "choice"), at4(range(1, 9))
+    assert picks[0] == [pool.pop(stream.randbelow(len(pool))) for _ in range(8)]
 
 
 def test_random_free_frequency():
     counts = [0] * 4
-    coords = [coord_from_integer(v, 2) for v in (1, 2, 3, 4)]
-    req = coord_from_integer(2, 2)
     for t in range(100_000):
-        pool = ServerPool.from_coords(coords)
-        state = RandomFreeState(pool, seed=t)
-        sid, _ = serve_request_random_free(state, req)
-        counts[sid] += 1
+        free = [1, 2, 3, 4]
+        serve = kernel("random_free", free, seed=t)
+        taken, _ = serve_one(serve, free, 2)
+        counts[taken - 1] += 1
     for c in counts:
         assert abs(c / 100_000 - 0.25) < 0.01
+
+
+def test_run_trial_matches_run_with_prefix():
+    # the shared per-(n, trial) runner against one generate + play per policy
+    s = Stream(83, "shared-runner")
+    for _ in range(12):
+        i = 1 + s.randbelow(5)
+        n = (1 << i) - 1
+        root, trial = s.randbelow(1 << 64), s.randbelow(1000)
+        grid_k = None if s.randbelow(2) else s.randbelow(12)
+        for order in ("left_to_right", ORDER_SHUFFLED):
+            params = GenParams(
+                i=i,
+                grid_k=min(n, 40) if grid_k is None else grid_k,
+                seed=stream_key(root, "trial", trial),
+                request_order=order,
+            )
+            inst = generate(params)
+            for prefix in range(i + 1):
+                got = run_trial(n, ALGORITHM_KINDS, trial, root, grid_k, order, prefix)
+                want = [
+                    run_with_prefix(
+                        inst, AlgorithmSpec(kind, stream_key(root, "alg", kind, trial)),
+                        prefix, trial,
+                    )
+                    for kind in ALGORITHM_KINDS
+                ]
+                assert got == want
+                assert [st.to_json_dict() for st in got] == [st.to_json_dict() for st in want]
+
+
+def test_run_trial_policy_subset_and_order():
+    both = run_trial(15, ("permutation", "greedy_nearest"), 4, 77)
+    assert [st.algorithm for st in both] == ["permutation", "greedy_nearest"]
+    assert both[1] == run_single_trial(15, "greedy_nearest", 4, 77)
+    with pytest.raises(ValueError):
+        run_trial(15, ("greedy_nearest", "steepest_descent"), 4, 77)
+
+
+def test_play_checks_free_count_every_round(monkeypatch):
+    # a kernel that serves a round without using a server breaks the count
+    monkeypatch.setitem(_KERNELS, "greedy_nearest", lambda free, seed, dtype: lambda reqs: 0)
+    inst = generate(GenParams(i=3, grid_k=5, seed=2))
+    with pytest.raises(RuntimeError):
+        play(requests_of(inst), AlgorithmSpec("greedy_nearest"), 0)
 
 
 def test_run_exact_hit_gives_ratio_one():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from matchline import experiments
 from matchline.experiments import (
     ExperimentConfig,
     ROUNDS_COLUMNS,
@@ -16,7 +17,8 @@ from matchline.experiments import (
     write_outputs,
 )
 
-GOLDEN = Path(__file__).parent / "data" / "golden_suite"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_suite"
 
 
 def test_config_validation():
@@ -72,6 +74,54 @@ def test_golden_output_bytes(tmp_path):
     ]
     for p in paths:
         assert p.read_bytes() == (GOLDEN / p.name).read_bytes(), p.name
+
+
+@pytest.mark.parametrize(
+    "name, kw",
+    [
+        ("golden_suite_n255_shuffled", dict(n_list=(7, 255), request_order="shuffled")),
+        ("golden_suite_n255_prefix3", dict(n_list=(255,), prefix_known_rounds=3)),
+    ],
+)
+def test_golden_n255_output_bytes(tmp_path, name, kw):
+    # n = 255 reaches the vectorized kernels that n = 3 never does
+    paths = write_outputs(run_suite(ExperimentConfig(trials=2, seed=7, **kw)), str(tmp_path))
+    for p in paths:
+        assert p.read_bytes() == (DATA / name / p.name).read_bytes(), p.name
+
+
+class _RecordingPool:
+    """Serial stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+def test_pool_never_larger_than_task_count(monkeypatch, tmp_path):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    kw = dict(n_list=(3, 7), trials=2, seed=5)  # four (n, trial) tasks
+    ref = write_outputs(run_suite(ExperimentConfig(**kw)), str(tmp_path / "w1"))
+    for workers in (5000, 4, 3):
+        out = write_outputs(
+            run_suite(ExperimentConfig(workers=workers, **kw)), str(tmp_path / f"w{workers}")
+        )
+        for pa, pb in zip(ref, out):
+            assert pa.read_bytes() == pb.read_bytes(), pa.name
+    assert _RecordingPool.sizes == [4, 4, 3]
+    run_suite(ExperimentConfig(n_list=(3,), trials=1, workers=5000))
+    assert _RecordingPool.sizes == [4, 4, 3]  # a single task runs in-process
 
 
 def test_worker_count_invariance(tmp_path):

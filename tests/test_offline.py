@@ -2,10 +2,16 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from matchline.geometry import Coord, coord_from_integer, snap_to_grid
-from matchline.offline import brute_force_min_cost, sorted_matching_cost
+from matchline.offline import (
+    brute_force_min_cost,
+    exact_dtype,
+    sorted_cost_num,
+    sorted_matching_cost,
+)
 from matchline.rng import Stream
 
 
@@ -120,3 +126,29 @@ def test_coincident_points_stable_and_cost_invariant():
     assert asn.pairs == ((0, 0), (1, 1))
     assert asn.total_cost.as_fraction() == 1
     assert brute_force_min_cost(servers, twice).total_cost.as_fraction() == 1
+
+
+def test_sorted_cost_num_agrees_with_rank_pairing():
+    s = Stream(288, "cost-num")
+    for _ in range(60):
+        size = s.randbelow(9)
+        servers = [s.randbelow(1 << 12) for _ in range(size)]
+        points = [s.randbelow(1 << 12) for _ in range(size)]
+        want = sorted_matching_cost(ints(servers, 0), ints(points, 0)).total_cost
+        got = sorted_cost_num(np.asarray(servers, dtype=np.int64), points)
+        assert type(got) is int
+        assert got == want.at_scale(0)
+    with pytest.raises(ValueError):
+        sorted_cost_num([1, 2], [1])
+
+
+def test_sorted_cost_num_wide_scale_uses_python_ints():
+    # 1023 numerators near 2**61 overflow int64 sums; the wide path is exact
+    s = Stream(289, "cost-num-wide")
+    servers = [j << 51 for j in range(1, 1024)]
+    points = [s.randbelow(1024 << 51) for _ in range(1023)]
+    assert exact_dtype(1023, 1024 << 51) is object
+    assert exact_dtype(1023, 1024 << 40) is np.int64
+    want = sum(abs(a - b) for a, b in zip(sorted(points), servers))
+    assert want >= 1 << 63  # an int64 sum would have wrapped
+    assert sorted_cost_num(np.asarray(servers, dtype=np.int64), points) == want
