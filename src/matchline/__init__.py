@@ -10,8 +10,8 @@ cost guarantees, including the competitive-ratio floor sqrt(log2(n+1))/12.
 
 from matchline.adversary import GenParams, Instance, generate
 from matchline.algorithms import ALGORITHM_KINDS, AlgorithmSpec, RunStats, run
-from matchline.experiments import ExperimentConfig, SuiteResult, run_prefix_known, run_suite
-from matchline.geometry import Coord, Segment, abs_distance, coord_from_integer, snap_to_grid
+from matchline.experiments import ExperimentConfig, SuiteResult, run_suite
+from matchline.geometry import Coord, abs_distance, coord_from_integer, snap_to_grid
 from matchline.lemma_checks import (
     LemmaReport,
     RoundConfig,
@@ -40,7 +40,6 @@ __all__ = [
     "LemmaReport",
     "RoundConfig",
     "RunStats",
-    "Segment",
     "SuiteResult",
     "abs_distance",
     "brute_force_min_cost",
@@ -56,7 +55,6 @@ __all__ = [
     "oracle_report",
     "render_reports",
     "run",
-    "run_prefix_known",
     "run_suite",
     "sorted_matching_cost",
     "theorem_ratio",

@@ -36,7 +36,10 @@ REQUEST_ORDERS = (ORDER_LEFT_TO_RIGHT, ORDER_SHUFFLED)
 _TAG_ORIGIN = "origin"
 _TAG_ORDER = "order"
 
-MAX_SCALE_BITS = 62
+# Exact sums on the run path add at most n distances, each at most
+# (n + 1) << grid_k = 2**(i + grid_k), so they stay below 2**(2 i + grid_k);
+# requiring 2 i + grid_k + 1 <= MAX_SUM_BITS keeps them inside int64.
+MAX_SUM_BITS = 61
 
 
 def rounds_for(n: int) -> int:
@@ -50,8 +53,9 @@ def rounds_for(n: int) -> int:
 
 
 def default_grid_k(n: int) -> int:
-    """Default grid exponent: fine enough to be negligible, capped for width."""
-    return min(n, 40)
+    """Default grid exponent: fine enough to be negligible, capped so that
+    GenParams' width rule holds."""
+    return max(0, min(n, 40, MAX_SUM_BITS - 1 - 2 * rounds_for(n)))
 
 
 @dataclass(frozen=True)
@@ -68,10 +72,11 @@ class GenParams:
             raise ValueError(f"round count i must be >= 1, got {self.i}")
         if self.grid_k < 0:
             raise ValueError(f"grid_k must be non-negative, got {self.grid_k}")
-        # widest coordinate is n+1 = 2**i, so numerators need grid_k + i + 1 bits
-        if self.grid_k + self.i + 1 > MAX_SCALE_BITS:
+        # a sum of n distances on the scale-grid_k grid must fit int64
+        if 2 * self.i + self.grid_k + 1 > MAX_SUM_BITS:
             raise ValueError(
-                f"grid_k + i + 1 = {self.grid_k + self.i + 1} exceeds {MAX_SCALE_BITS}"
+                f"i = {self.i}, grid_k = {self.grid_k}: 2 i + grid_k + 1 ="
+                f" {2 * self.i + self.grid_k + 1} exceeds {MAX_SUM_BITS}"
             )
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be a 64-bit value, got {self.seed}")
@@ -117,9 +122,6 @@ class Instance:
     def all_entries(self) -> Iterator[RoundEntry]:
         for rnd in self.rounds:
             yield from rnd.entries
-
-    def all_origins(self) -> list[Coord]:
-        return [e.origin for e in self.all_entries()]
 
     def all_requests(self) -> list[Coord]:
         return [e.request for e in self.all_entries()]
@@ -226,11 +228,6 @@ def arrival_indices(params: GenParams, r: int) -> list[int]:
     return order
 
 
-def arrival_order(instance: Instance, rnd: Round) -> list[RoundEntry]:
-    """Entries of one round in arrival order."""
-    return [rnd.entries[m] for m in arrival_indices(instance.params, rnd.r)]
-
-
 def g_moments(ell: int, n: int) -> tuple[Fraction, Fraction]:
     """Exact (sum p, sum p(1-p)) over all origins, p = P(origin < ell).
 
@@ -256,38 +253,10 @@ def g_moments(ell: int, n: int) -> tuple[Fraction, Fraction]:
     return Fraction(mean_num, 1 << i), Fraction(var_num, 1 << (2 * i))
 
 
-def expected_g(ell: int, n: int) -> Fraction:
-    """E[number of origins strictly left of server ell], exactly.
-
-    Returns ell - ell/(n+1) and independently recomputes it as the sum of
-    per-origin clamp probabilities; a mismatch would be an internal error.
-    """
-    closed = Fraction(ell) - Fraction(ell, n + 1)
-    by_sum, _ = g_moments(ell, n)
-    if by_sum != closed:
-        raise AssertionError(f"clamp sum {by_sum} != closed form {closed} at ell={ell}, n={n}")
-    return closed
-
-
-def variance_g(ell: int, n: int) -> Fraction:
-    """Var[number of origins strictly left of server ell], exactly.
-
-    Independence across origins gives sum p(1-p); at most one cell per round
-    contributes a non-degenerate term, so the total is at most log2(n+1)/4.
-    """
-    _, var = g_moments(ell, n)
-    return var
-
-
 def _check_ell(ell: int, n: int) -> None:
     rounds_for(n)
     if not 1 <= ell <= n:
         raise ValueError(f"ell must be in 1..{n}, got {ell}")
-
-
-def origin_sorted(instance: Instance) -> list[Coord]:
-    """All origins in ascending coordinate order."""
-    return sorted(instance.all_origins(), key=lambda c: c.as_fraction())
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +331,3 @@ def instance_from_jsonl(text: str) -> Instance:
     inst.validate()
     return inst
 
-
-def write_instance(instance: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(instance_to_jsonl(instance))
-
-
-def read_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_jsonl(fh.read())

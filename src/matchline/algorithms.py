@@ -12,9 +12,8 @@ Four policies:
 Each policy is one kernel over exact integer numerators at the instance grid
 scale: the free servers are a sorted list of numerators (server j sits at
 j << grid_k), and a kernel serves one round, removes the servers it used and
-returns the round's cost.  Vectorized kernels run on int64 arrays when
-offline.exact_dtype says sums cannot overflow and on arrays of Python
-integers otherwise.
+returns the round's cost.  Vectorized kernels run on int64 arrays, which
+GenParams' width rule keeps free of overflow.
 
 A trial generates its instance once, as per-round numerator arrays, and
 plays every requested policy on it; Coord appears only in RunStats.
@@ -33,14 +32,13 @@ from matchline.adversary import (
     GenParams,
     Instance,
     arrival_indices,
-    arrival_order,
     check_round_numerators,
     default_grid_k,
     origin_round_numerators,
     rounds_for,
 )
 from matchline.geometry import Coord
-from matchline.offline import exact_dtype, sorted_cost_num
+from matchline.offline import sorted_cost_num
 from matchline.rng import Stream, stream_key
 
 GREEDY_NEAREST = "greedy_nearest"
@@ -53,7 +51,7 @@ _TAG_TRIAL = "trial"
 _TAG_ALG = "alg"
 _TAG_CHOICE = "choice"
 
-# A kernel factory takes (free, seed, dtype) and returns serve(requests) -> cost.
+# A kernel factory takes (free, seed) and returns serve(requests) -> cost.
 # free is the sorted list of free server numerators, shared with the caller;
 # serve removes every server it uses from it.
 Kernel = Callable[[Sequence[int]], int]
@@ -78,7 +76,7 @@ def _check_capacity(free: list[int], requests: Sequence[int]) -> None:
         raise ValueError(f"{len(requests)} requests but only {len(free)} free servers")
 
 
-def _greedy(free: list[int], seed: int, dtype) -> Kernel:
+def _greedy(free: list[int], seed: int) -> Kernel:
     """Nearest free server; equidistant neighbours resolve left."""
 
     def serve(requests: Sequence[int]) -> int:
@@ -94,7 +92,7 @@ def _greedy(free: list[int], seed: int, dtype) -> Kernel:
     return serve
 
 
-def _random_free(free: list[int], seed: int, dtype) -> Kernel:
+def _random_free(free: list[int], seed: int) -> Kernel:
     """Uniform random free server, drawn from Stream(seed, "choice")."""
     stream = Stream(seed, _TAG_CHOICE)
 
@@ -121,7 +119,7 @@ def _random_free(free: list[int], seed: int, dtype) -> Kernel:
 def _monotone_min_cost(req: np.ndarray, free: np.ndarray) -> tuple[int, list[int]]:
     """(cost, sorted server positions) of the cheapest injection of the
     sorted requests into the sorted free servers; the leftmost server set
-    wins ties.  Works on int64 and on Python-int (object) arrays alike."""
+    wins ties.  Both arrays are int64."""
     q, m = len(req), len(free)
     slack = m - q
     dp = np.zeros((q + 1, m + 1), dtype=req.dtype)
@@ -140,21 +138,21 @@ def _monotone_min_cost(req: np.ndarray, free: np.ndarray) -> tuple[int, list[int
     return int(dp[q, m]), sel
 
 
-def _serve_batch(free: list[int], requests: Sequence[int], dtype) -> int:
+def _serve_batch(free: list[int], requests: Sequence[int]) -> int:
     """Serve all requests at once with a minimum-cost matching."""
     _check_capacity(free, requests)
     if not requests:
         return 0
     total, sel = _monotone_min_cost(
-        np.sort(np.asarray(requests, dtype=dtype)), np.asarray(free, dtype=dtype)
+        np.sort(np.asarray(requests, dtype=np.int64)), np.asarray(free, dtype=np.int64)
     )
     for pos in reversed(sel):
         del free[pos]
     return total
 
 
-def _batch(free: list[int], seed: int, dtype) -> Kernel:
-    return lambda requests: _serve_batch(free, requests, dtype)
+def _batch(free: list[int], seed: int) -> Kernel:
+    return lambda requests: _serve_batch(free, requests)
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +170,13 @@ def _batch(free: list[int], seed: int, dtype) -> Kernel:
 # preallocated buffers that shift by slice assignment.
 
 
-def _permutation(free: list[int], seed: int, dtype) -> Kernel:
+def _permutation(free: list[int], seed: int) -> Kernel:
     size = len(free)
-    req = np.empty(size, dtype=dtype)  # requests seen, sorted
-    used = np.empty(size, dtype=dtype)  # servers used, sorted
-    avail = np.array(free, dtype=dtype)  # mirrors `free`
+    req = np.empty(size, dtype=np.int64)  # requests seen, sorted
+    used = np.empty(size, dtype=np.int64)  # servers used, sorted
+    avail = np.array(free, dtype=np.int64)  # mirrors `free`
     rank = np.zeros(size, dtype=np.intp)  # used servers left of each free one
-    gain = np.zeros(size + 1, dtype=dtype)
+    gain = np.zeros(size + 1, dtype=np.int64)
     seen = 0
 
     def serve(requests: Sequence[int]) -> int:
@@ -270,7 +268,8 @@ def requests_of(instance: Instance) -> TrialRequests:
     """The integer view of a (validated) Instance."""
     k = instance.grid_k
     rounds = tuple(
-        [e.request.at_scale(k) for e in arrival_order(instance, rnd)] for rnd in instance.rounds
+        [rnd.entries[m].request.at_scale(k) for m in arrival_indices(instance.params, rnd.r)]
+        for rnd in instance.rounds
     )
     offline = sorted_cost_num(
         [s.at_scale(k) for s in instance.servers], [x for nums in rounds for x in nums]
@@ -287,12 +286,10 @@ def play(
     if not 0 <= prefix_rounds <= params.i:
         raise ValueError(f"prefix_rounds must be in 0..{params.i}, got {prefix_rounds}")
     n, k = params.n, params.grid_k
-    # every sum adds at most n distances, each at most (n + 1) << k
-    dtype = exact_dtype(n, (n + 1) << k)
     free = [j << k for j in range(1, n + 1)]
     known = [x for nums in requests.rounds[:prefix_rounds] for x in nums]
-    prefix_num = _serve_batch(free, known, dtype)
-    serve = _KERNELS[spec.kind](free, spec.seed, dtype)
+    prefix_num = _serve_batch(free, known)
+    serve = _KERNELS[spec.kind](free, spec.seed)
     round_nums: list[int] = []
     for r, nums in enumerate(requests.rounds[prefix_rounds:], start=prefix_rounds + 1):
         expected_free = ((n + 1) >> (r - 1)) - 1
@@ -365,19 +362,6 @@ def run_trial(
     return [play(requests, spec, prefix_rounds, trial) for spec in specs]
 
 
-def run_single_trial(
-    n: int,
-    kind: str,
-    trial: int,
-    root_seed: int,
-    grid_k: int | None = None,
-    request_order: str = "left_to_right",
-    prefix_rounds: int = 0,
-) -> RunStats:
-    """run_trial for a single policy."""
-    return run_trial(n, (kind,), trial, root_seed, grid_k, request_order, prefix_rounds)[0]
-
-
 def run_trials(
     n: int,
     kind: str,
@@ -388,6 +372,6 @@ def run_trials(
     prefix_rounds: int = 0,
 ) -> list[RunStats]:
     return [
-        run_single_trial(n, kind, t, root_seed, grid_k, request_order, prefix_rounds)
+        run_trial(n, (kind,), t, root_seed, grid_k, request_order, prefix_rounds)[0]
         for t in range(trials)
     ]

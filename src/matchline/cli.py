@@ -23,12 +23,7 @@ from matchline.adversary import (
     rounds_for,
 )
 from matchline.algorithms import ALGORITHM_KINDS
-from matchline.experiments import (
-    ExperimentConfig,
-    SuiteResult,
-    run_prefix_known,
-    run_suite,
-)
+from matchline.experiments import ExperimentConfig, SuiteResult, run_suite
 from matchline.lemma_checks import (
     EXHAUSTIVE_N_LIMIT,
     LemmaReport,
@@ -206,7 +201,7 @@ def _cmd_run(opts: _Options) -> int:
 
 def _cmd_prefix(opts: _Options) -> int:
     prefix = opts.int_value("prefix_rounds")
-    return _finish_suite(run_prefix_known(_suite_config(opts, "100", prefix)))
+    return _finish_suite(run_suite(_suite_config(opts, "100", prefix)))
 
 
 def _cmd_lemma1(opts: _Options) -> int:

@@ -103,8 +103,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {kind!r}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError("duplicate algorithm in list")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if self.trials < 2:
+            raise ValueError(f"need at least 2 trials for a standard error, got {self.trials}")
         if self.request_order not in REQUEST_ORDERS:
             raise ValueError(f"unknown request order {self.request_order!r}")
         if self.prefix_known_rounds < 0:
@@ -242,11 +242,6 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     if config.out_dir is not None:
         write_outputs(result, config.out_dir)
     return result
-
-
-def run_prefix_known(config: ExperimentConfig) -> SuiteResult:
-    """Advance-knowledge mode; prefix 0 is the plain suite."""
-    return run_suite(config)
 
 
 def _json_line(obj: dict) -> str:

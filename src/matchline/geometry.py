@@ -1,12 +1,13 @@
-"""Exact dyadic fixed-point coordinates and segments on the line.
+"""Exact dyadic fixed-point coordinates on the line.
 
 Every coordinate is an integer multiple of 2**-k, stored as (numerator, k).
 Comparisons, sums and distances align scales and work on integers, so cost
 accounting never rounds.  Floats appear only where numbers leave the exact
 layer, i.e. in Monte Carlo aggregates and human-readable reports.
 
-Numerators are required to fit a signed 64-bit word so that vectorized code
-paths can mirror the scalar semantics with int64 arrays.
+Coord is the API and JSON form of a value; the run path works on the
+numerators themselves, as int64 arrays, so numerators must fit a signed
+64-bit word.
 """
 
 from __future__ import annotations
@@ -159,15 +160,6 @@ def abs_distance(a: Coord, b: Coord) -> Coord:
     return abs(a - b)
 
 
-def sum_coords(coords: Iterable[Coord]) -> Coord:
-    """Exact sum at the largest scale present; the empty sum is Coord(0, 0)."""
-    items = list(coords)
-    if not items:
-        return Coord(0, 0)
-    k = max(c.k for c in items)
-    return Coord(sum(c.at_scale(k) for c in items), k)
-
-
 def common_scale(*groups: Iterable[Coord]) -> int:
     k = 0
     for group in groups:
@@ -176,18 +168,3 @@ def common_scale(*groups: Iterable[Coord]) -> int:
                 k = c.k
     return k
 
-
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """A piece [left, right] of the line with exact endpoints."""
-
-    left: Coord
-    right: Coord
-
-    def __post_init__(self) -> None:
-        if self.left > self.right:
-            raise CoordDomainError("segment endpoints out of order")
-
-    @property
-    def length(self) -> Coord:
-        return self.right - self.left

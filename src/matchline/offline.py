@@ -88,19 +88,12 @@ def brute_force_min_cost(servers: Sequence[Coord], points: Sequence[Coord]) -> A
     return Assignment(pairs, costs, Coord(best_total, k))
 
 
-def exact_dtype(count: int, max_abs: int):
-    """int64 when sums of `count` distances between numerators in
-    [0, max_abs] stay below 2**61, else object (plain Python integers)."""
-    return np.int64 if count.bit_length() + max_abs.bit_length() <= 61 else object
-
-
 def sorted_cost_num(server_nums: Sequence[int], point_nums: Sequence[int]) -> int:
-    """Rank-pairing cost on same-scale non-negative numerators; exact."""
+    """Rank-pairing cost on same-scale non-negative numerators; exact while
+    the sum fits int64, which GenParams' width rule guarantees on the run
+    path."""
     if len(server_nums) != len(point_nums):
         raise ValueError("size mismatch")
-    if not len(point_nums):
-        return 0
-    s = np.sort(np.asarray(server_nums))
-    p = np.sort(np.asarray(point_nums))
-    dtype = exact_dtype(len(p), int(max(s[-1], p[-1])))
-    return int(np.abs(p.astype(dtype) - s.astype(dtype)).sum())
+    s = np.sort(np.asarray(server_nums, dtype=np.int64))
+    p = np.sort(np.asarray(point_nums, dtype=np.int64))
+    return int(np.abs(p - s).sum())

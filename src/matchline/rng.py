@@ -62,13 +62,6 @@ class Stream:
         self.key = stream_key(seed, *labels)
         self.counter = 0
 
-    @classmethod
-    def from_key(cls, key: int) -> "Stream":
-        s = cls.__new__(cls)
-        s.key = key & MASK64
-        s.counter = 0
-        return s
-
     def u64(self) -> int:
         self.counter += 1
         return mix64((self.key + self.counter * GAMMA) & MASK64)

@@ -9,20 +9,15 @@ import pytest
 from matchline.adversary import (
     GenParams,
     ORDER_SHUFFLED,
-    arrival_order,
+    arrival_indices,
     check_round_numerators,
     default_grid_k,
-    expected_g,
     g_moments,
     generate,
     instance_from_jsonl,
     instance_to_jsonl,
     origin_round_numerators,
-    origin_sorted,
-    read_instance,
     rounds_for,
-    variance_g,
-    write_instance,
 )
 from matchline.geometry import Coord
 from matchline.rng import stream_key
@@ -40,6 +35,27 @@ def test_rounds_for():
 def test_default_grid_k():
     assert default_grid_k(3) == 3
     assert default_grid_k(1023) == 40
+    assert default_grid_k(2047) == 38
+    for i in range(1, 31):
+        n = (1 << i) - 1
+        k = default_grid_k(n)
+        assert 0 <= k and 2 * i + k + 1 <= 61
+        GenParams(i=i, grid_k=k, seed=0)
+        if i <= 10:
+            assert k == min(n, 40)
+
+
+def test_params_width_rule():
+    # a sum of n distances, each at most (n + 1) << grid_k, must fit int64
+    GenParams(i=3, grid_k=54, seed=0)
+    with pytest.raises(ValueError):
+        GenParams(i=3, grid_k=55, seed=0)
+    GenParams(i=10, grid_k=40, seed=0)
+    with pytest.raises(ValueError):
+        GenParams(i=10, grid_k=41, seed=0)
+    GenParams(i=30, grid_k=0, seed=0)
+    with pytest.raises(ValueError, match="exceeds 61"):
+        GenParams(i=31, grid_k=default_grid_k((1 << 31) - 1), seed=0)
 
 
 def test_params_validation():
@@ -49,7 +65,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         GenParams(i=3, grid_k=-1, seed=0)
     with pytest.raises(ValueError):
-        GenParams(i=10, grid_k=52, seed=0)  # 52 + 10 + 1 > 62
+        GenParams(i=10, grid_k=52, seed=0)  # 2 * 10 + 52 + 1 > 61
     with pytest.raises(ValueError):
         GenParams(i=2, grid_k=4, seed=-1)
     with pytest.raises(ValueError):
@@ -136,22 +152,22 @@ def test_origin_round_numerators_match_generate():
 
 
 def test_expected_g_examples():
-    assert expected_g(2, 3) == Fraction(3, 2)
-    assert expected_g(4, 7) == Fraction(7, 2)
+    assert g_moments(2, 3)[0] == Fraction(3, 2)
+    assert g_moments(4, 7)[0] == Fraction(7, 2)
     for n in (1, 3, 7, 31):
-        assert expected_g(n, n) == Fraction(n * n, n + 1)
+        assert g_moments(n, n)[0] == Fraction(n * n, n + 1)
 
 
 def test_variance_g_examples():
-    assert variance_g(2, 3) == Fraction(1, 4)
-    assert variance_g(1, 1) == Fraction(1, 4)
+    assert g_moments(2, 3)[1] == Fraction(1, 4)
+    assert g_moments(1, 1)[1] == Fraction(1, 4)
 
 
 @pytest.mark.parametrize("n", [1, 3, 7, 15, 63])
 def test_variance_bound_all_ell(n):
     i = rounds_for(n)
     for ell in range(1, n + 1):
-        assert variance_g(ell, n) <= Fraction(i, 4)
+        assert g_moments(ell, n)[1] <= Fraction(i, 4)
 
 
 def test_per_round_variance_contribution():
@@ -173,8 +189,9 @@ def test_per_round_variance_contribution():
 
 def test_g_moments_consistency():
     mean, var = g_moments(5, 7)
-    assert mean == expected_g(5, 7)
-    assert var == variance_g(5, 7)
+    assert mean == Fraction(5) - Fraction(5, 8)
+    # p = 1/2, 1/4 and 5/8 in the cells of rounds 1, 2 and 3 that hold ell = 5
+    assert var == Fraction(1, 4) + Fraction(3, 16) + Fraction(15, 64)
     with pytest.raises(ValueError):
         g_moments(0, 7)
     with pytest.raises(ValueError):
@@ -183,8 +200,7 @@ def test_g_moments_consistency():
 
 def test_g_sample_mean_tracks_expectation():
     n, ell, trials = 7, 4, 4000
-    mean = expected_g(ell, n)
-    var = variance_g(ell, n)
+    mean, var = g_moments(ell, n)
     total = 0
     for t in range(trials):
         params = GenParams(i=3, grid_k=8, seed=stream_key(90, "gmc", t))
@@ -195,30 +211,16 @@ def test_g_sample_mean_tracks_expectation():
     assert abs(float(sample - mean)) <= slack
 
 
-def test_origin_sorted_is_sorted_permutation():
-    inst = generate(GenParams(i=3, grid_k=6, seed=12))
-    got = origin_sorted(inst)
-    naive = sorted(inst.all_origins(), key=lambda c: c.as_fraction())
-    assert got == naive
-    assert sorted(c.num for c in inst.all_origins()) == [c.num for c in got]
-    tiny = generate(GenParams(i=1, grid_k=4, seed=3))
-    assert origin_sorted(tiny) == tiny.all_origins()
-
-
 def test_arrival_order_modes():
-    inst = generate(GenParams(i=4, grid_k=8, seed=66))
-    r1 = inst.rounds[0]
-    assert arrival_order(inst, r1) == list(r1.entries)
+    params = GenParams(i=4, grid_k=8, seed=66)
+    assert arrival_indices(params, 1) == list(range(8))
 
-    shuffled = generate(GenParams(i=4, grid_k=8, seed=66, request_order=ORDER_SHUFFLED))
-    s1 = shuffled.rounds[0]
-    got = arrival_order(shuffled, s1)
-    assert sorted(e.subinterval for e in got) == list(range(8))
-    assert got == arrival_order(shuffled, s1)  # stable under repetition
-    other = generate(GenParams(i=4, grid_k=8, seed=67, request_order=ORDER_SHUFFLED))
-    assert [e.subinterval for e in arrival_order(other, other.rounds[0])] != [
-        e.subinterval for e in got
-    ]
+    shuffled = dataclasses.replace(params, request_order=ORDER_SHUFFLED)
+    got = arrival_indices(shuffled, 1)
+    assert sorted(got) == list(range(8))
+    assert got == arrival_indices(shuffled, 1)  # stable under repetition
+    other = dataclasses.replace(shuffled, seed=67)
+    assert arrival_indices(other, 1) != got
 
 
 def test_jsonl_round_trip_bit_exact():
@@ -232,5 +234,5 @@ def test_jsonl_round_trip_bit_exact():
 def test_file_round_trip(tmp_path):
     inst = generate(GenParams(i=2, grid_k=4, seed=5))
     path = tmp_path / "inst.jsonl"
-    write_instance(inst, path)
-    assert read_instance(path) == inst
+    path.write_text(instance_to_jsonl(inst), encoding="utf-8")
+    assert instance_from_jsonl(path.read_text(encoding="utf-8")) == inst

@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 
-import numpy as np
 import pytest
 
 from matchline.adversary import GenParams, Instance, ORDER_SHUFFLED, Round, RoundEntry, generate
@@ -11,22 +10,20 @@ from matchline.algorithms import (
     ALGORITHM_KINDS,
     AlgorithmSpec,
     _KERNELS,
-    _monotone_min_cost,
     play,
     requests_of,
     run,
-    run_single_trial,
     run_trial,
     run_trials,
     run_with_prefix,
 )
 from matchline.geometry import Coord, coord_from_integer
-from matchline.offline import exact_dtype
+from matchline.offline import sorted_matching_cost
 from matchline.rng import Stream, stream_key
 
 
-def kernel(kind, free, seed=0, dtype=np.int64):
-    return _KERNELS[kind](free, seed, dtype)
+def kernel(kind, free, seed=0):
+    return _KERNELS[kind](free, seed)
 
 
 def serve_one(serve, free, x):
@@ -158,61 +155,23 @@ def test_batch_matches_full_permutation_brute_force():
         assert kernel("batch_round_optimal", list(vals))(reqs) == want
 
 
-def test_monotone_dp_python_path_agrees():
-    s = Stream(73, "dp-paths")
-    for _ in range(60):
-        m = 1 + s.randbelow(8)
-        free = sorted({s.randbelow(512) for _ in range(m)})
-        q = 1 + s.randbelow(len(free))
-        req = sorted(s.randbelow(560) for _ in range(q))
-        total_np, sel_np = _monotone_min_cost(
-            np.asarray(req, dtype=np.int64), np.asarray(free, dtype=np.int64)
-        )
-        total_py, sel_py = _monotone_min_cost(
-            np.asarray(req, dtype=object), np.asarray(free, dtype=object)
-        )
-        assert type(total_py) is int
-        assert total_np == total_py
-        assert sel_np == sel_py
-
-
-def test_wide_scale_falls_back_to_python_ints():
-    # 8 servers at scale 55 exceed the int64 budget, forcing Python ints;
-    # every policy must serve exactly as at a narrow scale
-    vals = [1, 2, 3, 5, 8, 11, 12, 15]
-    rounds = [[4, 4, 9, 14], [6, 1], [13]]
-    assert exact_dtype(len(vals), 16 << 55) is object
-    assert exact_dtype(len(vals), 16 << 4) is np.int64
-    for kind in ALGORITHM_KINDS:
-        wide = [v << 55 for v in vals]
-        narrow = [v << 4 for v in vals]
-        serve_w = kernel(kind, wide, seed=3, dtype=object)
-        serve_n = kernel(kind, narrow, seed=3, dtype=np.int64)
-        for reqs in rounds:
-            cw = serve_w([r << 55 for r in reqs])
-            cn = serve_n([r << 4 for r in reqs])
-            assert cw == cn << 51, kind
-            assert wide == [v << 51 for v in narrow], kind
-
-
 def test_wide_instance_plays_like_narrow_one():
-    # the same instance at grid scales 4 and 55: 55 takes the Python-int path
+    # the same instance at grid scale 4 and at 54, the widest that i = 3 allows
     narrow = generate(GenParams(i=3, grid_k=4, seed=19))
-    shift = 51
+    shift = 50
     wide = Instance(
-        params=dataclasses.replace(narrow.params, grid_k=55),
-        servers=tuple(coord_from_integer(j, 55) for j in range(1, 8)),
+        params=dataclasses.replace(narrow.params, grid_k=54),
+        servers=tuple(coord_from_integer(j, 54) for j in range(1, 8)),
         rounds=tuple(
             Round(rnd.r, tuple(
-                RoundEntry(e.subinterval, Coord(e.origin.num << shift, 55),
-                           Coord(e.request.num << shift, 55))
+                RoundEntry(e.subinterval, Coord(e.origin.num << shift, 54),
+                           Coord(e.request.num << shift, 54))
                 for e in rnd.entries
             ))
             for rnd in narrow.rounds
         ),
     )
     wide.validate()
-    assert exact_dtype(7, 8 << 55) is object
     for kind in ALGORITHM_KINDS:
         for prefix in range(4):
             a = run_with_prefix(narrow, AlgorithmSpec(kind, 9), prefix)
@@ -259,20 +218,6 @@ def test_permutation_used_set_stays_offline_optimal():
     for _ in range(150):
         vals = sorted({s.randbelow(300) for _ in range(2 + s.randbelow(7))})
         check(vals, [s.randbelow(320) for _ in range(1 + s.randbelow(len(vals)))])
-
-
-def test_permutation_python_path_agrees_with_numpy():
-    vals = [1, 3, 4, 7, 9, 12, 13, 15]
-    reqs = [5, 5, 2, 14, 8, 1]
-    wide = [v << 55 for v in vals]
-    narrow = [v << 6 for v in vals]
-    ws = kernel("permutation", wide, dtype=exact_dtype(len(vals), 32 << 55))
-    ns = kernel("permutation", narrow, dtype=exact_dtype(len(vals), 32 << 6))
-    for r in reqs:
-        wid, wcost = serve_one(ws, wide, r << 55)
-        nid, ncost = serve_one(ns, narrow, r << 6)
-        assert wid == nid << 49
-        assert wcost == ncost << 49
 
 
 def test_random_free_single_choice():
@@ -338,14 +283,28 @@ def test_run_trial_matches_run_with_prefix():
 def test_run_trial_policy_subset_and_order():
     both = run_trial(15, ("permutation", "greedy_nearest"), 4, 77)
     assert [st.algorithm for st in both] == ["permutation", "greedy_nearest"]
-    assert both[1] == run_single_trial(15, "greedy_nearest", 4, 77)
+    assert both[1:] == run_trial(15, ("greedy_nearest",), 4, 77)
     with pytest.raises(ValueError):
         run_trial(15, ("greedy_nearest", "steepest_descent"), 4, 77)
 
 
+def test_default_run_at_n2047_is_exact():
+    # n = 2047 takes the width-capped default grid_k = 38 on the int64 kernels
+    runs = run_trial(2047, ALGORITHM_KINDS, 0, 3)
+    inst = generate(GenParams(i=11, grid_k=38, seed=stream_key(3, "trial", 0)))
+    want = sorted_matching_cost(inst.servers, inst.all_requests()).total_cost
+    for st in runs:
+        assert st.grid_k == 38
+        assert st.offline_total == want
+        assert st.online_total >= st.offline_total
+    by_kind = {st.algorithm: st for st in runs}
+    batch_first = by_kind["batch_round_optimal"].round_costs[0]
+    assert all(batch_first <= st.round_costs[0] for st in runs)
+
+
 def test_play_checks_free_count_every_round(monkeypatch):
     # a kernel that serves a round without using a server breaks the count
-    monkeypatch.setitem(_KERNELS, "greedy_nearest", lambda free, seed, dtype: lambda reqs: 0)
+    monkeypatch.setitem(_KERNELS, "greedy_nearest", lambda free, seed: lambda reqs: 0)
     inst = generate(GenParams(i=3, grid_k=5, seed=2))
     with pytest.raises(RuntimeError):
         play(requests_of(inst), AlgorithmSpec("greedy_nearest"), 0)
@@ -419,14 +378,14 @@ def test_prefix_out_of_range():
 
 
 def test_run_single_trial_derivations():
-    a = run_single_trial(7, "greedy_nearest", 0, root_seed=100)
-    b = run_single_trial(7, "greedy_nearest", 0, root_seed=100)
-    c = run_single_trial(7, "greedy_nearest", 1, root_seed=100)
+    (a,) = run_trial(7, ("greedy_nearest",), 0, root_seed=100)
+    (b,) = run_trial(7, ("greedy_nearest",), 0, root_seed=100)
+    (c,) = run_trial(7, ("greedy_nearest",), 1, root_seed=100)
     assert a == b
     assert a.instance_seed != c.instance_seed
     assert a.trial == 0 and c.trial == 1
     # same trial, same instance for every policy
-    d = run_single_trial(7, "random_free", 0, root_seed=100)
+    (d,) = run_trial(7, ("random_free",), 0, root_seed=100)
     assert d.instance_seed == a.instance_seed
     assert d.offline_total == a.offline_total
 
@@ -438,7 +397,7 @@ def test_run_trials_shapes():
 
 
 def test_stats_json_dict():
-    stats = run_single_trial(3, "greedy_nearest", 2, root_seed=7)
+    (stats,) = run_trial(3, ("greedy_nearest",), 2, root_seed=7)
     d = stats.to_json_dict()
     assert d["n"] == 3
     assert d["algorithm"] == "greedy_nearest"

@@ -1,11 +1,15 @@
 """Command-line behavior: option merging, exit codes, file outputs."""
 
+import ast
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
+import matchline
 import matchline.cli as cli
-from matchline.adversary import GenParams, default_grid_k, generate, read_instance
+from matchline.adversary import GenParams, default_grid_k, generate, instance_from_jsonl
 from matchline.lemma_checks import LemmaReport
 
 
@@ -14,7 +18,7 @@ def test_generate_to_file(tmp_path, capsys):
     rc = cli.main(["generate", "--n", "7", "--seed", "5", "--out", str(out)])
     assert rc == 0
     assert "wrote 8 records" in capsys.readouterr().out
-    inst = read_instance(out)
+    inst = instance_from_jsonl(out.read_text(encoding="utf-8"))
     assert inst == generate(GenParams(i=3, grid_k=default_grid_k(7), seed=5))
 
 
@@ -121,6 +125,37 @@ def test_bad_algorithm_exits_two(capsys):
     rc = cli.main(["run", "--n", "3", "--trials", "2", "--alg", "nope"])
     assert rc == 2
     assert "unknown algorithm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--n", "3", "--trials", "1"],
+    ["ratio", "--n", "3", "--trials", "1", "--alg", "greedy_nearest"],
+    ["lemma2", "--n", "3", "--trials", "1", "--alg", "greedy_nearest"],
+])
+def test_one_trial_statistics_exit_two(argv, capsys):
+    # one sample has no standard error, so a 3 SE check cannot be judged
+    rc = cli.main(argv)
+    assert rc == 2
+    assert "at least 2 trials" in capsys.readouterr().err
+
+
+def test_grid_k_past_width_rule_exits_two(capsys):
+    rc = cli.main(["run", "--n", "7", "--trials", "2", "--grid-k", "55"])
+    assert rc == 2
+    assert "exceeds 61" in capsys.readouterr().err
+
+
+def test_public_names_resolve():
+    for name in matchline.__all__:
+        assert hasattr(matchline, name), name
+    root = Path(__file__).resolve().parents[1]
+    for path in (Path(cli.__file__), root / "bench" / "checks.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("matchline"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
 
 
 def test_failing_report_exits_one(monkeypatch, capsys):

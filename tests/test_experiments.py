@@ -1,5 +1,6 @@
 """Suite runner: output files, determinism, prefix mode, aggregation."""
 
+import csv
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -8,42 +9,44 @@ import numpy as np
 import pytest
 
 from matchline import experiments
+from matchline.algorithms import RunStats
 from matchline.experiments import (
     ExperimentConfig,
     ROUNDS_COLUMNS,
     SUMMARY_COLUMNS,
-    run_prefix_known,
     run_suite,
     write_outputs,
 )
+from matchline.geometry import Coord
+from matchline.lemma_checks import ratio_report_from_stats
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_suite"
 
 
 def test_config_validation():
-    ExperimentConfig(n_list=(3,), trials=1)
+    ExperimentConfig(n_list=(3,), trials=2)
     with pytest.raises(ValueError):
-        ExperimentConfig(n_list=(4,), trials=1)
+        ExperimentConfig(n_list=(4,), trials=2)
     with pytest.raises(ValueError):
-        ExperimentConfig(n_list=(3,), trials=0)
+        ExperimentConfig(n_list=(3,), trials=1)
     with pytest.raises(ValueError):
-        ExperimentConfig(n_list=(3,), trials=1, algorithms=("nope",))
+        ExperimentConfig(n_list=(3,), trials=2, algorithms=("nope",))
     with pytest.raises(ValueError):
         ExperimentConfig(
-            n_list=(3,), trials=1,
+            n_list=(3,), trials=2,
             algorithms=("greedy_nearest", "greedy_nearest"),
         )
     with pytest.raises(ValueError):
-        ExperimentConfig(n_list=(3,), trials=1, prefix_known_rounds=3)
+        ExperimentConfig(n_list=(3,), trials=2, prefix_known_rounds=3)
     with pytest.raises(ValueError):
-        ExperimentConfig(n_list=(3,), trials=1, workers=0)
+        ExperimentConfig(n_list=(3,), trials=2, workers=0)
     with pytest.raises(ValueError):
-        ExperimentConfig(n_list=(3,), trials=1, request_order="sideways")
+        ExperimentConfig(n_list=(3,), trials=2, request_order="sideways")
 
 
 def test_config_json_omits_local_machine_fields():
-    cfg = ExperimentConfig(n_list=(3,), trials=1, workers=4, out_dir="somewhere")
+    cfg = ExperimentConfig(n_list=(3,), trials=2, workers=4, out_dir="somewhere")
     d = cfg.to_json_dict()
     assert "workers" not in d and "out_dir" not in d
     assert d["n_list"] == [3]
@@ -120,8 +123,37 @@ def test_pool_never_larger_than_task_count(monkeypatch, tmp_path):
         for pa, pb in zip(ref, out):
             assert pa.read_bytes() == pb.read_bytes(), pa.name
     assert _RecordingPool.sizes == [4, 4, 3]
-    run_suite(ExperimentConfig(n_list=(3,), trials=1, workers=5000))
-    assert _RecordingPool.sizes == [4, 4, 3]  # a single task runs in-process
+    run_suite(ExperimentConfig(n_list=(3,), trials=2, workers=5000))
+    assert _RecordingPool.sizes == [4, 4, 3, 2]
+
+
+def _flat_run(trial, total_num):
+    # n = 3 at grid_k 1 whose online total equals its offline total
+    total = Coord(total_num, 1)
+    return RunStats(
+        n=3, algorithm="greedy_nearest", instance_seed=0, grid_k=1, trial=trial,
+        prefix_rounds=0, prefix_cost=Coord(0, 1), round_costs=(Coord(0, 1), total),
+        online_total=total, offline_total=total, ratio=1.0,
+    )
+
+
+@pytest.mark.parametrize("total_num, failing", [(1, "numerator_pass"), (20, "denominator_pass")])
+def test_theorem_gate_fails_with_either_inequality(monkeypatch, tmp_path, total_num, failing):
+    # ratio 1 always clears sqrt(2)/12; online 1/2 is below the floor 2/3 and
+    # offline 10 above the cap 3 sqrt(2) + 3 + 3/2
+    runs = [_flat_run(t, total_num) for t in range(4)]
+    rep = ratio_report_from_stats(runs, 0)
+    assert rep.observed == 1.0 > rep.bound
+    assert not rep.details[failing] and not rep.passed
+    monkeypatch.setattr(
+        experiments, "run_trial", lambda n, kinds, trial, seed, **kw: [_flat_run(trial, total_num)]
+    )
+    cfg = ExperimentConfig(
+        n_list=(3,), algorithms=("greedy_nearest",), trials=4, out_dir=str(tmp_path)
+    )
+    assert not run_suite(cfg).reports[1].passed
+    with (tmp_path / "summary.csv").open(encoding="utf-8") as fh:
+        assert next(csv.DictReader(fh))["theorem_pass"] == "false"
 
 
 def test_worker_count_invariance(tmp_path):
@@ -188,7 +220,7 @@ def test_prefix_all_rounds_vacuous():
         n_list=(3,), algorithms=("greedy_nearest",), trials=4, seed=2,
         prefix_known_rounds=2,
     )
-    res = run_prefix_known(cfg)
+    res = run_suite(cfg)
     assert res.round_rows == []
     emp = [r for r in res.reports if r.lemma_id == "lemma2_empirical"][0]
     assert emp.passed
@@ -204,7 +236,7 @@ def test_prefix_suffix_rounds_keep_floor():
         n_list=(255,), algorithms=("greedy_nearest",), trials=150, seed=1,
         prefix_known_rounds=4,
     )
-    res = run_prefix_known(cfg)
+    res = run_suite(cfg)
     emp = [r for r in res.reports if r.lemma_id == "lemma2_empirical"][0]
     per_round = emp.details["per_round"]
     assert [row["round"] for row in per_round] == [5, 6, 7, 8]
@@ -217,6 +249,6 @@ def test_prefix_suffix_rounds_keep_floor():
 def test_prefix_zero_matches_plain_run():
     kw = dict(n_list=(7,), algorithms=("batch_round_optimal",), trials=4, seed=6)
     plain = run_suite(ExperimentConfig(**kw))
-    pfx = run_prefix_known(ExperimentConfig(prefix_known_rounds=0, **kw))
+    pfx = run_suite(ExperimentConfig(prefix_known_rounds=0, **kw))
     assert plain.summary_rows == pfx.summary_rows
     assert plain.round_rows == pfx.round_rows

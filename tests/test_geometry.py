@@ -8,12 +8,10 @@ from matchline.geometry import (
     Coord,
     CoordDomainError,
     CoordOverflowError,
-    Segment,
     abs_distance,
     common_scale,
     coord_from_integer,
     snap_to_grid,
-    sum_coords,
 )
 from matchline.rng import Stream
 
@@ -124,22 +122,9 @@ def test_at_scale_refuses_precision_loss():
         c.at_scale(1)
 
 
-def test_sum_coords():
-    coords = [Coord(1, 0), Coord(1, 2), Coord(3, 1)]
-    assert sum_coords(coords).as_fraction() == Fraction(11, 4)
-    assert sum_coords([]) == Coord(0, 0)
-
-
 def test_common_scale():
     assert common_scale([Coord(1, 2)], [Coord(1, 5), Coord(1, 0)]) == 5
     assert common_scale([]) == 0
-
-
-def test_segment():
-    seg = Segment(coord_from_integer(2, 2), coord_from_integer(6, 2))
-    assert seg.length.as_fraction() == 4
-    with pytest.raises(ValueError):
-        Segment(coord_from_integer(6, 2), coord_from_integer(2, 2))
 
 
 def test_json_round_trip():

@@ -47,11 +47,6 @@ def test_segment_decomposition():
     cfg = RoundConfig(7, 2, (1,))
     # cell [0,4) is cut at 1; cell [4,8) has no interior free server
     assert cfg.segment_lengths() == [[1, 3], [4]]
-    assert cfg.total_segments() == 3
-    segs = cfg.segments()
-    flat = [s for row in segs for s in row]
-    assert sum(s.length.as_fraction() for s in flat) == 8
-    assert [s.left.as_fraction() for s in segs[0]] == [0, 1]
 
 
 def test_boundary_server_is_not_interior():

@@ -8,7 +8,6 @@ import pytest
 from matchline.geometry import Coord, coord_from_integer, snap_to_grid
 from matchline.offline import (
     brute_force_min_cost,
-    exact_dtype,
     sorted_cost_num,
     sorted_matching_cost,
 )
@@ -142,13 +141,13 @@ def test_sorted_cost_num_agrees_with_rank_pairing():
         sorted_cost_num([1, 2], [1])
 
 
-def test_sorted_cost_num_wide_scale_uses_python_ints():
-    # 1023 numerators near 2**61 overflow int64 sums; the wide path is exact
+def test_sorted_cost_num_exact_at_widest_legal_scale():
+    # the widest grid GenParams allows, 2 i + grid_k + 1 = 61, against Python ints
     s = Stream(289, "cost-num-wide")
-    servers = [j << 51 for j in range(1, 1024)]
-    points = [s.randbelow(1024 << 51) for _ in range(1023)]
-    assert exact_dtype(1023, 1024 << 51) is object
-    assert exact_dtype(1023, 1024 << 40) is np.int64
-    want = sum(abs(a - b) for a, b in zip(sorted(points), servers))
-    assert want >= 1 << 63  # an int64 sum would have wrapped
-    assert sorted_cost_num(np.asarray(servers, dtype=np.int64), points) == want
+    for i in (1, 5, 10, 13):
+        n, k = (1 << i) - 1, 60 - 2 * i
+        servers = [j << k for j in range(1, n + 1)]
+        top = (n + 1) << k
+        for points in ([0] * n, [top] * n, [s.randbelow(top + 1) for _ in range(n)]):
+            want = sum(abs(a - b) for a, b in zip(sorted(points), servers))
+            assert sorted_cost_num(np.asarray(servers, dtype=np.int64), points) == want
