@@ -11,7 +11,7 @@ cost guarantees, including the competitive-ratio floor sqrt(log2(n+1))/12.
 from matchline.adversary import GenParams, Instance, generate
 from matchline.algorithms import ALGORITHM_KINDS, AlgorithmSpec, RunStats, run
 from matchline.experiments import ExperimentConfig, SuiteResult, run_suite
-from matchline.geometry import Coord, abs_distance, coord_from_integer, snap_to_grid
+from matchline.geometry import Coord, abs_distance, coord_from_integer
 from matchline.lemma_checks import (
     LemmaReport,
     RoundConfig,

@@ -3,9 +3,14 @@
 For n = 2**i - 1 the servers sit at the integers 1..n.  Requests arrive in i
 rounds; round r partitions [0, n+1] into (n+1)/2**r half-open cells of width
 2**r and draws one origin per cell, uniformly over the cell's grid of
-multiples of 2**-grid_k.  The request is the origin snapped to that grid,
-which on the grid itself is the identity; sampling directly on the grid keeps
-every event probability an exact dyadic rational.
+multiples of 2**-grid_k.  Each request is its origin: sampling directly on
+the grid keeps every event probability an exact dyadic rational.
+
+An Instance is the params plus one int64 numerator array per round, at scale
+grid_k and in cell order; servers are implicit (server j sits at j << grid_k).
+generate(), the JSON Lines reader and the run path all use this one form;
+Coord appears only where values leave it (Instance.servers, all_requests and
+the JSON records).
 
 Key exact facts used by the checkers, with g_ell = number of origins strictly
 left of server ell:
@@ -21,11 +26,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
 
-from matchline.geometry import Coord, coord_from_integer, snap_to_grid
+from matchline.geometry import Coord, coord_from_integer
 from matchline.rng import GAMMA, Stream, mix64_array, stream_key
 
 ORDER_LEFT_TO_RIGHT = "left_to_right"
@@ -88,28 +93,15 @@ class GenParams:
         return (1 << self.i) - 1
 
 
-@dataclass(frozen=True)
-class RoundEntry:
-    subinterval: int
-    origin: Coord
-    request: Coord
-
-
-@dataclass(frozen=True)
-class Round:
-    r: int
-    entries: tuple[RoundEntry, ...]
-
-    @property
-    def subinterval_length(self) -> int:
-        return 1 << self.r
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
+    """One instance as integers: origins[r - 1] holds round r's origin
+    numerators at scale grid_k, one per cell in cell order.  Requests equal
+    their origins, and server j sits at j << grid_k.  Instances compare by
+    value."""
+
     params: GenParams
-    servers: tuple[Coord, ...]
-    rounds: tuple[Round, ...]
+    origins: tuple[np.ndarray, ...]
 
     @property
     def n(self) -> int:
@@ -119,51 +111,21 @@ class Instance:
     def grid_k(self) -> int:
         return self.params.grid_k
 
-    def all_entries(self) -> Iterator[RoundEntry]:
-        for rnd in self.rounds:
-            yield from rnd.entries
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return (
+            self.params == other.params
+            and len(self.origins) == len(other.origins)
+            and all(np.array_equal(a, b) for a, b in zip(self.origins, other.origins))
+        )
+
+    @property
+    def servers(self) -> tuple[Coord, ...]:
+        return tuple(coord_from_integer(j, self.grid_k) for j in range(1, self.n + 1))
 
     def all_requests(self) -> list[Coord]:
-        return [e.request for e in self.all_entries()]
-
-    def validate(self) -> None:
-        """Check structural invariants; raises ValueError on the first breach."""
-        p = self.params
-        n, k = p.n, p.grid_k
-        if len(self.servers) != n:
-            raise ValueError(f"expected {n} servers, got {len(self.servers)}")
-        for j, s in enumerate(self.servers, start=1):
-            if s.at_scale(k) != j << k:
-                raise ValueError(f"server {j} is misplaced: {s!r}")
-        if len(self.rounds) != p.i:
-            raise ValueError(f"expected {p.i} rounds, got {len(self.rounds)}")
-        top = (n + 1) << k
-        for idx, rnd in enumerate(self.rounds, start=1):
-            if rnd.r != idx:
-                raise ValueError(f"round {idx} mislabelled as {rnd.r}")
-            cells = (n + 1) >> rnd.r
-            if len(rnd.entries) != cells:
-                raise ValueError(f"round {rnd.r}: expected {cells} requests")
-            width = rnd.r + k
-            for m, e in enumerate(rnd.entries):
-                if e.subinterval != m:
-                    raise ValueError(f"round {rnd.r}: cell index {e.subinterval} != {m}")
-                if e.origin.k <= k:
-                    # on-grid origin: containment and snapping are integer checks
-                    onum = e.origin.at_scale(k)
-                    if not (m << width) <= onum < ((m + 1) << width):
-                        raise ValueError(f"round {rnd.r} cell {m}: origin off its cell")
-                    snapped = onum
-                else:
-                    frac = e.origin.as_fraction()
-                    if not (m << rnd.r) <= frac < ((m + 1) << rnd.r):
-                        raise ValueError(f"round {rnd.r} cell {m}: origin off its cell")
-                    snapped = snap_to_grid(frac, k).num
-                rnum = e.request.at_scale(k)
-                if rnum != snapped:
-                    raise ValueError(f"round {rnd.r} cell {m}: request is not the snapped origin")
-                if not 0 <= rnum <= top:
-                    raise ValueError(f"round {rnd.r} cell {m}: request out of [0, n+1]")
+        return [Coord(x, self.grid_k) for nums in self.origins for x in nums.tolist()]
 
 
 def origin_round_numerators(params: GenParams) -> list[np.ndarray]:
@@ -189,15 +151,17 @@ def origin_round_numerators(params: GenParams) -> list[np.ndarray]:
     return out
 
 
-def check_round_numerators(params: GenParams, rounds: list[np.ndarray]) -> None:
-    """Instance.validate's cell-count and containment checks on the sampled
-    numerators; raises ValueError on the first breach."""
+def check_round_numerators(params: GenParams, rounds: Sequence[np.ndarray]) -> None:
+    """The instance invariants: i rounds, round r with (n+1)/2**r int64
+    origins, origin m inside cell m.  Raises ValueError on the first breach."""
     if len(rounds) != params.i:
         raise ValueError(f"expected {params.i} rounds, got {len(rounds)}")
     for r, nums in enumerate(rounds, start=1):
         cells = (params.n + 1) >> r
         if len(nums) != cells:
             raise ValueError(f"round {r}: expected {cells} requests")
+        if nums.dtype != np.int64:
+            raise ValueError(f"round {r}: origins must be int64, got {nums.dtype}")
         # origin m lies in [m << width, (m + 1) << width) iff its top bits are m
         if np.any((nums >> (r + params.grid_k)) != np.arange(cells)):
             raise ValueError(f"round {r}: origin off its cell")
@@ -205,19 +169,9 @@ def check_round_numerators(params: GenParams, rounds: list[np.ndarray]) -> None:
 
 def generate(params: GenParams) -> Instance:
     """Draw a full instance; deterministic in (seed, params)."""
-    k = params.grid_k
-    nums_by_round = origin_round_numerators(params)
-    check_round_numerators(params, nums_by_round)
-    servers = tuple(coord_from_integer(j, k) for j in range(1, params.n + 1))
-    rounds = []
-    for r, nums in enumerate(nums_by_round, start=1):
-        entries = []
-        for m, num in enumerate(nums.tolist()):
-            origin = Coord(num, k)
-            # origins already sit on the grid, so the snapped request equals them
-            entries.append(RoundEntry(m, origin, origin))
-        rounds.append(Round(r, tuple(entries)))
-    return Instance(params, servers, tuple(rounds))
+    origins = origin_round_numerators(params)
+    check_round_numerators(params, origins)
+    return Instance(params, tuple(origins))
 
 
 def arrival_indices(params: GenParams, r: int) -> list[int]:
@@ -277,16 +231,17 @@ def instance_to_jsonl(instance: Instance) -> str:
             separators=(",", ":"),
         )
     ]
-    for rnd in instance.rounds:
-        for e in rnd.entries:
+    for r, nums in enumerate(instance.origins, start=1):
+        for m, num in enumerate(nums.tolist()):
+            point = {"num": num, "k": p.grid_k}  # Coord.to_json of the origin
             lines.append(
                 json.dumps(
                     {
                         "record": "entry",
-                        "round": rnd.r,
-                        "subinterval": e.subinterval,
-                        "origin": e.origin.to_json(),
-                        "request": e.request.to_json(),
+                        "round": r,
+                        "subinterval": m,
+                        "origin": point,
+                        "request": point,
                     },
                     separators=(",", ":"),
                 )
@@ -294,40 +249,56 @@ def instance_to_jsonl(instance: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_int(value: object) -> int:
+    if type(value) is not int:  # int() would truncate 5.9 and accept true
+        raise ValueError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+def _grid_num(obj: dict, k: int) -> int:
+    """Numerator at scale k of a JSON coordinate that lies on the scale-k grid."""
+    c = Coord(_json_int(obj["num"]), _json_int(obj["k"])).normalized()
+    if c.k > k:
+        raise ValueError(f"coordinate {obj} is off the scale-{k} grid")
+    return c.at_scale(k)
+
+
 def instance_from_jsonl(text: str) -> Instance:
+    """Read what instance_to_jsonl writes: on-grid origins, each its own
+    request, in cell order.  Raises ValueError on any other input."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty transcript")
-    head = json.loads(lines[0])
-    if head.get("record") != "params":
-        raise ValueError("transcript must start with a params record")
-    params = GenParams(
-        i=int(head["i"]),
-        grid_k=int(head["grid_k"]),
-        seed=int(head["seed"]),
-        request_order=str(head["request_order"]),
-    )
-    if int(head["n"]) != params.n:
-        raise ValueError(f"header n={head['n']} does not match i={params.i}")
-    per_round: dict[int, list[RoundEntry]] = {r: [] for r in range(1, params.i + 1)}
-    for line in lines[1:]:
-        obj = json.loads(line)
-        if obj.get("record") != "entry":
-            raise ValueError(f"unexpected record {obj.get('record')!r}")
-        r = int(obj["round"])
-        if r not in per_round:
-            raise ValueError(f"entry for unknown round {r}")
-        per_round[r].append(
-            RoundEntry(
-                subinterval=int(obj["subinterval"]),
-                origin=Coord.from_json(obj["origin"]),
-                request=Coord.from_json(obj["request"]),
-            )
+    try:
+        head = json.loads(lines[0])
+        if head["record"] != "params":
+            raise ValueError("transcript must start with a params record")
+        params = GenParams(
+            i=_json_int(head["i"]),
+            grid_k=_json_int(head["grid_k"]),
+            seed=_json_int(head["seed"]),
+            request_order=str(head["request_order"]),
         )
-    k = params.grid_k
-    servers = tuple(coord_from_integer(j, k) for j in range(1, params.n + 1))
-    rounds = tuple(Round(r, tuple(per_round[r])) for r in range(1, params.i + 1))
-    inst = Instance(params, servers, rounds)
-    inst.validate()
-    return inst
-
+        if _json_int(head["n"]) != params.n:
+            raise ValueError(f"header n={head['n']} does not match i={params.i}")
+        k = params.grid_k
+        per_round: list[list[int]] = [[] for _ in range(params.i)]
+        for line in lines[1:]:
+            obj = json.loads(line)
+            if obj["record"] != "entry":
+                raise ValueError(f"unexpected record {obj['record']!r}")
+            r = _json_int(obj["round"])
+            if not 1 <= r <= params.i:
+                raise ValueError(f"entry for unknown round {r}")
+            nums = per_round[r - 1]
+            if _json_int(obj["subinterval"]) != len(nums):
+                raise ValueError(f"round {r}: cell {obj['subinterval']} where {len(nums)} is due")
+            origin = _grid_num(obj["origin"], k)
+            if _grid_num(obj["request"], k) != origin:
+                raise ValueError(f"round {r} cell {len(nums)}: request is not the origin")
+            nums.append(origin)
+        origins = tuple(np.array(nums, dtype=np.int64) for nums in per_round)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed transcript: {type(exc).__name__}: {exc}") from exc
+    check_round_numerators(params, origins)
+    return Instance(params, origins)

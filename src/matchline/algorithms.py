@@ -15,8 +15,9 @@ j << grid_k), and a kernel serves one round, removes the servers it used and
 returns the round's cost.  Vectorized kernels run on int64 arrays, which
 GenParams' width rule keeps free of overflow.
 
-A trial generates its instance once, as per-round numerator arrays, and
-plays every requested policy on it; Coord appears only in RunStats.
+play() takes an Instance (per-round origin numerators) and plays every
+requested policy on it; a trial generates its instance once and calls it.
+Coord appears only in RunStats.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from matchline.adversary import (
     GenParams,
     Instance,
     arrival_indices,
-    check_round_numerators,
     default_grid_k,
-    origin_round_numerators,
+    generate,
     rounds_for,
 )
 from matchline.geometry import Coord
@@ -254,80 +254,70 @@ class RunStats:
         }
 
 
-@dataclass(frozen=True)
-class TrialRequests:
-    """One instance as integers: per-round request numerators at scale
-    grid_k in arrival order, and the offline rank-pairing total."""
-
-    params: GenParams
-    rounds: tuple[list[int], ...]
-    offline_num: int
-
-
-def requests_of(instance: Instance) -> TrialRequests:
-    """The integer view of a (validated) Instance."""
-    k = instance.grid_k
-    rounds = tuple(
-        [rnd.entries[m].request.at_scale(k) for m in arrival_indices(instance.params, rnd.r)]
-        for rnd in instance.rounds
-    )
-    offline = sorted_cost_num(
-        [s.at_scale(k) for s in instance.servers], [x for nums in rounds for x in nums]
-    )
-    return TrialRequests(instance.params, rounds, offline)
-
-
 def play(
-    requests: TrialRequests, spec: AlgorithmSpec, prefix_rounds: int, trial: int | None = None
-) -> RunStats:
-    """Play one instance: the first prefix_rounds rounds as one optimal batch,
-    the remaining rounds online with the given policy."""
-    params = requests.params
+    instance: Instance,
+    specs: Sequence[AlgorithmSpec],
+    prefix_rounds: int,
+    trial: int | None = None,
+) -> list[RunStats]:
+    """Play one instance with every spec: the first prefix_rounds rounds as
+    one optimal batch, the remaining rounds online with the spec's policy.
+
+    The arrival orders, the prefix batch and the offline total are computed
+    once and shared; each policy gets its own copy of the free servers.
+    """
+    params = instance.params
     if not 0 <= prefix_rounds <= params.i:
         raise ValueError(f"prefix_rounds must be in 0..{params.i}, got {prefix_rounds}")
     n, k = params.n, params.grid_k
-    free = [j << k for j in range(1, n + 1)]
-    known = [x for nums in requests.rounds[:prefix_rounds] for x in nums]
-    prefix_num = _serve_batch(free, known)
-    serve = _KERNELS[spec.kind](free, spec.seed)
-    round_nums: list[int] = []
-    for r, nums in enumerate(requests.rounds[prefix_rounds:], start=prefix_rounds + 1):
-        expected_free = ((n + 1) >> (r - 1)) - 1
-        if len(free) != expected_free:
-            raise RuntimeError(f"round {r}: {len(free)} free servers, expected {expected_free}")
-        round_nums.append(serve(nums))
+    rounds = [
+        nums[arrival_indices(params, r)].tolist()
+        for r, nums in enumerate(instance.origins, start=1)
+    ]
+    servers = np.arange(1, n + 1, dtype=np.int64) << np.int64(k)
+    offline_num = sorted_cost_num(servers, np.concatenate(instance.origins))
+    prefix_free = servers.tolist()
+    prefix_num = _serve_batch(prefix_free, [x for nums in rounds[:prefix_rounds] for x in nums])
 
-    online_num = prefix_num + sum(round_nums)
-    offline_num = requests.offline_num
-    if offline_num == 0:
-        ratio = 1.0 if online_num == 0 else None
-    else:
-        ratio = float(Fraction(online_num, offline_num))
-    return RunStats(
-        n=n,
-        algorithm=spec.kind,
-        instance_seed=params.seed,
-        grid_k=k,
-        trial=trial,
-        prefix_rounds=prefix_rounds,
-        prefix_cost=Coord(prefix_num, k),
-        round_costs=tuple(Coord(v, k) for v in round_nums),
-        online_total=Coord(online_num, k),
-        offline_total=Coord(offline_num, k),
-        ratio=ratio,
-    )
+    out = []
+    for spec in specs:
+        free = list(prefix_free)
+        serve = _KERNELS[spec.kind](free, spec.seed)
+        round_nums: list[int] = []
+        for r, nums in enumerate(rounds[prefix_rounds:], start=prefix_rounds + 1):
+            expected_free = ((n + 1) >> (r - 1)) - 1
+            if len(free) != expected_free:
+                raise RuntimeError(f"round {r}: {len(free)} free servers, expected {expected_free}")
+            round_nums.append(serve(nums))
+
+        online_num = prefix_num + sum(round_nums)
+        if offline_num == 0:
+            ratio = 1.0 if online_num == 0 else None
+        else:
+            ratio = float(Fraction(online_num, offline_num))
+        out.append(
+            RunStats(
+                n=n,
+                algorithm=spec.kind,
+                instance_seed=params.seed,
+                grid_k=k,
+                trial=trial,
+                prefix_rounds=prefix_rounds,
+                prefix_cost=Coord(prefix_num, k),
+                round_costs=tuple(Coord(v, k) for v in round_nums),
+                online_total=Coord(online_num, k),
+                offline_total=Coord(offline_num, k),
+                ratio=ratio,
+            )
+        )
+    return out
 
 
-def run_with_prefix(
-    instance: Instance, spec: AlgorithmSpec, prefix_rounds: int, trial: int | None = None
+def run(
+    instance: Instance, spec: AlgorithmSpec, trial: int | None = None, prefix_rounds: int = 0
 ) -> RunStats:
-    """play() on an Instance."""
-    return play(requests_of(instance), spec, prefix_rounds, trial)
-
-
-def run(instance: Instance, spec: AlgorithmSpec, trial: int | None = None) -> RunStats:
-    """Play all rounds online with the given policy."""
-    return run_with_prefix(instance, spec, 0, trial)
+    """play() with a single policy."""
+    return play(instance, [spec], prefix_rounds, trial)[0]
 
 
 def run_trial(
@@ -351,15 +341,8 @@ def run_trial(
         seed=stream_key(root_seed, _TAG_TRIAL, trial),
         request_order=request_order,
     )
-    origins = origin_round_numerators(params)
-    check_round_numerators(params, origins)
-    rounds = tuple(
-        nums[arrival_indices(params, r)].tolist() for r, nums in enumerate(origins, start=1)
-    )
-    servers = np.arange(1, n + 1, dtype=np.int64) << np.int64(k)
-    requests = TrialRequests(params, rounds, sorted_cost_num(servers, np.concatenate(origins)))
     specs = [AlgorithmSpec(kind, stream_key(root_seed, _TAG_ALG, kind, trial)) for kind in kinds]
-    return [play(requests, spec, prefix_rounds, trial) for spec in specs]
+    return play(generate(params), specs, prefix_rounds, trial)
 
 
 def run_trials(

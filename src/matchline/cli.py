@@ -181,27 +181,21 @@ def _cmd_generate(opts: _Options) -> int:
     return 0
 
 
-def _suite_config(opts: _Options, trials_default: str, prefix: int) -> ExperimentConfig:
-    return ExperimentConfig(
+def _cmd_run(opts: _Options) -> int:
+    """run and prefix: the suite, with the leading --prefix-rounds (default 0)
+    rounds served as one offline batch."""
+    config = ExperimentConfig(
         n_list=opts.int_list("n"),
         algorithms=opts.alg_list(",".join(ALGORITHM_KINDS)),
-        trials=opts.int_value("trials", trials_default),
+        trials=opts.int_value("trials", "100"),
         seed=opts.int_value("seed"),
         grid_k=opts.opt_int("grid_k"),
         request_order=opts.str_value("order") or ORDER_LEFT_TO_RIGHT,
-        prefix_known_rounds=prefix,
+        prefix_known_rounds=opts.int_value("prefix_rounds"),
         out_dir=opts.str_value("out"),
         workers=opts.int_value("workers"),
     )
-
-
-def _cmd_run(opts: _Options) -> int:
-    return _finish_suite(run_suite(_suite_config(opts, "100", 0)))
-
-
-def _cmd_prefix(opts: _Options) -> int:
-    prefix = opts.int_value("prefix_rounds")
-    return _finish_suite(run_suite(_suite_config(opts, "100", prefix)))
+    return _finish_suite(run_suite(config))
 
 
 def _cmd_lemma1(opts: _Options) -> int:
@@ -277,7 +271,7 @@ _COMMANDS = {
     "lemma2": _cmd_lemma2,
     "oracle": _cmd_oracle,
     "ratio": _cmd_ratio,
-    "prefix": _cmd_prefix,
+    "prefix": _cmd_run,
 }
 
 

@@ -12,14 +12,11 @@ numerators themselves, as int64 arrays, so numerators must fit a signed
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 MAX_COORD_BITS = 62
-
-Real = Union[int, float, Fraction]
 
 
 class CoordOverflowError(OverflowError):
@@ -121,10 +118,6 @@ class Coord:
     def to_json(self) -> dict:
         return {"num": self.num, "k": self.k}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Coord":
-        return cls(int(obj["num"]), int(obj["k"]))
-
     def __repr__(self) -> str:
         return f"Coord({self.num}, {self.k})"
 
@@ -136,24 +129,6 @@ def coord_from_integer(j: int, k: int) -> Coord:
     if k + j.bit_length() > MAX_COORD_BITS:
         raise CoordOverflowError(f"{j} at scale {k} exceeds {MAX_COORD_BITS} bits")
     return Coord(j << k, k)
-
-
-def snap_to_grid(x: Real, k: int, upper: Real | None = None) -> Coord:
-    """Closest multiple of 2**-k to x; exact midpoints round toward -inf.
-
-    x may be an int, float or Fraction; a float converts exactly (every float
-    is a dyadic rational), so the result is deterministic.  The snapped value
-    is within 2**-(k+1) of x.
-    """
-    if k < 0:
-        raise CoordDomainError(f"scale must be non-negative, got {k}")
-    t = Fraction(x)
-    if t < 0:
-        raise CoordDomainError(f"coordinate {x} is negative")
-    if upper is not None and t > Fraction(upper):
-        raise CoordDomainError(f"coordinate {x} exceeds the upper end {upper}")
-    num = math.ceil(t * (1 << k) - Fraction(1, 2))
-    return Coord(num, k)
 
 
 def abs_distance(a: Coord, b: Coord) -> Coord:

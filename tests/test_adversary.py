@@ -1,6 +1,7 @@
 """Instance generation and the exact origin statistics."""
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,6 @@ from matchline.adversary import (
     origin_round_numerators,
     rounds_for,
 )
-from matchline.geometry import Coord
 from matchline.rng import stream_key
 
 
@@ -78,27 +78,26 @@ def test_smallest_instance():
     inst = generate(GenParams(i=1, grid_k=6, seed=9))
     assert inst.n == 1
     assert [s.as_fraction() for s in inst.servers] == [1]
-    assert len(inst.rounds) == 1
-    (entry,) = inst.rounds[0].entries
-    assert 0 <= entry.origin.as_fraction() < 2
+    assert len(inst.origins) == 1
+    (num,) = inst.origins[0].tolist()
+    assert 0 <= num < 2 << 6
 
 
 def test_n3_layout():
     inst = generate(GenParams(i=2, grid_k=8, seed=4))
     assert [s.as_fraction() for s in inst.servers] == [1, 2, 3]
-    r1, r2 = inst.rounds
-    assert (r1.r, r2.r) == (1, 2)
-    assert r1.subinterval_length == 2 and r2.subinterval_length == 4
-    assert len(r1.entries) == 2 and len(r2.entries) == 1
-    for m, e in enumerate(r1.entries):
-        assert e.subinterval == m
-        assert 2 * m <= e.origin.as_fraction() < 2 * (m + 1)
-    assert 0 <= r2.entries[0].origin.as_fraction() < 4
+    r1, r2 = inst.origins
+    assert r1.dtype == r2.dtype == np.int64
+    assert len(r1) == 2 and len(r2) == 1
+    # round r has cells of width 2**r, i.e. 2**(r + 8) grid units
+    for m, num in enumerate(r1.tolist()):
+        assert (2 * m) << 8 <= num < (2 * (m + 1)) << 8
+    assert 0 <= int(r2[0]) < 4 << 8
 
 
 def test_round_sizes_sum_to_n():
     inst = generate(GenParams(i=5, grid_k=10, seed=1))
-    sizes = [len(rnd.entries) for rnd in inst.rounds]
+    sizes = [len(nums) for nums in inst.origins]
     assert sizes == [(inst.n + 1) >> r for r in range(1, 6)]
     assert sum(sizes) == inst.n
 
@@ -110,25 +109,29 @@ def test_generate_is_deterministic():
     assert instance_to_jsonl(a) == instance_to_jsonl(b)
     c = generate(dataclasses.replace(params, seed=778))
     assert c != a
+    moved = dataclasses.replace(a, origins=(a.origins[0] + 1,) + a.origins[1:])
+    assert moved != a and moved.params == a.params
 
 
 def test_requests_sit_on_sampled_origins():
-    # origins are drawn on the grid itself, so snapping is the identity
+    # origins are drawn on the grid itself, so each request is its origin
     inst = generate(GenParams(i=4, grid_k=9, seed=31))
-    for e in inst.all_entries():
-        assert e.request == e.origin
-        assert e.request.k == 9
+    nums = np.concatenate(inst.origins).tolist()
+    requests = inst.all_requests()
+    assert [c.num for c in requests] == nums
+    assert all(c.k == 9 for c in requests)
 
 
 def test_validate_rejects_tampering():
+    # round-1 cell 0 is [0, 2); value 3 is outside, in the arrays and in a transcript
     inst = generate(GenParams(i=2, grid_k=5, seed=2))
-    bad_entry = dataclasses.replace(
-        inst.rounds[0].entries[0], origin=Coord(3 << 5, 5), request=Coord(3 << 5, 5)
-    )  # round-1 cell 0 is [0, 2); value 3 is outside
-    bad_round = dataclasses.replace(inst.rounds[0], entries=(bad_entry,) + inst.rounds[0].entries[1:])
-    bad = dataclasses.replace(inst, rounds=(bad_round,) + inst.rounds[1:])
-    with pytest.raises(ValueError):
-        bad.validate()
+    moved = [a.copy() for a in inst.origins]
+    moved[0][0] = 3 << 5
+    with pytest.raises(ValueError, match="off its cell"):
+        check_round_numerators(inst.params, moved)
+    text = instance_to_jsonl(dataclasses.replace(inst, origins=tuple(moved)))
+    with pytest.raises(ValueError, match="off its cell"):
+        instance_from_jsonl(text)
 
 
 def test_check_round_numerators_rejects_tampering():
@@ -138,7 +141,8 @@ def test_check_round_numerators_rejects_tampering():
     moved = [a.copy() for a in nums]
     moved[0][1] = moved[0][0]  # round-1 cell 1 given a cell-0 origin
     short = [nums[0][:-1]] + nums[1:]
-    for bad in (moved, short, nums[:-1]):
+    unsigned = [a.astype(np.uint64) for a in nums]  # |x - s| would wrap
+    for bad in (moved, short, nums[:-1], unsigned):
         with pytest.raises(ValueError):
             check_round_numerators(params, bad)
 
@@ -147,8 +151,9 @@ def test_origin_round_numerators_match_generate():
     params = GenParams(i=4, grid_k=7, seed=55)
     inst = generate(params)
     nums = origin_round_numerators(params)
-    for rnd, arr in zip(inst.rounds, nums):
-        assert [e.origin.num for e in rnd.entries] == arr.tolist()
+    assert len(inst.origins) == len(nums)
+    for got, want in zip(inst.origins, nums):
+        assert got.tolist() == want.tolist()
 
 
 def test_expected_g_examples():
@@ -236,3 +241,75 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "inst.jsonl"
     path.write_text(instance_to_jsonl(inst), encoding="utf-8")
     assert instance_from_jsonl(path.read_text(encoding="utf-8")) == inst
+
+
+def _edit_line(text, index, edit):
+    """text with line `index` replaced by edit(record) (a dict), re-serialized."""
+    lines = text.splitlines()
+    lines[index] = json.dumps(edit(json.loads(lines[index])))
+    return "\n".join(lines) + "\n"
+
+
+def _without(key):
+    return lambda rec: {k: v for k, v in rec.items() if k != key}
+
+
+def _with(key, value):
+    return lambda rec: {**rec, key: value}
+
+
+def _swap_first_cells(text):
+    lines = text.splitlines()
+    lines[1], lines[2] = lines[2], lines[1]
+    return "\n".join(lines) + "\n"
+
+
+def _off_grid(rec):
+    # half a grid step right of the origin, same point for the request
+    point = {"num": 2 * rec["origin"]["num"] + 1, "k": rec["origin"]["k"] + 1}
+    return {**rec, "origin": point, "request": point}
+
+
+def _fractional_numerator(rec):
+    point = {"num": rec["origin"]["num"] + 0.5, "k": rec["origin"]["k"]}
+    return {**rec, "origin": point, "request": point}
+
+
+def _other_request(rec):
+    return {**rec, "request": {"num": rec["origin"]["num"] + 1, "k": rec["origin"]["k"]}}
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        (lambda t: _edit_line(t, 0, _without("seed")), "KeyError"),
+        (lambda t: _edit_line(t, 1, _without("origin")), "KeyError"),
+        (lambda t: _edit_line(t, 1, lambda rec: [1, 2]), "TypeError"),
+        (lambda t: _edit_line(t, 0, lambda rec: None), "TypeError"),
+        (lambda t: _edit_line(t, 1, _with("origin", 5)), "TypeError"),
+        (lambda t: _edit_line(t, 1, _with("origin", {"num": 1 << 69, "k": 3})), "64 bits"),
+        (_swap_first_cells, "cell 1 where 0 is due"),
+        (lambda t: _edit_line(t, 1, _other_request), "request is not the origin"),
+        (lambda t: _edit_line(t, 1, _off_grid), "off the scale-3 grid"),
+        (lambda t: _edit_line(t, 1, _with("subinterval", 0.5)), "JSON integer"),
+        (lambda t: _edit_line(t, 1, _fractional_numerator), "JSON integer"),
+    ],
+    ids=[
+        "missing-header-key", "missing-entry-key", "list-line", "null-line", "int-origin",
+        "70-bit-numerator", "subinterval-out-of-order", "request-not-origin", "off-grid-origin",
+        "float-subinterval", "float-numerator",
+    ],
+)
+def test_malformed_transcript_raises_value_error(tamper, message):
+    text = instance_to_jsonl(generate(GenParams(i=2, grid_k=3, seed=1)))
+    instance_from_jsonl(text)
+    with pytest.raises(ValueError, match=message):
+        instance_from_jsonl(tamper(text))
+
+
+def test_reader_accepts_finer_scale_on_grid():
+    # an on-grid value written at a finer scale reads as the same numerator
+    inst = generate(GenParams(i=2, grid_k=3, seed=1))
+    point = {"num": int(inst.origins[0][0]) << 2, "k": 5}
+    text = _edit_line(instance_to_jsonl(inst), 1, lambda rec: {**rec, "origin": point, "request": point})
+    assert instance_from_jsonl(text) == inst

@@ -3,21 +3,26 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
-from matchline.adversary import GenParams, Instance, ORDER_SHUFFLED, Round, RoundEntry, generate
+from matchline.adversary import (
+    GenParams,
+    Instance,
+    ORDER_SHUFFLED,
+    check_round_numerators,
+    generate,
+)
 from matchline.algorithms import (
     ALGORITHM_KINDS,
     AlgorithmSpec,
     _KERNELS,
     play,
-    requests_of,
     run,
     run_trial,
     run_trials,
-    run_with_prefix,
 )
-from matchline.geometry import Coord, coord_from_integer
+from matchline.geometry import Coord
 from matchline.offline import sorted_matching_cost
 from matchline.rng import Stream, stream_key
 
@@ -158,24 +163,14 @@ def test_batch_matches_full_permutation_brute_force():
 def test_wide_instance_plays_like_narrow_one():
     # the same instance at grid scale 4 and at 54, the widest that i = 3 allows
     narrow = generate(GenParams(i=3, grid_k=4, seed=19))
-    shift = 50
     wide = Instance(
-        params=dataclasses.replace(narrow.params, grid_k=54),
-        servers=tuple(coord_from_integer(j, 54) for j in range(1, 8)),
-        rounds=tuple(
-            Round(rnd.r, tuple(
-                RoundEntry(e.subinterval, Coord(e.origin.num << shift, 54),
-                           Coord(e.request.num << shift, 54))
-                for e in rnd.entries
-            ))
-            for rnd in narrow.rounds
-        ),
+        dataclasses.replace(narrow.params, grid_k=54),
+        tuple(nums << np.int64(50) for nums in narrow.origins),
     )
-    wide.validate()
-    for kind in ALGORITHM_KINDS:
-        for prefix in range(4):
-            a = run_with_prefix(narrow, AlgorithmSpec(kind, 9), prefix)
-            b = run_with_prefix(wide, AlgorithmSpec(kind, 9), prefix)
+    check_round_numerators(wide.params, wide.origins)
+    specs = [AlgorithmSpec(kind, 9) for kind in ALGORITHM_KINDS]
+    for prefix in range(4):
+        for a, b in zip(play(narrow, specs, prefix), play(wide, specs, prefix)):
             assert b.online_total == a.online_total and b.round_costs == a.round_costs
             assert b.offline_total == a.offline_total and b.ratio == a.ratio
 
@@ -212,8 +207,7 @@ def test_permutation_used_set_stays_offline_optimal():
 
     for seed in (3, 11, 29):
         inst = generate(GenParams(i=3, grid_k=6, seed=seed))
-        servers = [c.at_scale(6) for c in inst.servers]
-        check(servers, [e.request.at_scale(6) for e in inst.all_entries()])
+        check([j << 6 for j in range(1, 8)], np.concatenate(inst.origins).tolist())
     s = Stream(67, "perm-oracle")
     for _ in range(150):
         vals = sorted({s.randbelow(300) for _ in range(2 + s.randbelow(7))})
@@ -251,8 +245,9 @@ def test_random_free_frequency():
         assert abs(c / 100_000 - 0.25) < 0.01
 
 
-def test_run_trial_matches_run_with_prefix():
-    # the shared per-(n, trial) runner against one generate + play per policy
+def test_run_trial_matches_run_per_policy():
+    # the shared per-(n, trial) runner against one generate + run per policy:
+    # a policy that leaked state through the shared prefix would differ here
     s = Stream(83, "shared-runner")
     for _ in range(12):
         i = 1 + s.randbelow(5)
@@ -266,13 +261,14 @@ def test_run_trial_matches_run_with_prefix():
                 seed=stream_key(root, "trial", trial),
                 request_order=order,
             )
-            inst = generate(params)
             for prefix in range(i + 1):
                 got = run_trial(n, ALGORITHM_KINDS, trial, root, grid_k, order, prefix)
                 want = [
-                    run_with_prefix(
-                        inst, AlgorithmSpec(kind, stream_key(root, "alg", kind, trial)),
-                        prefix, trial,
+                    run(
+                        generate(params),
+                        AlgorithmSpec(kind, stream_key(root, "alg", kind, trial)),
+                        trial,
+                        prefix,
                     )
                     for kind in ALGORITHM_KINDS
                 ]
@@ -307,18 +303,13 @@ def test_play_checks_free_count_every_round(monkeypatch):
     monkeypatch.setitem(_KERNELS, "greedy_nearest", lambda free, seed: lambda reqs: 0)
     inst = generate(GenParams(i=3, grid_k=5, seed=2))
     with pytest.raises(RuntimeError):
-        play(requests_of(inst), AlgorithmSpec("greedy_nearest"), 0)
+        play(inst, [AlgorithmSpec("greedy_nearest")], 0)
 
 
 def test_run_exact_hit_gives_ratio_one():
-    params = GenParams(i=1, grid_k=4, seed=0)
-    at_one = Coord(1 << 4, 4)
-    inst = Instance(
-        params=params,
-        servers=(at_one,),
-        rounds=(Round(r=1, entries=(RoundEntry(0, at_one, at_one),)),),
-    )
-    inst.validate()
+    # the one request sits on the one server
+    inst = Instance(GenParams(i=1, grid_k=4, seed=0), (np.array([1 << 4], dtype=np.int64),))
+    check_round_numerators(inst.params, inst.origins)
     stats = run(inst, AlgorithmSpec("greedy_nearest"))
     assert stats.online_total.at_scale(4) == 0
     assert stats.offline_total.at_scale(4) == 0
@@ -357,7 +348,7 @@ def test_online_never_beats_offline():
 
 def test_prefix_all_rounds_is_offline():
     inst = generate(GenParams(i=3, grid_k=7, seed=44))
-    stats = run_with_prefix(inst, AlgorithmSpec("greedy_nearest"), 3)
+    stats = run(inst, AlgorithmSpec("greedy_nearest"), prefix_rounds=3)
     assert stats.round_costs == ()
     assert stats.online_total == stats.offline_total
     assert stats.ratio == 1.0
@@ -366,15 +357,17 @@ def test_prefix_all_rounds_is_offline():
 def test_prefix_zero_reduces_to_run():
     inst = generate(GenParams(i=3, grid_k=7, seed=45))
     spec = AlgorithmSpec("permutation")
-    assert run_with_prefix(inst, spec, 0) == run(inst, spec)
+    stats = run(inst, spec, prefix_rounds=0)
+    assert stats.prefix_cost == Coord(0, 0) and len(stats.round_costs) == 3
+    assert stats == play(inst, [AlgorithmSpec("greedy_nearest"), spec], 0)[1]
 
 
 def test_prefix_out_of_range():
     inst = generate(GenParams(i=2, grid_k=5, seed=1))
     with pytest.raises(ValueError):
-        run_with_prefix(inst, AlgorithmSpec("greedy_nearest"), 3)
+        run(inst, AlgorithmSpec("greedy_nearest"), prefix_rounds=3)
     with pytest.raises(ValueError):
-        run_with_prefix(inst, AlgorithmSpec("greedy_nearest"), -1)
+        run(inst, AlgorithmSpec("greedy_nearest"), prefix_rounds=-1)
 
 
 def test_run_single_trial_derivations():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -12,6 +13,8 @@ import matchline.cli as cli
 from matchline.adversary import GenParams, default_grid_k, generate, instance_from_jsonl
 from matchline.lemma_checks import LemmaReport
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def test_generate_to_file(tmp_path, capsys):
     out = tmp_path / "inst.jsonl"
@@ -20,6 +23,17 @@ def test_generate_to_file(tmp_path, capsys):
     assert "wrote 8 records" in capsys.readouterr().out
     inst = instance_from_jsonl(out.read_text(encoding="utf-8"))
     assert inst == generate(GenParams(i=3, grid_k=default_grid_k(7), seed=5))
+
+
+def test_generate_golden_bytes(tmp_path):
+    # pinned transcript: the writer's bytes, and the reader's view of them
+    out = tmp_path / "inst.jsonl"
+    rc = cli.main(["generate", "--n", "15", "--seed", "7", "--order", "shuffled", "--out", str(out)])
+    assert rc == 0
+    golden = (ROOT / "tests" / "data" / "golden_generate_n15.jsonl").read_bytes()
+    assert out.read_bytes() == golden
+    params = GenParams(i=4, grid_k=default_grid_k(15), seed=7, request_order="shuffled")
+    assert instance_from_jsonl(golden.decode("utf-8")) == generate(params)
 
 
 def test_generate_to_stdout(capsys):
@@ -79,6 +93,64 @@ def test_prefix_command(capsys):
     ])
     assert rc == 0
     assert "lemma2_empirical" in capsys.readouterr().out
+
+
+def test_run_prefix_rounds_matches_prefix(tmp_path, capsys):
+    argv = ["--n", "7", "--trials", "3", "--seed", "4", "--prefix-rounds", "1"]
+    outputs = []
+    for command in ("run", "prefix"):
+        out = tmp_path / command
+        assert cli.main([command, *argv, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        outputs.append((printed, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert len(outputs[0][1]) == 4
+    assert outputs[0] == outputs[1]
+    header = json.loads(outputs[0][1]["trials.jsonl"].splitlines()[0])
+    assert header["config"]["prefix_known_rounds"] == 1
+
+
+def test_run_prefix_rounds_out_of_range_exits_two(capsys):
+    rc = cli.main(["run", "--n", "3", "--trials", "2", "--prefix-rounds", "5"])
+    assert rc == 2
+    assert "prefix_known_rounds=5" in capsys.readouterr().err
+
+
+def _bench_checks():
+    spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_checks_accept_real_output_and_catch_a_wrong_total(tmp_path):
+    checks = _bench_checks()
+    argv = ["run", "--n", "7,15", "--trials", "3", "--order", "shuffled", "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 0
+    assert checks.check_run(argv, tmp_path / "run", 0) == []
+    assert cli.main(["lemma1", "--n", "15", "--trials", "100", "--out", str(tmp_path / "lemma1")]) == 0
+    assert checks.check_lemma1(tmp_path / "lemma1") == []
+
+    path = tmp_path / "run" / "trials.jsonl"
+    clean = path.read_text(encoding="utf-8").splitlines()
+
+    def tampered(edit, indices):
+        lines = list(clean)
+        for idx in indices:
+            rec = json.loads(lines[idx])
+            rec["offline_total"] = edit(rec)
+            lines[idx] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return checks.check_run(argv, tmp_path / "run", 0)
+
+    # one trial's offline total raised past its online total
+    above = tampered(lambda rec: {**rec["online_total"], "num": rec["online_total"]["num"] + 1}, [1])
+    assert any("inconsistent totals" in p for p in above)
+    # every offline total one grid step low: the recomputed sample disagrees
+    below = tampered(
+        lambda rec: {**rec["offline_total"], "num": rec["offline_total"]["num"] - 1},
+        range(1, len(clean)),
+    )
+    assert any("offline total differs" in p for p in below)
 
 
 def test_config_file_flag_precedence(tmp_path, capsys):
@@ -148,8 +220,7 @@ def test_grid_k_past_width_rule_exits_two(capsys):
 def test_public_names_resolve():
     for name in matchline.__all__:
         assert hasattr(matchline, name), name
-    root = Path(__file__).resolve().parents[1]
-    for path in (Path(cli.__file__), root / "bench" / "checks.py"):
+    for path in (Path(cli.__file__), ROOT / "bench" / "checks.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("matchline"):

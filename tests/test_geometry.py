@@ -6,12 +6,10 @@ import pytest
 
 from matchline.geometry import (
     Coord,
-    CoordDomainError,
     CoordOverflowError,
     abs_distance,
     common_scale,
     coord_from_integer,
-    snap_to_grid,
 )
 from matchline.rng import Stream
 
@@ -32,53 +30,6 @@ def test_coord_from_integer_overflow():
 def test_coord_rejects_bad_scale():
     with pytest.raises(ValueError):
         Coord(1, -1)
-
-
-def test_snap_already_on_grid():
-    assert snap_to_grid(Fraction(1), 4) == coord_from_integer(1, 4)
-
-
-def test_snap_tie_rounds_down():
-    # 0.40625 = 6.5/16 sits exactly between grid neighbors
-    got = snap_to_grid(Fraction(65, 160), 4)
-    assert got == Coord(6, 4)
-    assert got.as_fraction() == Fraction(3, 8)
-
-
-@pytest.mark.parametrize("num,expect", [(0, 0), (1, 0), (2, 1), (3, 1), (4, 2)])
-def test_snap_half_integers(num, expect):
-    assert snap_to_grid(Fraction(num, 2), 0).num == expect
-
-
-def test_snap_error_distance_bound():
-    # |snap(x) - x| <= 2^-(k+1) over a spread of random dyadic inputs
-    s = Stream(2024, "snap")
-    k = 20
-    half = Fraction(1, 1 << (k + 1))
-    for _ in range(5000):
-        x = Fraction(s.randbelow(5 << (k + 4)), 1 << (k + 4))
-        got = snap_to_grid(x, k)
-        assert abs(got.as_fraction() - x) <= half
-        assert got.k == k
-
-
-def test_snap_minimizes_over_coarse_grid():
-    k = 3
-    for j in range(0, 16 * 8 + 1):
-        x = Fraction(j, 1 << 7)
-        got = snap_to_grid(x, k).as_fraction()
-        best = min(
-            (abs(Fraction(g, 1 << k) - x) for g in range(0, (1 << k) * 17)),
-        )
-        assert abs(got - x) == best
-
-
-def test_snap_domain_errors():
-    with pytest.raises(CoordDomainError):
-        snap_to_grid(Fraction(-1, 2), 4)
-    with pytest.raises(CoordDomainError):
-        snap_to_grid(Fraction(9), 3, upper=Fraction(8))
-    snap_to_grid(Fraction(8), 3, upper=Fraction(8))
 
 
 def test_abs_distance_cases():
@@ -129,5 +80,5 @@ def test_common_scale():
 
 def test_json_round_trip():
     c = Coord(-13, 7)
-    assert Coord.from_json(c.to_json()) == c
+    assert Coord(**c.to_json()) == c
     assert c.to_json() == {"num": -13, "k": 7}

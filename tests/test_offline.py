@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from matchline.geometry import Coord, coord_from_integer, snap_to_grid
+from matchline.geometry import Coord, coord_from_integer
 from matchline.offline import (
     brute_force_min_cost,
     sorted_cost_num,
@@ -15,7 +15,10 @@ from matchline.rng import Stream
 
 
 def c(x, k=6):
-    return snap_to_grid(Fraction(x), k)
+    """The value x, which must lie on the scale-k grid, as a Coord."""
+    num = Fraction(x) * (1 << k)
+    assert num.denominator == 1
+    return Coord(int(num), k)
 
 
 def ints(values, k=4):
