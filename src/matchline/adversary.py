@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from matchline.geometry import Coord, coord_from_integer
-from matchline.rng import GAMMA, Stream, mix64_array, stream_key
+from matchline.rng import GAMMA, Stream, mix64_array, stream_keys
 
 ORDER_LEFT_TO_RIGHT = "left_to_right"
 ORDER_SHUFFLED = "shuffled"
@@ -139,11 +139,7 @@ def origin_round_numerators(params: GenParams) -> list[np.ndarray]:
     for r in range(1, params.i + 1):
         cells = 1 << (params.i - r)
         width = r + params.grid_k
-        keys = np.fromiter(
-            (stream_key(params.seed, _TAG_ORIGIN, r, m) for m in range(cells)),
-            dtype=np.uint64,
-            count=cells,
-        )
+        keys = stream_keys(params.seed, (_TAG_ORIGIN, r), cells)
         u = mix64_array(keys + np.uint64(GAMMA))  # first draw of each stream
         offsets = (u >> np.uint64(64 - width)).astype(np.int64)
         bases = np.arange(cells, dtype=np.int64) << np.int64(width)
@@ -187,8 +183,11 @@ def g_moments(ell: int, n: int) -> tuple[Fraction, Fraction]:
 
     For the cell [a, a + 2**r) the half-open grid has exactly (ell - a) * 2**k
     of its 2**(r+k) points in [a, ell), so p = clamp((ell - a) / 2**r, 0, 1)
-    holds exactly, independent of grid_k.  Sums are accumulated as integers
-    at scales 2**i and 4**i.
+    holds exactly, independent of grid_k.  In round r the ell >> r cells left
+    of ell have p = 1, the cell holding ell has p = c / 2**r with
+    c = ell mod 2**r, and the cells right of it have p = 0; only that one
+    cell adds variance.  Sums are accumulated as integers at scales 2**i and
+    4**i, in O(i).
     """
     _check_ell(ell, n)
     i = rounds_for(n)
@@ -196,14 +195,10 @@ def g_moments(ell: int, n: int) -> tuple[Fraction, Fraction]:
     var_num = 0
     for r in range(1, i + 1):
         width = 1 << r
-        for m in range((n + 1) >> r):
-            c = ell - (m << r)
-            if c < 0:
-                c = 0
-            elif c > width:
-                c = width
-            mean_num += c << (i - r)
-            var_num += (c * (width - c)) << (2 * (i - r))
+        full = ell >> r
+        c = ell & (width - 1)
+        mean_num += (full * width + c) << (i - r)
+        var_num += (c * (width - c)) << (2 * (i - r))
     return Fraction(mean_num, 1 << i), Fraction(var_num, 1 << (2 * i))
 
 

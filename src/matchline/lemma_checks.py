@@ -23,6 +23,16 @@ Three claims about the construction are verified, referenced by id:
 
 Statistical checks use a 3-standard-error margin and need at least two
 trials; exact checks use none.
+
+Multiple comparisons: each 3-SE comparison is one-sided, so it falsely
+fails with probability about 0.00135 when the true mean sits exactly at
+its bound.  lemma2_empirical makes one comparison per round and policy;
+the acceptance gate's per-round criterion makes 72 (4 policies x 18 rounds
+over n = 255 and 1023), so its family-wise false-fail rate is at most
+72 x 0.00135 = 9.7 % by the Bonferroni bound.  That bound applies only if
+every true round mean sat exactly at (n+1)/12; at the gate's seed the
+smallest of the 72 round means is 1.627 times (n+1)/12 and 22.7 standard
+errors above it, so a false fail is far less likely than that bound.
 """
 
 from __future__ import annotations
@@ -108,8 +118,9 @@ def _sum_squared_segments(n: int, r: int, free: np.ndarray) -> tuple[int, int]:
     """(sum of squared segment lengths, segment count) over all cells."""
     width = 1 << r
     bounds = np.arange(0, n + 1 + width, width, dtype=np.int64)
+    # interior points are not multiples of width, so no point repeats
     interior = free[(free % width) != 0]
-    pts = np.union1d(bounds, interior)
+    pts = np.sort(np.concatenate((bounds, interior)))
     d = np.diff(pts)
     return int((d * d).sum()), len(d)
 

@@ -203,6 +203,27 @@ def test_g_moments_consistency():
         g_moments(8, 7)
 
 
+def _g_moments_by_clamps(ell, n):
+    # reference: clamp every origin's p = P(origin < ell) cell by cell
+    i = rounds_for(n)
+    mean_num = 0
+    var_num = 0
+    for r in range(1, i + 1):
+        width = 1 << r
+        for m in range((n + 1) >> r):
+            c = min(max(ell - (m << r), 0), width)
+            mean_num += c << (i - r)
+            var_num += (c * (width - c)) << (2 * (i - r))
+    return Fraction(mean_num, 1 << i), Fraction(var_num, 1 << (2 * i))
+
+
+def test_g_moments_match_per_origin_clamps():
+    for i in range(1, 11):
+        n = (1 << i) - 1
+        for ell in range(1, n + 1):
+            assert g_moments(ell, n) == _g_moments_by_clamps(ell, n), (ell, n)
+
+
 def test_g_sample_mean_tracks_expectation():
     n, ell, trials = 7, 4, 4000
     mean, var = g_moments(ell, n)

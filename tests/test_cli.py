@@ -36,6 +36,19 @@ def test_generate_golden_bytes(tmp_path):
     assert instance_from_jsonl(golden.decode("utf-8")) == generate(params)
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("lemma1", ["--n", "255", "--trials", "100"]),
+    ("lemma2", ["--n", "255", "--trials", "50"]),
+    ("oracle", ["--n", "7"]),
+])
+def test_lemma_golden_bytes(tmp_path, capsys, command, argv):
+    # pinned stdout and reports.json of the exact and sampled lemma checks
+    golden = ROOT / "tests" / "data" / "golden_lemma_n255" / command
+    assert cli.main([command, *argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (golden / "stdout.txt").read_text(encoding="utf-8")
+    assert (tmp_path / "reports.json").read_bytes() == (golden / "reports.json").read_bytes()
+
+
 def test_generate_to_stdout(capsys):
     rc = cli.main(["generate", "--n", "3", "--seed", "0"])
     assert rc == 0
