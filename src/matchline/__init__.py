@@ -11,7 +11,7 @@ cost guarantees, including the competitive-ratio floor sqrt(log2(n+1))/12.
 from matchline.adversary import GenParams, Instance, generate
 from matchline.algorithms import ALGORITHM_KINDS, AlgorithmSpec, RunStats, run
 from matchline.experiments import ExperimentConfig, SuiteResult, run_suite
-from matchline.geometry import Coord, abs_distance, coord_from_integer
+from matchline.geometry import Coord, coord_from_integer
 from matchline.lemma_checks import (
     LemmaReport,
     RoundConfig,
@@ -19,10 +19,8 @@ from matchline.lemma_checks import (
     lemma1_distance_mc,
     lemma1_exact,
     lemma2_config_property,
-    lemma2_empirical,
     offline_cost_mc,
     render_reports,
-    theorem_ratio,
 )
 from matchline.offline import Assignment, brute_force_min_cost, sorted_matching_cost
 from matchline.oracle import exact_round_game_value, oracle_report, worst_config_search
@@ -41,7 +39,6 @@ __all__ = [
     "RoundConfig",
     "RunStats",
     "SuiteResult",
-    "abs_distance",
     "brute_force_min_cost",
     "config_lower_bound",
     "coord_from_integer",
@@ -50,14 +47,12 @@ __all__ = [
     "lemma1_distance_mc",
     "lemma1_exact",
     "lemma2_config_property",
-    "lemma2_empirical",
     "offline_cost_mc",
     "oracle_report",
     "render_reports",
     "run",
     "run_suite",
     "sorted_matching_cost",
-    "theorem_ratio",
     "worst_config_search",
     "__version__",
 ]

@@ -17,7 +17,7 @@ GenParams' width rule keeps free of overflow.
 
 play() takes an Instance (per-round origin numerators) and plays every
 requested policy on it; a trial generates its instance once and calls it.
-Coord appears only in RunStats.
+Costs stay integer numerators; Coord appears only in RunStats.to_json_dict.
 """
 
 from __future__ import annotations
@@ -29,17 +29,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from matchline.adversary import (
-    GenParams,
-    Instance,
-    arrival_indices,
-    default_grid_k,
-    generate,
-    rounds_for,
-)
-from matchline.geometry import Coord
+from matchline.adversary import Instance, arrival_indices
 from matchline.offline import sorted_cost_num
-from matchline.rng import Stream, stream_key
+from matchline.rng import Stream
 
 GREEDY_NEAREST = "greedy_nearest"
 BATCH_ROUND_OPTIMAL = "batch_round_optimal"
@@ -47,8 +39,6 @@ PERMUTATION = "permutation"
 RANDOM_FREE = "random_free"
 ALGORITHM_KINDS = (GREEDY_NEAREST, BATCH_ROUND_OPTIMAL, PERMUTATION, RANDOM_FREE)
 
-_TAG_TRIAL = "trial"
-_TAG_ALG = "alg"
 _TAG_CHOICE = "choice"
 
 # A kernel factory takes (free, seed) and returns serve(requests) -> cost.
@@ -219,11 +209,12 @@ _KERNELS = {
 class RunStats:
     """Exact per-run cost accounting for one instance and one policy.
 
-    round_costs lists the rounds the policy actually played online; with a
-    known prefix those are rounds prefix_rounds+1..i and prefix_cost is the
-    one batch matching that served the prefix.  ratio is online/offline with
-    the convention 0/0 = 1; it is None when only the offline cost is zero
-    (such trials are excluded from ratio aggregates).
+    Costs are integer numerators at scale grid_k.  round_costs lists the
+    rounds the policy actually played online; with a known prefix those are
+    rounds prefix_rounds+1..i and prefix_cost is the one batch matching that
+    served the prefix.  ratio is online/offline with the convention 0/0 = 1;
+    it is None when only the offline cost is zero (such trials are excluded
+    from ratio aggregates).
     """
 
     n: int
@@ -232,13 +223,14 @@ class RunStats:
     grid_k: int
     trial: int | None
     prefix_rounds: int
-    prefix_cost: Coord
-    round_costs: tuple[Coord, ...]
-    online_total: Coord
-    offline_total: Coord
+    prefix_cost: int
+    round_costs: tuple[int, ...]
+    online_total: int
+    offline_total: int
     ratio: float | None
 
     def to_json_dict(self) -> dict:
+        k = self.grid_k
         return {
             "n": self.n,
             "algorithm": self.algorithm,
@@ -246,10 +238,11 @@ class RunStats:
             "instance_seed": self.instance_seed,
             "grid_k": self.grid_k,
             "prefix_rounds": self.prefix_rounds,
-            "prefix_cost": self.prefix_cost.to_json(),
-            "round_costs": [c.to_json() for c in self.round_costs],
-            "online_total": self.online_total.to_json(),
-            "offline_total": self.offline_total.to_json(),
+            # Coord.to_json of each cost
+            "prefix_cost": {"num": self.prefix_cost, "k": k},
+            "round_costs": [{"num": c, "k": k} for c in self.round_costs],
+            "online_total": {"num": self.online_total, "k": k},
+            "offline_total": {"num": self.offline_total, "k": k},
             "ratio": self.ratio,
         }
 
@@ -303,10 +296,10 @@ def play(
                 grid_k=k,
                 trial=trial,
                 prefix_rounds=prefix_rounds,
-                prefix_cost=Coord(prefix_num, k),
-                round_costs=tuple(Coord(v, k) for v in round_nums),
-                online_total=Coord(online_num, k),
-                offline_total=Coord(offline_num, k),
+                prefix_cost=prefix_num,
+                round_costs=tuple(round_nums),
+                online_total=online_num,
+                offline_total=offline_num,
                 ratio=ratio,
             )
         )
@@ -318,43 +311,3 @@ def run(
 ) -> RunStats:
     """play() with a single policy."""
     return play(instance, [spec], prefix_rounds, trial)[0]
-
-
-def run_trial(
-    n: int,
-    kinds: Sequence[str],
-    trial: int,
-    root_seed: int,
-    grid_k: int | None = None,
-    request_order: str = "left_to_right",
-    prefix_rounds: int = 0,
-) -> list[RunStats]:
-    """One seeded trial, generated once and played by every policy in kinds.
-
-    Generation and policy seeds derive from (root_seed, trial) so trials are
-    independent and order-insensitive; every policy sees the same instance.
-    """
-    k = default_grid_k(n) if grid_k is None else grid_k
-    params = GenParams(
-        i=rounds_for(n),
-        grid_k=k,
-        seed=stream_key(root_seed, _TAG_TRIAL, trial),
-        request_order=request_order,
-    )
-    specs = [AlgorithmSpec(kind, stream_key(root_seed, _TAG_ALG, kind, trial)) for kind in kinds]
-    return play(generate(params), specs, prefix_rounds, trial)
-
-
-def run_trials(
-    n: int,
-    kind: str,
-    trials: int,
-    root_seed: int,
-    grid_k: int | None = None,
-    request_order: str = "left_to_right",
-    prefix_rounds: int = 0,
-) -> list[RunStats]:
-    return [
-        run_trial(n, (kind,), t, root_seed, grid_k, request_order, prefix_rounds)[0]
-        for t in range(trials)
-    ]

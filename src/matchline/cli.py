@@ -30,10 +30,8 @@ from matchline.lemma_checks import (
     lemma1_distance_mc,
     lemma1_exact,
     lemma2_config_property,
-    lemma2_empirical,
     offline_cost_mc,
     render_reports,
-    theorem_ratio,
 )
 from matchline.oracle import auto_grid_k, oracle_report
 
@@ -181,20 +179,32 @@ def _cmd_generate(opts: _Options) -> int:
     return 0
 
 
-def _cmd_run(opts: _Options) -> int:
-    """run and prefix: the suite, with the leading --prefix-rounds (default 0)
-    rounds served as one offline batch."""
-    config = ExperimentConfig(
+def _suite_config(
+    opts: _Options, algorithms: str, trials: str, out_dir: str | None = None
+) -> ExperimentConfig:
+    """The suite every policy-running command plays; algorithms and trials
+    are the command's defaults for --alg and --trials."""
+    return ExperimentConfig(
         n_list=opts.int_list("n"),
-        algorithms=opts.alg_list(",".join(ALGORITHM_KINDS)),
-        trials=opts.int_value("trials", "100"),
+        algorithms=opts.alg_list(algorithms),
+        trials=opts.int_value("trials", trials),
         seed=opts.int_value("seed"),
         grid_k=opts.opt_int("grid_k"),
         request_order=opts.str_value("order") or ORDER_LEFT_TO_RIGHT,
         prefix_known_rounds=opts.int_value("prefix_rounds"),
-        out_dir=opts.str_value("out"),
+        out_dir=out_dir,
         workers=opts.int_value("workers"),
     )
+
+
+def _suite_reports(config: ExperimentConfig, lemma_id: str) -> list[LemmaReport]:
+    return [rep for rep in run_suite(config).reports if rep.lemma_id == lemma_id]
+
+
+def _cmd_run(opts: _Options) -> int:
+    """run and prefix: the suite, with the leading --prefix-rounds (default 0)
+    rounds served as one offline batch."""
+    config = _suite_config(opts, ",".join(ALGORITHM_KINDS), "100", opts.str_value("out"))
     return _finish_suite(run_suite(config))
 
 
@@ -213,29 +223,22 @@ def _cmd_lemma1(opts: _Options) -> int:
 
 
 def _cmd_lemma2(opts: _Options) -> int:
+    """The configuration floor for every round, then with --alg the
+    per-round floor of each policy's suite runs."""
     n = opts.int_value("n")
     i = rounds_for(n)
     seed = opts.int_value("seed")
     samples = opts.int_value("trials", "10000")
-    reports = []
-    exhaustive = n <= EXHAUSTIVE_N_LIMIT
-    for r in range(1, i + 1):
-        reports.append(
-            lemma2_config_property(n, r, samples=None if exhaustive else samples, seed=seed)
-        )
     alg = opts.str_value("alg")
-    if alg is not None:
-        for kind in opts.alg_list(alg):
-            reports.append(
-                lemma2_empirical(
-                    n,
-                    kind,
-                    trials=opts.int_value("trials", "500"),
-                    seed=seed,
-                    grid_k=opts.opt_int("grid_k"),
-                    request_order=opts.str_value("order") or ORDER_LEFT_TO_RIGHT,
-                )
-            )
+    # the suite is validated before any configuration is checked
+    config = None if alg is None else _suite_config(opts, alg, "500")
+    exhaustive = n <= EXHAUSTIVE_N_LIMIT
+    reports = [
+        lemma2_config_property(n, r, samples=None if exhaustive else samples, seed=seed)
+        for r in range(1, i + 1)
+    ]
+    if config is not None:
+        reports += _suite_reports(config, "lemma2_empirical")
     return _finish(reports, opts.str_value("out"))
 
 
@@ -253,14 +256,11 @@ def _cmd_oracle(opts: _Options) -> int:
 
 
 def _cmd_ratio(opts: _Options) -> int:
+    """The offline cap, then each policy's aggregate ratio from its suite runs."""
     n = opts.int_value("n")
-    trials = opts.int_value("trials", "500")
-    seed = opts.int_value("seed")
-    grid_k = opts.opt_int("grid_k")
-    order = opts.str_value("order") or ORDER_LEFT_TO_RIGHT
-    reports = [offline_cost_mc(n, max(trials, 100), seed, grid_k=grid_k)]
-    for kind in opts.alg_list("greedy_nearest,batch_round_optimal"):
-        reports.append(theorem_ratio(n, kind, trials, seed, grid_k=grid_k, request_order=order))
+    config = _suite_config(opts, "greedy_nearest,batch_round_optimal", "500")
+    reports = [offline_cost_mc(n, max(config.trials, 100), config.seed, grid_k=config.grid_k)]
+    reports += _suite_reports(config, "theorem_ratio")
     return _finish(reports, opts.str_value("out"))
 
 

@@ -1,8 +1,11 @@
-"""Batch experiment driver: trial fan-out, aggregation, CSV/JSONL emission.
+"""The trial runner: trial fan-out, aggregation, CSV/JSONL emission.
 
-A suite runs every (n, algorithm) pair over a block of trials, attaches the
-per-round floor report and the aggregate ratio report to each pair, and
-optionally writes four files into an output directory:
+run_suite is the one runner behind every command that plays policies: run
+and prefix print its summary, lemma2 --alg keeps its per-round floor
+reports and ratio its aggregate ratio reports.  A suite runs every
+(n, algorithm) pair over a block of trials, attaches the per-round floor
+report and the aggregate ratio report to each pair, and optionally writes
+four files into an output directory:
 
   trials.jsonl   one record per trial, preceded by a header record
   summary.csv    one row per (n, algorithm)
@@ -26,16 +29,28 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
-from matchline.adversary import ORDER_LEFT_TO_RIGHT, REQUEST_ORDERS, rounds_for
-from matchline.algorithms import ALGORITHM_KINDS, RunStats, run_trial
+from matchline.adversary import (
+    GenParams,
+    ORDER_LEFT_TO_RIGHT,
+    REQUEST_ORDERS,
+    default_grid_k,
+    generate,
+    rounds_for,
+)
+from matchline.algorithms import ALGORITHM_KINDS, AlgorithmSpec, RunStats, play
 from matchline.lemma_checks import (
     LemmaReport,
     empirical_report_from_stats,
     ratio_report_from_stats,
 )
+from matchline.rng import stream_key
 
 SCHEMA_VERSION = 1
+
+_TAG_TRIAL = "trial"
+_TAG_ALG = "alg"
 
 SUMMARY_COLUMNS = (
     "schema_version",
@@ -74,7 +89,8 @@ class ExperimentConfig:
 
     prefix_known_rounds > 0 switches every run to advance-knowledge mode:
     that many leading rounds are served as one optimal batch and only the
-    remaining rounds are played online.
+    remaining rounds are played online.  Every suite judges the per-round
+    floor, so an explicit grid_k must be at least 1.
     """
 
     n_list: tuple[int, ...]
@@ -90,6 +106,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.n_list:
             raise ValueError("n_list must not be empty")
+        if len(set(self.n_list)) != len(self.n_list):
+            raise ValueError("duplicate n in list")
         for n in self.n_list:
             i = rounds_for(n)
             if self.prefix_known_rounds > i:
@@ -105,6 +123,11 @@ class ExperimentConfig:
             raise ValueError("duplicate algorithm in list")
         if self.trials < 2:
             raise ValueError(f"need at least 2 trials for a standard error, got {self.trials}")
+        if self.grid_k is not None and self.grid_k < 1:
+            raise ValueError(
+                f"grid_k must be at least 1, got {self.grid_k}: the per-round floor"
+                " needs a request grid strictly finer than the integers"
+            )
         if self.request_order not in REQUEST_ORDERS:
             raise ValueError(f"unknown request order {self.request_order!r}")
         if self.prefix_known_rounds < 0:
@@ -132,6 +155,31 @@ class SuiteResult:
     summary_rows: list[dict] = field(default_factory=list)
     round_rows: list[dict] = field(default_factory=list)
     reports: list[LemmaReport] = field(default_factory=list)
+
+
+def run_trial(
+    n: int,
+    kinds: Sequence[str],
+    trial: int,
+    root_seed: int,
+    grid_k: int | None = None,
+    request_order: str = ORDER_LEFT_TO_RIGHT,
+    prefix_rounds: int = 0,
+) -> list[RunStats]:
+    """One seeded trial, generated once and played by every policy in kinds.
+
+    Generation and policy seeds derive from (root_seed, trial) so trials are
+    independent and order-insensitive; every policy sees the same instance.
+    """
+    k = default_grid_k(n) if grid_k is None else grid_k
+    params = GenParams(
+        i=rounds_for(n),
+        grid_k=k,
+        seed=stream_key(root_seed, _TAG_TRIAL, trial),
+        request_order=request_order,
+    )
+    specs = [AlgorithmSpec(kind, stream_key(root_seed, _TAG_ALG, kind, trial)) for kind in kinds]
+    return play(generate(params), specs, prefix_rounds, trial)
 
 
 def _trial_task(args: tuple) -> list[RunStats]:
@@ -174,12 +222,8 @@ def _pair_summary(
     k = first.grid_k
     t = len(runs)
     # exact integer sums first, float conversion last
-    sum_on = sum(s.online_total.at_scale(k) for s in runs)
-    sum_off = sum(s.offline_total.at_scale(k) for s in runs)
-    if sum_off == 0:
-        agg = 1.0 if sum_on == 0 else float("inf")
-    else:
-        agg = float(Fraction(sum_on, sum_off))
+    sum_on = sum(s.online_total for s in runs)
+    sum_off = sum(s.offline_total for s in runs)
     return {
         "schema_version": SCHEMA_VERSION,
         "n": first.n,
@@ -192,7 +236,7 @@ def _pair_summary(
         "se_online": ratio_rep.details["se_online"],
         "mean_offline": float(Fraction(sum_off, t << k)),
         "se_offline": ratio_rep.details["se_offline"],
-        "aggregate_ratio": agg,
+        "aggregate_ratio": ratio_rep.observed,
         "ratio_bound": ratio_rep.bound,
         "lemma2_pass": lemma2_rep.passed,
         "theorem_pass": ratio_rep.passed,

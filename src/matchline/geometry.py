@@ -54,13 +54,6 @@ class Coord:
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.k)
 
-    @property
-    def value(self) -> float:
-        return self.num / (1 << self.k)
-
-    def __float__(self) -> float:
-        return self.value
-
     def normalized(self) -> "Coord":
         """Equivalent Coord with the smallest scale (0 for zero)."""
         num, k = self.num, self.k
@@ -129,10 +122,6 @@ def coord_from_integer(j: int, k: int) -> Coord:
     if k + j.bit_length() > MAX_COORD_BITS:
         raise CoordOverflowError(f"{j} at scale {k} exceeds {MAX_COORD_BITS} bits")
     return Coord(j << k, k)
-
-
-def abs_distance(a: Coord, b: Coord) -> Coord:
-    return abs(a - b)
 
 
 def common_scale(*groups: Iterable[Coord]) -> int:

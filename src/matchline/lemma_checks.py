@@ -26,13 +26,14 @@ trials; exact checks use none.
 
 Multiple comparisons: each 3-SE comparison is one-sided, so it falsely
 fails with probability about 0.00135 when the true mean sits exactly at
-its bound.  lemma2_empirical makes one comparison per round and policy;
-the acceptance gate's per-round criterion makes 72 (4 policies x 18 rounds
-over n = 255 and 1023), so its family-wise false-fail rate is at most
-72 x 0.00135 = 9.7 % by the Bonferroni bound.  That bound applies only if
-every true round mean sat exactly at (n+1)/12; at the gate's seed the
-smallest of the 72 round means is 1.627 times (n+1)/12 and 22.7 standard
-errors above it, so a false fail is far less likely than that bound.
+its bound.  The lemma2_empirical report makes one comparison per round
+and policy; the acceptance gate's per-round criterion makes 72 (4
+policies x 18 rounds over n = 255 and 1023), so its family-wise
+false-fail rate is at most 72 x 0.00135 = 9.7 % by the Bonferroni
+bound.  That bound applies only if every true round mean sat exactly at
+(n+1)/12; at the gate's seed the smallest of the 72 round means is 1.627
+times (n+1)/12 and 22.7 standard errors above it, so a false fail is far
+less likely than that bound.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from matchline.adversary import (
     origin_round_numerators,
     rounds_for,
 )
-from matchline.algorithms import AlgorithmSpec, RunStats, run_trials
+from matchline.algorithms import RunStats
 from matchline.rng import Stream, stream_key
 
 _TAG_TRIAL = "trial"
@@ -90,28 +91,6 @@ class RoundConfig:
             if s <= prev:
                 raise ValueError("free servers must be strictly increasing")
             prev = s
-
-    @property
-    def subintervals(self) -> int:
-        return (self.n + 1) >> self.r
-
-    def segment_lengths(self) -> list[list[int]]:
-        """Per cell, the integer gaps cut by the free servers interior to it."""
-        width = 1 << self.r
-        out: list[list[int]] = []
-        idx = 0
-        free = self.free_servers
-        for m in range(self.subintervals):
-            a = m * width
-            b = a + width
-            cuts = [a]
-            while idx < len(free) and free[idx] < b:
-                if free[idx] > a:
-                    cuts.append(free[idx])
-                idx += 1
-            cuts.append(b)
-            out.append([cuts[t + 1] - cuts[t] for t in range(len(cuts) - 1)])
-        return out
 
 
 def _sum_squared_segments(n: int, r: int, free: np.ndarray) -> tuple[int, int]:
@@ -194,9 +173,11 @@ def _mean_se(xs: np.ndarray) -> tuple[float, float]:
     return float(xs.mean()), math.sqrt(float(xs.var(ddof=1)) / xs.size)
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials for a standard error, got {trials}")
+def _grid_k(n: int, grid_k: int | None) -> int:
+    """grid_k, or the default for n, validated by GenParams before any use."""
+    k = default_grid_k(n) if grid_k is None else grid_k
+    GenParams(i=rounds_for(n), grid_k=k, seed=0)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +240,7 @@ def lemma1_distance_mc(
     i = rounds_for(n)
     if trials < 100:
         raise ValueError("need at least 100 trials for a stable standard error")
-    k = default_grid_k(n) if grid_k is None else grid_k
+    k = _grid_k(n, grid_k)
     # exact integer accumulation: trials * max distance must stay in int64
     if i + k + 1 + trials.bit_length() > 63:
         raise ValueError("trials too large for exact accumulation at this grid")
@@ -301,7 +282,7 @@ def offline_cost_mc(
     i = rounds_for(n)
     if trials < 100:
         raise ValueError("need at least 100 trials for a stable standard error")
-    k = default_grid_k(n) if grid_k is None else grid_k
+    k = _grid_k(n, grid_k)
     scale = float(1 << k)
     total = 0
     totals = np.empty(trials, dtype=np.float64)
@@ -414,12 +395,9 @@ def lemma2_config_property(
     )
 
 
-def _normalize_kind(spec: AlgorithmSpec | str) -> str:
-    return spec.kind if isinstance(spec, AlgorithmSpec) else spec
-
-
 def empirical_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport:
-    """Per-round floor report computed from already-collected runs."""
+    """Per-round floor report from already-collected runs: every round's
+    mean cost must be >= (n+1)/12 - 3 SE."""
     first = stats[0]
     n = first.n
     floor = (n + 1) / 12.0
@@ -429,7 +407,7 @@ def empirical_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport
     passed = True
     observed, se_at_min = 0.0, 0.0
     if rounds_played:
-        mat = np.array([[c.value for c in s.round_costs] for s in stats], dtype=np.float64)
+        mat = np.array([s.round_costs for s in stats], dtype=np.int64) / 2.0**first.grid_k
         worst_margin = None
         for idx in range(rounds_played):
             mean, se = _mean_se(mat[:, idx])
@@ -460,26 +438,6 @@ def empirical_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport
     )
 
 
-def lemma2_empirical(
-    n: int,
-    spec: AlgorithmSpec | str,
-    trials: int,
-    seed: int,
-    grid_k: int | None = None,
-    request_order: str = "left_to_right",
-    prefix_rounds: int = 0,
-) -> LemmaReport:
-    """Monte Carlo check that every round's mean cost is >= (n+1)/12 - 3 SE.
-
-    Per-trial seeds derive from (seed, trial); any seed carried inside an
-    AlgorithmSpec argument is ignored, so results do not depend on it.
-    """
-    _check_trials(trials)
-    kind = _normalize_kind(spec)
-    stats = run_trials(n, kind, trials, seed, grid_k, request_order, prefix_rounds)
-    return empirical_report_from_stats(stats, seed)
-
-
 # ---------------------------------------------------------------------------
 # theorem
 
@@ -487,15 +445,17 @@ def lemma2_empirical(
 def ratio_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport:
     """Aggregate-ratio report computed from already-collected runs.
 
-    Passes when both finite-n inequalities hold; the aggregate ratio and its
+    Passes when both finite-n inequalities behind the ratio floor hold:
+    mean online total >= (n+1) i/12 - 3 SE and mean offline total
+    <= n sqrt(i) + 3 + n 2^-grid_k + 3 SE.  The aggregate ratio and its
     floor sqrt(i)/12 are information only, since any ratio is at least 1.
     """
     first = stats[0]
     n = first.n
     i = rounds_for(n)
     k = first.grid_k
-    on_nums = [s.online_total.at_scale(k) for s in stats]
-    off_nums = [s.offline_total.at_scale(k) for s in stats]
+    on_nums = [s.online_total for s in stats]
+    off_nums = [s.offline_total for s in stats]
     sum_on = sum(on_nums)
     sum_off = sum(off_nums)
     if sum_off == 0:
@@ -545,22 +505,3 @@ def ratio_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport:
             "seed": seed,
         },
     )
-
-
-def theorem_ratio(
-    n: int,
-    spec: AlgorithmSpec | str,
-    trials: int,
-    seed: int,
-    grid_k: int | None = None,
-    request_order: str = "left_to_right",
-) -> LemmaReport:
-    """Monte Carlo check of the two finite-n aggregate inequalities behind
-    the ratio floor sqrt(log2(n+1))/12: mean online total
-    >= (n+1) log2(n+1)/12 - 3 SE and mean offline total
-    <= n sqrt(log2(n+1)) + 3 + n 2^-grid_k + 3 SE.  Passes when both hold.
-    """
-    _check_trials(trials)
-    kind = _normalize_kind(spec)
-    stats = run_trials(n, kind, trials, seed, grid_k, request_order)
-    return ratio_report_from_stats(stats, seed)

@@ -119,8 +119,3 @@ class Stream:
         self.counter += count
         counters = np.arange(start, start + count, dtype=np.uint64)
         return mix64_array(np.uint64(self.key) + counters * np.uint64(GAMMA))
-
-    def bits_block(self, b: int, count: int) -> np.ndarray:
-        if not 1 <= b <= 64:
-            raise ValueError(f"bit width out of range: {b}")
-        return self.u64_block(count) >> np.uint64(64 - b)

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-from matchline.algorithms import ALGORITHM_KINDS, run_trial
 from matchline.experiments import ExperimentConfig, run_suite, write_outputs
 from matchline.geometry import Coord
 from matchline.lemma_checks import (
@@ -43,13 +42,8 @@ def exact_moment_reports():
 
 @pytest.fixture(scope="module")
 def heavy_stats():
-    # the runs of run_trials(n, kind, 500, ACCEPT_SEED), one instance per (n, trial)
-    out = {(n, kind): [] for n in (255, 1023) for kind in ALGORITHM_KINDS}
-    for n in (255, 1023):
-        for t in range(500):
-            for st in run_trial(n, ALGORITHM_KINDS, t, ACCEPT_SEED):
-                out[(n, st.algorithm)].append(st)
-    return out
+    # 500 runs per (n, policy), one instance per (n, trial)
+    return run_suite(ExperimentConfig(n_list=(255, 1023), trials=500, seed=ACCEPT_SEED)).stats
 
 
 def test_criterion_01_exact_mean_identity(exact_moment_reports):

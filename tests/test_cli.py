@@ -36,15 +36,42 @@ def test_generate_golden_bytes(tmp_path):
     assert instance_from_jsonl(golden.decode("utf-8")) == generate(params)
 
 
+RUNNER_ARGV = {
+    "ratio": ["--n", "255", "--trials", "100"],
+    "lemma2": [
+        "--n", "63", "--alg", "greedy_nearest,batch_round_optimal,permutation,random_free",
+        "--order", "shuffled", "--trials", "200",
+    ],
+}
+
+
+def _golden_dir(command, argv):
+    # lemma2 --alg and ratio play policies; their bytes live in golden_runner
+    runner = command == "ratio" or "--alg" in argv
+    return ROOT / "tests" / "data" / ("golden_runner" if runner else "golden_lemma_n255") / command
+
+
 @pytest.mark.parametrize("command, argv", [
     ("lemma1", ["--n", "255", "--trials", "100"]),
     ("lemma2", ["--n", "255", "--trials", "50"]),
     ("oracle", ["--n", "7"]),
+    ("ratio", RUNNER_ARGV["ratio"]),
+    ("lemma2", RUNNER_ARGV["lemma2"]),
 ])
 def test_lemma_golden_bytes(tmp_path, capsys, command, argv):
-    # pinned stdout and reports.json of the exact and sampled lemma checks
-    golden = ROOT / "tests" / "data" / "golden_lemma_n255" / command
+    # pinned stdout and reports.json of the lemma checks and the policy runs
+    golden = _golden_dir(command, argv)
     assert cli.main([command, *argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (golden / "stdout.txt").read_text(encoding="utf-8")
+    assert (tmp_path / "reports.json").read_bytes() == (golden / "reports.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(RUNNER_ARGV))
+def test_runner_golden_bytes_at_two_workers(tmp_path, capsys, command):
+    # the goldens were written at --workers 1; two workers give the same bytes
+    argv = RUNNER_ARGV[command]
+    golden = _golden_dir(command, argv)
+    assert cli.main([command, *argv, "--workers", "2", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == (golden / "stdout.txt").read_text(encoding="utf-8")
     assert (tmp_path / "reports.json").read_bytes() == (golden / "reports.json").read_bytes()
 
@@ -224,6 +251,32 @@ def test_one_trial_statistics_exit_two(argv, capsys):
     assert "at least 2 trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--n", "7,7", "--trials", "2", "--alg", "greedy_nearest"], "duplicate n"),
+    (
+        ["lemma2", "--n", "7", "--trials", "2", "--alg", "greedy_nearest,greedy_nearest"],
+        "duplicate algorithm",
+    ),
+    (
+        ["lemma2", "--n", "7", "--alg", "greedy_nearest,batch_round_optimal",
+         "--grid-k", "0", "--trials", "2000"],
+        "strictly finer than the integers",
+    ),
+    (["ratio", "--n", "7", "--trials", "100", "--grid-k", "-1"], "grid_k must be at least 1"),
+    (["lemma1", "--n", "7", "--trials", "100", "--grid-k", "-1"], "grid_k must be non-negative"),
+])
+def test_bad_suite_input_exits_two(argv, message, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "shift count" not in err
+
+
+def test_generate_accepts_integer_grid(capsys):
+    # only the commands that judge the per-round floor need grid_k >= 1
+    assert cli.main(["generate", "--n", "3", "--grid-k", "0"]) == 0
+    assert '"k":0' in capsys.readouterr().out
+
+
 def test_grid_k_past_width_rule_exits_two(capsys):
     rc = cli.main(["run", "--n", "7", "--trials", "2", "--grid-k", "55"])
     assert rc == 2
@@ -240,6 +293,34 @@ def test_public_names_resolve():
                 module = importlib.import_module(node.module)
                 for alias in node.names:
                     assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
+
+
+LAYERS = (
+    "geometry", "rng", "adversary", "offline", "algorithms",
+    "lemma_checks", "oracle", "experiments", "cli",
+)
+
+
+def test_modules_import_only_lower_layers():
+    # one trial runner: lemma_checks may never reach up into experiments
+    src = Path(matchline.__file__).parent
+    assert sorted(p.stem for p in src.glob("*.py")) == sorted((*LAYERS, "__init__"))
+    for rank, name in enumerate(LAYERS):
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0, f"{name}: relative import"
+                targets = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            else:
+                continue
+            for target in targets:
+                parts = target.split(".")
+                if parts[0] != "matchline":
+                    continue
+                assert len(parts) == 2, f"{name} imports {target}"
+                assert LAYERS.index(parts[1]) < rank, f"{name} imports {target}"
 
 
 def test_failing_report_exits_one(monkeypatch, capsys):

@@ -17,7 +17,6 @@ from matchline.experiments import (
     run_suite,
     write_outputs,
 )
-from matchline.geometry import Coord
 from matchline.lemma_checks import ratio_report_from_stats
 
 DATA = Path(__file__).parent / "data"
@@ -43,6 +42,15 @@ def test_config_validation():
         ExperimentConfig(n_list=(3,), trials=2, workers=0)
     with pytest.raises(ValueError):
         ExperimentConfig(n_list=(3,), trials=2, request_order="sideways")
+    # a repeated size would run each of its (n, trial) tasks twice
+    with pytest.raises(ValueError, match="duplicate n"):
+        ExperimentConfig(n_list=(7, 3, 7), trials=2)
+    # the per-round floor is false on the integer grid (see
+    # test_integer_grid_breaks_the_round_floor)
+    ExperimentConfig(n_list=(7,), trials=2, grid_k=1)
+    for grid_k in (0, -1):
+        with pytest.raises(ValueError, match="strictly finer than the integers"):
+            ExperimentConfig(n_list=(7,), trials=2, grid_k=grid_k)
 
 
 def test_config_json_omits_local_machine_fields():
@@ -66,7 +74,9 @@ def test_suite_result_shapes():
     # two rounds at n=3, three at n=7, per algorithm
     assert len(res.round_rows) == (2 + 3) * 2
     assert len(res.reports) == 8
-    assert all(len(v) == 2 for v in res.stats.values())
+    for (n, kind), runs in res.stats.items():
+        assert [st.trial for st in runs] == [0, 1]
+        assert all(st.n == n and st.algorithm == kind for st in runs)
 
 
 def test_golden_output_bytes(tmp_path):
@@ -129,11 +139,10 @@ def test_pool_never_larger_than_task_count(monkeypatch, tmp_path):
 
 def _flat_run(trial, total_num):
     # n = 3 at grid_k 1 whose online total equals its offline total
-    total = Coord(total_num, 1)
     return RunStats(
         n=3, algorithm="greedy_nearest", instance_seed=0, grid_k=1, trial=trial,
-        prefix_rounds=0, prefix_cost=Coord(0, 1), round_costs=(Coord(0, 1), total),
-        online_total=total, offline_total=total, ratio=1.0,
+        prefix_rounds=0, prefix_cost=0, round_costs=(0, total_num),
+        online_total=total_num, offline_total=total_num, ratio=1.0,
     )
 
 

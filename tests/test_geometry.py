@@ -7,7 +7,6 @@ import pytest
 from matchline.geometry import (
     Coord,
     CoordOverflowError,
-    abs_distance,
     common_scale,
     coord_from_integer,
 )
@@ -30,22 +29,6 @@ def test_coord_from_integer_overflow():
 def test_coord_rejects_bad_scale():
     with pytest.raises(ValueError):
         Coord(1, -1)
-
-
-def test_abs_distance_cases():
-    two = coord_from_integer(2, 5)
-    assert abs_distance(two, two) == Coord(0, 0)
-    assert abs_distance(coord_from_integer(1, 3), coord_from_integer(4, 3)).as_fraction() == 3
-
-
-def test_abs_distance_properties():
-    s = Stream(7, "dist")
-    pts = [Coord(s.randbelow(1 << 12), s.randbelow(8)) for _ in range(60)]
-    for a, b in zip(pts, pts[1:]):
-        assert abs_distance(a, b) == abs_distance(b, a)
-    for a, b, c in zip(pts, pts[1:], pts[2:]):
-        lhs = abs_distance(a, c).as_fraction()
-        assert lhs <= abs_distance(a, b).as_fraction() + abs_distance(b, c).as_fraction()
 
 
 def test_arithmetic_is_exact():

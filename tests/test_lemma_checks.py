@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from matchline.experiments import ExperimentConfig, run_suite
 from matchline.lemma_checks import (
     LemmaReport,
     RoundConfig,
@@ -11,11 +12,9 @@ from matchline.lemma_checks import (
     lemma1_distance_mc,
     lemma1_exact,
     lemma2_config_property,
-    lemma2_empirical,
     offline_cost_mc,
     reachable_free_count,
     render_reports,
-    theorem_ratio,
 )
 from matchline.rng import Stream
 
@@ -44,15 +43,15 @@ def test_round_config_validation():
 
 
 def test_segment_decomposition():
-    cfg = RoundConfig(7, 2, (1,))
-    # cell [0,4) is cut at 1; cell [4,8) has no interior free server
-    assert cfg.segment_lengths() == [[1, 3], [4]]
+    # cell [0,4) is cut at 1 into 1 + 3; cell [4,8) has no interior free
+    # server: sum d^2 / (4 * 2^r) = (1 + 9 + 16) / 16
+    assert config_lower_bound(RoundConfig(7, 2, (1,))) == Fraction(26, 16)
 
 
 def test_boundary_server_is_not_interior():
     # server 4 sits on the cell boundary of round 2 and cuts nothing
-    cfg = RoundConfig(7, 2, (4,))
-    assert cfg.segment_lengths() == [[4], [4]]
+    whole = config_lower_bound(RoundConfig(7, 2, ()))
+    assert config_lower_bound(RoundConfig(7, 2, (4,))) == whole == Fraction(32, 16)
 
 
 def test_config_lower_bound_all_free_round1():
@@ -106,6 +105,13 @@ def test_lemma1_distance_mc_small():
 def test_lemma1_distance_mc_validates_trials():
     with pytest.raises(ValueError):
         lemma1_distance_mc(7, trials=99, seed=0)
+
+
+@pytest.mark.parametrize("check", [lemma1_distance_mc, offline_cost_mc])
+def test_monte_carlo_rejects_negative_grid_k(check):
+    # checked before the scale 2^grid_k is formed
+    with pytest.raises(ValueError, match="grid_k must be non-negative"):
+        check(7, trials=100, seed=0, grid_k=-1)
 
 
 def test_lemma1_distance_mc_deterministic():
@@ -162,8 +168,15 @@ def test_lemma2_config_sample_validation():
         lemma2_config_property(255, 2, samples=0)
 
 
+def _suite_report(lemma_id, kind, n, **kw):
+    """The one report of lemma_id from a one-policy, one-size suite."""
+    res = run_suite(ExperimentConfig(n_list=(n,), algorithms=(kind,), **kw))
+    (rep,) = [rep for rep in res.reports if rep.lemma_id == lemma_id]
+    return rep
+
+
 def test_lemma2_empirical_single_round():
-    rep = lemma2_empirical(1, "greedy_nearest", trials=300, seed=11)
+    rep = _suite_report("lemma2_empirical", "greedy_nearest", 1, trials=300, seed=11)
     assert rep.passed
     assert abs(rep.observed - 0.5) < 0.1
     assert rep.bound == pytest.approx(2 / 12)
@@ -171,14 +184,16 @@ def test_lemma2_empirical_single_round():
 
 
 def test_lemma2_empirical_prefix_labels():
-    rep = lemma2_empirical(7, "greedy_nearest", trials=120, seed=2, prefix_rounds=1)
+    rep = _suite_report(
+        "lemma2_empirical", "greedy_nearest", 7, trials=120, seed=2, prefix_known_rounds=1
+    )
     assert [row["round"] for row in rep.details["per_round"]] == [2, 3]
     assert rep.details["prefix_rounds"] == 1
 
 
 def test_theorem_ratio_floor_of_one():
     # online can never beat offline, so the aggregate sits at 1 or above
-    rep = theorem_ratio(3, "batch_round_optimal", trials=200, seed=13)
+    rep = _suite_report("theorem_ratio", "batch_round_optimal", 3, trials=200, seed=13)
     assert rep.observed >= 1.0
     assert rep.passed
     assert rep.details["numerator_pass"] in (True, False)
@@ -186,8 +201,8 @@ def test_theorem_ratio_floor_of_one():
 
 
 def test_theorem_ratio_deterministic():
-    a = theorem_ratio(7, "greedy_nearest", trials=150, seed=21)
-    b = theorem_ratio(7, "greedy_nearest", trials=150, seed=21)
+    a = _suite_report("theorem_ratio", "greedy_nearest", 7, trials=150, seed=21)
+    b = _suite_report("theorem_ratio", "greedy_nearest", 7, trials=150, seed=21)
     assert a.to_json_dict() == b.to_json_dict()
 
 

@@ -50,7 +50,7 @@ def _enumerated_game_value(cfg, grid_k):
     pts = 1 << (cfg.r + grid_k)
     servers = [Coord(s << grid_k, grid_k) for s in cfg.free_servers]
     width = 1 << cfg.r
-    cells = [(m * width, (m + 1) * width) for m in range(cfg.subintervals)]
+    cells = [(m * width, (m + 1) * width) for m in range((cfg.n + 1) >> cfg.r)]
     total = Fraction(0)
     count = 0
     for nums in itertools.product(

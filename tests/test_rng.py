@@ -82,14 +82,6 @@ def test_u64_block_matches_scalar_draws():
     assert s.u64() == t.u64()
 
 
-def test_bits_block_range():
-    s = Stream(5, "bits")
-    got = s.bits_block(3, 1000)
-    assert got.min() >= 0 and got.max() <= 7
-    t = Stream(5, "bits")
-    assert got.tolist() == [t.bits(3) for _ in range(1000)]
-
-
 def test_randbelow_bounds_and_determinism():
     s = Stream(31, "rb")
     draws = [s.randbelow(10) for _ in range(2000)]
