@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Callable, Sequence
 
 import numpy as np
@@ -146,48 +147,46 @@ def _batch(free: list[int], seed: int) -> Kernel:
 
 
 # ---------------------------------------------------------------------------
-# Permutation policy.
+# Permutation policy: the two-neighbour block rule.
 #
-# Invariant: the servers used so far form an optimal matching of the requests
-# seen so far.  For a new request x there is an optimal matching of
-# R U {x} that uses the old servers plus exactly one new one, so the policy
-# evaluates, for every free server s, the perfect rank-pairing cost of
-# R U {x} against used U {s}, and serves x with the best such s (leftmost on
-# ties).  Inserting s at rank p pairs R[a] with U[a] below p and R[a+1] with
-# U[a] from p on, so up to a constant every candidate costs
-#   sum_{a<p} (|R[a] - U[a]| - |R[a+1] - U[a]|) + |R[p] - s|,
-# one prefix sum for all candidates.  R, U and the free servers live in
-# preallocated buffers that shift by slice assignment.
+# Invariant: the used servers U are an optimal server set, within the pool,
+# for the requests seen so far; with D(y) = #seen <= y - #U <= y the
+# matching cost is the integral of |D|.  Request x goes to s_L or s_R, the
+# free servers around it (s_L < x <= s_R), exactly as a scan of every free
+# server would choose, leftmost on ties:
+#  (a) D = 0 at every free server f.  Otherwise a run of D >= 1 (or <= -1)
+#      touches f and ends at a used server u, and moving u to f lowers the
+#      cost by |u - f| > 0.  So the requests split into blocks between
+#      consecutive free servers, each holding as many requests as servers.
+#  (b) Serving x with s costs a constant plus
+#        H(s) = integral_{-inf}^{s} (2 [D(y) + [y >= x] >= 1] - 1) dy.
+#      By (a) and one exchange argument each whole block beyond s_R adds a
+#      strictly positive amount to H, each one before s_L a strictly
+#      negative one, so every other free server costs strictly more.
+#  (c) With Q the seen requests between s_L and s_R plus x, sorted, and j
+#      the pool rank of s_L, the two matchings agree outside the block, so
+#      H(s_R) - H(s_L) = sum_a |Q[a] - pool[j+1+a]| - sum_a |Q[a] - pool[j+a]|.
 
 
 def _permutation(free: list[int], seed: int) -> Kernel:
-    size = len(free)
-    req = np.empty(size, dtype=np.int64)  # requests seen, sorted
-    used = np.empty(size, dtype=np.int64)  # servers used, sorted
-    avail = np.array(free, dtype=np.int64)  # mirrors `free`
-    rank = np.zeros(size, dtype=np.intp)  # used servers left of each free one
-    gain = np.zeros(size + 1, dtype=np.int64)
-    seen = 0
+    pool = list(free)  # the kernel's servers, used or free
+    seen: list[int] = []  # requests served so far, sorted
 
     def serve(requests: Sequence[int]) -> int:
-        nonlocal seen
         _check_capacity(free, requests)
         total = 0
         for x in requests:
-            t, m = seen, len(free)
-            pos = int(req[:t].searchsorted(x, "right"))
-            req[pos + 1 : t + 1] = req[pos:t]
-            req[pos] = x
-            R, U, F, p = req[: t + 1], used[:t], avail[:m], rank[:m]
-            np.add.accumulate(np.abs(R[:-1] - U) - np.abs(R[1:] - U), out=gain[1 : t + 1])
-            best = int((gain[p] + np.abs(R[p] - F)).argmin())  # first minimum
-            s, q = free.pop(best), int(p[best])
-            used[q + 1 : t + 1] = used[q:t]
-            used[q] = s
-            avail[best : m - 1] = avail[best + 1 : m]
-            rank[best : m - 1] = rank[best + 1 : m] + 1
-            seen = t + 1
-            total += abs(x - s)
+            b = bisect.bisect_left(free, x)
+            if 0 < b < len(free):
+                lo, hi = free[b - 1], free[b]
+                block = seen[bisect.bisect_right(seen, lo) : bisect.bisect_left(seen, hi)]
+                bisect.insort(block, x)
+                j = bisect.bisect_left(pool, lo)
+                srv = pool[j : j + len(block) + 1]
+                if sum(map(abs, map(sub, block, srv[1:]))) >= sum(map(abs, map(sub, block, srv))):
+                    b -= 1
+            total += abs(x - free.pop(min(b, len(free) - 1)))  # x right of all: the last
+            bisect.insort(seen, x)
         return total
 
     return serve

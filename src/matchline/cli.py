@@ -88,6 +88,8 @@ class _Options:
         raw = self._raw(key, fallback)
         if raw is None:
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
+        if key == "n" and "," in raw:
+            raise ValueError(f"--n {raw}: this command takes one size, not a list")
         return int(raw)
 
     def opt_int(self, key: str) -> int | None:
@@ -320,7 +322,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _Options(args)
-        return args.handler(opts)
+        try:
+            return args.handler(opts)
+        except MemoryError as exc:
+            detail = f": {exc}" if str(exc) else ""
+            raise ValueError(f"out of memory at --n {opts.str_value('n')}{detail}") from None
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

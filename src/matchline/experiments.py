@@ -276,13 +276,7 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
             reports.extend((lemma2_rep, ratio_rep))
             summary_rows.append(_pair_summary(runs, (lemma2_rep, ratio_rep), config))
             round_rows.extend(_pair_round_rows(lemma2_rep))
-    result = SuiteResult(
-        config=config,
-        stats=stats,
-        summary_rows=summary_rows,
-        round_rows=round_rows,
-        reports=reports,
-    )
+    result = SuiteResult(config, stats, summary_rows, round_rows, reports)
     if config.out_dir is not None:
         write_outputs(result, config.out_dir)
     return result

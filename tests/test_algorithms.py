@@ -12,6 +12,7 @@ from matchline.adversary import (
     Instance,
     ORDER_SHUFFLED,
     check_round_numerators,
+    default_grid_k,
     generate,
 )
 from matchline.algorithms import (
@@ -226,6 +227,129 @@ def test_permutation_used_set_stays_offline_optimal():
     for _ in range(150):
         vals = sorted({s.randbelow(300) for _ in range(2 + s.randbelow(7))})
         check(vals, [s.randbelow(320) for _ in range(1 + s.randbelow(len(vals)))])
+
+
+def _permutation_scan(free, seed):
+    """Brute-force oracle for the permutation kernel: scan every free server.
+
+    Inserting s at rank p into the used servers U pairs R[a] with U[a] below
+    p and R[a+1] with U[a] from p on (R: the requests seen, x included), so
+    up to a constant every candidate costs
+      sum_{a<p} (|R[a] - U[a]| - |R[a+1] - U[a]|) + |R[p] - s|,
+    one prefix sum for all candidates; the first minimum wins.
+    """
+    size = len(free)
+    req = np.empty(size, dtype=np.int64)  # requests seen, sorted
+    used = np.empty(size, dtype=np.int64)  # servers used, sorted
+    avail = np.array(free, dtype=np.int64)  # mirrors `free`
+    rank = np.zeros(size, dtype=np.intp)  # used servers left of each free one
+    gain = np.zeros(size + 1, dtype=np.int64)
+    seen = 0
+
+    def serve(requests):
+        nonlocal seen
+        assert len(requests) <= len(free)
+        total = 0
+        for x in requests:
+            t, m = seen, len(free)
+            pos = int(req[:t].searchsorted(x, "right"))
+            req[pos + 1 : t + 1] = req[pos:t]
+            req[pos] = x
+            R, U, F, p = req[: t + 1], used[:t], avail[:m], rank[:m]
+            np.add.accumulate(np.abs(R[:-1] - U) - np.abs(R[1:] - U), out=gain[1 : t + 1])
+            best = int((gain[p] + np.abs(R[p] - F)).argmin())
+            s, q = free.pop(best), int(p[best])
+            used[q + 1 : t + 1] = used[q:t]
+            used[q] = s
+            avail[best : m - 1] = avail[best + 1 : m]
+            rank[best : m - 1] = rank[best + 1 : m] + 1
+            seen = t + 1
+            total += abs(x - s)
+        return total
+
+    return serve
+
+
+def _pool_case(s):
+    """A random post-prefix-like pool (servers j << k with holes) and 1-4
+    rounds of requests: uniform on [0, (n+1) << k], on or next to a server,
+    or clustered around an earlier request (duplicates included)."""
+    n = (1 << (1 + s.randbelow(7))) - 1
+    k = (0, 1, 2, 5)[s.randbelow(4)]
+    keep = 1 + s.randbelow(4)
+    pool = [j << k for j in range(1, n + 1) if s.randbelow(4) < keep] or [n << k]
+    top = (n + 1) << k
+    reqs = []
+    for _ in range(1 + s.randbelow(len(pool))):
+        mode = s.randbelow(3)
+        if mode == 0 or not reqs:
+            x = s.randbelow(top + 1)
+        elif mode == 1:
+            x = pool[s.randbelow(len(pool))] + s.randbelow(3) - 1
+        else:
+            x = reqs[s.randbelow(len(reqs))] + s.randbelow(5) - 2
+        reqs.append(min(max(x, 0), top))
+    cuts = sorted({1 + s.randbelow(len(reqs)) for _ in range(s.randbelow(4))} | {len(reqs)})
+    return pool, [reqs[a:b] for a, b in zip([0, *cuts], cuts)]
+
+
+def test_permutation_block_rule_matches_scan():
+    s = Stream(71, "perm-scan")
+    for _ in range(2500):
+        pool, rounds = _pool_case(s)
+        fast_free, scan_free = list(pool), list(pool)
+        fast = kernel("permutation", fast_free)
+        scan = _permutation_scan(scan_free, 0)
+        for reqs in rounds:
+            assert fast(reqs) == scan(reqs), (pool, rounds)
+            assert fast_free == scan_free, (pool, rounds)
+
+
+@pytest.mark.parametrize("i", [10, 12])
+def test_permutation_play_matches_scan(i, monkeypatch):
+    inst = generate(
+        GenParams(i=i, grid_k=default_grid_k((1 << i) - 1), seed=i, request_order=ORDER_SHUFFLED)
+    )
+    spec = [AlgorithmSpec("permutation")]
+    fast = [play(inst, spec, prefix) for prefix in (0, 2)]
+    monkeypatch.setitem(_KERNELS, "permutation", _permutation_scan)
+    assert fast == [play(inst, spec, prefix) for prefix in (0, 2)]
+
+
+def test_permutation_request_left_of_every_free_server():
+    # 2 sits on a free server and takes it; 0 then lies left of {1, 3, 4}
+    free = at4([1, 2, 3, 4])
+    serve = kernel("permutation", free)
+    assert serve_one(serve, free, 2 << 4) == (2 << 4, 0)
+    assert serve_one(serve, free, 0) == (1 << 4, 1 << 4)
+
+
+def test_permutation_request_right_of_every_free_server():
+    # n = 3, k = 4: 3 takes server 3, then (n + 1) << k lies right of {1, 2}
+    free = at4([1, 2, 3])
+    serve = kernel("permutation", free)
+    assert serve_one(serve, free, 3 << 4) == (3 << 4, 0)
+    assert serve_one(serve, free, 4 << 4) == (2 << 4, 2 << 4)
+
+
+def test_permutation_request_on_free_server_inside_block():
+    # 2.5 ties between 2 and 3 and takes 2; then 3 sits on the free server
+    # s_R = 3 with the block {2.5} between s_L = 1 and it: cost_L = 24 + 16,
+    # cost_R = 8 + 0, so it takes 3
+    free = at4([1, 2, 3, 4])
+    serve = kernel("permutation", free)
+    assert serve_one(serve, free, 40) == (2 << 4, 8)
+    assert serve_one(serve, free, 3 << 4) == (3 << 4, 0)
+
+
+def test_permutation_tie_goes_left():
+    # 2 takes server 2; the second 2 sees cost_L = |2-1| + |2-2| = 1 and
+    # cost_R = |2-2| + |2-3| = 1 and takes the left neighbour
+    free = [1, 2, 3]
+    serve = kernel("permutation", free)
+    assert serve_one(serve, free, 2) == (2, 0)
+    assert serve_one(serve, free, 2) == (1, 1)
+    assert free == [3]
 
 
 def test_random_free_single_choice():

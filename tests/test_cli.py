@@ -264,11 +264,35 @@ def test_one_trial_statistics_exit_two(argv, capsys):
     ),
     (["ratio", "--n", "7", "--trials", "100", "--grid-k", "-1"], "grid_k must be at least 1"),
     (["lemma1", "--n", "7", "--trials", "100", "--grid-k", "-1"], "grid_k must be non-negative"),
+    (["ratio", "--n", "7,15", "--trials", "2"], "this command takes one size"),
+    (["lemma1", "--n", "7,15", "--trials", "100"], "this command takes one size"),
+    (["oracle", "--n", "3,7"], "this command takes one size"),
+    (["generate", "--n", "7,15"], "this command takes one size"),
 ])
 def test_bad_suite_input_exits_two(argv, message, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert message in err and "shift count" not in err
+    assert message in err and "shift count" not in err and "int()" not in err
+
+
+@pytest.mark.parametrize("target, argv, detail", [
+    (
+        "lemma2_config_property",
+        ["lemma2", "--n", "2147483647", "--trials", "2"],
+        "Unable to allocate 16.0 GiB",
+    ),
+    ("run_suite", ["run", "--n", "4095", "--trials", "2"], ""),
+])
+def test_out_of_memory_exits_two(target, argv, detail, monkeypatch, capsys):
+    # the allocation itself is never attempted: the command raises at once
+    def exhausted(*args, **kwargs):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr(cli, target, exhausted)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: out of memory at --n {argv[2]}")
+    assert detail in err and "Traceback" not in err
 
 
 def test_generate_accepts_integer_grid(capsys):
