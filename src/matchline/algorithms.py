@@ -15,8 +15,9 @@ j << grid_k), and a kernel serves one round, removes the servers it used and
 returns the round's cost.  Vectorized kernels run on int64 arrays, which
 GenParams' width rule keeps free of overflow.
 
-play() takes an Instance (per-round origin numerators) and plays every
-requested policy on it; a trial generates its instance once and calls it.
+play() plays a block of instances of one size (per-round origin numerators)
+with every requested policy, one round at a time across the block, so the
+batch policy and the known-prefix batch solve one stacked DP per round.
 Costs stay integer numerators; Coord appears only in RunStats.to_json_dict.
 """
 
@@ -44,7 +45,8 @@ _TAG_CHOICE = "choice"
 
 # A kernel factory takes (free, seed) and returns serve(requests) -> cost.
 # free is the sorted list of free server numerators, shared with the caller;
-# serve removes every server it uses from it.
+# serve removes every server it uses from it.  _KERNELS holds factories for
+# blocks: (frees, seeds) -> serve(rounds) -> costs, rounds[b] into frees[b].
 Kernel = Callable[[Sequence[int]], int]
 
 
@@ -89,61 +91,61 @@ def _random_free(free: list[int], seed: int) -> Kernel:
 
     def serve(requests: Sequence[int]) -> int:
         _check_capacity(free, requests)
-        total = 0
-        for x in requests:
-            total += abs(x - free.pop(stream.randbelow(len(free))))
-        return total
+        m = len(free)
+        picks = stream.randbelow_each(range(m, m - len(requests), -1))
+        return sum(abs(x - free.pop(p)) for x, p in zip(requests, picks))
 
     return serve
 
 
 # ---------------------------------------------------------------------------
-# Batch-optimal service: min-cost matching of a round into the free servers.
+# Batch-optimal service: min-cost matching of a round into the free servers,
+# for a block of instances at once.
 #
 # With both sides sorted an optimal matching never crosses, so the DP
 #   dp[i][j] = min(dp[i][j-1], dp[i-1][j-1] + |req_i - srv_j|)
 # is exact, and row i is a running minimum of dp[i-1][j-1] + cost_j.  Row i
-# is only needed for i <= j <= i + (m - q): the first i requests take at
-# least i servers and leave m - j >= q - i for the rest.
+# is only needed for i <= j <= i + slack, slack = m - q: the first i requests
+# take at least i servers and leave m - j >= q - i for the rest.  So one band
+# row, band[s] = dp[i][i + s], serves every instance of a block (they share q
+# and m), and the traceback keeps only where a row repeats its left
+# neighbour.  Walking back from s = slack, s stays put between rows and in
+# row i steps left to the end of its run of equal values: the leftmost
+# server set on ties, in at most q + slack steps per instance.
 
 
-def _monotone_min_cost(req: np.ndarray, free: np.ndarray) -> tuple[int, list[int]]:
-    """(cost, sorted server positions) of the cheapest injection of the
-    sorted requests into the sorted free servers; the leftmost server set
-    wins ties.  Both arrays are int64."""
-    q, m = len(req), len(free)
-    slack = m - q
-    dp = np.zeros((q + 1, m + 1), dtype=req.dtype)
-    for i in range(1, q + 1):
-        cand = dp[i - 1, i - 1 : i + slack] + np.abs(req[i - 1] - free[i - 1 : i + slack])
-        np.minimum.accumulate(cand, out=dp[i, i : i + slack + 1])
-    sel: list[int] = []
-    j = m
-    for i in range(q, 0, -1):
-        row = dp[i]
-        while j - 1 >= i and row[j] == row[j - 1]:
-            j -= 1
-        j -= 1
-        sel.append(j)
-    sel.reverse()
-    return int(dp[q, m]), sel
+def _monotone_min_cost(req: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cheapest injection of each row of sorted requests req (T, q) into the
+    same row of sorted free servers free (T, m), both int64: the (T,) costs
+    and the (T, q) server positions, the leftmost server set on ties."""
+    t, q = req.shape
+    slack = free.shape[1] - q
+    band = np.zeros((t, slack + 1), dtype=np.int64)  # row 0: dp[0][j] = 0
+    same = np.zeros((q, t, slack + 1), dtype=bool)  # same[i-1, :, s]: row i at s equals s-1
+    for i in range(q):
+        cand = band + np.abs(req[:, i, None] - free[:, i : i + slack + 1])
+        np.minimum.accumulate(cand, axis=1, out=band)
+        np.equal(band[:, 1:], band[:, :-1], out=same[i, :, 1:])
+    rows = np.arange(t)
+    s = np.full(t, slack)
+    sel = np.empty((t, q), dtype=np.int64)
+    for i in range(q - 1, -1, -1):
+        while (step := same[i, rows, s]).any():
+            s = s - step
+        sel[:, i] = i + s
+    return band[:, slack], sel
 
 
-def _serve_batch(free: list[int], requests: Sequence[int]) -> int:
-    """Serve all requests at once with a minimum-cost matching."""
-    _check_capacity(free, requests)
-    if not requests:
-        return 0
-    total, sel = _monotone_min_cost(
-        np.sort(np.asarray(requests, dtype=np.int64)), np.asarray(free, dtype=np.int64)
-    )
-    for pos in reversed(sel):
-        del free[pos]
-    return total
-
-
-def _batch(free: list[int], seed: int) -> Kernel:
-    return lambda requests: _serve_batch(free, requests)
+def _serve_batch(frees: Sequence[list[int]], rounds: Sequence[Sequence[int]]) -> list[int]:
+    """Serve rounds[b] into frees[b] with a minimum-cost matching, for every
+    b at once; the rounds have one length, the free lists another."""
+    _check_capacity(frees[0], rounds[0])  # np.array refuses ragged blocks
+    srv = np.array(frees, dtype=np.int64)
+    cost, sel = _monotone_min_cost(np.sort(np.array(rounds, dtype=np.int64), axis=1), srv)
+    for free, picked in zip(frees, sel.tolist()):
+        for pos in reversed(picked):
+            del free[pos]
+    return cost.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +194,21 @@ def _permutation(free: list[int], seed: int) -> Kernel:
     return serve
 
 
+def _each(factory: Callable[[list[int], int], Kernel]) -> Callable:
+    """Block kernel factory that serves every instance with its own kernel."""
+
+    def block(frees: Sequence[list[int]], seeds: Sequence[int]) -> Callable:
+        serves = [factory(free, seed) for free, seed in zip(frees, seeds)]
+        return lambda rounds: [serve(reqs) for serve, reqs in zip(serves, rounds)]
+
+    return block
+
+
 _KERNELS = {
-    GREEDY_NEAREST: _greedy,
-    BATCH_ROUND_OPTIMAL: _batch,
-    PERMUTATION: _permutation,
-    RANDOM_FREE: _random_free,
+    GREEDY_NEAREST: _each(_greedy),
+    BATCH_ROUND_OPTIMAL: lambda frees, seeds: lambda rounds: _serve_batch(frees, rounds),
+    PERMUTATION: _each(_permutation),
+    RANDOM_FREE: _each(_random_free),
 }
 
 
@@ -247,66 +259,72 @@ class RunStats:
 
 
 def play(
-    instance: Instance,
-    specs: Sequence[AlgorithmSpec],
+    instances: Sequence[Instance],
+    specs: Sequence[Sequence[AlgorithmSpec]],
     prefix_rounds: int,
-    trial: int | None = None,
-) -> list[RunStats]:
-    """Play one instance with every spec: the first prefix_rounds rounds as
-    one optimal batch, the remaining rounds online with the spec's policy.
+    trials: Sequence[int | None],
+) -> list[list[RunStats]]:
+    """Play a block of instances of one size, instance b (trial trials[b])
+    with every spec in specs[b], the same policies in the same order: the
+    first prefix_rounds rounds as one optimal batch, the remaining rounds
+    online with the spec's policy.  One list of RunStats per instance.
 
-    The arrival orders, the prefix batch and the offline total are computed
-    once and shared; each policy gets its own copy of the free servers.
-    """
-    params = instance.params
-    if not 0 <= prefix_rounds <= params.i:
-        raise ValueError(f"prefix_rounds must be in 0..{params.i}, got {prefix_rounds}")
-    n, k = params.n, params.grid_k
-    rounds = [
-        nums[arrival_indices(params, r)].tolist()
-        for r, nums in enumerate(instance.origins, start=1)
-    ]
-    servers = np.arange(1, n + 1, dtype=np.int64) << np.int64(k)
-    offline_num = sorted_cost_num(servers, np.concatenate(instance.origins))
-    prefix_free = servers.tolist()
-    prefix_num = _serve_batch(prefix_free, [x for nums in rounds[:prefix_rounds] for x in nums])
+    An instance's arrival orders, prefix batch and offline total are shared
+    by its policies; each policy gets its own copy of the free servers."""
+    n, i = instances[0].params.n, instances[0].params.i
+    kinds = [spec.kind for spec in specs[0]]
+    if any([spec.kind for spec in row] != kinds for row in specs):
+        raise ValueError("every instance of a block must list the same policies")
+    if not 0 <= prefix_rounds <= i:
+        raise ValueError(f"prefix_rounds must be in 0..{i}, got {prefix_rounds}")
+    rounds, offline, prefix_free = [], [], []  # per instance
+    for inst in instances:
+        arrivals = enumerate(inst.origins, 1)
+        rounds.append([nums[arrival_indices(inst.params, r)].tolist() for r, nums in arrivals])
+        servers = np.arange(1, n + 1, dtype=np.int64) << np.int64(inst.params.grid_k)
+        offline.append(sorted_cost_num(servers, np.concatenate(inst.origins)))
+        prefix_free.append(servers.tolist())
+    prefix = _serve_batch(
+        prefix_free, [[x for nums in rr[:prefix_rounds] for x in nums] for rr in rounds]
+    )
 
-    out = []
-    for spec in specs:
-        free = list(prefix_free)
-        serve = _KERNELS[spec.kind](free, spec.seed)
-        round_nums: list[int] = []
-        for r, nums in enumerate(rounds[prefix_rounds:], start=prefix_rounds + 1):
-            expected_free = ((n + 1) >> (r - 1)) - 1
-            if len(free) != expected_free:
-                raise RuntimeError(f"round {r}: {len(free)} free servers, expected {expected_free}")
-            round_nums.append(serve(nums))
-
-        online_num = prefix_num + sum(round_nums)
-        if offline_num == 0:
-            ratio = 1.0 if online_num == 0 else None
-        else:
-            ratio = float(Fraction(online_num, offline_num))
-        out.append(
-            RunStats(
-                n=n,
-                algorithm=spec.kind,
-                instance_seed=params.seed,
-                grid_k=k,
-                trial=trial,
-                prefix_rounds=prefix_rounds,
-                prefix_cost=prefix_num,
-                round_costs=tuple(round_nums),
-                online_total=online_num,
-                offline_total=offline_num,
-                ratio=ratio,
+    out: list[list[RunStats]] = [[] for _ in instances]
+    for col, kind in enumerate(kinds):
+        frees = [list(free) for free in prefix_free]
+        serve = _KERNELS[kind](frees, [row[col].seed for row in specs])
+        costs = []
+        for r in range(prefix_rounds + 1, i + 1):
+            expected = ((n + 1) >> (r - 1)) - 1
+            if wrong := {len(free) for free in frees} - {expected}:
+                raise RuntimeError(f"round {r}: {min(wrong)} free servers, expected {expected}")
+            costs.append(serve([rr[r - 1] for rr in rounds]))
+        for b, inst in enumerate(instances):
+            round_nums = tuple(c[b] for c in costs)
+            online_num = prefix[b] + sum(round_nums)
+            if offline[b] == 0:
+                ratio = 1.0 if online_num == 0 else None
+            else:
+                ratio = float(Fraction(online_num, offline[b]))
+            out[b].append(
+                RunStats(
+                    n=n,
+                    algorithm=kind,
+                    instance_seed=inst.params.seed,
+                    grid_k=inst.params.grid_k,
+                    trial=trials[b],
+                    prefix_rounds=prefix_rounds,
+                    prefix_cost=prefix[b],
+                    round_costs=round_nums,
+                    online_total=online_num,
+                    offline_total=offline[b],
+                    ratio=ratio,
+                )
             )
-        )
     return out
 
 
 def run(
     instance: Instance, spec: AlgorithmSpec, trial: int | None = None, prefix_rounds: int = 0
 ) -> RunStats:
-    """play() with a single policy."""
-    return play(instance, [spec], prefix_rounds, trial)[0]
+    """play() with a single policy on a block of one instance."""
+    return play([instance], [[spec]], prefix_rounds, [trial])[0][0]

@@ -12,13 +12,14 @@ four files into an output directory:
   rounds.csv     one row per (n, algorithm, online round)
   reports.json   the checker reports plus the configuration
 
-A task is one (n, trial): it generates that instance once and plays every
-configured policy on it, so all policies of a trial see the same requests.
-Outputs are byte-deterministic for a given configuration and seed: tasks
-fan out to workers but are mapped and regrouped by (n, algorithm) in a
-fixed order, exact integer cost sums happen before any float conversion,
-and the worker count never appears in a file.  Floats serialize via
-Python's shortest round-trip repr.
+A task is (n, a contiguous block of trials): it generates each instance once
+and plays every configured policy on the whole block, so all policies of a
+trial see the same requests.  Outputs are byte-deterministic for a given
+configuration and seed: no trial's result depends on its block, tasks fan
+out to workers but are mapped in a fixed order and regrouped by
+(n, algorithm) in trial order, exact integer cost sums happen before any
+float conversion, and neither the worker count nor the blocks appear in a
+file.  Floats serialize via Python's shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ from matchline.lemma_checks import (
 from matchline.rng import stream_key
 
 SCHEMA_VERSION = 1
+
+# Bytes of batch-DP traceback table one task may hold (see _block_size).
+BLOCK_TABLE_BYTES = 8 << 20
 
 _TAG_TRIAL = "trial"
 _TAG_ALG = "alg"
@@ -157,54 +161,59 @@ class SuiteResult:
     reports: list[LemmaReport] = field(default_factory=list)
 
 
-def run_trial(
+def run_trials(
     n: int,
     kinds: Sequence[str],
-    trial: int,
+    trials: Sequence[int],
     root_seed: int,
     grid_k: int | None = None,
     request_order: str = ORDER_LEFT_TO_RIGHT,
     prefix_rounds: int = 0,
-) -> list[RunStats]:
-    """One seeded trial, generated once and played by every policy in kinds.
+) -> list[list[RunStats]]:
+    """A block of seeded trials of one size, each generated once and played
+    by every policy in kinds; one list of RunStats per trial.
 
-    Generation and policy seeds derive from (root_seed, trial) so trials are
-    independent and order-insensitive; every policy sees the same instance.
+    Generation and policy seeds derive from (root_seed, trial), so trials
+    are independent of their order and of the block they are played in.
     """
     k = default_grid_k(n) if grid_k is None else grid_k
-    params = GenParams(
-        i=rounds_for(n),
-        grid_k=k,
-        seed=stream_key(root_seed, _TAG_TRIAL, trial),
-        request_order=request_order,
-    )
-    specs = [AlgorithmSpec(kind, stream_key(root_seed, _TAG_ALG, kind, trial)) for kind in kinds]
-    return play(generate(params), specs, prefix_rounds, trial)
+    instances = [
+        generate(GenParams(rounds_for(n), k, stream_key(root_seed, _TAG_TRIAL, t), request_order))
+        for t in trials
+    ]
+    specs = [
+        [AlgorithmSpec(kind, stream_key(root_seed, _TAG_ALG, kind, t)) for kind in kinds]
+        for t in trials
+    ]
+    return play(instances, specs, prefix_rounds, trials)
 
 
-def _trial_task(args: tuple) -> list[RunStats]:
-    n, kinds, trial, seed, grid_k, order, prefix = args
-    return run_trial(
-        n, kinds, trial, seed, grid_k=grid_k, request_order=order, prefix_rounds=prefix
-    )
+def _block_task(args: tuple) -> list[RunStats]:
+    return [st for runs in run_trials(*args) for st in runs]
+
+
+def _block_size(n: int, trials: int, workers: int) -> int:
+    """Trials per task: an even share per worker, capped so the batch DP's
+    traceback table, at most ((n+1)/2)^2 bools per trial (round 1, or a
+    one-round prefix), stays within BLOCK_TABLE_BYTES."""
+    return max(1, min(-(-trials // workers), BLOCK_TABLE_BYTES // ((n + 1) // 2) ** 2))
 
 
 def _collect_stats(config: ExperimentConfig) -> dict[tuple[int, str], list[RunStats]]:
-    tasks = [
-        (n, config.algorithms, t, config.seed, config.grid_k, config.request_order,
-         config.prefix_known_rounds)
-        for n in config.n_list
-        for t in range(config.trials)
-    ]
+    opts = (config.seed, config.grid_k, config.request_order, config.prefix_known_rounds)
+    tasks = []
+    for n in config.n_list:
+        size = _block_size(n, config.trials, config.workers)
+        blocks = [range(t, min(t + size, config.trials)) for t in range(0, config.trials, size)]
+        tasks += [(n, config.algorithms, block, *opts) for block in blocks]
     # the pool starts all its processes up front, so never more than there are tasks
     workers = min(config.workers, len(tasks))
     if workers == 1:
-        results = [_trial_task(task) for task in tasks]
+        results = [_block_task(task) for task in tasks]
     else:
-        chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # map preserves task order, so scheduling cannot reorder results
-            results = list(pool.map(_trial_task, tasks, chunksize=chunk))
+            results = list(pool.map(_block_task, tasks))
     stats: dict[tuple[int, str], list[RunStats]] = {
         (n, kind): [] for n in config.n_list for kind in config.algorithms
     }

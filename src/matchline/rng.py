@@ -89,28 +89,41 @@ class Stream:
         self.counter += 1
         return mix64((self.key + self.counter * GAMMA) & MASK64)
 
-    def bits(self, b: int) -> int:
-        """Uniform integer in [0, 2**b), taking the top b bits of one draw."""
-        if not 1 <= b <= 64:
-            raise ValueError(f"bit width out of range: {b}")
-        return self.u64() >> (64 - b)
-
     def randbelow(self, m: int) -> int:
         """Uniform integer in [0, m), unbiased via rejection."""
-        if m <= 0:
-            raise ValueError(f"randbelow needs a positive bound, got {m}")
-        if m == 1:
-            return 0
-        b = (m - 1).bit_length()
-        while True:
-            v = self.bits(b)
-            if v < m:
-                return v
+        return self.randbelow_each((m,))[0]
+
+    def randbelow_each(self, bounds: Sequence[int]) -> list[int]:
+        """randbelow(m) for each m in bounds: the top (m-1).bit_length() bits
+        of each draw until they fall below m (m = 1 takes none).  Draws are
+        read ahead; the counter ends where one randbelow per m leaves it."""
+        if min(bounds, default=1) <= 0:
+            raise ValueError(f"randbelow needs positive bounds, got {min(bounds)}")
+        start, used = self.counter, 0
+        draws: list[int] = []
+        out: list[int] = []
+        for idx, m in enumerate(bounds):
+            shift = 64 - (m - 1).bit_length()
+            v = m if m > 1 else 0
+            while v >= m:
+                if used == len(draws):
+                    count = len(bounds) - idx
+                    # a bound takes under two draws on average; below about 16
+                    # draws numpy's call overhead outweighs the scalar loop
+                    if count > 16:
+                        draws += self.u64_block(count + count // 2).tolist()
+                    else:
+                        draws += [self.u64() for _ in range(count)]
+                v = draws[used] >> shift
+                used += 1
+            out.append(v)
+        self.counter = start + used
+        return out
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by this stream."""
-        for idx in range(len(items) - 1, 0, -1):
-            j = self.randbelow(idx + 1)
+        last = len(items) - 1
+        for idx, j in zip(range(last, 0, -1), self.randbelow_each(range(last + 1, 1, -1))):
             items[idx], items[j] = items[j], items[idx]
 
     def u64_block(self, count: int) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,17 +21,27 @@ from matchline.algorithms import (
     ALGORITHM_KINDS,
     AlgorithmSpec,
     _KERNELS,
+    _each,
+    _monotone_min_cost,
+    _serve_batch,
     play,
     run,
 )
-from matchline.experiments import run_trial
+from matchline.experiments import run_trials
 from matchline.geometry import Coord
-from matchline.offline import sorted_matching_cost
+from matchline.offline import brute_force_min_cost, sorted_matching_cost
 from matchline.rng import Stream, stream_key
 
 
 def kernel(kind, free, seed=0):
-    return _KERNELS[kind](free, seed)
+    """The policy's kernel on a block of one free list."""
+    serve = _KERNELS[kind]([free], [seed])
+    return lambda requests: serve([requests])[0]
+
+
+def run_trial(n, kinds, trial, root_seed, *args):
+    """run_trials on a block of one trial."""
+    return run_trials(n, kinds, [trial], root_seed, *args)[0]
 
 
 def serve_one(serve, free, x):
@@ -161,6 +173,108 @@ def test_batch_matches_full_permutation_brute_force():
         assert kernel("batch_round_optimal", list(vals))(reqs) == want
 
 
+def _monotone_min_cost_1d(req, free):
+    """Oracle: the one-instance DP over the full (q+1) x (m+1) int64 matrix,
+    with the traceback walking each row left over equal values."""
+    q, m = len(req), len(free)
+    slack = m - q
+    dp = np.zeros((q + 1, m + 1), dtype=np.int64)
+    for i in range(1, q + 1):
+        cand = dp[i - 1, i - 1 : i + slack] + np.abs(req[i - 1] - free[i - 1 : i + slack])
+        np.minimum.accumulate(cand, out=dp[i, i : i + slack + 1])
+    sel = []
+    j = m
+    for i in range(q, 0, -1):
+        row = dp[i]
+        while j - 1 >= i and row[j] == row[j - 1]:
+            j -= 1
+        j -= 1
+        sel.append(j)
+    sel.reverse()
+    return int(dp[q, m]), sel
+
+
+def _injection_brute_force(req, free, k):
+    """Oracle: the cheapest bijection of req onto any q-subset of free."""
+    points = [Coord(x, k) for x in req]
+    return min(
+        brute_force_min_cost([Coord(v, k) for v in combo], points).total_cost.at_scale(k)
+        for combo in itertools.combinations(free, len(req))
+    )
+
+
+def _stack_case(s):
+    """T = 1..6 instances sharing one n, grid_k, free count m and request
+    count q: servers j << k with holes, requests uniform, on a free server,
+    next to one, or repeating an earlier request."""
+    t = 1 + s.randbelow(6)
+    n = (1 << (1 + s.randbelow(7))) - 1
+    k = (0, 1, 2, 5)[s.randbelow(4)]
+    m = 1 + s.randbelow(n)
+    q = s.randbelow(m + 1)
+    top = (n + 1) << k
+    frees, rounds = [], []
+    for _ in range(t):
+        pool = list(range(1, n + 1))
+        free = sorted(pool.pop(p) << k for p in s.randbelow_each(range(n, n - m, -1)))
+        reqs = []
+        for _ in range(q):
+            mode = s.randbelow(4)
+            if mode == 1:
+                x = free[s.randbelow(m)]
+            elif mode == 2:
+                x = free[s.randbelow(m)] + s.randbelow(3) - 1
+            elif mode == 3 and reqs:
+                x = reqs[s.randbelow(len(reqs))]
+            else:
+                x = s.randbelow(top + 1)
+            reqs.append(min(max(x, 0), top))
+        frees.append(free)
+        rounds.append(reqs)
+    return k, frees, rounds
+
+
+def test_stacked_batch_matches_one_instance_dp():
+    s = Stream(89, "stacked-batch")
+    brute = 0
+    for _ in range(2000):
+        k, frees, rounds = _stack_case(s)
+        req = np.sort(np.array(rounds, dtype=np.int64), axis=1)
+        srv = np.array(frees, dtype=np.int64)
+        cost, sel = _monotone_min_cost(req, srv)
+        want = [_monotone_min_cost_1d(r, f) for r, f in zip(req, srv)]
+        assert cost.tolist() == [c for c, _ in want], (frees, rounds)
+        assert sel.tolist() == [p for _, p in want], (frees, rounds)
+        served = [list(f) for f in frees]
+        assert _serve_batch(served, rounds) == [c for c, _ in want]
+        for free, rest, (_, picked) in zip(frees, served, want):
+            assert rest == [v for p, v in enumerate(free) if p not in picked]
+        q, m = req.shape[1], srv.shape[1]
+        # brute force where it is cheap: q <= 7 and at most 720 bijections
+        if q <= 7 and math.comb(m, q) * math.factorial(q) <= 720:
+            brute += 1
+            for r, f, (c, _) in zip(rounds, frees, want):
+                assert c == _injection_brute_force(r, f, k)
+    assert brute >= 300
+
+
+def test_batch_solve_memory_at_n1023():
+    # one round-1 solve at n = 1023 keeps a 512 x 512 bool traceback table
+    # (256 KiB); a full (q+1) x (m+1) int64 DP matrix would take 4 MiB
+    k = default_grid_k(1023)
+    inst = generate(GenParams(i=10, grid_k=k, seed=5))
+    free = [j << k for j in range(1, 1024)]
+    reqs = inst.origins[0].tolist()
+    tracemalloc.start()
+    try:
+        kernel("batch_round_optimal", free)(reqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(free) == 511
+    assert peak < 1 << 20
+
+
 def test_integer_grid_breaks_the_round_floor():
     # at grid_k = 0 the round-1 requests of n = 7 sit on the integers: every
     # one of the 2^4 tuples (cell m holds 2m and 2m + 1), served on servers
@@ -184,7 +298,8 @@ def test_wide_instance_plays_like_narrow_one():
     check_round_numerators(wide.params, wide.origins)
     specs = [AlgorithmSpec(kind, 9) for kind in ALGORITHM_KINDS]
     for prefix in range(4):
-        for a, b in zip(play(narrow, specs, prefix), play(wide, specs, prefix)):
+        (a_runs,), (b_runs,) = (play([inst], [specs], prefix, [None]) for inst in (narrow, wide))
+        for a, b in zip(a_runs, b_runs):
             assert b.online_total == a.online_total << 50
             assert b.round_costs == tuple(c << 50 for c in a.round_costs)
             assert b.offline_total == a.offline_total << 50 and b.ratio == a.ratio
@@ -311,9 +426,9 @@ def test_permutation_play_matches_scan(i, monkeypatch):
         GenParams(i=i, grid_k=default_grid_k((1 << i) - 1), seed=i, request_order=ORDER_SHUFFLED)
     )
     spec = [AlgorithmSpec("permutation")]
-    fast = [play(inst, spec, prefix) for prefix in (0, 2)]
-    monkeypatch.setitem(_KERNELS, "permutation", _permutation_scan)
-    assert fast == [play(inst, spec, prefix) for prefix in (0, 2)]
+    fast = [play([inst], [spec], prefix, [i]) for prefix in (0, 2)]
+    monkeypatch.setitem(_KERNELS, "permutation", _each(_permutation_scan))
+    assert fast == [play([inst], [spec], prefix, [i]) for prefix in (0, 2)]
 
 
 def test_permutation_request_left_of_every_free_server():
@@ -370,6 +485,10 @@ def test_random_free_reproducible():
     # the draws are Stream(seed, "choice").randbelow over the free count
     stream, pool = Stream(99, "choice"), at4(range(1, 9))
     assert picks[0] == [pool.pop(stream.randbelow(len(pool))) for _ in range(8)]
+    # a round of five served at once draws the same servers
+    free = at4(range(1, 9))
+    kernel("random_free", free, seed=99)([4 << 4] * 5)
+    assert free == sorted(set(at4(range(1, 9))) - set(picks[0][:5]))
 
 
 def test_random_free_frequency():
@@ -438,10 +557,10 @@ def test_default_run_at_n2047_is_exact():
 
 def test_play_checks_free_count_every_round(monkeypatch):
     # a kernel that serves a round without using a server breaks the count
-    monkeypatch.setitem(_KERNELS, "greedy_nearest", lambda free, seed: lambda reqs: 0)
+    monkeypatch.setitem(_KERNELS, "greedy_nearest", _each(lambda free, seed: lambda reqs: 0))
     inst = generate(GenParams(i=3, grid_k=5, seed=2))
     with pytest.raises(RuntimeError):
-        play(inst, [AlgorithmSpec("greedy_nearest")], 0)
+        play([inst], [[AlgorithmSpec("greedy_nearest")]], 0, [None])
 
 
 def test_run_exact_hit_gives_ratio_one():
@@ -493,7 +612,7 @@ def test_prefix_zero_reduces_to_run():
     spec = AlgorithmSpec("permutation")
     stats = run(inst, spec, prefix_rounds=0)
     assert stats.prefix_cost == 0 and len(stats.round_costs) == 3
-    assert stats == play(inst, [AlgorithmSpec("greedy_nearest"), spec], 0)[1]
+    assert stats == play([inst], [[AlgorithmSpec("greedy_nearest"), spec]], 0, [None])[0][1]
 
 
 def test_prefix_out_of_range():

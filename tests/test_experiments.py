@@ -104,9 +104,11 @@ def test_golden_n255_output_bytes(tmp_path, name, kw):
 
 
 class _RecordingPool:
-    """Serial stand-in for ProcessPoolExecutor that records its size."""
+    """Serial stand-in for ProcessPoolExecutor that records its size and the
+    (n, trials) block of every task it maps."""
 
     sizes: list[int] = []
+    blocks: list[tuple[int, list[int]]] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -117,14 +119,17 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks, chunksize=1):
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.blocks.extend((task[0], list(task[2])) for task in tasks)
         return map(fn, tasks)
 
 
 def test_pool_never_larger_than_task_count(monkeypatch, tmp_path):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    kw = dict(n_list=(3, 7), trials=2, seed=5)  # four (n, trial) tasks
+    monkeypatch.setattr(_RecordingPool, "blocks", [])
+    kw = dict(n_list=(3, 7), trials=2, seed=5)  # four (n, one-trial block) tasks
     ref = write_outputs(run_suite(ExperimentConfig(**kw)), str(tmp_path / "w1"))
     for workers in (5000, 4, 3):
         out = write_outputs(
@@ -133,8 +138,44 @@ def test_pool_never_larger_than_task_count(monkeypatch, tmp_path):
         for pa, pb in zip(ref, out):
             assert pa.read_bytes() == pb.read_bytes(), pa.name
     assert _RecordingPool.sizes == [4, 4, 3]
+    assert _RecordingPool.blocks == [(3, [0]), (3, [1]), (7, [0]), (7, [1])] * 3
     run_suite(ExperimentConfig(n_list=(3,), trials=2, workers=5000))
     assert _RecordingPool.sizes == [4, 4, 3, 2]
+    # an even share per worker: 5 trials on 2 workers are blocks of 3 and 2
+    _RecordingPool.blocks.clear()
+    run_suite(ExperimentConfig(n_list=(3, 7), trials=5, workers=2))
+    assert _RecordingPool.sizes[-1] == 2
+    assert _RecordingPool.blocks == [
+        (3, [0, 1, 2]), (3, [3, 4]), (7, [0, 1, 2]), (7, [3, 4])
+    ]
+
+
+def test_block_size_share_and_table_budget():
+    # an even share per worker, capped by BLOCK_TABLE_BYTES over ((n + 1)/2)^2
+    assert experiments.BLOCK_TABLE_BYTES == 8 << 20
+    assert experiments._block_size(255, 32, 2) == 16
+    assert experiments._block_size(255, 500, 1) == 500
+    assert experiments._block_size(255, 1000, 1) == 512
+    assert experiments._block_size(1023, 500, 2) == 32
+    assert experiments._block_size(4095, 500, 1) == 2
+    assert experiments._block_size(8191, 500, 1) == 1  # one table past the budget
+    assert experiments._block_size(7, 5, 5000) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_partition_invariance(monkeypatch, tmp_path, workers):
+    # default blocks against blocks of one trial: the same four files
+    kw = dict(
+        n_list=(7, 63), trials=5, seed=11, request_order="shuffled",
+        prefix_known_rounds=2, workers=workers,
+    )
+    assert experiments._block_size(63, 5, workers) > 1
+    default = write_outputs(run_suite(ExperimentConfig(**kw)), str(tmp_path / "default"))
+    monkeypatch.setattr(experiments, "BLOCK_TABLE_BYTES", 0)
+    assert experiments._block_size(63, 5, workers) == 1
+    single = write_outputs(run_suite(ExperimentConfig(**kw)), str(tmp_path / "single"))
+    for pa, pb in zip(default, single):
+        assert pa.read_bytes() == pb.read_bytes(), pa.name
 
 
 def _flat_run(trial, total_num):
@@ -155,7 +196,9 @@ def test_theorem_gate_fails_with_either_inequality(monkeypatch, tmp_path, total_
     assert rep.observed == 1.0 > rep.bound
     assert not rep.details[failing] and not rep.passed
     monkeypatch.setattr(
-        experiments, "run_trial", lambda n, kinds, trial, seed, **kw: [_flat_run(trial, total_num)]
+        experiments,
+        "run_trials",
+        lambda n, kinds, trials, *rest: [[_flat_run(t, total_num)] for t in trials],
     )
     cfg = ExperimentConfig(
         n_list=(3,), algorithms=("greedy_nearest",), trials=4, out_dir=str(tmp_path)

@@ -124,3 +124,65 @@ def test_shuffle_is_permutation_and_seeded():
     other = list(range(30))
     Stream(9, "sh").shuffle(other)
     assert other != items
+
+
+def _randbelow_per_draw(stream, m):
+    """Oracle: the per-draw rejection loop, one u64() at a time."""
+    if m == 1:
+        return 0
+    b = (m - 1).bit_length()
+    while True:
+        v = stream.u64() >> (64 - b)
+        if v < m:
+            return v
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        [1],
+        [1, 1, 1],
+        [2, 4, 8, 1 << 20, 1 << 63, 1 << 64],
+        [3, 5, 9, 17, (1 << 40) + 1, (1 << 63) + 1],
+        # 2^b + 1 rejects almost half its draws, so the first read-ahead of
+        # 1.5 draws per bound runs out and the draws are read again
+        [(1 << 12) + 1] * 300,
+        [1, 2, 1, 3, 1] * 40,
+        list(range(500, 0, -1)),
+        [],
+    ],
+)
+def test_randbelow_each_matches_per_draw_loop(bounds):
+    for seed in (0, 7, (1 << 64) - 1):
+        block, oracle = Stream(seed, "each"), Stream(seed, "each")
+        block.u64()  # start mid-stream
+        oracle.u64()
+        got = block.randbelow_each(bounds)
+        assert got == [_randbelow_per_draw(oracle, m) for m in bounds]
+        assert block.counter == oracle.counter
+        # later draws continue from the same place
+        assert block.u64() == oracle.u64()
+        assert block.randbelow(1000) == _randbelow_per_draw(oracle, 1000)
+
+
+def test_randbelow_each_refills_past_its_first_block():
+    s = Stream(3, "refill")
+    bounds = [(1 << 12) + 1] * 300
+    s.randbelow_each(bounds)
+    assert s.counter > 450  # past the first read-ahead of 1.5 draws per bound
+
+
+def test_randbelow_each_rejects_bad_bound():
+    with pytest.raises(ValueError):
+        Stream(1, "bad").randbelow_each([3, 0, 2])
+
+
+def test_shuffle_matches_per_draw_fisher_yates():
+    for size in (0, 1, 2, 3, 64, 257):
+        items, want = list(range(size)), list(range(size))
+        Stream(12, "fy", size).shuffle(items)
+        oracle = Stream(12, "fy", size)
+        for idx in range(size - 1, 0, -1):
+            j = _randbelow_per_draw(oracle, idx + 1)
+            want[idx], want[j] = want[j], want[idx]
+        assert items == want
