@@ -19,11 +19,11 @@ from matchline.lemma_checks import (
     lemma1_distance_mc,
     lemma1_exact,
     lemma2_config_property,
-    offline_cost_mc,
+    offline_report_from_stats,
     render_reports,
 )
 from matchline.offline import Assignment, brute_force_min_cost, sorted_matching_cost
-from matchline.oracle import exact_round_game_value, oracle_report, worst_config_search
+from matchline.oracle import exact_round_game_value, oracle_report
 
 __version__ = "0.1.0"
 
@@ -47,12 +47,11 @@ __all__ = [
     "lemma1_distance_mc",
     "lemma1_exact",
     "lemma2_config_property",
-    "offline_cost_mc",
+    "offline_report_from_stats",
     "oracle_report",
     "render_reports",
     "run",
     "run_suite",
     "sorted_matching_cost",
-    "worst_config_search",
     "__version__",
 ]

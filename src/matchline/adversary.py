@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from matchline.geometry import Coord, coord_from_integer
-from matchline.rng import GAMMA, Stream, mix64_array, stream_keys
+from matchline.rng import GAMMA, Stream, mix64_array, stream_key, stream_keys
 
 ORDER_LEFT_TO_RIGHT = "left_to_right"
 ORDER_SHUFFLED = "shuffled"
@@ -40,6 +40,7 @@ REQUEST_ORDERS = (ORDER_LEFT_TO_RIGHT, ORDER_SHUFFLED)
 # Stream name tags. One stream per (seed, tag, ...coords); draws never mix.
 _TAG_ORIGIN = "origin"
 _TAG_ORDER = "order"
+_TAG_TRIAL = "trial"
 
 # Exact sums on the run path add at most n distances, each at most
 # (n + 1) << grid_k = 2**(i + grid_k), so they stay below 2**(2 i + grid_k);
@@ -55,6 +56,19 @@ def rounds_for(n: int) -> int:
     if (1 << i) != n + 1:
         raise ValueError(f"n must be 2**i - 1 for some i >= 1, got {n}")
     return i
+
+
+def reachable_free_count(n: int, r: int) -> int:
+    """Free servers at the start of round r: (n+1)/2**(r-1) - 1."""
+    i = rounds_for(n)
+    if not 1 <= r <= i:
+        raise ValueError(f"round must be in 1..{i}, got {r}")
+    return ((n + 1) >> (r - 1)) - 1
+
+
+def instance_seed(root_seed: int, trial: int) -> int:
+    """Seed of the instance every sampled check draws for this trial."""
+    return stream_key(root_seed, _TAG_TRIAL, trial)
 
 
 def default_grid_k(n: int) -> int:

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from matchline.adversary import Instance, arrival_indices
+from matchline.adversary import Instance, arrival_indices, reachable_free_count
 from matchline.offline import sorted_cost_num
 from matchline.rng import Stream
 
@@ -294,7 +294,7 @@ def play(
         serve = _KERNELS[kind](frees, [row[col].seed for row in specs])
         costs = []
         for r in range(prefix_rounds + 1, i + 1):
-            expected = ((n + 1) >> (r - 1)) - 1
+            expected = reachable_free_count(n, r)
             if wrong := {len(free) for free in frees} - {expected}:
                 raise RuntimeError(f"round {r}: {min(wrong)} free servers, expected {expected}")
             costs.append(serve([rr[r - 1] for rr in rounds]))

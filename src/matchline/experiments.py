@@ -38,6 +38,7 @@ from matchline.adversary import (
     REQUEST_ORDERS,
     default_grid_k,
     generate,
+    instance_seed,
     rounds_for,
 )
 from matchline.algorithms import ALGORITHM_KINDS, AlgorithmSpec, RunStats, play
@@ -53,7 +54,6 @@ SCHEMA_VERSION = 1
 # Bytes of batch-DP traceback table one task may hold (see _block_size).
 BLOCK_TABLE_BYTES = 8 << 20
 
-_TAG_TRIAL = "trial"
 _TAG_ALG = "alg"
 
 SUMMARY_COLUMNS = (
@@ -122,7 +122,9 @@ class ExperimentConfig:
             raise ValueError("algorithms must not be empty")
         for kind in self.algorithms:
             if kind not in ALGORITHM_KINDS:
-                raise ValueError(f"unknown algorithm {kind!r}")
+                raise ValueError(
+                    f"unknown algorithm {kind!r}; choose from {', '.join(ALGORITHM_KINDS)}"
+                )
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError("duplicate algorithm in list")
         if self.trials < 2:
@@ -178,7 +180,7 @@ def run_trials(
     """
     k = default_grid_k(n) if grid_k is None else grid_k
     instances = [
-        generate(GenParams(rounds_for(n), k, stream_key(root_seed, _TAG_TRIAL, t), request_order))
+        generate(GenParams(rounds_for(n), k, instance_seed(root_seed, t), request_order))
         for t in trials
     ]
     specs = [

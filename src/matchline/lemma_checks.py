@@ -21,6 +21,9 @@ Three claims about the construction are verified, referenced by id:
            it rather than the asymptotic statement; the ratio and its floor
            are reported for information.
 
+lemma1_distance_mc draws its own instances; the offline cap and the
+policy reports are built from RunStats the trial runner already holds.
+
 Statistical checks use a 3-standard-error margin and need at least two
 trials; exact checks use none.
 
@@ -42,7 +45,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -50,26 +52,19 @@ from matchline.adversary import (
     GenParams,
     default_grid_k,
     g_moments,
+    instance_seed,
     origin_round_numerators,
+    reachable_free_count,
     rounds_for,
 )
 from matchline.algorithms import RunStats
-from matchline.rng import Stream, stream_key
+from matchline.rng import Stream
 
-_TAG_TRIAL = "trial"
 _TAG_CONFIG = "config"
 
 EXHAUSTIVE_CAP = 2_000_000
 # worst round of n=15 enumerates C(15,7) = 6435 configs; n=31 is out of reach
 EXHAUSTIVE_N_LIMIT = 15
-
-
-def reachable_free_count(n: int, r: int) -> int:
-    """Free servers at the start of round r: (n+1)/2**(r-1) - 1."""
-    i = rounds_for(n)
-    if not 1 <= r <= i:
-        raise ValueError(f"round must be in 1..{i}, got {r}")
-    return ((n + 1) >> (r - 1)) - 1
 
 
 @dataclass(frozen=True)
@@ -173,13 +168,6 @@ def _mean_se(xs: np.ndarray) -> tuple[float, float]:
     return float(xs.mean()), math.sqrt(float(xs.var(ddof=1)) / xs.size)
 
 
-def _grid_k(n: int, grid_k: int | None) -> int:
-    """grid_k, or the default for n, validated by GenParams before any use."""
-    k = default_grid_k(n) if grid_k is None else grid_k
-    GenParams(i=rounds_for(n), grid_k=k, seed=0)
-    return k
-
-
 # ---------------------------------------------------------------------------
 # lemma1: distribution geometry
 
@@ -217,17 +205,6 @@ def lemma1_exact(n: int) -> LemmaReport:
     )
 
 
-def _sorted_distances(n: int, trials: int, seed: int, k: int) -> Iterator[np.ndarray]:
-    """Per trial, |origin_(ell) - ell| at scale k for ell = 1..n, as int64."""
-    i = rounds_for(n)
-    servers = np.arange(1, n + 1, dtype=np.int64) << np.int64(k)
-    for t in range(trials):
-        params = GenParams(i=i, grid_k=k, seed=stream_key(seed, _TAG_TRIAL, t))
-        nums = np.concatenate(origin_round_numerators(params))
-        nums.sort()
-        yield np.abs(nums - servers)
-
-
 def lemma1_distance_mc(
     n: int, trials: int, seed: int, grid_k: int | None = None
 ) -> LemmaReport:
@@ -240,14 +217,19 @@ def lemma1_distance_mc(
     i = rounds_for(n)
     if trials < 100:
         raise ValueError("need at least 100 trials for a stable standard error")
-    k = _grid_k(n, grid_k)
+    k = default_grid_k(n) if grid_k is None else grid_k
+    GenParams(i=i, grid_k=k, seed=0)  # validates grid_k before 2**k is formed
     # exact integer accumulation: trials * max distance must stay in int64
     if i + k + 1 + trials.bit_length() > 63:
         raise ValueError("trials too large for exact accumulation at this grid")
+    servers = np.arange(1, n + 1, dtype=np.int64) << np.int64(k)
     sums = np.zeros(n, dtype=np.int64)
     sumsq = np.zeros(n, dtype=np.float64)
     scale = float(1 << k)
-    for d in _sorted_distances(n, trials, seed, k):
+    for t in range(trials):
+        nums = np.concatenate(origin_round_numerators(GenParams(i, k, instance_seed(seed, t))))
+        nums.sort()
+        d = np.abs(nums - servers)  # |origin_(ell) - ell| at scale k
         sums += d
         df = d / scale
         sumsq += df * df
@@ -267,41 +249,6 @@ def lemma1_distance_mc(
         standard_error=se_star,
         passed=observed <= bound + 3.0 * se_star,
         details={"argmax_ell": ell_star + 1, "grid_k": k, "seed": seed},
-    )
-
-
-def offline_cost_mc(
-    n: int, trials: int, seed: int, grid_k: int | None = None
-) -> LemmaReport:
-    """Monte Carlo cap on the mean offline optimum over whole instances.
-
-    The offline optimum is the rank pairing of sorted requests to servers,
-    so its mean is at most n prior per-position bounds plus the snapping
-    slack: n (sqrt(i) + 3) + n 2^-grid_k.  Pass rule: mean <= cap + 3 SE.
-    """
-    i = rounds_for(n)
-    if trials < 100:
-        raise ValueError("need at least 100 trials for a stable standard error")
-    k = _grid_k(n, grid_k)
-    scale = float(1 << k)
-    total = 0
-    totals = np.empty(trials, dtype=np.float64)
-    for t, d in enumerate(_sorted_distances(n, trials, seed, k)):
-        cost = int(d.sum())
-        total += cost
-        totals[t] = cost / scale
-    observed = float(Fraction(total, trials << k))
-    _, se = _mean_se(totals)
-    bound = n * (math.sqrt(i) + 3.0) + n / scale
-    return LemmaReport(
-        lemma_id="offline_aggregate",
-        n=n,
-        trials=trials,
-        observed=observed,
-        bound=bound,
-        standard_error=se,
-        passed=observed <= bound + 3.0 * se,
-        details={"grid_k": k, "seed": seed},
     )
 
 
@@ -440,6 +387,32 @@ def empirical_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport
 
 # ---------------------------------------------------------------------------
 # theorem
+
+
+def offline_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport:
+    """Cap on the mean offline optimum from already-collected runs.
+
+    The offline optimum is the rank pairing of sorted requests to servers,
+    so its mean is at most n prior per-position bounds plus the snapping
+    slack: n (sqrt(i) + 3) + n 2^-grid_k.  Pass rule: mean <= cap + 3 SE.
+    """
+    first = stats[0]
+    n, k = first.n, first.grid_k
+    totals = [s.offline_total for s in stats]
+    scale = float(1 << k)
+    _, se = _mean_se(np.array(totals, dtype=np.float64) / scale)
+    observed = float(Fraction(sum(totals), len(stats) << k))
+    bound = n * (math.sqrt(rounds_for(n)) + 3.0) + n / scale
+    return LemmaReport(
+        lemma_id="offline_aggregate",
+        n=n,
+        trials=len(stats),
+        observed=observed,
+        bound=bound,
+        standard_error=se,
+        passed=observed <= bound + 3.0 * se,
+        details={"grid_k": k, "seed": seed},
+    )
 
 
 def ratio_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport:

@@ -9,7 +9,8 @@ giving an independent reference for the per-round floor: the game value
 must dominate the segment bound sum d^2/(4*2^r) and exceed (n+1)/12.
 
 Enumeration cost is pts^q for q cells of pts grid points each, so this is
-for desk sizes only (the cap is MAX_OUTCOMES outcomes).
+for desk sizes only (the cap is MAX_OUTCOMES outcomes).  The minimizer of
+the segment bound alone is lemma2_config_property's min_config.
 """
 
 from __future__ import annotations
@@ -20,16 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from matchline.adversary import rounds_for
-from matchline.lemma_checks import (
-    LemmaReport,
-    RoundConfig,
-    config_lower_bound,
-    reachable_free_count,
-)
+from matchline.adversary import reachable_free_count, rounds_for
+from matchline.lemma_checks import LemmaReport, RoundConfig, config_lower_bound
 
 MAX_OUTCOMES = 1 << 18
-SEARCH_CAP = 200_000
 
 
 def auto_grid_k(n: int, r: int) -> int:
@@ -85,27 +80,6 @@ def exact_round_game_value(config: RoundConfig, grid_k: int | None = None) -> Fr
     assert best is not None
     total = int(best.sum(dtype=np.int64))
     return Fraction(total, outcomes << k)
-
-
-def worst_config_search(n: int, r: int) -> tuple[RoundConfig, Fraction]:
-    """Configuration of the reachable size minimizing the segment bound.
-
-    Exhaustive over all C(n, f) configurations; ties keep the
-    lexicographically first. Desk sizes only.
-    """
-    f = reachable_free_count(n, r)
-    count = math.comb(n, f)
-    if count > SEARCH_CAP:
-        raise ValueError(f"{count} configurations at n={n}, r={r} exceeds the cap")
-    best_conf: RoundConfig | None = None
-    best_lb: Fraction | None = None
-    for conf in itertools.combinations(range(1, n + 1), f):
-        cfg = RoundConfig(n, r, conf)
-        lb = config_lower_bound(cfg)
-        if best_lb is None or lb < best_lb:
-            best_conf, best_lb = cfg, lb
-    assert best_conf is not None and best_lb is not None
-    return best_conf, best_lb
 
 
 def oracle_report(n: int, r: int, grid_k: int | None = None) -> LemmaReport:

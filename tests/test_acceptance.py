@@ -18,7 +18,7 @@ from matchline.lemma_checks import (
     lemma1_distance_mc,
     lemma1_exact,
     lemma2_config_property,
-    offline_cost_mc,
+    offline_report_from_stats,
     ratio_report_from_stats,
 )
 from matchline.offline import brute_force_min_cost, sorted_matching_cost
@@ -76,7 +76,9 @@ def test_criterion_03_sorted_distance_bound():
 
 
 def test_criterion_04_offline_aggregate_bound():
-    rep = offline_cost_mc(1023, trials=1000, seed=ACCEPT_SEED)
+    config = ExperimentConfig((1023,), ("greedy_nearest",), trials=1000, seed=ACCEPT_SEED)
+    stats = run_suite(config).stats[(1023, "greedy_nearest")]
+    rep = offline_report_from_stats(stats, ACCEPT_SEED)
     _verdict(4, "mean offline cost within n(sqrt(10)+3) + n/2^40 at 3 SE", rep.passed)
 
 

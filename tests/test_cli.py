@@ -10,6 +10,7 @@ import pytest
 
 import matchline
 import matchline.cli as cli
+from matchline import adversary, lemma_checks
 from matchline.adversary import GenParams, default_grid_k, generate, instance_from_jsonl
 from matchline.lemma_checks import LemmaReport
 
@@ -126,6 +127,27 @@ def test_ratio_command(capsys):
     assert "offline_aggregate" in out and "theorem_ratio" in out
 
 
+def test_ratio_samples_each_instance_once(monkeypatch, tmp_path):
+    # both module bindings are counted, so a second sampling pass would show
+    calls = []
+    sample = adversary.origin_round_numerators
+
+    def counting(params):
+        calls.append(params.seed)
+        return sample(params)
+
+    for module in (adversary, lemma_checks):
+        monkeypatch.setattr(module, "origin_round_numerators", counting)
+    assert cli.main(["ratio", "--n", "7", "--trials", "100"]) == 0
+    assert len(calls) == 100
+    # below 100 trials the offline cap covers the suite's own trials
+    assert cli.main(["ratio", "--n", "7", "--trials", "50", "--out", str(tmp_path)]) == 0
+    reports = json.loads((tmp_path / "reports.json").read_text(encoding="utf-8"))["reports"]
+    assert reports[0]["lemma_id"] == "offline_aggregate" and reports[0]["trials"] == 50
+    ratios = [rep for rep in reports if rep["lemma_id"] == "theorem_ratio"]
+    assert len(ratios) == 2 and all(rep["trials"] == 50 for rep in ratios)
+
+
 def test_prefix_command(capsys):
     rc = cli.main([
         "prefix", "--n", "7", "--trials", "30", "--prefix-rounds", "1",
@@ -236,7 +258,8 @@ def test_bad_n_exits_two(capsys):
 def test_bad_algorithm_exits_two(capsys):
     rc = cli.main(["run", "--n", "3", "--trials", "2", "--alg", "nope"])
     assert rc == 2
-    assert "unknown algorithm" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown algorithm" in err and "choose from" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from matchline import experiments
+from matchline.adversary import instance_seed
 from matchline.algorithms import RunStats
 from matchline.experiments import (
     ExperimentConfig,
@@ -257,6 +258,14 @@ def test_csv_headers_and_bools(tmp_path):
     assert summary.splitlines()[0] == ",".join(SUMMARY_COLUMNS)
     assert rounds.splitlines()[0] == ",".join(ROUNDS_COLUMNS)
     assert ",true" in summary and "True" not in summary
+
+
+def test_runs_draw_instances_by_the_one_seed_rule():
+    cfg = ExperimentConfig(
+        n_list=(7,), algorithms=("greedy_nearest", "random_free"), trials=3, seed=11
+    )
+    for runs in run_suite(cfg).stats.values():
+        assert [st.instance_seed for st in runs] == [instance_seed(11, t) for t in range(3)]
 
 
 def test_rerun_identical_reports():

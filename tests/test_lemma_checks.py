@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from matchline import lemma_checks
+from matchline.adversary import instance_seed, reachable_free_count
 from matchline.experiments import ExperimentConfig, run_suite
 from matchline.lemma_checks import (
     LemmaReport,
@@ -12,8 +14,7 @@ from matchline.lemma_checks import (
     lemma1_distance_mc,
     lemma1_exact,
     lemma2_config_property,
-    offline_cost_mc,
-    reachable_free_count,
+    offline_report_from_stats,
     render_reports,
 )
 from matchline.rng import Stream
@@ -107,11 +108,27 @@ def test_lemma1_distance_mc_validates_trials():
         lemma1_distance_mc(7, trials=99, seed=0)
 
 
-@pytest.mark.parametrize("check", [lemma1_distance_mc, offline_cost_mc])
+# the offline cap's grid_k is checked by the suite it is built from
+# (tests/test_cli.py: ratio --grid-k -1)
+@pytest.mark.parametrize("check", [lemma1_distance_mc])
 def test_monte_carlo_rejects_negative_grid_k(check):
     # checked before the scale 2^grid_k is formed
     with pytest.raises(ValueError, match="grid_k must be non-negative"):
         check(7, trials=100, seed=0, grid_k=-1)
+
+
+def test_lemma1_distance_mc_draws_the_suite_instances(monkeypatch):
+    # trial t is the instance the trial runner plays as trial t
+    seeds = []
+    sample = lemma_checks.origin_round_numerators
+
+    def recording(params):
+        seeds.append(params.seed)
+        return sample(params)
+
+    monkeypatch.setattr(lemma_checks, "origin_round_numerators", recording)
+    lemma1_distance_mc(7, trials=100, seed=9)
+    assert seeds == [instance_seed(9, t) for t in range(100)]
 
 
 def test_lemma1_distance_mc_deterministic():
@@ -120,12 +137,17 @@ def test_lemma1_distance_mc_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
 
 
+def _offline_report(n, trials, seed):
+    config = ExperimentConfig((n,), ("greedy_nearest",), trials=trials, seed=seed)
+    return offline_report_from_stats(run_suite(config).stats[(n, "greedy_nearest")], seed)
+
+
 def test_offline_cost_mc():
-    rep = offline_cost_mc(15, trials=200, seed=4)
+    rep = _offline_report(15, trials=200, seed=4)
     assert rep.passed
     assert rep.lemma_id == "offline_aggregate"
     assert rep.bound == pytest.approx(15 * (2.0 + 3.0) + 15 / 2**15)
-    again = offline_cost_mc(15, trials=200, seed=4)
+    again = _offline_report(15, trials=200, seed=4)
     assert again.to_json_dict() == rep.to_json_dict()
 
 

@@ -6,14 +6,9 @@ from fractions import Fraction
 import pytest
 
 from matchline.geometry import Coord
-from matchline.lemma_checks import RoundConfig, config_lower_bound
+from matchline.lemma_checks import RoundConfig, config_lower_bound, lemma2_config_property
 from matchline.offline import brute_force_min_cost
-from matchline.oracle import (
-    auto_grid_k,
-    exact_round_game_value,
-    oracle_report,
-    worst_config_search,
-)
+from matchline.oracle import auto_grid_k, exact_round_game_value, oracle_report
 
 
 def test_auto_grid_k_values():
@@ -90,29 +85,24 @@ def test_game_value_input_validation():
         exact_round_game_value(RoundConfig(7, 1, tuple(range(1, 8))), grid_k=6)
 
 
-def test_worst_config_search_round1_forced():
-    cfg, lb = worst_config_search(3, 1)
-    assert cfg.free_servers == (1, 2, 3)
-    assert lb == Fraction(1, 2)
-
-
-def test_worst_config_search_n7_r2():
-    cfg, lb = worst_config_search(7, 2)
-    assert lb == Fraction(7, 8)
-    assert lb > Fraction(8, 12)
+@pytest.mark.parametrize("n, r, config, lower_bound", [
+    (3, 1, (1, 2, 3), Fraction(1, 2)),  # round 1 frees every server
     # lex-first minimizer: two cuts in one cell, midpoint cut in the other
-    assert cfg.free_servers == (1, 2, 6)
-
-
-def test_worst_config_search_n7_r3():
-    cfg, lb = worst_config_search(7, 3)
-    assert cfg.free_servers == (4,)
-    assert lb == Fraction(1)
-
-
-def test_worst_config_search_cap():
-    with pytest.raises(ValueError):
-        worst_config_search(31, 2)
+    (7, 2, (1, 2, 6), Fraction(7, 8)),
+    (7, 3, (4,), Fraction(1)),
+    (31, 2, None, None),  # C(31, 15) configurations: past the exhaustive cap
+], ids=["n3-r1", "n7-r2", "n7-r3", "n31-r2-cap"])
+def test_exhaustive_worst_config(n, r, config, lower_bound):
+    # the exhaustive lemma2 check reports the segment-bound minimizer
+    if config is None:
+        with pytest.raises(ValueError, match="configurations"):
+            lemma2_config_property(n, r)
+        return
+    rep = lemma2_config_property(n, r)
+    assert tuple(rep.details["min_config"]) == config
+    assert Fraction(rep.details["min_lower_bound"]) == lower_bound
+    assert config_lower_bound(RoundConfig(n, r, config)) == lower_bound
+    assert lower_bound > Fraction(n + 1, 12)
 
 
 def test_oracle_report_n7_r2():
