@@ -23,6 +23,8 @@ Three claims about the construction are verified, referenced by id:
 
 lemma1_distance_mc draws its own instances; the offline cap and the
 policy reports are built from RunStats the trial runner already holds.
+lemma2_config_property checks configurations a block at a time, as the
+rows of one free-server mask, in sampled and exhaustive mode alike.
 
 Statistical checks use a 3-standard-error margin and need at least two
 trials; exact checks use none.
@@ -58,13 +60,15 @@ from matchline.adversary import (
     rounds_for,
 )
 from matchline.algorithms import RunStats
-from matchline.rng import Stream
+from matchline.rng import GAMMA, mix64_array, stream_keys
 
 _TAG_CONFIG = "config"
 
 EXHAUSTIVE_CAP = 2_000_000
 # worst round of n=15 enumerates C(15,7) = 6435 configs; n=31 is out of reach
 EXHAUSTIVE_N_LIMIT = 15
+# Bytes of uint64 draws one block of sampled configurations holds: 64 rows at n = 1023.
+BLOCK_DRAW_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -88,15 +92,24 @@ class RoundConfig:
             prev = s
 
 
-def _sum_squared_segments(n: int, r: int, free: np.ndarray) -> tuple[int, int]:
-    """(sum of squared segment lengths, segment count) over all cells."""
-    width = 1 << r
-    bounds = np.arange(0, n + 1 + width, width, dtype=np.int64)
-    # interior points are not multiples of width, so no point repeats
-    interior = free[(free % width) != 0]
-    pts = np.sort(np.concatenate((bounds, interior)))
-    d = np.diff(pts)
-    return int((d * d).sum()), len(d)
+def _free_mask(n: int, chunk) -> np.ndarray:
+    """(rows, n) mask of each row's free servers among 1..n."""
+    free = np.zeros((len(chunk), n), dtype=bool)
+    np.put_along_axis(free, np.asarray(chunk, dtype=np.intp) - 1, True, axis=1)
+    return free
+
+
+def _sum_squared_segments(n: int, r: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a (rows, n) free-server mask: (sum of squared segment
+    lengths, segment count) over all cells."""
+    present = np.zeros((len(free), n + 2), dtype=bool)  # positions 0..n+1
+    present[:, 1:-1] = free
+    present[:, :: 1 << r] = True  # the cell bounds; n+1 is one
+    counts = present.sum(axis=1)
+    pos = np.nonzero(present)[1]  # each row's points, ascending
+    d = np.diff(pos)
+    d[d < 0] = 0  # the step from one row's n+1 back to the next row's 0
+    return np.add.reduceat(d * d, np.cumsum(counts) - counts), counts - 1
 
 
 def config_lower_bound(config: RoundConfig) -> Fraction:
@@ -106,9 +119,9 @@ def config_lower_bound(config: RoundConfig) -> Fraction:
     pays at least the distance to the closer endpoint, d/4 on average, and
     lands there with probability d/2^r.
     """
-    free = np.asarray(config.free_servers, dtype=np.int64)
+    free = _free_mask(config.n, [config.free_servers])
     sum_d2, _ = _sum_squared_segments(config.n, config.r, free)
-    return Fraction(sum_d2, 4 << config.r)
+    return Fraction(int(sum_d2[0]), 4 << config.r)
 
 
 @dataclass(frozen=True)
@@ -266,7 +279,8 @@ def lemma2_config_property(
     configurations are drawn from a seeded stream.  Three exact checks per
     configuration: the floor sum d^2/(4*2^r) > (n+1)/12, the segment count
     cap s_r <= (n+1)/2^r + (n+1)/2^(r-1) - 1, and the Cauchy-Schwarz step
-    sum d^2 >= (n+1)^2 / s_r.
+    sum d^2 >= (n+1)^2 / s_r.  They run on blocks of configurations sized
+    to BLOCK_DRAW_BYTES of draws; min_config is the first minimizer found.
     """
     if samples is not None and samples < 1:
         raise ValueError("samples must be positive")
@@ -277,45 +291,44 @@ def lemma2_config_property(
     floor_rhs = (n + 1) << r
     total_len_sq = (n + 1) * (n + 1)
 
+    rows = max(1, BLOCK_DRAW_BYTES // (8 * n))
     if samples is None or f == n:
         count = math.comb(n, f)
         if count > EXHAUSTIVE_CAP:
             raise ValueError(
                 f"{count} configurations at n={n}, r={r}; pass samples= to sample instead"
             )
-        configs = itertools.combinations(range(1, n + 1), f)
+        combos = itertools.combinations(range(1, n + 1), f)
+        chunks = iter(lambda: list(itertools.islice(combos, rows)), [])
+        blocks = (_free_mask(n, chunk) for chunk in chunks)
         mode = f"exhaustive:{count}"
         total = count
     else:
-        def _sampled():
-            for s in range(samples):
-                keys = Stream(seed, _TAG_CONFIG, r, s).u64_block(n)
-                idx = np.argpartition(keys, f)[:f] if f < n else np.arange(n)
-                yield np.sort(idx) + 1
-        configs = _sampled()
+        # sample s frees the f servers with the smallest of draws 1..n of
+        # Stream(seed, _TAG_CONFIG, r, s); draw j is mix64(key + j GAMMA), and
+        # a row's draws are distinct, so those f are one set
+        keys = stream_keys(seed, (_TAG_CONFIG, r), samples)
+        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA)
+        draws = (mix64_array(keys[a : a + rows, None] + steps) for a in range(0, samples, rows))
+        blocks = (d <= np.partition(d, f - 1, axis=1)[:, f - 1 : f] for d in draws)
         mode = f"sampled:{samples}"
         total = samples
 
     min_sum_d2 = None
     min_config: tuple[int, ...] = ()
     max_segments = 0
-    floor_ok = True
-    segcap_ok = True
-    cauchy_ok = True
-    for conf in configs:
-        free = np.asarray(conf, dtype=np.int64)
+    floor_ok = segcap_ok = cauchy_ok = True
+    for free in blocks:
+        # sum_d2 <= (n+1) 2^r, segs < 3 (n+1) / 2^r: int64 is exact for n < 2^30
         sum_d2, segs = _sum_squared_segments(n, r, free)
-        if 3 * sum_d2 <= floor_rhs:
-            floor_ok = False
-        if segs > seg_cap:
-            segcap_ok = False
-        if sum_d2 * segs < total_len_sq:
-            cauchy_ok = False
-        if segs > max_segments:
-            max_segments = segs
-        if min_sum_d2 is None or sum_d2 < min_sum_d2:
-            min_sum_d2 = sum_d2
-            min_config = tuple(int(v) for v in conf)
+        floor_ok &= bool((3 * sum_d2 > floor_rhs).all())
+        segcap_ok &= bool((segs <= seg_cap).all())
+        cauchy_ok &= bool((sum_d2 * segs >= total_len_sq).all())
+        max_segments = max(max_segments, int(segs.max()))
+        j = int(sum_d2.argmin())  # the first minimum, as a one-by-one scan keeps it
+        if min_sum_d2 is None or sum_d2[j] < min_sum_d2:
+            min_sum_d2 = int(sum_d2[j])
+            min_config = tuple((np.flatnonzero(free[j]) + 1).tolist())
 
     observed = float(Fraction(min_sum_d2, 4 * width))
     return LemmaReport(

@@ -9,8 +9,9 @@ giving an independent reference for the per-round floor: the game value
 must dominate the segment bound sum d^2/(4*2^r) and exceed (n+1)/12.
 
 Enumeration cost is pts^q for q cells of pts grid points each, so this is
-for desk sizes only (the cap is MAX_OUTCOMES outcomes).  The minimizer of
-the segment bound alone is lemma2_config_property's min_config.
+for desk sizes only (the cap is MAX_OUTCOMES outcomes, which keeps every
+outcome's cost exact in an int32 grid).  The minimizer of the segment
+bound alone is lemma2_config_property's min_config.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ def exact_round_game_value(config: RoundConfig, grid_k: int | None = None) -> Fr
     Requests are one per cell, uniform over the half-open grid of spacing
     2^-grid_k.  Cells are disjoint and ordered, so any request tuple is
     already sorted and the optimum over server subsets is the rank pairing;
-    the minimum runs over sorted subsets only.
+    the minimum runs over sorted subsets only.  The outcome grid is int32: an
+    outcome sums q distances below (n+1) 2^k = q pts, and q^2 pts <= 2^18
+    whenever pts^q <= MAX_OUTCOMES.
     """
     n, r = config.n, config.r
     rounds_for(n)
@@ -65,7 +68,7 @@ def exact_round_game_value(config: RoundConfig, grid_k: int | None = None) -> Fr
             f"{outcomes} request tuples at n={n}, r={r}, grid_k={k} exceeds the cap"
         )
     cells = [
-        np.arange(m << (r + k), (m + 1) << (r + k), dtype=np.int64) for m in range(q)
+        np.arange(m << (r + k), (m + 1) << (r + k), dtype=np.int32) for m in range(q)
     ]
     best: np.ndarray | None = None
     for combo in itertools.combinations(config.free_servers, q):
@@ -76,7 +79,7 @@ def exact_round_game_value(config: RoundConfig, grid_k: int | None = None) -> Fr
             shape[t] = pts
             d = d.reshape(shape)
             grid = d if grid is None else grid + d
-        best = grid if best is None else np.minimum(best, grid)
+        best = grid if best is None else np.minimum(best, grid, out=best)
     assert best is not None
     total = int(best.sum(dtype=np.int64))
     return Fraction(total, outcomes << k)

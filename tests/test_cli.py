@@ -255,6 +255,18 @@ def test_bad_n_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_lemma1_rejects_n_past_width_rule_before_exact_loop(monkeypatch, capsys):
+    # lemma1_exact is O(n); at n = 2^31 - 1 it would spin for hours
+    def exact_loop(n):
+        raise AssertionError("lemma1_exact ran before n was validated")
+
+    monkeypatch.setattr(cli, "lemma1_exact", exact_loop)
+    assert cli.main(["lemma1", "--n", "2147483647", "--trials", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: i = 31") and "exceeds 61" in err
+    assert "Traceback" not in err
+
+
 def test_bad_algorithm_exits_two(capsys):
     rc = cli.main(["run", "--n", "3", "--trials", "2", "--alg", "nope"])
     assert rc == 2

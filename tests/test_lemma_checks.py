@@ -1,11 +1,13 @@
 """Checkers: exact moment identities, configuration floors, MC reports."""
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from matchline import lemma_checks
-from matchline.adversary import instance_seed, reachable_free_count
+from matchline.adversary import instance_seed, reachable_free_count, rounds_for
 from matchline.experiments import ExperimentConfig, run_suite
 from matchline.lemma_checks import (
     LemmaReport,
@@ -188,6 +190,116 @@ def test_lemma2_config_segment_cap_value():
 def test_lemma2_config_sample_validation():
     with pytest.raises(ValueError):
         lemma2_config_property(255, 2, samples=0)
+
+
+def _segments_one_config(n, r, free):
+    """(sum d^2, segment count) of one configuration, by sorting its points."""
+    width = 1 << r
+    bounds = np.arange(0, n + 1 + width, width, dtype=np.int64)
+    interior = free[(free % width) != 0]
+    pts = np.sort(np.concatenate((bounds, interior)))
+    d = np.diff(pts)
+    return int((d * d).sum()), len(d)
+
+
+def _scan_configs(n, r, configs):
+    """lemma2_config_property's details, one configuration at a time."""
+    seg_cap = ((n + 1) >> r) + len(configs[0])
+    min_sum_d2, min_config, max_segments = None, (), 0
+    floor_ok = segcap_ok = cauchy_ok = True
+    for conf in configs:
+        sum_d2, segs = _segments_one_config(n, r, np.asarray(conf, dtype=np.int64))
+        floor_ok = floor_ok and 3 * sum_d2 > (n + 1) << r
+        segcap_ok = segcap_ok and segs <= seg_cap
+        cauchy_ok = cauchy_ok and sum_d2 * segs >= (n + 1) ** 2
+        max_segments = max(max_segments, segs)
+        if min_sum_d2 is None or sum_d2 < min_sum_d2:
+            min_sum_d2, min_config = sum_d2, tuple(conf)
+    return {
+        "floor_strict": floor_ok,
+        "segment_cap": segcap_ok,
+        "cauchy_schwarz": cauchy_ok,
+        "max_segments": max_segments,
+        "min_config": list(min_config) if len(min_config) <= 32 else [],
+        "min_lower_bound": f"{min_sum_d2}/{4 << r}",
+    }
+
+
+def _drawn_configs(n, r, f, samples, seed):
+    """Sample s: the f positions of the smallest of draws 1..n of its own stream."""
+    for s in range(samples):
+        keys = Stream(seed, "config", r, s).u64_block(n)
+        yield tuple(int(v) + 1 for v in np.sort(np.argpartition(keys, f)[:f]))
+
+
+def _random_configs(n, r, stream):
+    """Seeded configurations of every size, with extra picks on cell bounds."""
+    bounds = list(range(1 << r, n + 1, 1 << r))  # the servers on cell bounds
+    configs = [(), tuple(range(1, n + 1)), tuple(bounds)]
+    for _ in range(12):
+        picks = {1 + stream.randbelow(n) for _ in range(stream.randbelow(n + 1))}
+        if bounds:
+            picks.add(bounds[stream.randbelow(len(bounds))])
+        configs.append(tuple(sorted(picks)))
+    return configs
+
+
+def test_block_segment_sums_match_per_config_oracle():
+    # ragged rows in one block: every row's sum and count, whatever its size
+    stream = Stream(71, "segments")
+    for i in range(2, 11):
+        n = (1 << i) - 1
+        for r in range(1, i + 1):
+            configs = _random_configs(n, r, stream)
+            free = np.zeros((len(configs), n), dtype=bool)
+            for row, conf in enumerate(configs):
+                free[row, [v - 1 for v in conf]] = True
+            sums, segs = lemma_checks._sum_squared_segments(n, r, free)
+            want = [_segments_one_config(n, r, np.asarray(c, dtype=np.int64)) for c in configs]
+            assert list(zip(sums.tolist(), segs.tolist())) == want, (n, r)
+
+
+@pytest.mark.parametrize("n, samples, seed", [
+    (3, 40, 1), (7, 300, 2), (63, 200, 3), (1023, 150, 4), (3, None, 0), (7, None, 0), (15, None, 0),
+])
+def test_lemma2_config_property_matches_per_config_scan(n, samples, seed):
+    # every round: f == n (round 1) and the single-server last round included
+    for r in range(1, rounds_for(n) + 1):
+        f = reachable_free_count(n, r)
+        rep = lemma2_config_property(n, r, samples=samples, seed=seed)
+        if samples is None or f == n:
+            configs = list(itertools.combinations(range(1, n + 1), f))
+        else:
+            configs = list(_drawn_configs(n, r, f, samples, seed))
+        want = _scan_configs(n, r, configs)
+        assert {key: rep.details[key] for key in want} == want, (n, r)
+        assert rep.trials == len(configs)
+        assert rep.observed == float(Fraction(want["min_lower_bound"]))
+
+
+def test_lemma2_config_flags_fail_with_too_many_free_servers(monkeypatch):
+    # 14 of 15 servers free in round 3: the floor fails for every sample,
+    # and the block check must say so exactly as the one-by-one scan does
+    monkeypatch.setattr(lemma_checks, "reachable_free_count", lambda n, r: 14)
+    rep = lemma2_config_property(15, 3, samples=50, seed=8)
+    want = _scan_configs(15, 3, list(_drawn_configs(15, 3, 14, 50, 8)))
+    assert not want["floor_strict"] and not rep.passed
+    assert {key: rep.details[key] for key in want} == want
+
+
+@pytest.mark.parametrize("n, r, samples", [
+    (7, 2, 300),  # 35 configurations: the samples repeat, so minima tie
+    (63, 3, 200),
+    (1023, 2, 130),
+    (15, 2, None),  # exhaustive: mirror images tie for the minimum
+    (7, 2, None),
+])
+def test_block_size_does_not_change_the_report(monkeypatch, n, r, samples):
+    default = lemma2_config_property(n, r, samples=samples, seed=5).to_json_dict()
+    for rows in (1, 3, 64):
+        monkeypatch.setattr(lemma_checks, "BLOCK_DRAW_BYTES", rows * 8 * n)
+        rep = lemma2_config_property(n, r, samples=samples, seed=5)
+        assert rep.to_json_dict() == default, rows
 
 
 def _suite_report(lemma_id, kind, n, **kw):

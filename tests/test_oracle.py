@@ -8,7 +8,7 @@ import pytest
 from matchline.geometry import Coord
 from matchline.lemma_checks import RoundConfig, config_lower_bound, lemma2_config_property
 from matchline.offline import brute_force_min_cost
-from matchline.oracle import auto_grid_k, exact_round_game_value, oracle_report
+from matchline.oracle import MAX_OUTCOMES, auto_grid_k, exact_round_game_value, oracle_report
 
 
 def test_auto_grid_k_values():
@@ -72,6 +72,27 @@ def test_game_value_matches_enumeration():
 def test_game_value_matches_enumeration_round2():
     cfg = RoundConfig(3, 2, (2,))
     assert exact_round_game_value(cfg, grid_k=4) == _enumerated_game_value(cfg, 4)
+
+
+def test_game_value_matches_enumeration_every_n7_round2_config():
+    for free in itertools.combinations(range(1, 8), 3):
+        cfg = RoundConfig(7, 2, free)
+        assert exact_round_game_value(cfg, grid_k=1) == _enumerated_game_value(cfg, 1), free
+
+
+def test_outcome_grid_fits_int32_under_the_cap():
+    # an outcome of q cells with pts grid points each sums to under q^2 pts;
+    # the grid is int32, so every (q, pts) the cap admits must keep that below 2^31
+    admitted = [
+        (q, 1 << b)
+        for q in range(1, MAX_OUTCOMES.bit_length())
+        for b in range(1, MAX_OUTCOMES.bit_length())
+        if (1 << b) ** q <= MAX_OUTCOMES
+    ]
+    assert (1, MAX_OUTCOMES) in admitted
+    assert all(q * q * pts < 1 << 31 for q, pts in admitted)
+    # the largest single-cell grid the cap admits: 2^18 points, exact
+    assert exact_round_game_value(RoundConfig(1, 1, (1,)), grid_k=17) == Fraction(1, 2)
 
 
 def test_game_value_input_validation():
