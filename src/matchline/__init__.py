@@ -11,7 +11,7 @@ cost guarantees, including the competitive-ratio floor sqrt(log2(n+1))/12.
 from matchline.adversary import GenParams, Instance, generate
 from matchline.algorithms import ALGORITHM_KINDS, AlgorithmSpec, RunStats, run
 from matchline.experiments import ExperimentConfig, SuiteResult, run_suite
-from matchline.geometry import Coord, coord_from_integer
+from matchline.geometry import Coord
 from matchline.lemma_checks import (
     LemmaReport,
     RoundConfig,
@@ -22,7 +22,7 @@ from matchline.lemma_checks import (
     offline_report_from_stats,
     render_reports,
 )
-from matchline.offline import Assignment, brute_force_min_cost, sorted_matching_cost
+from matchline.offline import Assignment, sorted_matching_cost
 from matchline.oracle import exact_round_game_value, oracle_report
 
 __version__ = "0.1.0"
@@ -39,9 +39,7 @@ __all__ = [
     "RoundConfig",
     "RunStats",
     "SuiteResult",
-    "brute_force_min_cost",
     "config_lower_bound",
-    "coord_from_integer",
     "exact_round_game_value",
     "generate",
     "lemma1_distance_mc",

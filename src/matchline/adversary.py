@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from matchline.geometry import Coord, coord_from_integer
+from matchline.geometry import Coord
 from matchline.rng import GAMMA, Stream, mix64_array, stream_key, stream_keys
 
 ORDER_LEFT_TO_RIGHT = "left_to_right"
@@ -136,7 +136,7 @@ class Instance:
 
     @property
     def servers(self) -> tuple[Coord, ...]:
-        return tuple(coord_from_integer(j, self.grid_k) for j in range(1, self.n + 1))
+        return tuple(Coord(j << self.grid_k, self.grid_k) for j in range(1, self.n + 1))
 
     def all_requests(self) -> list[Coord]:
         return [Coord(x, self.grid_k) for nums in self.origins for x in nums.tolist()]

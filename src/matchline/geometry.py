@@ -1,22 +1,17 @@
 """Exact dyadic fixed-point coordinates on the line.
 
 Every coordinate is an integer multiple of 2**-k, stored as (numerator, k).
-Comparisons, sums and distances align scales and work on integers, so cost
-accounting never rounds.  Floats appear only where numbers leave the exact
-layer, i.e. in Monte Carlo aggregates and human-readable reports.
-
-Coord is the API and JSON form of a value; the run path works on the
-numerators themselves, as int64 arrays, so numerators must fit a signed
-64-bit word.
+The run path works on the numerators themselves, as int64 arrays at one
+shared scale, so cost accounting never rounds.  Coord is only the API and
+JSON form of a value: it validates a (numerator, scale) pair, rescales it
+exactly and writes it out; it has no arithmetic.  Floats appear only where
+numbers leave the exact layer, i.e. in Monte Carlo aggregates and
+human-readable reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
-
-MAX_COORD_BITS = 62
 
 
 class CoordOverflowError(OverflowError):
@@ -27,13 +22,13 @@ class CoordDomainError(ValueError):
     """Input outside the allowed interval, or an invalid scale."""
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class Coord:
-    """Dyadic rational num / 2**k.
+    """Dyadic rational num / 2**k whose numerator fits a signed 64-bit word.
 
-    Binary operations align both operands to the larger of the two scales,
-    which is exact, and the result keeps that scale.  Equality and ordering
-    compare values, not representations, so Coord(1, 0) == Coord(2, 1).
+    Equality is the dataclass's field equality, so it compares
+    representations: Coord(1, 0) != Coord(2, 1).  Compare values with
+    normalized() or at_scale() at a common scale.
     """
 
     num: int
@@ -51,9 +46,6 @@ class Coord:
             raise CoordDomainError(f"cannot rescale from {self.k} down to {k}")
         return self.num << (k - self.k)
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.k)
-
     def normalized(self) -> "Coord":
         """Equivalent Coord with the smallest scale (0 for zero)."""
         num, k = self.num, self.k
@@ -62,73 +54,5 @@ class Coord:
         shift = min(k, (num & -num).bit_length() - 1)
         return Coord(num >> shift, k - shift)
 
-    def _aligned(self, other: "Coord") -> tuple[int, int, int]:
-        k = self.k if self.k >= other.k else other.k
-        return self.at_scale(k), other.at_scale(k), k
-
-    def __add__(self, other: "Coord") -> "Coord":
-        if not isinstance(other, Coord):
-            return NotImplemented
-        a, b, k = self._aligned(other)
-        return Coord(a + b, k)
-
-    def __sub__(self, other: "Coord") -> "Coord":
-        if not isinstance(other, Coord):
-            return NotImplemented
-        a, b, k = self._aligned(other)
-        return Coord(a - b, k)
-
-    def __neg__(self) -> "Coord":
-        return Coord(-self.num, self.k)
-
-    def __abs__(self) -> "Coord":
-        return Coord(abs(self.num), self.k)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Coord):
-            return NotImplemented
-        a, b, _ = self._aligned(other)
-        return a == b
-
-    def __hash__(self) -> int:
-        norm = self.normalized()
-        return hash((norm.num, norm.k))
-
-    def __lt__(self, other: "Coord") -> bool:
-        a, b, _ = self._aligned(other)
-        return a < b
-
-    def __le__(self, other: "Coord") -> bool:
-        a, b, _ = self._aligned(other)
-        return a <= b
-
-    def __gt__(self, other: "Coord") -> bool:
-        return not self <= other
-
-    def __ge__(self, other: "Coord") -> bool:
-        return not self < other
-
     def to_json(self) -> dict:
         return {"num": self.num, "k": self.k}
-
-    def __repr__(self) -> str:
-        return f"Coord({self.num}, {self.k})"
-
-
-def coord_from_integer(j: int, k: int) -> Coord:
-    """Embed the non-negative integer j on the scale-k grid, exactly."""
-    if j < 0:
-        raise CoordDomainError(f"expected a non-negative integer, got {j}")
-    if k + j.bit_length() > MAX_COORD_BITS:
-        raise CoordOverflowError(f"{j} at scale {k} exceeds {MAX_COORD_BITS} bits")
-    return Coord(j << k, k)
-
-
-def common_scale(*groups: Iterable[Coord]) -> int:
-    k = 0
-    for group in groups:
-        for c in group:
-            if c.k > k:
-                k = c.k
-    return k
-

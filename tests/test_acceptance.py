@@ -10,9 +10,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from oracles import brute_force_cost
 
 from matchline.experiments import ExperimentConfig, run_suite, write_outputs
-from matchline.geometry import Coord
 from matchline.lemma_checks import (
     empirical_report_from_stats,
     lemma1_distance_mc,
@@ -21,7 +21,7 @@ from matchline.lemma_checks import (
     offline_report_from_stats,
     ratio_report_from_stats,
 )
-from matchline.offline import brute_force_min_cost, sorted_matching_cost
+from matchline.offline import sorted_cost_num
 from matchline.oracle import auto_grid_k, oracle_report
 from matchline.rng import Stream
 
@@ -88,12 +88,10 @@ def test_criterion_05_offline_oracle_equivalence():
     for _ in range(200):
         size = 1 + s.randbelow(8)
         k = s.randbelow(7)
-        servers = [Coord(s.randbelow(1 << (k + 5)), k) for _ in range(size)]
-        points = [Coord(s.randbelow(1 << (k + 5)), k) for _ in range(size)]
-        a = sorted_matching_cost(servers, points).total_cost.as_fraction()
-        b = brute_force_min_cost(servers, points).total_cost.as_fraction()
-        ok = ok and a == b
-    _verdict(5, "sorted pairing equals brute-force optimum, 200 instances", ok)
+        servers = [s.randbelow(1 << (k + 5)) for _ in range(size)]
+        points = [s.randbelow(1 << (k + 5)) for _ in range(size)]
+        ok = ok and sorted_cost_num(servers, points) == brute_force_cost(servers, points)
+    _verdict(5, "sorted_cost_num equals the brute-force optimum, 200 instances", ok)
 
 
 def test_criterion_06_config_floor_analytic():

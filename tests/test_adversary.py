@@ -77,7 +77,7 @@ def test_params_validation():
 def test_smallest_instance():
     inst = generate(GenParams(i=1, grid_k=6, seed=9))
     assert inst.n == 1
-    assert [s.as_fraction() for s in inst.servers] == [1]
+    assert [s.at_scale(6) for s in inst.servers] == [1 << 6]
     assert len(inst.origins) == 1
     (num,) = inst.origins[0].tolist()
     assert 0 <= num < 2 << 6
@@ -85,7 +85,7 @@ def test_smallest_instance():
 
 def test_n3_layout():
     inst = generate(GenParams(i=2, grid_k=8, seed=4))
-    assert [s.as_fraction() for s in inst.servers] == [1, 2, 3]
+    assert [s.at_scale(8) for s in inst.servers] == [1 << 8, 2 << 8, 3 << 8]
     r1, r2 = inst.origins
     assert r1.dtype == r2.dtype == np.int64
     assert len(r1) == 2 and len(r2) == 1

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import brute_force_cost
 
 from matchline.adversary import (
     GenParams,
@@ -29,7 +30,6 @@ from matchline.algorithms import (
 )
 from matchline.experiments import run_trials
 from matchline.geometry import Coord
-from matchline.offline import brute_force_min_cost, sorted_matching_cost
 from matchline.rng import Stream, stream_key
 
 
@@ -194,13 +194,9 @@ def _monotone_min_cost_1d(req, free):
     return int(dp[q, m]), sel
 
 
-def _injection_brute_force(req, free, k):
+def _injection_brute_force(req, free):
     """Oracle: the cheapest bijection of req onto any q-subset of free."""
-    points = [Coord(x, k) for x in req]
-    return min(
-        brute_force_min_cost([Coord(v, k) for v in combo], points).total_cost.at_scale(k)
-        for combo in itertools.combinations(free, len(req))
-    )
+    return min(brute_force_cost(combo, req) for combo in itertools.combinations(free, len(req)))
 
 
 def _stack_case(s):
@@ -254,7 +250,7 @@ def test_stacked_batch_matches_one_instance_dp():
         if q <= 7 and math.comb(m, q) * math.factorial(q) <= 720:
             brute += 1
             for r, f, (c, _) in zip(rounds, frees, want):
-                assert c == _injection_brute_force(r, f, k)
+                assert c == _injection_brute_force(r, f)
     assert brute >= 300
 
 
@@ -545,10 +541,11 @@ def test_default_run_at_n2047_is_exact():
     # n = 2047 takes the width-capped default grid_k = 38 on the int64 kernels
     runs = run_trial(2047, ALGORITHM_KINDS, 0, 3)
     inst = generate(GenParams(i=11, grid_k=38, seed=stream_key(3, "trial", 0)))
-    want = sorted_matching_cost(inst.servers, inst.all_requests()).total_cost
+    points = sorted(np.concatenate(inst.origins).tolist())
+    want = sum(abs(x - (j << 38)) for j, x in enumerate(points, 1))
     for st in runs:
         assert st.grid_k == 38
-        assert st.offline_total == want.at_scale(38)
+        assert st.offline_total == want
         assert st.online_total >= st.offline_total
     by_kind = {st.algorithm: st for st in runs}
     batch_first = by_kind["batch_round_optimal"].round_costs[0]

@@ -1,16 +1,13 @@
-"""Offline optimum on the line and its brute-force oracle."""
+"""Offline optimum on the line against the brute-force oracle."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import brute_force_cost
 
-from matchline.geometry import Coord, coord_from_integer
-from matchline.offline import (
-    brute_force_min_cost,
-    sorted_cost_num,
-    sorted_matching_cost,
-)
+from matchline.geometry import Coord
+from matchline.offline import sorted_cost_num, sorted_matching_cost
 from matchline.rng import Stream
 
 
@@ -22,112 +19,86 @@ def c(x, k=6):
 
 
 def ints(values, k=4):
-    return [coord_from_integer(v, k) for v in values]
+    return [Coord(v << k, k) for v in values]
 
 
 def test_identity_pair_costs_zero():
-    asn = sorted_matching_cost(ints([1]), ints([1]))
-    assert asn.total_cost == Coord(0, 0)
-    assert asn.pairs == ((0, 0),)
+    assert sorted_matching_cost(ints([1]), ints([1])).total_cost == Coord(0, 4)
+    assert sorted_cost_num([], []) == 0
 
 
 def test_sorted_direct_formula():
     servers = ints([1, 2, 3])
     points = [c("0.5"), c("2.5"), c("3.5")]
-    asn = sorted_matching_cost(servers, points)
-    assert asn.total_cost.as_fraction() == Fraction(3, 2)
-    assert [p.as_fraction() for p in asn.per_pair_cost] == [
-        Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
-    ]
+    assert sorted_matching_cost(servers, points).total_cost.at_scale(6) == 3 << 5
 
 
 def test_sorted_handles_unsorted_points():
     servers = ints([1, 2, 3])
     points = [c("3.5"), c("0.5"), c("2.5")]
-    asn = sorted_matching_cost(servers, points)
-    assert asn.total_cost.as_fraction() == Fraction(3, 2)
-    # pairs refer to original indices: point 1 (value 0.5) gets server 0
-    assert (1, 0) in asn.pairs
+    assert sorted_matching_cost(servers, points).total_cost.at_scale(6) == 3 << 5
+
+
+def test_sorted_matching_cost_aligns_mixed_scales():
+    # 1.5 = Coord(3, 1) against 0.125 = Coord(1, 3): 11/8 at the finer scale 3
+    assert sorted_matching_cost([Coord(3, 1)], [Coord(1, 3)]).total_cost == Coord(11, 3)
+    assert sorted_matching_cost([], []).total_cost == Coord(0, 0)
 
 
 def test_size_mismatch():
     with pytest.raises(ValueError):
         sorted_matching_cost(ints([1, 2]), ints([1]))
+    with pytest.raises(ValueError):
+        brute_force_cost([1, 2], [1])
 
 
 def test_brute_force_unique_matching():
-    asn = brute_force_min_cost(ints([5]), [c("4.25")])
-    assert asn.total_cost.as_fraction() == Fraction(3, 4)
+    # 4.25 against server 5 at scale 6
+    assert brute_force_cost([5 << 6], [272]) == 48
 
 
 def test_brute_force_two_points():
     # points 1.5 and 1.625: sorted pairing 0.5 + 0.375 beats crossing 0.625 + 0.5
-    asn = brute_force_min_cost(ints([1, 2], k=4), [Coord(24, 4), Coord(26, 4)])
-    assert asn.total_cost.as_fraction() == Fraction(7, 8)
-    assert asn.pairs == ((0, 0), (1, 1))
+    assert brute_force_cost([16, 32], [24, 26]) == 14
 
 
 def test_brute_force_crossing_pair():
-    asn = brute_force_min_cost(ints([1, 2]), ints([2, 1]))
-    assert asn.total_cost == Coord(0, 0)
-    assert set(asn.pairs) == {(0, 1), (1, 0)}
+    assert brute_force_cost([1, 2], [2, 1]) == 0
 
 
 def test_brute_force_size_cap():
-    pts = ints(list(range(10)))
+    pts = list(range(10))
     with pytest.raises(ValueError):
-        brute_force_min_cost(pts, pts)
-
-
-def test_assignment_total_is_sum_of_pairs():
-    servers = ints([1, 3, 6])
-    points = [c("1.25"), c("2.5"), c("7")]
-    for asn in (sorted_matching_cost(servers, points), brute_force_min_cost(servers, points)):
-        total = Fraction(0)
-        for pc in asn.per_pair_cost:
-            total += pc.as_fraction()
-        assert asn.total_cost.as_fraction() == total
-        assert sorted(p for p, _ in asn.pairs) == [0, 1, 2]
-        assert sorted(s for _, s in asn.pairs) == [0, 1, 2]
+        brute_force_cost(pts, pts)
+    assert brute_force_cost(pts[:9], pts[:9]) == 0
 
 
 def test_oracle_equivalence_random():
     s = Stream(314, "offline-oracle")
     for _ in range(120):
         size = 1 + s.randbelow(6)
-        servers = sorted(
-            (Coord(s.randbelow(1 << 10), 6) for _ in range(size)),
-            key=lambda co: co.num,
-        )
-        points = [Coord(s.randbelow(1 << 10), 6) for _ in range(size)]
-        fast = sorted_matching_cost(servers, points)
-        slow = brute_force_min_cost(servers, points)
-        assert fast.total_cost == slow.total_cost
+        servers = sorted(s.randbelow(1 << 10) for _ in range(size))
+        points = [s.randbelow(1 << 10) for _ in range(size)]
+        assert sorted_cost_num(servers, points) == brute_force_cost(servers, points)
 
 
 def test_shift_changes_cost_by_at_most_n_t():
     s = Stream(272, "shift")
     for _ in range(40):
         size = 1 + s.randbelow(5)
-        servers = sorted(
-            (Coord(s.randbelow(1 << 8), 5) for _ in range(size)), key=lambda co: co.num
-        )
-        points = [Coord(s.randbelow(1 << 8), 5) for _ in range(size)]
-        t = Coord(1 + s.randbelow(16), 5)
-        shifted = [p + t for p in points]
-        base = sorted_matching_cost(servers, points).total_cost.as_fraction()
-        moved = sorted_matching_cost(servers, shifted).total_cost.as_fraction()
-        assert abs(moved - base) <= size * t.as_fraction()
+        servers = sorted(s.randbelow(1 << 8) for _ in range(size))
+        points = [s.randbelow(1 << 8) for _ in range(size)]
+        t = 1 + s.randbelow(16)
+        base = sorted_cost_num(servers, points)
+        moved = sorted_cost_num(servers, [p + t for p in points])
+        assert abs(moved - base) <= size * t
 
 
 def test_coincident_points_stable_and_cost_invariant():
     servers = ints([1, 2])
     twice = [Coord(24, 4), Coord(24, 4)]  # both at 1.5
-    asn = sorted_matching_cost(servers, twice)
-    # stable order: first point keeps the left server
-    assert asn.pairs == ((0, 0), (1, 1))
-    assert asn.total_cost.as_fraction() == 1
-    assert brute_force_min_cost(servers, twice).total_cost.as_fraction() == 1
+    assert sorted_matching_cost(servers, twice).total_cost == Coord(16, 4)
+    assert brute_force_cost([16, 32], [24, 24]) == 16
 
 
 def test_sorted_cost_num_agrees_with_rank_pairing():
@@ -136,10 +107,11 @@ def test_sorted_cost_num_agrees_with_rank_pairing():
         size = s.randbelow(9)
         servers = [s.randbelow(1 << 12) for _ in range(size)]
         points = [s.randbelow(1 << 12) for _ in range(size)]
-        want = sorted_matching_cost(ints(servers, 0), ints(points, 0)).total_cost
+        want = sum(abs(a - b) for a, b in zip(sorted(servers), sorted(points)))
         got = sorted_cost_num(np.asarray(servers, dtype=np.int64), points)
         assert type(got) is int
-        assert got == want.at_scale(0)
+        assert got == want
+        assert sorted_matching_cost(ints(servers, 0), ints(points, 0)).total_cost == Coord(want, 0)
     with pytest.raises(ValueError):
         sorted_cost_num([1, 2], [1])
 
@@ -154,3 +126,23 @@ def test_sorted_cost_num_exact_at_widest_legal_scale():
         for points in ([0] * n, [top] * n, [s.randbelow(top + 1) for _ in range(n)]):
             want = sum(abs(a - b) for a, b in zip(sorted(points), servers))
             assert sorted_cost_num(np.asarray(servers, dtype=np.int64), points) == want
+
+
+def test_sorted_cost_is_exact_or_refuses_at_the_int64_edge():
+    # len * (max - min) just below 2**63 is summed exactly; at 2**63 it is refused
+    top = (1 << 61) - 1
+    assert sorted_cost_num([0] * 4, [top] * 4) == 4 * top
+    assert sorted_matching_cost([Coord(0, 0)] * 4, [Coord(top, 0)] * 4).total_cost == Coord(
+        4 * top, 0
+    )
+    with pytest.raises(ValueError):
+        sorted_cost_num([0] * 4, [top + 1] * 4)
+    with pytest.raises(ValueError):
+        sorted_matching_cost([Coord(0, 0)] * 4, [Coord(top + 1, 0)] * 4)
+    # a numerator outside int64, before or after aligning scales
+    assert sorted_cost_num([(1 << 63) - 1], [0]) == (1 << 63) - 1
+    with pytest.raises(ValueError):
+        sorted_cost_num([1 << 63], [0])
+    assert sorted_matching_cost([Coord(1 << 61, 0)], [Coord(0, 1)]).total_cost == Coord(1 << 62, 1)
+    with pytest.raises(ValueError):
+        sorted_matching_cost([Coord(1 << 62, 0)], [Coord(0, 1)])

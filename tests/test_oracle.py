@@ -4,10 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from oracles import brute_force_cost
 
-from matchline.geometry import Coord
 from matchline.lemma_checks import RoundConfig, config_lower_bound, lemma2_config_property
-from matchline.offline import brute_force_min_cost
 from matchline.oracle import MAX_OUTCOMES, auto_grid_k, exact_round_game_value, oracle_report
 
 
@@ -43,24 +42,20 @@ def test_game_value_beats_floor_n3():
 def _enumerated_game_value(cfg, grid_k):
     """Direct enumeration: average the exact min-cost matching per outcome."""
     pts = 1 << (cfg.r + grid_k)
-    servers = [Coord(s << grid_k, grid_k) for s in cfg.free_servers]
+    servers = [s << grid_k for s in cfg.free_servers]
     width = 1 << cfg.r
     cells = [(m * width, (m + 1) * width) for m in range((cfg.n + 1) >> cfg.r)]
-    total = Fraction(0)
-    count = 0
+    total = count = 0
     for nums in itertools.product(
         *[range(a << grid_k, b << grid_k) for a, b in cells]
     ):
-        reqs = [Coord(v, grid_k) for v in nums]
-        best = None
-        for chosen in itertools.combinations(servers, len(reqs)):
-            cost = brute_force_min_cost(list(chosen), reqs).total_cost.as_fraction()
-            if best is None or cost < best:
-                best = cost
-        total += best
+        total += min(
+            brute_force_cost(chosen, nums)
+            for chosen in itertools.combinations(servers, len(nums))
+        )
         count += 1
     assert count == pts ** len(cells)
-    return total / count
+    return Fraction(total, count << grid_k)
 
 
 def test_game_value_matches_enumeration():
