@@ -1,15 +1,18 @@
 """Command-line front end.
 
-Subcommands: generate, run, lemma1, lemma2, oracle, ratio, prefix.  Options
-can come from a flat key=value config file via --config; explicit flags win
-over file values, file values win over built-in defaults.  Exit status is 0
-when every emitted report passes, 1 when any fails, 2 on usage errors.
+Subcommands: generate, run, lemma1, lemma2, oracle, ratio, prefix.  Each
+takes --config and the options it reads, with its own defaults (_COMMANDS);
+any other flag is a usage error.  oracle also takes --seed, unread, so one
+seed can go to every command.  --config names a flat key=value file whose
+values become the command's defaults, so flags win over the file and the
+file over built-in defaults; a key no command takes is an error, a key only
+other commands take is ignored.  Exit status is 0 when every emitted report
+passes, 1 when any fails, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -23,7 +26,7 @@ from matchline.adversary import (
     rounds_for,
 )
 from matchline.algorithms import ALGORITHM_KINDS
-from matchline.experiments import ExperimentConfig, SuiteResult, run_suite
+from matchline.experiments import ExperimentConfig, SuiteResult, run_suite, write_reports
 from matchline.lemma_checks import (
     EXHAUSTIVE_N_LIMIT,
     LemmaReport,
@@ -35,17 +38,28 @@ from matchline.lemma_checks import (
 )
 from matchline.oracle import auto_grid_k, oracle_report
 
-_DEFAULTS = {
-    "n": "1023",
-    "trials": None,  # per-command default
-    "seed": "0",
-    "grid_k": None,
-    "alg": None,
-    "order": ORDER_LEFT_TO_RIGHT,
-    "prefix_rounds": "0",
-    "out": None,
-    "workers": "1",
-}
+
+def _one_size(raw: str) -> int:
+    """--n as one size; with _sizes the only parser of --n."""
+    if "," in raw:
+        raise ValueError(f"--n {raw}: this command takes one size, not a list")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"--n {raw}: a size must be an integer") from None
+
+
+def _sizes(raw: str) -> tuple[int, ...]:
+    """--n as a comma list of sizes."""
+    return tuple(_one_size(part) for part in raw.split(",") if part.strip())
+
+
+def _grid_k(raw: str) -> int | None:
+    return None if raw.lower() == "none" else int(raw)
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -60,73 +74,16 @@ def _load_config_file(path: str) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _DEFAULTS:
+        if key not in _FLAGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
 
 
-class _Options:
-    """Merged view of flags, config file, and defaults; flags win."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._args = vars(args)
-        cfg_path = self._args.get("config")
-        self._file = _load_config_file(cfg_path) if cfg_path else {}
-
-    def _raw(self, key: str, fallback: str | None = None) -> str | None:
-        flag = self._args.get(key)
-        if flag is not None:
-            return str(flag)
-        if key in self._file:
-            return self._file[key]
-        if fallback is not None:
-            return fallback
-        return _DEFAULTS.get(key)
-
-    def int_value(self, key: str, fallback: str | None = None) -> int:
-        raw = self._raw(key, fallback)
-        if raw is None:
-            raise ValueError(f"missing required option --{key.replace('_', '-')}")
-        if key == "n" and "," in raw:
-            raise ValueError(f"--n {raw}: this command takes one size, not a list")
-        return int(raw)
-
-    def opt_int(self, key: str) -> int | None:
-        raw = self._raw(key)
-        if raw is None or raw.lower() == "none":
-            return None
-        return int(raw)
-
-    def str_value(self, key: str, fallback: str | None = None) -> str | None:
-        return self._raw(key, fallback)
-
-    def int_list(self, key: str, fallback: str | None = None) -> tuple[int, ...]:
-        raw = self._raw(key, fallback)
-        if raw is None:
-            raise ValueError(f"missing required option --{key.replace('_', '-')}")
-        return tuple(int(part) for part in str(raw).split(",") if part.strip())
-
-    def alg_list(self, fallback: str) -> tuple[str, ...]:
-        raw = self._raw("alg", fallback)
-        assert raw is not None
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
-def _write_reports(reports: list[LemmaReport], out: str | None) -> None:
-    if out is None:
-        return
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"reports": [rep.to_json_dict() for rep in reports]}
-    with (out_dir / "reports.json").open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
 def _finish(reports: list[LemmaReport], out: str | None) -> int:
     print(render_reports(reports))
-    _write_reports(reports, out)
+    if out is not None:
+        write_reports(out, {"reports": [rep.to_json_dict() for rep in reports]})
     return 0 if all(rep.passed for rep in reports) else 1
 
 
@@ -155,169 +112,163 @@ def _finish_suite(result: SuiteResult) -> int:
     return 0 if all(rep.passed for rep in result.reports) else 1
 
 
-def _cmd_generate(opts: _Options) -> int:
-    n = opts.int_value("n")
-    i = rounds_for(n)
-    grid_k = opts.opt_int("grid_k")
+def _cmd_generate(args: argparse.Namespace) -> int:
+    n = _one_size(args.n)
     params = GenParams(
-        i=i,
-        grid_k=default_grid_k(n) if grid_k is None else grid_k,
-        seed=opts.int_value("seed"),
-        request_order=opts.str_value("order") or ORDER_LEFT_TO_RIGHT,
+        i=rounds_for(n),
+        grid_k=default_grid_k(n) if args.grid_k is None else args.grid_k,
+        seed=args.seed,
+        request_order=args.order,
     )
     text = instance_to_jsonl(generate(params))
-    out = opts.str_value("out")
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
-        print(f"wrote {n + 1} records to {out}")
+        Path(args.out).write_text(text, encoding="utf-8")
+        print(f"wrote {n + 1} records to {args.out}")
     return 0
 
 
 def _suite_config(
-    opts: _Options, algorithms: str, trials: str, out_dir: str | None = None
+    args: argparse.Namespace, trials: int, out_dir: str | None = None
 ) -> ExperimentConfig:
-    """The suite every policy-running command plays; algorithms and trials
-    are the command's defaults for --alg and --trials."""
+    """The suite every policy-running command plays."""
     return ExperimentConfig(
-        n_list=opts.int_list("n"),
-        algorithms=opts.alg_list(algorithms),
-        trials=opts.int_value("trials", trials),
-        seed=opts.int_value("seed"),
-        grid_k=opts.opt_int("grid_k"),
-        request_order=opts.str_value("order") or ORDER_LEFT_TO_RIGHT,
-        prefix_known_rounds=opts.int_value("prefix_rounds"),
+        n_list=_sizes(args.n),
+        algorithms=args.alg,
+        trials=trials,
+        seed=args.seed,
+        grid_k=args.grid_k,
+        request_order=args.order,
+        prefix_known_rounds=args.prefix_rounds,
         out_dir=out_dir,
-        workers=opts.int_value("workers"),
+        workers=args.workers,
     )
 
 
-def _cmd_run(opts: _Options) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     """run and prefix: the suite, with the leading --prefix-rounds (default 0)
     rounds served as one offline batch."""
-    config = _suite_config(opts, ",".join(ALGORITHM_KINDS), "100", opts.str_value("out"))
-    return _finish_suite(run_suite(config))
+    return _finish_suite(run_suite(_suite_config(args, args.trials, args.out)))
 
 
-def _cmd_lemma1(opts: _Options) -> int:
-    n = opts.int_value("n")
+def _cmd_lemma1(args: argparse.Namespace) -> int:
+    n = _one_size(args.n)
     # the sampled check validates n, grid_k and trials before its O(n) work,
     # so it runs first: lemma1_exact's O(n) loop would spin on an n out of range
-    sampled = lemma1_distance_mc(
-        n,
-        trials=opts.int_value("trials", "1000"),
-        seed=opts.int_value("seed"),
-        grid_k=opts.opt_int("grid_k"),
-    )
-    return _finish([lemma1_exact(n), sampled], opts.str_value("out"))
+    sampled = lemma1_distance_mc(n, trials=args.trials, seed=args.seed, grid_k=args.grid_k)
+    return _finish([lemma1_exact(n), sampled], args.out)
 
 
-def _cmd_lemma2(opts: _Options) -> int:
+def _cmd_lemma2(args: argparse.Namespace) -> int:
     """The configuration floor for every round, then with --alg the
-    per-round floor of each policy's suite runs."""
-    n = opts.int_value("n")
+    per-round floor of each policy's suite runs.  --trials is the sampled
+    configuration count and, with --alg, the suite's trial count; unset,
+    they are 10000 and 500."""
+    n = _one_size(args.n)
     i = rounds_for(n)
-    seed = opts.int_value("seed")
-    samples = opts.int_value("trials", "10000")
-    alg = opts.str_value("alg")
+    given = args.trials
+    samples = 10000 if given is None else given
     # the suite is validated before any configuration is checked
-    config = None if alg is None else _suite_config(opts, alg, "500")
+    config = None if args.alg is None else _suite_config(args, 500 if given is None else given)
     exhaustive = n <= EXHAUSTIVE_N_LIMIT
     reports = [
-        lemma2_config_property(n, r, samples=None if exhaustive else samples, seed=seed)
+        lemma2_config_property(n, r, samples=None if exhaustive else samples, seed=args.seed)
         for r in range(1, i + 1)
     ]
     if config is not None:
         reports += [rep for rep in run_suite(config).reports if rep.lemma_id == "lemma2_empirical"]
-    return _finish(reports, opts.str_value("out"))
+    return _finish(reports, args.out)
 
 
-def _cmd_oracle(opts: _Options) -> int:
-    n = opts.int_value("n", "7")
-    i = rounds_for(n)
-    cap = opts.opt_int("grid_k")
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    n = _one_size(args.n)
     reports = []
-    for r in range(1, i + 1):
+    for r in range(1, rounds_for(n) + 1):
         k = auto_grid_k(n, r)
-        if cap is not None:
-            k = min(k, cap)
+        if args.grid_k is not None:
+            k = min(k, args.grid_k)
         reports.append(oracle_report(n, r, grid_k=k))
-    return _finish(reports, opts.str_value("out"))
+    return _finish(reports, args.out)
 
 
-def _cmd_ratio(opts: _Options) -> int:
+def _cmd_ratio(args: argparse.Namespace) -> int:
     """The offline cap, then each policy's aggregate ratio, from one suite;
     a trial's policies share its instance, so any policy's runs serve."""
-    n = opts.int_value("n")
-    config = _suite_config(opts, "greedy_nearest,batch_round_optimal", "500")
+    n = _one_size(args.n)
+    config = _suite_config(args, args.trials)
     result = run_suite(config)
     reports = [offline_report_from_stats(result.stats[(n, config.algorithms[0])], config.seed)]
     reports += [rep for rep in result.reports if rep.lemma_id == "theorem_ratio"]
-    return _finish(reports, opts.str_value("out"))
+    return _finish(reports, args.out)
 
 
+# every option a command may take: its argparse keywords
+_FLAGS = {
+    "n": {"help": "problem size 2^i - 1; comma list where sizes repeat"},
+    "trials": {"type": int, "help": "trial or sample count"},
+    "seed": {"type": int, "help": "root seed"},
+    "grid_k": {"type": _grid_k, "help": "request grid exponent, or 'none'"},
+    "alg": {"type": _names, "help": f"comma list from: {', '.join(ALGORITHM_KINDS)}"},
+    "order": {"choices": sorted(REQUEST_ORDERS), "help": "arrival order within a round"},
+    "prefix_rounds": {"type": int, "help": "leading rounds served as one offline batch"},
+    "out": {"help": "output file (generate) or directory (other commands)"},
+    "workers": {"type": int, "help": "parallel worker processes"},
+}
+
+_BASE = {"n": "1023", "seed": 0, "grid_k": None, "out": None}  # every command takes these
+_SUITE = {
+    **_BASE, "trials": 100, "alg": ",".join(ALGORITHM_KINDS),
+    "order": ORDER_LEFT_TO_RIGHT, "prefix_rounds": 0, "workers": 1,
+}
+
+# command: (handler, help, the options it takes with their defaults)
 _COMMANDS = {
-    "generate": _cmd_generate,
-    "run": _cmd_run,
-    "lemma1": _cmd_lemma1,
-    "lemma2": _cmd_lemma2,
-    "oracle": _cmd_oracle,
-    "ratio": _cmd_ratio,
-    "prefix": _cmd_run,
+    "generate": (_cmd_generate, "emit one adversarial instance as JSON lines",
+                 {**_BASE, "order": ORDER_LEFT_TO_RIGHT}),
+    "run": (_cmd_run, "run an experiment suite and print/aggregate results", _SUITE),
+    "lemma1": (_cmd_lemma1, "exact moment identities plus the sorted-distance bound",
+               {**_BASE, "trials": 1000}),
+    "lemma2": (_cmd_lemma2, "per-round floor: configuration checks and policy runs",
+               {**_SUITE, "trials": None, "alg": None}),
+    "oracle": (_cmd_oracle, "exact round game values at tiny sizes", {**_BASE, "n": "7"}),
+    "ratio": (_cmd_ratio, "aggregate online/offline ratio against its floor",
+              {**_SUITE, "trials": 500, "alg": "greedy_nearest,batch_round_optimal"}),
+    "prefix": (_cmd_run, "advance-knowledge mode: leading rounds served offline", _SUITE),
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value option file; flags override it")
-    sub.add_argument("--n", help="problem size 2^i - 1; comma list where sizes repeat")
-    sub.add_argument("--trials", type=int, help="trial or sample count")
-    sub.add_argument("--seed", type=int, help="root seed (default 0)")
-    sub.add_argument("--grid-k", dest="grid_k", help="request grid exponent, or 'none'")
-    sub.add_argument(
-        "--alg", help=f"comma list from: {', '.join(ALGORITHM_KINDS)}"
-    )
-    sub.add_argument("--order", choices=sorted(REQUEST_ORDERS), help="arrival order within a round")
-    sub.add_argument(
-        "--prefix-rounds", dest="prefix_rounds", type=int,
-        help="leading rounds served as one offline batch",
-    )
-    sub.add_argument("--out", help="output file (generate) or directory (other commands)")
-    sub.add_argument("--workers", type=int, help="parallel worker processes")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(file_values: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The parser; file_values (from --config) replace the defaults of the
+    commands that take those options, and string defaults go through the
+    same type conversion as flags."""
     parser = argparse.ArgumentParser(
         prog="matchline",
         description="online matching on the line: adversarial instances, policies, checkers",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "generate": "emit one adversarial instance as JSON lines",
-        "run": "run an experiment suite and print/aggregate results",
-        "lemma1": "exact moment identities plus the sorted-distance bound",
-        "lemma2": "per-round floor: configuration checks and policy runs",
-        "oracle": "exact round game values at tiny sizes",
-        "ratio": "aggregate online/offline ratio against its floor",
-        "prefix": "advance-knowledge mode: leading rounds served offline",
-    }
-    for name, fn in _COMMANDS.items():
-        sub = subs.add_parser(name, help=helps[name])
-        _add_common(sub)
-        sub.set_defaults(handler=fn)
+    for name, (handler, help_text, defaults) in _COMMANDS.items():
+        sub = subs.add_parser(
+            name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+        )
+        sub.add_argument("--config", help="flat key=value option file; flags override it")
+        for key in defaults:
+            sub.add_argument(f"--{key.replace('_', '-')}", **_FLAGS[key])
+        file_defaults = {k: v for k, v in (file_values or {}).items() if k in defaults}
+        sub.set_defaults(handler=handler, **{**defaults, **file_defaults})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        opts = _Options(args)
+        if args.config is not None:
+            args = build_parser(_load_config_file(args.config)).parse_args(argv)
         try:
-            return args.handler(opts)
+            return args.handler(args)
         except MemoryError as exc:
             detail = f": {exc}" if str(exc) else ""
-            raise ValueError(f"out of memory at --n {opts.str_value('n')}{detail}") from None
+            raise ValueError(f"out of memory at --n {args.n}{detail}") from None
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -340,14 +340,20 @@ def write_outputs(result: SuiteResult, out_dir: str | Path) -> list[Path]:
     rounds_path = out / "rounds.csv"
     _write_csv(rounds_path, ROUNDS_COLUMNS, result.round_rows)
 
-    reports_path = out / "reports.json"
-    payload = {
+    reports_path = write_reports(out, {
         "schema_version": SCHEMA_VERSION,
         "config": config.to_json_dict(),
         "reports": [rep.to_json_dict() for rep in result.reports],
-    }
-    with reports_path.open("w", encoding="utf-8") as fh:
+    })
+    return [trials_path, summary_path, rounds_path, reports_path]
+
+
+def write_reports(out_dir: str | Path, payload: dict) -> Path:
+    """Write payload as out_dir/reports.json, indented, with a final newline."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "reports.json"
+    with path.open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
-
-    return [trials_path, summary_path, rounds_path, reports_path]
+    return path

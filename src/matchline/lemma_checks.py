@@ -276,11 +276,15 @@ def lemma2_config_property(
 
     samples=None enumerates every configuration of the reachable size
     (errors out above EXHAUSTIVE_CAP); otherwise that many uniform
-    configurations are drawn from a seeded stream.  Three exact checks per
-    configuration: the floor sum d^2/(4*2^r) > (n+1)/12, the segment count
-    cap s_r <= (n+1)/2^r + (n+1)/2^(r-1) - 1, and the Cauchy-Schwarz step
-    sum d^2 >= (n+1)^2 / s_r.  They run on blocks of configurations sized
-    to BLOCK_DRAW_BYTES of draws; min_config is the first minimizer found.
+    configurations are drawn from a seeded stream.  The gate is the exact
+    floor sum d^2/(4*2^r) > (n+1)/12 on every configuration (floor_strict).
+    The report also records the segment count cap s_r <= (n+1)/2^r + f for
+    f free servers (segment_cap) and the Cauchy-Schwarz step
+    sum d^2 >= (n+1)^2 / s_r (cauchy_schwarz); both hold for every
+    configuration, since each free server adds at most one segment and the
+    second is a theorem, so only floor_strict can fail.  The checks run on
+    blocks of configurations sized to BLOCK_DRAW_BYTES of draws; min_config
+    is the first minimizer found.
     """
     if samples is not None and samples < 1:
         raise ValueError("samples must be positive")

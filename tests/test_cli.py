@@ -12,6 +12,7 @@ import matchline
 import matchline.cli as cli
 from matchline import adversary, lemma_checks
 from matchline.adversary import GenParams, default_grid_k, generate, instance_from_jsonl
+from matchline.experiments import ExperimentConfig
 from matchline.lemma_checks import LemmaReport
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -274,6 +275,68 @@ def test_config_file_malformed_line(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+def _exit_code(argv):
+    # argparse exits on a bad flag or file value; the handlers return 2
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_config_file_precedence_on_suite(monkeypatch, tmp_path):
+    # flag beats file beats default, for each kind of option a suite reads
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("n=7\nalg=greedy_nearest, permutation\norder=shuffled\nworkers=2\ntrials=9\n")
+    configs = []
+    real = cli.run_suite
+
+    def recording(config):
+        configs.append(config)
+        return real(config)
+
+    monkeypatch.setattr(cli, "run_suite", recording)
+    assert cli.main(["run", "--config", str(cfg), "--trials", "3"]) == 0
+    assert configs == [ExperimentConfig(
+        n_list=(7,), algorithms=("greedy_nearest", "permutation"), trials=3, seed=0,
+        grid_k=None, request_order="shuffled", prefix_known_rounds=0, workers=2,
+    )]
+
+
+@pytest.mark.parametrize("argv", [["lemma1"], ["oracle", "--n", "3"], ["generate", "--n", "3"]])
+def test_shared_config_file_serves_commands_that_ignore_its_keys(argv, tmp_path):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("n=7\ntrials=100\nworkers=2\nalg=greedy_nearest\nprefix-rounds=1\n")
+    assert cli.main([*argv, "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("line, option", [("trials=abc", "--trials"), ("n=abc", "--n")])
+def test_config_file_malformed_value_exits_two(line, option, tmp_path, capsys):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text(f"n=7\n{line}\n")
+    assert _exit_code(["lemma1", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert option in err and "abc" in err
+    assert "Traceback" not in err and "int()" not in err
+
+
+# the flags a command does not read: each is a usage error, not ignored
+UNREAD_FLAGS = [
+    *[("generate", flag) for flag in ("--trials", "--alg", "--prefix-rounds", "--workers")],
+    *[("lemma1", flag) for flag in ("--alg", "--order", "--prefix-rounds", "--workers")],
+    *[("oracle", flag) for flag in ("--trials", "--alg", "--order", "--prefix-rounds", "--workers")],
+]
+FLAG_VALUES = {
+    "--trials": "5", "--alg": "greedy_nearest", "--order": "shuffled",
+    "--prefix-rounds": "1", "--workers": "2",
+}
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_flag_a_command_does_not_read_exits_two(command, flag, capsys):
+    assert _exit_code([command, "--n", "3", flag, FLAG_VALUES[flag]]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_bad_n_exits_two(capsys):
     rc = cli.main(["lemma1", "--n", "4", "--trials", "100"])
     assert rc == 2
@@ -328,6 +391,10 @@ def test_one_trial_statistics_exit_two(argv, capsys):
     (["lemma1", "--n", "7,15", "--trials", "100"], "this command takes one size"),
     (["oracle", "--n", "3,7"], "this command takes one size"),
     (["generate", "--n", "7,15"], "this command takes one size"),
+    (["lemma1", "--n", "abc", "--trials", "100"], "--n abc: a size must be an integer"),
+    (["run", "--n", "7,abc", "--trials", "2"], "--n abc: a size must be an integer"),
+    # --trials 0 is a sample count of zero, not "use the default"
+    (["lemma2", "--n", "31", "--trials", "0"], "samples must be positive"),
 ])
 def test_bad_suite_input_exits_two(argv, message, capsys):
     assert cli.main(argv) == 2
