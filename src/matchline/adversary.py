@@ -4,7 +4,9 @@ For n = 2**i - 1 the servers sit at the integers 1..n.  Requests arrive in i
 rounds; round r partitions [0, n+1] into (n+1)/2**r half-open cells of width
 2**r and draws one origin per cell, uniformly over the cell's grid of
 multiples of 2**-grid_k.  Each request is its origin: sampling directly on
-the grid keeps every event probability an exact dyadic rational.
+the grid keeps every event probability an exact dyadic rational.  Round r's
+origins are consecutive draws of the one stream (seed, "origin", r);
+SAMPLER_VERSION names that rule.
 
 An Instance is the params plus one int64 numerator array per round, at scale
 grid_k and in cell order; servers are implicit (server j sits at j << grid_k).
@@ -31,11 +33,16 @@ from typing import Sequence
 import numpy as np
 
 from matchline.geometry import Coord
-from matchline.rng import GAMMA, Stream, mix64_array, stream_key, stream_keys
+from matchline.rng import Stream, stream_key
 
 ORDER_LEFT_TO_RIGHT = "left_to_right"
 ORDER_SHUFFLED = "shuffled"
 REQUEST_ORDERS = (ORDER_LEFT_TO_RIGHT, ORDER_SHUFFLED)
+
+# Version of the rule that turns a seed into origins and sampled
+# configurations; the trials.jsonl header and generate's params record
+# carry it, since a new rule changes every sampled output.
+SAMPLER_VERSION = 2
 
 # Stream name tags. One stream per (seed, tag, ...coords); draws never mix.
 _TAG_ORIGIN = "origin"
@@ -145,16 +152,15 @@ class Instance:
 def origin_round_numerators(params: GenParams) -> list[np.ndarray]:
     """Per-round origin numerators at scale grid_k (round r at index r-1).
 
-    This is the single sampling path: one stream per (seed, round, cell), one
-    draw per stream, the top r+grid_k bits giving the offset inside the cell.
+    This is the single sampling path: one stream per (seed, round), draw m
+    for cell m, the top r+grid_k bits giving the offset inside the cell.
     generate() and the fast Monte Carlo paths both call it.
     """
     out = []
     for r in range(1, params.i + 1):
         cells = 1 << (params.i - r)
         width = r + params.grid_k
-        keys = stream_keys(params.seed, (_TAG_ORIGIN, r), cells)
-        u = mix64_array(keys + np.uint64(GAMMA))  # first draw of each stream
+        u = Stream(params.seed, _TAG_ORIGIN, r).u64_block(cells)
         offsets = (u >> np.uint64(64 - width)).astype(np.int64)
         bases = np.arange(cells, dtype=np.int64) << np.int64(width)
         out.append(bases + offsets)
@@ -236,6 +242,7 @@ def instance_to_jsonl(instance: Instance) -> str:
                 "grid_k": p.grid_k,
                 "seed": p.seed,
                 "request_order": p.request_order,
+                "sampler": SAMPLER_VERSION,
             },
             separators=(",", ":"),
         )

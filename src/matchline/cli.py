@@ -164,10 +164,13 @@ def _cmd_lemma2(args: argparse.Namespace) -> int:
     """The configuration floor for every round, then with --alg the
     per-round floor of each policy's suite runs.  --trials is the sampled
     configuration count and, with --alg, the suite's trial count; unset,
-    they are 10000 and 500."""
+    they are 10000 and 500.  At n <= EXHAUSTIVE_N_LIMIT every configuration
+    is checked, so --trials sets only the suite's trial count."""
     n = _one_size(args.n)
     i = rounds_for(n)
     given = args.trials
+    if given is not None and given < 1:
+        raise ValueError(f"--trials must be positive, got {given}")
     samples = 10000 if given is None else given
     # the suite is validated before any configuration is checked
     config = None if args.alg is None else _suite_config(args, 500 if given is None else given)

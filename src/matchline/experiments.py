@@ -7,7 +7,8 @@ reports and ratio its aggregate ratio reports.  A suite runs every
 report and the aggregate ratio report to each pair, and optionally writes
 four files into an output directory:
 
-  trials.jsonl   one record per trial, preceded by a header record
+  trials.jsonl   one record per trial, preceded by a header record that
+                 names the schema and sampler versions
   summary.csv    one row per (n, algorithm)
   rounds.csv     one row per (n, algorithm, online round)
   reports.json   the checker reports plus the configuration
@@ -36,6 +37,7 @@ from matchline.adversary import (
     GenParams,
     ORDER_LEFT_TO_RIGHT,
     REQUEST_ORDERS,
+    SAMPLER_VERSION,
     default_grid_k,
     generate,
     instance_seed,
@@ -324,6 +326,7 @@ def write_outputs(result: SuiteResult, out_dir: str | Path) -> list[Path]:
         header = {
             "record": "header",
             "schema_version": SCHEMA_VERSION,
+            "sampler": SAMPLER_VERSION,
             "config": config.to_json_dict(),
         }
         fh.write(_json_line(header))

@@ -24,7 +24,8 @@ Three claims about the construction are verified, referenced by id:
 lemma1_distance_mc draws its own instances; the offline cap and the
 policy reports are built from RunStats the trial runner already holds.
 lemma2_config_property checks configurations a block at a time, as the
-rows of one free-server mask, in sampled and exhaustive mode alike.
+rows of one free-server mask, in sampled and exhaustive mode alike; sampled
+configurations of round r are consecutive rows of one seeded stream.
 
 Statistical checks use a 3-standard-error margin and need at least two
 trials; exact checks use none.
@@ -60,7 +61,7 @@ from matchline.adversary import (
     rounds_for,
 )
 from matchline.algorithms import RunStats
-from matchline.rng import GAMMA, mix64_array, stream_keys
+from matchline.rng import Stream
 
 _TAG_CONFIG = "config"
 
@@ -99,9 +100,9 @@ def _free_mask(n: int, chunk) -> np.ndarray:
     return free
 
 
-def _sum_squared_segments(n: int, r: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a (rows, n) free-server mask: (sum of squared segment
-    lengths, segment count) over all cells."""
+def _sum_squared_segments(n: int, r: int, free: np.ndarray) -> np.ndarray:
+    """Per row of a (rows, n) free-server mask: the sum of squared segment
+    lengths over all cells."""
     present = np.zeros((len(free), n + 2), dtype=bool)  # positions 0..n+1
     present[:, 1:-1] = free
     present[:, :: 1 << r] = True  # the cell bounds; n+1 is one
@@ -109,7 +110,7 @@ def _sum_squared_segments(n: int, r: int, free: np.ndarray) -> tuple[np.ndarray,
     pos = np.nonzero(present)[1]  # each row's points, ascending
     d = np.diff(pos)
     d[d < 0] = 0  # the step from one row's n+1 back to the next row's 0
-    return np.add.reduceat(d * d, np.cumsum(counts) - counts), counts - 1
+    return np.add.reduceat(d * d, np.cumsum(counts) - counts)
 
 
 def config_lower_bound(config: RoundConfig) -> Fraction:
@@ -120,7 +121,7 @@ def config_lower_bound(config: RoundConfig) -> Fraction:
     lands there with probability d/2^r.
     """
     free = _free_mask(config.n, [config.free_servers])
-    sum_d2, _ = _sum_squared_segments(config.n, config.r, free)
+    sum_d2 = _sum_squared_segments(config.n, config.r, free)
     return Fraction(int(sum_d2[0]), 4 << config.r)
 
 
@@ -276,24 +277,20 @@ def lemma2_config_property(
 
     samples=None enumerates every configuration of the reachable size
     (errors out above EXHAUSTIVE_CAP); otherwise that many uniform
-    configurations are drawn from a seeded stream.  The gate is the exact
-    floor sum d^2/(4*2^r) > (n+1)/12 on every configuration (floor_strict).
-    The report also records the segment count cap s_r <= (n+1)/2^r + f for
-    f free servers (segment_cap) and the Cauchy-Schwarz step
-    sum d^2 >= (n+1)^2 / s_r (cauchy_schwarz); both hold for every
-    configuration, since each free server adds at most one segment and the
-    second is a theorem, so only floor_strict can fail.  The checks run on
-    blocks of configurations sized to BLOCK_DRAW_BYTES of draws; min_config
-    is the first minimizer found.
+    configurations are drawn from one seeded stream.  The one gate is the
+    exact floor sum d^2/(4*2^r) > (n+1)/12 on every configuration
+    (floor_strict).  Two facts behind it are identities, not gates: with f
+    free servers there are at most s_r = (n+1)/2^r + f segments, since each
+    free server adds at most one, and sum d^2 >= (n+1)^2 / s_r by
+    Cauchy-Schwarz.  The checks run on blocks of configurations sized to
+    BLOCK_DRAW_BYTES of draws; min_config is the first minimizer found.
     """
     if samples is not None and samples < 1:
         raise ValueError("samples must be positive")
     f = reachable_free_count(n, r)
     width = 1 << r
-    seg_cap = ((n + 1) >> r) + f
     # strict floor: sum_d2 / (4*2^r) > (n+1)/12  <=>  3*sum_d2 > (n+1)*2^r
     floor_rhs = (n + 1) << r
-    total_len_sq = (n + 1) * (n + 1)
 
     rows = max(1, BLOCK_DRAW_BYTES // (8 * n))
     if samples is None or f == n:
@@ -308,27 +305,26 @@ def lemma2_config_property(
         mode = f"exhaustive:{count}"
         total = count
     else:
-        # sample s frees the f servers with the smallest of draws 1..n of
-        # Stream(seed, _TAG_CONFIG, r, s); draw j is mix64(key + j GAMMA), and
-        # a row's draws are distinct, so those f are one set
-        keys = stream_keys(seed, (_TAG_CONFIG, r), samples)
-        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA)
-        draws = (mix64_array(keys[a : a + rows, None] + steps) for a in range(0, samples, rows))
+        # sample s frees the f servers with the smallest of draws
+        # s n + 1 .. (s + 1) n of Stream(seed, _TAG_CONFIG, r); a stream's
+        # draws are distinct, so those f are one set, and rows are read in
+        # order, so the block size cannot change a sample
+        stream = Stream(seed, _TAG_CONFIG, r)
+        draws = (
+            stream.u64_block(n * min(rows, samples - a)).reshape(-1, n)
+            for a in range(0, samples, rows)
+        )
         blocks = (d <= np.partition(d, f - 1, axis=1)[:, f - 1 : f] for d in draws)
         mode = f"sampled:{samples}"
         total = samples
 
     min_sum_d2 = None
     min_config: tuple[int, ...] = ()
-    max_segments = 0
-    floor_ok = segcap_ok = cauchy_ok = True
+    floor_ok = True
     for free in blocks:
-        # sum_d2 <= (n+1) 2^r, segs < 3 (n+1) / 2^r: int64 is exact for n < 2^30
-        sum_d2, segs = _sum_squared_segments(n, r, free)
+        # sum_d2 <= (n+1) 2^r: int64 is exact for n < 2^30
+        sum_d2 = _sum_squared_segments(n, r, free)
         floor_ok &= bool((3 * sum_d2 > floor_rhs).all())
-        segcap_ok &= bool((segs <= seg_cap).all())
-        cauchy_ok &= bool((sum_d2 * segs >= total_len_sq).all())
-        max_segments = max(max_segments, int(segs.max()))
         j = int(sum_d2.argmin())  # the first minimum, as a one-by-one scan keeps it
         if min_sum_d2 is None or sum_d2[j] < min_sum_d2:
             min_sum_d2 = int(sum_d2[j])
@@ -342,16 +338,12 @@ def lemma2_config_property(
         observed=observed,
         bound=float(Fraction(n + 1, 12)),
         standard_error=0.0,
-        passed=floor_ok and segcap_ok and cauchy_ok,
+        passed=floor_ok,
         details={
             "r": r,
             "mode": mode,
             "free_count": f,
             "floor_strict": floor_ok,
-            "segment_cap": segcap_ok,
-            "cauchy_schwarz": cauchy_ok,
-            "max_segments": max_segments,
-            "segment_cap_value": seg_cap,
             "min_config": list(min_config) if len(min_config) <= 32 else [],
             "min_lower_bound": f"{min_sum_d2}/{4 * width}",
             "seed": seed,

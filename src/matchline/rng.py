@@ -2,14 +2,12 @@
 
 A stream is identified by a 64-bit key derived from (seed, labels...) with
 BLAKE2b.  Draw j of a stream is the SplitMix64 output function applied to
-key + j * GAMMA, so any draw depends only on (key, j).  Streams can therefore
-be evaluated out of order, in parallel workers, or in numpy blocks, always
-reproducing the same values on any platform.  There is no global state.
-
-stream_keys(seed, labels, count) gives the keys of the sibling streams
-(seed, *labels, m) for m = 0..count-1 as one uint64 array: it keys BLAKE2b
-and absorbs the shared labels once, then copies that state per m, so a
-batch costs one hash finalization per key instead of a full keyed hash.
+key + j * GAMMA, so any draw depends only on (key, j), and the draws of one
+stream are distinct (GAMMA is odd and the mixer a bijection).  Streams can
+therefore be evaluated out of order, in parallel workers, or in numpy
+blocks, always reproducing the same values on any platform.  There is no
+global state.  This module is the only place that knows the draw format:
+callers read draws through Stream.
 """
 
 from __future__ import annotations
@@ -44,36 +42,19 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _keyed_hash(seed: int, labels: Sequence[int | str]) -> hashlib.blake2b:
-    """BLAKE2b keyed by seed with every label absorbed: the one definition
-    of the key format (each label is str(label) followed by 0x1f)."""
+def stream_key(seed: int, *labels: int | str) -> int:
+    """64-bit stream key for (seed, labels...): BLAKE2b keyed by the seed,
+    absorbing each label as str(label) followed by 0x1f.
+
+    Distinct label tuples give independent-looking keys; the mapping is pure
+    BLAKE2b, hence stable across platforms and processes.
+    """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be a 64-bit value, got {seed}")
     h = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
     for label in labels:
         h.update(str(label).encode() + b"\x1f")
-    return h
-
-
-def stream_key(seed: int, *labels: int | str) -> int:
-    """64-bit stream key for (seed, labels...).
-
-    Distinct label tuples give independent-looking keys; the mapping is pure
-    BLAKE2b, hence stable across platforms and processes.
-    """
-    return int.from_bytes(_keyed_hash(seed, labels).digest(), "little")
-
-
-def stream_keys(seed: int, labels: Sequence[int | str], count: int) -> np.ndarray:
-    """stream_key(seed, *labels, m) for m in range(count), as a uint64 array."""
-    prefix = _keyed_hash(seed, labels)
-    digests = []
-    for m in range(count):
-        h = prefix.copy()
-        h.update(b"%d\x1f" % m)  # the encoding of the integer label m
-        digests.append(h.digest())
-    # little-endian, as stream_key reads its digest; astype gives a writable copy
-    return np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64)
+    return int.from_bytes(h.digest(), "little")
 
 
 class Stream:

@@ -1,6 +1,7 @@
 """Test-only oracles: transparently correct, deliberately naive."""
 
 import itertools
+import math
 
 BRUTE_FORCE_CAP = 9
 
@@ -17,3 +18,13 @@ def brute_force_cost(server_nums, point_nums):
         sum(abs(p - s) for p, s in zip(point_nums, perm))
         for perm in itertools.permutations(server_nums)
     )
+
+
+# Two-sided margin of the sampler calibration tests: a correct sampler puts
+# one comparison past it with probability about 6.8e-6.
+CALIBRATION_Z = 4.5
+
+
+def binomial_z(count, trials, p):
+    """Standard score of count successes in trials Bernoulli(p) draws."""
+    return (count - trials * p) / math.sqrt(trials * p * (1 - p))

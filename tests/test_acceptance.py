@@ -102,7 +102,7 @@ def test_criterion_06_config_floor_analytic():
     for r in range(1, 11):
         rep = lemma2_config_property(1023, r, samples=10_000, seed=ACCEPT_SEED + r)
         ok = ok and rep.passed
-    _verdict(6, "segment bound, cap, and floor hold for every configuration", ok)
+    _verdict(6, "the strict segment floor holds for every configuration", ok)
 
 
 def test_criterion_07_round_game_value_floor():

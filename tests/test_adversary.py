@@ -10,17 +10,20 @@ import pytest
 from matchline.adversary import (
     GenParams,
     ORDER_SHUFFLED,
+    SAMPLER_VERSION,
     arrival_indices,
     check_round_numerators,
     default_grid_k,
     g_moments,
     generate,
     instance_from_jsonl,
+    instance_seed,
     instance_to_jsonl,
     origin_round_numerators,
     rounds_for,
 )
 from matchline.rng import stream_key
+from oracles import CALIBRATION_Z, binomial_z
 
 
 def test_rounds_for():
@@ -237,6 +240,33 @@ def test_g_sample_mean_tracks_expectation():
     assert abs(float(sample - mean)) <= slack
 
 
+def test_origin_sampler_calibration():
+    """Origins are uniform on their cell's grid, and independent across cells.
+
+    4096 instances at n = 7, grid_k = 2: every (round, cell, offset) count,
+    96 in all, against uniform, and round 1's rate of equal offsets in cells
+    0 and 1 against 1/8.  Each of the 97 comparisons is two-sided at
+    CALIBRATION_Z = 4.5 SE, so a correct sampler fails the family with
+    probability at most 97 x 6.8e-6 = 0.07 %.
+    """
+    trials, grid_k = 4096, 2
+    offsets = [np.empty((trials, 8 >> r), dtype=np.int64) for r in (1, 2, 3)]
+    for t in range(trials):
+        params = GenParams(i=3, grid_k=grid_k, seed=instance_seed(99, t))
+        for r, nums in enumerate(origin_round_numerators(params), start=1):
+            offsets[r - 1][t] = nums - (np.arange(len(nums)) << (r + grid_k))
+    zs = []
+    for r, offs in enumerate(offsets, start=1):
+        size = 1 << (r + grid_k)
+        for cell in offs.T:
+            zs += [binomial_z(c, trials, 1 / size) for c in np.bincount(cell, minlength=size)]
+    assert len(zs) == 96
+    equal = int((offsets[0][:, 0] == offsets[0][:, 1]).sum())
+    zs.append(binomial_z(equal, trials, 1 / 8))
+    worst = max(zs, key=abs)
+    assert abs(worst) <= CALIBRATION_Z, (zs.index(worst), worst)
+
+
 def test_arrival_order_modes():
     params = GenParams(i=4, grid_k=8, seed=66)
     assert arrival_indices(params, 1) == list(range(8))
@@ -255,6 +285,11 @@ def test_jsonl_round_trip_bit_exact():
     back = instance_from_jsonl(text)
     assert back == inst
     assert instance_to_jsonl(back) == text
+    head, rest = text.split("\n", 1)
+    fields = json.loads(head)
+    assert fields["sampler"] == SAMPLER_VERSION == 2
+    del fields["sampler"]  # transcripts written before the key existed still load
+    assert instance_from_jsonl(json.dumps(fields) + "\n" + rest) == inst
 
 
 def test_file_round_trip(tmp_path):

@@ -393,8 +393,9 @@ def test_one_trial_statistics_exit_two(argv, capsys):
     (["generate", "--n", "7,15"], "this command takes one size"),
     (["lemma1", "--n", "abc", "--trials", "100"], "--n abc: a size must be an integer"),
     (["run", "--n", "7,abc", "--trials", "2"], "--n abc: a size must be an integer"),
-    # --trials 0 is a sample count of zero, not "use the default"
-    (["lemma2", "--n", "31", "--trials", "0"], "samples must be positive"),
+    # --trials 0 is a count of zero, not "use the default", at every size
+    (["lemma2", "--n", "31", "--trials", "0"], "--trials must be positive"),
+    (["lemma2", "--n", "15", "--trials", "0"], "--trials must be positive"),
 ])
 def test_bad_suite_input_exits_two(argv, message, capsys):
     assert cli.main(argv) == 2

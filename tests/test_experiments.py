@@ -224,6 +224,7 @@ def test_trials_header_and_counts(tmp_path):
     header = json.loads(lines[0])
     assert header["record"] == "header"
     assert header["schema_version"] == 1
+    assert header["sampler"] == 2
     assert header["config"] == cfg.to_json_dict()
     trials = [json.loads(line) for line in lines[1:]]
     assert len(trials) == 4

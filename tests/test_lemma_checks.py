@@ -1,6 +1,7 @@
 """Checkers: exact moment identities, configuration floors, MC reports."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from matchline.lemma_checks import (
     render_reports,
 )
 from matchline.rng import Stream
+from oracles import CALIBRATION_Z, binomial_z
 
 
 def test_reachable_free_count():
@@ -160,8 +162,6 @@ def test_lemma2_config_exhaustive_n7():
         assert rep.passed
         assert rep.trials == count
         assert rep.details["floor_strict"]
-        assert rep.details["segment_cap"]
-        assert rep.details["cauchy_schwarz"]
         assert rep.details["mode"] == f"exhaustive:{count}"
 
 
@@ -181,55 +181,68 @@ def test_lemma2_config_sampled_deterministic():
     assert c.details["min_lower_bound"] != a.details["min_lower_bound"]
 
 
-def test_lemma2_config_segment_cap_value():
-    rep = lemma2_config_property(15, 2)
-    assert rep.details["segment_cap_value"] == 4 + 7
-    assert rep.details["max_segments"] <= 11
-
-
 def test_lemma2_config_sample_validation():
     with pytest.raises(ValueError):
         lemma2_config_property(255, 2, samples=0)
 
 
 def _segments_one_config(n, r, free):
-    """(sum d^2, segment count) of one configuration, by sorting its points."""
+    """Sum of squared segment lengths of one configuration, by sorting its points."""
     width = 1 << r
     bounds = np.arange(0, n + 1 + width, width, dtype=np.int64)
     interior = free[(free % width) != 0]
     pts = np.sort(np.concatenate((bounds, interior)))
     d = np.diff(pts)
-    return int((d * d).sum()), len(d)
+    return int((d * d).sum())
 
 
 def _scan_configs(n, r, configs):
     """lemma2_config_property's details, one configuration at a time."""
-    seg_cap = ((n + 1) >> r) + len(configs[0])
-    min_sum_d2, min_config, max_segments = None, (), 0
-    floor_ok = segcap_ok = cauchy_ok = True
+    min_sum_d2, min_config = None, ()
+    floor_ok = True
     for conf in configs:
-        sum_d2, segs = _segments_one_config(n, r, np.asarray(conf, dtype=np.int64))
+        sum_d2 = _segments_one_config(n, r, np.asarray(conf, dtype=np.int64))
         floor_ok = floor_ok and 3 * sum_d2 > (n + 1) << r
-        segcap_ok = segcap_ok and segs <= seg_cap
-        cauchy_ok = cauchy_ok and sum_d2 * segs >= (n + 1) ** 2
-        max_segments = max(max_segments, segs)
         if min_sum_d2 is None or sum_d2 < min_sum_d2:
             min_sum_d2, min_config = sum_d2, tuple(conf)
     return {
         "floor_strict": floor_ok,
-        "segment_cap": segcap_ok,
-        "cauchy_schwarz": cauchy_ok,
-        "max_segments": max_segments,
         "min_config": list(min_config) if len(min_config) <= 32 else [],
         "min_lower_bound": f"{min_sum_d2}/{4 << r}",
     }
 
 
 def _drawn_configs(n, r, f, samples, seed):
-    """Sample s: the f positions of the smallest of draws 1..n of its own stream."""
-    for s in range(samples):
-        keys = Stream(seed, "config", r, s).u64_block(n)
-        yield tuple(int(v) + 1 for v in np.sort(np.argpartition(keys, f)[:f]))
+    """Sample s: the f positions of the smallest of draws s n + 1 .. (s + 1) n
+    of the round's one stream."""
+    stream = Stream(seed, "config", r)
+    for _ in range(samples):
+        draws = stream.u64_block(n)
+        yield tuple(int(v) + 1 for v in np.sort(np.argpartition(draws, f)[:f]))
+
+
+def test_config_sampler_calibration():
+    """Sampled configurations are uniform, and independent from row to row.
+
+    3500 samples at n = 7, r = 2 (3 free servers of 7, so 35 subsets): each
+    subset count against 1/35, and the rate at which sample s + 1 repeats
+    sample s against 1/35.  For independent uniform samples those 3499
+    repeat indicators are pairwise independent, so their sum has binomial
+    variance.  Each of the 36 comparisons is two-sided at CALIBRATION_Z =
+    4.5 SE, so a correct sampler fails the family with probability at most
+    36 x 6.8e-6 = 0.025 %.
+    """
+    n, r, samples = 7, 2, 3500
+    f = reachable_free_count(n, r)
+    configs = list(_drawn_configs(n, r, f, samples, 99))
+    subsets = list(itertools.combinations(range(1, n + 1), f))
+    counts = Counter(configs)
+    assert set(counts) <= set(subsets)
+    zs = [binomial_z(counts[c], samples, 1 / len(subsets)) for c in subsets]
+    repeats = sum(a == b for a, b in zip(configs, configs[1:]))
+    zs.append(binomial_z(repeats, samples - 1, 1 / len(subsets)))
+    worst = max(zs, key=abs)
+    assert abs(worst) <= CALIBRATION_Z, (zs.index(worst), worst)
 
 
 def _random_configs(n, r, stream):
@@ -245,7 +258,7 @@ def _random_configs(n, r, stream):
 
 
 def test_block_segment_sums_match_per_config_oracle():
-    # ragged rows in one block: every row's sum and count, whatever its size
+    # ragged rows in one block: every row's sum, whatever its size
     stream = Stream(71, "segments")
     for i in range(2, 11):
         n = (1 << i) - 1
@@ -254,9 +267,9 @@ def test_block_segment_sums_match_per_config_oracle():
             free = np.zeros((len(configs), n), dtype=bool)
             for row, conf in enumerate(configs):
                 free[row, [v - 1 for v in conf]] = True
-            sums, segs = lemma_checks._sum_squared_segments(n, r, free)
+            sums = lemma_checks._sum_squared_segments(n, r, free)
             want = [_segments_one_config(n, r, np.asarray(c, dtype=np.int64)) for c in configs]
-            assert list(zip(sums.tolist(), segs.tolist())) == want, (n, r)
+            assert sums.tolist() == want, (n, r)
 
 
 @pytest.mark.parametrize("n, samples, seed", [

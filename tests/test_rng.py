@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from matchline.rng import GAMMA, MASK64, Stream, mix64, mix64_array, stream_key, stream_keys
+from matchline.rng import GAMMA, MASK64, Stream, mix64, mix64_array, stream_key
 
 # reference sequence for the mixing function: outputs for seed 0 of the
 # well-known splitmix64 generator, whose step is mix(seed += gamma)
@@ -48,21 +48,10 @@ def test_stream_key_labels_do_not_collide_across_boundaries():
     assert stream_key(9, "ab", "c") != stream_key(9, "a", "bc")
 
 
-@pytest.mark.parametrize("seed", [0, 1, 12345, (1 << 64) - 1])
-@pytest.mark.parametrize("labels", [(), ("origin", 3), (7, "alg", "greedy_nearest", 0)])
-@pytest.mark.parametrize("count", [0, 1, 512, 1023])
-def test_stream_keys_match_stream_key(seed, labels, count):
-    got = stream_keys(seed, labels, count)
-    assert got.dtype == np.uint64 and got.shape == (count,)
-    assert got.tolist() == [stream_key(seed, *labels, m) for m in range(count)]
-
-
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
 def test_stream_keys_reject_seed_like_stream_key(seed):
     with pytest.raises(ValueError, match="64-bit"):
         stream_key(seed, "origin", 1, 0)
-    with pytest.raises(ValueError, match="64-bit"):
-        stream_keys(seed, ("origin", 1), 4)
 
 
 def test_stream_deterministic_and_stateless_between_instances():
