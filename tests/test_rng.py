@@ -48,6 +48,24 @@ def test_stream_key_labels_do_not_collide_across_boundaries():
     assert stream_key(9, "ab", "c") != stream_key(9, "a", "bc")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 12345, (1 << 64) - 1])
+@pytest.mark.parametrize("labels", [(), ("origin", 3), (7, "alg", "greedy_nearest", 0)])
+@pytest.mark.parametrize("count", [0, 1, 512, 1023])
+def test_stream_keys_match_stream_key(seed, labels, count):
+    """A stream's block of draws is mix64(stream_key + j GAMMA), j = 1..count.
+
+    Origins and sampled configurations read a whole round as one block, so
+    this pins the block path to the documented format, keyed by stream_key,
+    at the block sizes a round takes (up to 1023 cells).
+    """
+    s = Stream(seed, *labels)
+    assert s.key == stream_key(seed, *labels)
+    got = s.u64_block(count)
+    assert got.dtype == np.uint64 and got.shape == (count,)
+    assert got.tolist() == [mix64(s.key + j * GAMMA) for j in range(1, count + 1)]
+    assert s.counter == count
+
+
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
 def test_stream_keys_reject_seed_like_stream_key(seed):
     with pytest.raises(ValueError, match="64-bit"):
