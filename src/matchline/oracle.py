@@ -1,4 +1,4 @@
-"""Brute-force round oracle: exact expected optimal cost at tiny sizes.
+"""Exact round oracle: expected optimal cost at tiny sizes, by enumeration.
 
 One round of the construction is a game: a request lands uniformly on the
 grid inside each live cell and the policy matches each to a free server.
@@ -8,10 +8,13 @@ module enumerates every request tuple and averages that optimum exactly,
 giving an independent reference for the per-round floor: the game value
 must dominate the segment bound sum d^2/(4*2^r) and exceed (n+1)/12.
 
-Enumeration cost is pts^q for q cells of pts grid points each, so this is
-for desk sizes only (the cap is MAX_OUTCOMES outcomes, which keeps every
-outcome's cost exact in an int32 grid).  The minimizer of the segment
-bound alone is lemma2_config_property's min_config.
+The optimum is a band DP over cells: a sorted pairing sends cell t to the
+server of rank t + s, slack s in 0..f-q, and the cheapest pairing of cells
+0..t ending at rank <= t + s is the cheaper of ending at rank <= t + s - 1
+and going through rank t + s.  That is f-q+1 passes over pts^q outcomes for
+q cells of pts grid points, so this is for desk sizes only (the cap is
+MAX_OUTCOMES outcomes, keeping every outcome's cost exact in int32).  The
+segment bound's own minimizer is lemma2_config_property's min_config.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ def auto_grid_k(n: int, r: int) -> int:
     mean endpoint distance (d^2-1)/(4d) < d/4, so the segment bound needs a
     strictly finer grid to hold exactly.
     """
+    i = rounds_for(n)
+    if not 1 <= r <= i:
+        raise ValueError(f"round must be in 1..{i}, got {r}")
     q = (n + 1) >> r
     k = 18 // q - r
     if k < 1:
@@ -42,18 +48,22 @@ def auto_grid_k(n: int, r: int) -> int:
     return min(k, 10)
 
 
-def exact_round_game_value(config: RoundConfig, grid_k: int | None = None) -> Fraction:
+def exact_round_game_value(
+    config: RoundConfig, grid_k: int | None = None, out: np.ndarray | None = None
+) -> Fraction:
     """Exact E[min-cost matching of one round's requests to the free servers].
 
     Requests are one per cell, uniform over the half-open grid of spacing
     2^-grid_k.  Cells are disjoint and ordered, so any request tuple is
-    already sorted and the optimum over server subsets is the rank pairing;
-    the minimum runs over sorted subsets only.  The outcome grid is int32: an
-    outcome sums q distances below (n+1) 2^k = q pts, and q^2 pts <= 2^18
-    whenever pts^q <= MAX_OUTCOMES.
+    already sorted and the optimum over server subsets is the cheapest sorted
+    pairing, found by the band DP of the module docstring.  The outcome grid
+    is int32: an outcome sums q distances below (n+1) 2^k = q pts, DP partial
+    sums are bounded by full outcome sums (grid - d by minus one distance),
+    and q^2 pts <= 2^18 whenever pts^q <= MAX_OUTCOMES.  out, if given, is a
+    flat int32 scratch array of at least pts^q entries; every entry used is
+    overwritten.
     """
     n, r = config.n, config.r
-    rounds_for(n)
     k = auto_grid_k(n, r) if grid_k is None else grid_k
     if k < 1:
         raise ValueError("grid_k must be at least 1 for the exact oracle")
@@ -67,21 +77,25 @@ def exact_round_game_value(config: RoundConfig, grid_k: int | None = None) -> Fr
         raise ValueError(
             f"{outcomes} request tuples at n={n}, r={r}, grid_k={k} exceeds the cap"
         )
-    cells = [
-        np.arange(m << (r + k), (m + 1) << (r + k), dtype=np.int32) for m in range(q)
-    ]
-    best: np.ndarray | None = None
-    for combo in itertools.combinations(config.free_servers, q):
-        grid: np.ndarray | None = None
-        for t in range(q):
-            d = np.abs(cells[t] - (combo[t] << k))
-            shape = [1] * q
-            shape[t] = pts
-            d = d.reshape(shape)
-            grid = d if grid is None else grid + d
-        best = grid if best is None else np.minimum(best, grid, out=best)
-    assert best is not None
-    total = int(best.sum(dtype=np.int64))
+    if out is None:
+        out = np.empty(outcomes, dtype=np.int32)
+    grid = out[:outcomes].reshape((pts,) * q)
+    # best[s]: cheapest sorted pairing of cells 0..t, last server rank <= t + s
+    best = [np.zeros((), dtype=np.int32)] * (f - q + 1)
+    for t in range(q):
+        x = np.arange(t * pts, (t + 1) * pts, dtype=np.int32)
+        for s in range(f - q + 1):
+            d = np.abs(x - (config.free_servers[t + s] << k))
+            prev = best[s][..., None]
+            if t < q - 1:
+                best[s] = prev + d if s == 0 else np.minimum(best[s - 1], prev + d)
+            elif s == 0:
+                np.add(prev, d, out=grid)
+            else:  # grid = min(grid, prev + d), with no pts^q temporary
+                np.subtract(grid, d, out=grid)
+                np.minimum(grid, prev, out=grid)
+                np.add(grid, d, out=grid)
+    total = int(grid.sum(dtype=np.int64))
     return Fraction(total, outcomes << k)
 
 
@@ -99,10 +113,11 @@ def oracle_report(n: int, r: int, grid_k: int | None = None) -> LemmaReport:
     strict_ok = True
     min_game: Fraction | None = None
     min_conf: tuple[int, ...] = ()
+    grid = np.empty(MAX_OUTCOMES, dtype=np.int32)  # one scratch grid per round
     for conf in itertools.combinations(range(1, n + 1), f):
         cfg = RoundConfig(n, r, conf)
         lb = config_lower_bound(cfg)
-        game = exact_round_game_value(cfg, k)
+        game = exact_round_game_value(cfg, k, out=grid)
         if game < lb:
             dominates_ok = False
         if game <= floor:

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+from fractions import Fraction
+
+import numpy as np
 
 BRUTE_FORCE_CAP = 9
 
@@ -18,6 +21,24 @@ def brute_force_cost(server_nums, point_nums):
         sum(abs(p - s) for p, s in zip(point_nums, perm))
         for perm in itertools.permutations(server_nums)
     )
+
+
+def subset_game_value(config, grid_k):
+    """Exact game value of one round by enumerating server subsets: each
+    sorted choice of q free servers gives the rank pairing's cost on every
+    request tuple, and the elementwise minimum over choices is averaged."""
+    q = (config.n + 1) >> config.r
+    pts = 1 << (config.r + grid_k)
+    best = None
+    for combo in itertools.combinations(config.free_servers, q):
+        grid = 0
+        for t, server in enumerate(combo):
+            shape = [1] * q
+            shape[t] = pts
+            cell = np.arange(t * pts, (t + 1) * pts, dtype=np.int64)
+            grid = grid + np.abs(cell - (server << grid_k)).reshape(shape)
+        best = grid if best is None else np.minimum(best, grid)
+    return Fraction(int(best.sum()), pts**q << grid_k)
 
 
 # Two-sided margin of the sampler calibration tests: a correct sampler puts

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from oracles import brute_force_cost
 
+from matchline import oracle
 from matchline.experiments import ExperimentConfig, run_suite, write_outputs
 from matchline.lemma_checks import (
     empirical_report_from_stats,
@@ -105,7 +106,7 @@ def test_criterion_06_config_floor_analytic():
     _verdict(6, "the strict segment floor holds for every configuration", ok)
 
 
-def test_criterion_07_round_game_value_floor():
+def _round_game_value_floor_holds():
     ok = True
     for n in (1, 3, 7):
         i = (n + 1).bit_length() - 1
@@ -115,7 +116,31 @@ def test_criterion_07_round_game_value_floor():
             ok = ok and rep.passed
             ok = ok and rep.details["exceeds_round_floor"]
             ok = ok and rep.details["dominates_segment_bound"]
-    _verdict(7, "exact round game value beats (n+1)/12 on every configuration", ok)
+    return ok
+
+
+def test_criterion_07_round_game_value_floor():
+    """The oracle's game value beats (n+1)/12 and dominates the segment bound.
+
+    This cannot check that the oracle serves each request by its own server:
+    an oracle that sends every cell to its nearest free server, shared or
+    not, still passes at n in {1, 3, 7}, since the segment bound also
+    lower-bounds that cost.  test_oracle.py's property test against the
+    subset enumeration is what checks the one-server-per-request rule.
+    """
+    _verdict(7, "exact round game value beats (n+1)/12 on every configuration",
+             _round_game_value_floor_holds())
+
+
+def test_criterion_07_fails_on_a_shrunk_oracle(monkeypatch):
+    # game values divided by 2^(k+1) fall below the segment bound
+    exact = oracle.exact_round_game_value
+
+    def shrunk(config, grid_k, out=None):
+        return exact(config, grid_k, out=out) / 2 ** (grid_k + 1)
+
+    monkeypatch.setattr(oracle, "exact_round_game_value", shrunk)
+    assert not _round_game_value_floor_holds()
 
 
 def test_criterion_08_per_round_empirical_floor(heavy_stats):

@@ -1,10 +1,13 @@
 """Exact per-round game values against independent enumeration."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from oracles import brute_force_cost
+from oracles import brute_force_cost, subset_game_value
 
 from matchline.lemma_checks import RoundConfig, config_lower_bound, lemma2_config_property
 from matchline.oracle import MAX_OUTCOMES, auto_grid_k, exact_round_game_value, oracle_report
@@ -17,6 +20,13 @@ def test_auto_grid_k_values():
     assert auto_grid_k(7, 2) == 7
     assert auto_grid_k(7, 3) == 10
     assert auto_grid_k(15, 1) == 1
+
+
+@pytest.mark.parametrize("n, r", [(7, 4), (7, 0), (2, 1), (0, 1)])
+def test_auto_grid_k_rejects_bad_n_and_round(n, r):
+    # a round past the last, round 0, an n not 2^i - 1, a non-positive n
+    with pytest.raises(ValueError):
+        auto_grid_k(n, r)
 
 
 def test_auto_grid_k_too_many_cells():
@@ -75,6 +85,44 @@ def test_game_value_matches_enumeration_every_n7_round2_config():
         assert exact_round_game_value(cfg, grid_k=1) == _enumerated_game_value(cfg, 1), free
 
 
+# Largest subset-enumeration work (subsets x cells x outcomes) a random case may
+# cost the reference; slack 0 is always kept.
+_REFERENCE_BUDGET = 1 << 22
+
+
+def _band_dp_cases():
+    """Seeded random configurations at n in {1, 3, 7, 15}, every round, every
+    grid_k from 1 to the cap, and every free count from q up to n whose
+    reference cost fits the budget (slack 0 always); n = 3, r = 2 gives
+    q = 1 with slack up to 2, RoundConfig(3, 2, (1, 2, 3)) included."""
+    rng = random.Random(20261018)
+    cases = []
+    for n in (1, 3, 7, 15):
+        for r in range(1, (n + 1).bit_length()):
+            q = (n + 1) >> r
+            for k in range(1, auto_grid_k(n, r) + 1):
+                pts = 1 << (r + k)
+                for f in range(q, n + 1):
+                    if f > q and math.comb(f, q) * q * pts**q > _REFERENCE_BUDGET:
+                        break
+                    free = tuple(sorted(rng.sample(range(1, n + 1), f)))
+                    cases.append((RoundConfig(n, r, free), k))
+    return cases
+
+
+def test_band_dp_matches_subset_enumeration():
+    cases = _band_dp_cases()
+    assert len(cases) > 300
+    assert (RoundConfig(3, 2, (1, 2, 3)), 1) in cases
+    assert any(((c.n + 1) >> c.r) == len(c.free_servers) > 1 for c, _ in cases)
+    # one scratch grid shared by every call, whatever its shape
+    scratch = np.zeros(MAX_OUTCOMES, dtype=np.int32)
+    for cfg, k in cases:
+        want = subset_game_value(cfg, k)
+        assert exact_round_game_value(cfg, k, out=scratch) == want, (cfg, k)
+        assert exact_round_game_value(cfg, k) == want, (cfg, k)
+
+
 def test_outcome_grid_fits_int32_under_the_cap():
     # an outcome of q cells with pts grid points each sums to under q^2 pts;
     # the grid is int32, so every (q, pts) the cap admits must keep that below 2^31
@@ -129,6 +177,20 @@ def test_oracle_report_n7_r2():
     assert rep.details["exceeds_round_floor"]
     v = Fraction(rep.details["min_game_value"])
     assert v > Fraction(8, 12)
+
+
+@pytest.mark.parametrize("r, min_game", [
+    (1, Fraction(9, 4)),
+    (3, Fraction(747177, 262144)),
+    (4, Fraction(4)),
+])
+def test_oracle_report_n15_pinned(r, min_game):
+    # values from the subset enumeration the band DP replaced
+    rep = oracle_report(15, r)
+    assert rep.passed
+    assert Fraction(rep.details["min_game_value"]) == min_game
+    assert rep.details["dominates_segment_bound"]
+    assert rep.details["configurations"] == {1: 1, 3: 455, 4: 15}[r]
 
 
 def test_oracle_report_n1():
