@@ -224,8 +224,9 @@ class RunStats:
     rounds the policy actually played online; with a known prefix those are
     rounds prefix_rounds+1..i and prefix_cost is the one batch matching that
     served the prefix.  ratio is online/offline with the convention 0/0 = 1;
-    it is None when only the offline cost is zero (such trials are excluded
-    from ratio aggregates).
+    it is None when only the offline cost is zero.  It is per-trial
+    information: no aggregate reads it, since the suite's ratio is
+    sum online / sum offline.
     """
 
     n: int

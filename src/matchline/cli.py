@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: generate, run, lemma1, lemma2, oracle, ratio, prefix.  Each
+Subcommands: generate, run, lemma1, lemma2, oracle, ratio.  Each
 takes --config and the options it reads, with its own defaults (_COMMANDS);
 any other flag is a usage error.  oracle also takes --seed, unread, so one
 seed can go to every command.  --config names a flat key=value file whose
@@ -26,7 +26,13 @@ from matchline.adversary import (
     rounds_for,
 )
 from matchline.algorithms import ALGORITHM_KINDS
-from matchline.experiments import ExperimentConfig, SuiteResult, run_suite, write_reports
+from matchline.experiments import (
+    ExperimentConfig,
+    SuiteResult,
+    run_suite,
+    write_outputs,
+    write_reports,
+)
 from matchline.lemma_checks import (
     EXHAUSTIVE_N_LIMIT,
     LemmaReport,
@@ -129,9 +135,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _suite_config(
-    args: argparse.Namespace, trials: int, out_dir: str | None = None
-) -> ExperimentConfig:
+def _suite_config(args: argparse.Namespace, trials: int) -> ExperimentConfig:
     """The suite every policy-running command plays."""
     return ExperimentConfig(
         n_list=_sizes(args.n),
@@ -140,16 +144,18 @@ def _suite_config(
         seed=args.seed,
         grid_k=args.grid_k,
         request_order=args.order,
-        prefix_known_rounds=args.prefix_rounds,
-        out_dir=out_dir,
+        prefix_rounds=args.prefix_rounds,
         workers=args.workers,
     )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """run and prefix: the suite, with the leading --prefix-rounds (default 0)
-    rounds served as one offline batch."""
-    return _finish_suite(run_suite(_suite_config(args, args.trials, args.out)))
+    """The suite, with the leading --prefix-rounds (default 0) rounds served
+    as one offline batch."""
+    result = run_suite(_suite_config(args, args.trials))
+    if args.out is not None:
+        write_outputs(result, args.out)
+    return _finish_suite(result)
 
 
 def _cmd_lemma1(args: argparse.Namespace) -> int:
@@ -237,7 +243,6 @@ _COMMANDS = {
     "oracle": (_cmd_oracle, "exact round game values at tiny sizes", {**_BASE, "n": "7"}),
     "ratio": (_cmd_ratio, "aggregate online/offline ratio against its floor",
               {**_SUITE, "trials": 500, "alg": "greedy_nearest,batch_round_optimal"}),
-    "prefix": (_cmd_run, "advance-knowledge mode: leading rounds served offline", _SUITE),
 }
 
 

@@ -1,11 +1,11 @@
 """The trial runner: trial fan-out, aggregation, CSV/JSONL emission.
 
 run_suite is the one runner behind every command that plays policies: run
-and prefix print its summary, lemma2 --alg keeps its per-round floor
-reports and ratio its aggregate ratio reports.  A suite runs every
-(n, algorithm) pair over a block of trials, attaches the per-round floor
-report and the aggregate ratio report to each pair, and optionally writes
-four files into an output directory:
+prints its summary, lemma2 --alg keeps its per-round floor reports and
+ratio its aggregate ratio reports.  A suite runs every (n, algorithm) pair
+over a block of trials and attaches the per-round floor report and the
+aggregate ratio report to each pair; write_outputs writes it as four files
+into an output directory:
 
   trials.jsonl   one record per trial, preceded by a header record that
                  names the schema and sampler versions
@@ -29,7 +29,6 @@ import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -51,7 +50,7 @@ from matchline.lemma_checks import (
 )
 from matchline.rng import stream_key
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Bytes of batch-DP traceback table one task may hold (see _block_size).
 BLOCK_TABLE_BYTES = 8 << 20
@@ -91,9 +90,9 @@ ROUNDS_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One suite: sizes x algorithms x trials, plus output options.
+    """One suite: sizes x algorithms x trials, plus the worker count.
 
-    prefix_known_rounds > 0 switches every run to advance-knowledge mode:
+    prefix_rounds > 0 switches every run to advance-knowledge mode:
     that many leading rounds are served as one optimal batch and only the
     remaining rounds are played online.  Every suite judges the per-round
     floor, so an explicit grid_k must be at least 1.
@@ -105,8 +104,7 @@ class ExperimentConfig:
     seed: int = 0
     grid_k: int | None = None
     request_order: str = ORDER_LEFT_TO_RIGHT
-    prefix_known_rounds: int = 0
-    out_dir: str | None = None
+    prefix_rounds: int = 0
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -116,9 +114,9 @@ class ExperimentConfig:
             raise ValueError("duplicate n in list")
         for n in self.n_list:
             i = rounds_for(n)
-            if self.prefix_known_rounds > i:
+            if self.prefix_rounds > i:
                 raise ValueError(
-                    f"prefix_known_rounds={self.prefix_known_rounds} exceeds the {i} rounds of n={n}"
+                    f"prefix_rounds={self.prefix_rounds} exceeds the {i} rounds of n={n}"
                 )
         if not self.algorithms:
             raise ValueError("algorithms must not be empty")
@@ -138,13 +136,13 @@ class ExperimentConfig:
             )
         if self.request_order not in REQUEST_ORDERS:
             raise ValueError(f"unknown request order {self.request_order!r}")
-        if self.prefix_known_rounds < 0:
-            raise ValueError("prefix_known_rounds must be nonnegative")
+        if self.prefix_rounds < 0:
+            raise ValueError("prefix_rounds must be nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
     def to_json_dict(self) -> dict:
-        # workers and out_dir are execution details, not part of the result
+        # workers is an execution detail, not part of the result
         return {
             "n_list": list(self.n_list),
             "algorithms": list(self.algorithms),
@@ -152,7 +150,7 @@ class ExperimentConfig:
             "seed": self.seed,
             "grid_k": self.grid_k,
             "request_order": self.request_order,
-            "prefix_known_rounds": self.prefix_known_rounds,
+            "prefix_rounds": self.prefix_rounds,
         }
 
 
@@ -204,7 +202,7 @@ def _block_size(n: int, trials: int, workers: int) -> int:
 
 
 def _collect_stats(config: ExperimentConfig) -> dict[tuple[int, str], list[RunStats]]:
-    opts = (config.seed, config.grid_k, config.request_order, config.prefix_known_rounds)
+    opts = (config.seed, config.grid_k, config.request_order, config.prefix_rounds)
     tasks = []
     for n in config.n_list:
         size = _block_size(n, config.trials, config.workers)
@@ -232,22 +230,17 @@ def _pair_summary(
 ) -> dict:
     lemma2_rep, ratio_rep = reports
     first = runs[0]
-    k = first.grid_k
-    t = len(runs)
-    # exact integer sums first, float conversion last
-    sum_on = sum(s.online_total for s in runs)
-    sum_off = sum(s.offline_total for s in runs)
     return {
         "schema_version": SCHEMA_VERSION,
         "n": first.n,
         "algorithm": first.algorithm,
-        "trials": t,
-        "grid_k": k,
+        "trials": len(runs),
+        "grid_k": first.grid_k,
         "request_order": config.request_order,
         "prefix_rounds": first.prefix_rounds,
-        "mean_online": float(Fraction(sum_on, t << k)),
+        "mean_online": ratio_rep.details["mean_online"],
         "se_online": ratio_rep.details["se_online"],
-        "mean_offline": float(Fraction(sum_off, t << k)),
+        "mean_offline": ratio_rep.details["mean_offline"],
         "se_offline": ratio_rep.details["se_offline"],
         "aggregate_ratio": ratio_rep.observed,
         "ratio_bound": ratio_rep.bound,
@@ -276,7 +269,7 @@ def _pair_round_rows(lemma2_rep: LemmaReport) -> list[dict]:
 
 
 def run_suite(config: ExperimentConfig) -> SuiteResult:
-    """Run the whole suite; write output files when out_dir is set."""
+    """Run the whole suite; write_outputs writes its files."""
     stats = _collect_stats(config)
     summary_rows: list[dict] = []
     round_rows: list[dict] = []
@@ -289,10 +282,7 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
             reports.extend((lemma2_rep, ratio_rep))
             summary_rows.append(_pair_summary(runs, (lemma2_rep, ratio_rep), config))
             round_rows.extend(_pair_round_rows(lemma2_rep))
-    result = SuiteResult(config, stats, summary_rows, round_rows, reports)
-    if config.out_dir is not None:
-        write_outputs(result, config.out_dir)
-    return result
+    return SuiteResult(config, stats, summary_rows, round_rows, reports)
 
 
 def _json_line(obj: dict) -> str:

@@ -178,8 +178,11 @@ def render_reports(reports: list[LemmaReport]) -> str:
     return "\n".join(lines)
 
 
-def _mean_se(xs: np.ndarray) -> tuple[float, float]:
-    return float(xs.mean()), math.sqrt(float(xs.var(ddof=1)) / xs.size)
+def _mean_se(nums: list[int], k: int) -> tuple[float, float]:
+    """Mean and standard error of integer numerators at scale 2^-k; the mean
+    is exact, rounded once."""
+    xs = np.array(nums, dtype=np.float64) / float(1 << k)
+    return float(Fraction(sum(nums), len(nums) << k)), math.sqrt(float(xs.var(ddof=1)) / xs.size)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +366,9 @@ def empirical_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport
     passed = True
     observed, se_at_min = 0.0, 0.0
     if rounds_played:
-        mat = np.array([s.round_costs for s in stats], dtype=np.int64) / 2.0**first.grid_k
         worst_margin = None
         for idx in range(rounds_played):
-            mean, se = _mean_se(mat[:, idx])
+            mean, se = _mean_se([s.round_costs[idx] for s in stats], first.grid_k)
             ok = mean >= floor - 3.0 * se
             passed = passed and ok
             rows.append(
@@ -407,11 +409,8 @@ def offline_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport:
     """
     first = stats[0]
     n, k = first.n, first.grid_k
-    totals = [s.offline_total for s in stats]
-    scale = float(1 << k)
-    _, se = _mean_se(np.array(totals, dtype=np.float64) / scale)
-    observed = float(Fraction(sum(totals), len(stats) << k))
-    bound = n * (math.sqrt(rounds_for(n)) + 3.0) + n / scale
+    observed, se = _mean_se([s.offline_total for s in stats], k)
+    bound = n * (math.sqrt(rounds_for(n)) + 3.0) + n / float(1 << k)
     return LemmaReport(
         lemma_id="offline_aggregate",
         n=n,
@@ -428,57 +427,53 @@ def ratio_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport:
     """Aggregate-ratio report computed from already-collected runs.
 
     Passes when both finite-n inequalities behind the ratio floor hold:
-    mean online total >= (n+1) i/12 - 3 SE and mean offline total
-    <= n sqrt(i) + 3 + n 2^-grid_k + 3 SE.  The aggregate ratio and its
-    floor sqrt(i)/12 are information only, since any ratio is at least 1.
+    mean online total >= (n+1) i/12 - 3 SE, and the offline cap of
+    offline_report_from_stats, mean offline total <= n (sqrt(i) + 3) +
+    n 2^-grid_k + 3 SE, whose mean, SE, bound and verdict this report
+    carries as its denominator half.  The aggregate ratio sum online /
+    sum offline and its floor sqrt(i)/12 are information only, since any
+    ratio is at least 1.
     """
     first = stats[0]
-    n = first.n
+    n, k = first.n, first.grid_k
     i = rounds_for(n)
-    k = first.grid_k
+    offline = offline_report_from_stats(stats, seed)
     on_nums = [s.online_total for s in stats]
     off_nums = [s.offline_total for s in stats]
-    sum_on = sum(on_nums)
-    sum_off = sum(off_nums)
-    if sum_off == 0:
-        agg = 1.0 if sum_on == 0 else math.inf
-    else:
-        agg = float(Fraction(sum_on, sum_off))
-    scale = float(1 << k)
-    on = np.array(on_nums, dtype=np.float64) / scale
-    off = np.array(off_nums, dtype=np.float64) / scale
-    mean_on, se_on = _mean_se(on)
-    mean_off, se_off = _mean_se(off)
+    sum_on, sum_off = sum(on_nums), sum(off_nums)
+    mean_on, se_on = _mean_se(on_nums, k)
+    se_off = offline.standard_error
     t = len(stats)
-    if mean_off > 0:
+    if sum_off:
+        agg = float(Fraction(sum_on, sum_off))
+        scale = float(1 << k)
+        on = np.array(on_nums, dtype=np.float64) / scale
+        off = np.array(off_nums, dtype=np.float64) / scale
         cov = float(np.cov(on, off, ddof=1)[0, 1]) / t
         var_ratio = max(se_on**2 - 2 * agg * cov + agg * agg * se_off**2, 0.0)
-        se_ratio = math.sqrt(var_ratio) / mean_off
+        se_ratio = math.sqrt(var_ratio) / offline.observed
     else:
-        se_ratio = 0.0
-    bound = math.sqrt(i) / 12.0
+        agg, se_ratio = (1.0 if sum_on == 0 else math.inf), 0.0
     numerator_floor = (n + 1) * i / 12.0
-    denominator_cap = n * math.sqrt(i) + 3.0 + n / scale
     numerator_pass = mean_on >= numerator_floor - 3.0 * se_on
-    denominator_pass = mean_off <= denominator_cap + 3.0 * se_off
     return LemmaReport(
         lemma_id="theorem_ratio",
         n=n,
         trials=t,
         observed=agg,
-        bound=bound,
+        bound=math.sqrt(i) / 12.0,
         standard_error=se_ratio,
-        passed=numerator_pass and denominator_pass,
+        passed=numerator_pass and offline.passed,
         details={
             "algorithm": first.algorithm,
             "mean_online": mean_on,
             "se_online": se_on,
             "numerator_floor": numerator_floor,
             "numerator_pass": numerator_pass,
-            "mean_offline": mean_off,
+            "mean_offline": offline.observed,
             "se_offline": se_off,
-            "denominator_cap": denominator_cap,
-            "denominator_pass": denominator_pass,
+            "denominator_cap": offline.bound,
+            "denominator_pass": offline.passed,
             "note": (
                 "the ratio floor sqrt(log2(n+1))/12 only exceeds 1 past n=2^144;"
                 " at desk sizes the informative checks are the aggregate"

@@ -16,6 +16,10 @@ from matchline.experiments import ExperimentConfig
 from matchline.lemma_checks import LemmaReport
 
 ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
+
+# the argv behind golden_generate_n15.jsonl, without its --out
+GENERATE_ARGV = ["generate", "--n", "15", "--seed", "7", "--order", "shuffled"]
 
 
 def test_generate_to_file(tmp_path, capsys):
@@ -30,9 +34,9 @@ def test_generate_to_file(tmp_path, capsys):
 def test_generate_golden_bytes(tmp_path):
     # pinned transcript: the writer's bytes, and the reader's view of them
     out = tmp_path / "inst.jsonl"
-    rc = cli.main(["generate", "--n", "15", "--seed", "7", "--order", "shuffled", "--out", str(out)])
+    rc = cli.main([*GENERATE_ARGV, "--out", str(out)])
     assert rc == 0
-    golden = (ROOT / "tests" / "data" / "golden_generate_n15.jsonl").read_bytes()
+    golden = (DATA / "golden_generate_n15.jsonl").read_bytes()
     assert out.read_bytes() == golden
     params = GenParams(i=4, grid_k=default_grid_k(15), seed=7, request_order="shuffled")
     assert instance_from_jsonl(golden.decode("utf-8")) == generate(params)
@@ -47,22 +51,27 @@ RUNNER_ARGV = {
 }
 
 
-def _golden_dir(command, argv):
-    # lemma2 --alg and ratio play policies; their bytes live in golden_runner
-    runner = command == "ratio" or "--alg" in argv
-    return ROOT / "tests" / "data" / ("golden_runner" if runner else "golden_lemma_n255") / command
-
-
-@pytest.mark.parametrize("command, argv", [
+# (command, argv) of every golden stdout.txt and reports.json pair;
+# regen_goldens.py reads this table too
+REPORT_GOLDENS = [
     ("lemma1", ["--n", "255", "--trials", "100"]),
     ("lemma2", ["--n", "255", "--trials", "50"]),
     ("oracle", ["--n", "7"]),
     ("ratio", RUNNER_ARGV["ratio"]),
     ("lemma2", RUNNER_ARGV["lemma2"]),
-])
+]
+
+
+def golden_dir(command, argv):
+    # lemma2 --alg and ratio play policies; their bytes live in golden_runner
+    runner = command == "ratio" or "--alg" in argv
+    return DATA / ("golden_runner" if runner else "golden_lemma_n255") / command
+
+
+@pytest.mark.parametrize("command, argv", REPORT_GOLDENS)
 def test_lemma_golden_bytes(tmp_path, capsys, command, argv):
     # pinned stdout and reports.json of the lemma checks and the policy runs
-    golden = _golden_dir(command, argv)
+    golden = golden_dir(command, argv)
     assert cli.main([command, *argv, "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == (golden / "stdout.txt").read_text(encoding="utf-8")
     assert (tmp_path / "reports.json").read_bytes() == (golden / "reports.json").read_bytes()
@@ -72,7 +81,7 @@ def test_lemma_golden_bytes(tmp_path, capsys, command, argv):
 def test_runner_golden_bytes_at_two_workers(tmp_path, capsys, command):
     # the goldens were written at --workers 1; two workers give the same bytes
     argv = RUNNER_ARGV[command]
-    golden = _golden_dir(command, argv)
+    golden = golden_dir(command, argv)
     assert cli.main([command, *argv, "--workers", "2", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == (golden / "stdout.txt").read_text(encoding="utf-8")
     assert (tmp_path / "reports.json").read_bytes() == (golden / "reports.json").read_bytes()
@@ -149,33 +158,21 @@ def test_ratio_samples_each_instance_once(monkeypatch, tmp_path):
     assert len(ratios) == 2 and all(rep["trials"] == 50 for rep in ratios)
 
 
-def test_prefix_command(capsys):
+def test_prefix_command(tmp_path, capsys):
     rc = cli.main([
-        "prefix", "--n", "7", "--trials", "30", "--prefix-rounds", "1",
-        "--alg", "greedy_nearest",
+        "run", "--n", "7", "--trials", "30", "--prefix-rounds", "1",
+        "--alg", "greedy_nearest", "--out", str(tmp_path),
     ])
     assert rc == 0
     assert "lemma2_empirical" in capsys.readouterr().out
-
-
-def test_run_prefix_rounds_matches_prefix(tmp_path, capsys):
-    argv = ["--n", "7", "--trials", "3", "--seed", "4", "--prefix-rounds", "1"]
-    outputs = []
-    for command in ("run", "prefix"):
-        out = tmp_path / command
-        assert cli.main([command, *argv, "--out", str(out)]) == 0
-        printed = capsys.readouterr().out
-        outputs.append((printed, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
-    assert len(outputs[0][1]) == 4
-    assert outputs[0] == outputs[1]
-    header = json.loads(outputs[0][1]["trials.jsonl"].splitlines()[0])
-    assert header["config"]["prefix_known_rounds"] == 1
+    header = json.loads((tmp_path / "trials.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    assert header["config"]["prefix_rounds"] == 1
 
 
 def test_run_prefix_rounds_out_of_range_exits_two(capsys):
     rc = cli.main(["run", "--n", "3", "--trials", "2", "--prefix-rounds", "5"])
     assert rc == 2
-    assert "prefix_known_rounds=5" in capsys.readouterr().err
+    assert "prefix_rounds=5" in capsys.readouterr().err
 
 
 def _bench_module(stem):
@@ -298,7 +295,7 @@ def test_config_file_precedence_on_suite(monkeypatch, tmp_path):
     assert cli.main(["run", "--config", str(cfg), "--trials", "3"]) == 0
     assert configs == [ExperimentConfig(
         n_list=(7,), algorithms=("greedy_nearest", "permutation"), trials=3, seed=0,
-        grid_k=None, request_order="shuffled", prefix_known_rounds=0, workers=2,
+        grid_k=None, request_order="shuffled", prefix_rounds=0, workers=2,
     )]
 
 

@@ -2,10 +2,10 @@
 
 import csv
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from matchline import experiments
@@ -18,10 +18,21 @@ from matchline.experiments import (
     run_suite,
     write_outputs,
 )
-from matchline.lemma_checks import ratio_report_from_stats
+from matchline.lemma_checks import offline_report_from_stats, ratio_report_from_stats
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_suite"
+
+# each golden suite directory under DATA and the configuration that writes
+# it; regen_goldens.py reads this table too
+GOLDEN_SUITES = {
+    "golden_suite": dict(n_list=(3,), trials=3, seed=7),
+    # n = 255 reaches the vectorized kernels that n = 3 never does
+    "golden_suite_n255_shuffled": dict(
+        n_list=(7, 255), trials=2, seed=7, request_order="shuffled"
+    ),
+    "golden_suite_n255_prefix3": dict(n_list=(255,), trials=2, seed=7, prefix_rounds=3),
+}
 
 
 def test_config_validation():
@@ -38,7 +49,7 @@ def test_config_validation():
             algorithms=("greedy_nearest", "greedy_nearest"),
         )
     with pytest.raises(ValueError):
-        ExperimentConfig(n_list=(3,), trials=2, prefix_known_rounds=3)
+        ExperimentConfig(n_list=(3,), trials=2, prefix_rounds=3)
     with pytest.raises(ValueError):
         ExperimentConfig(n_list=(3,), trials=2, workers=0)
     with pytest.raises(ValueError):
@@ -55,9 +66,9 @@ def test_config_validation():
 
 
 def test_config_json_omits_local_machine_fields():
-    cfg = ExperimentConfig(n_list=(3,), trials=2, workers=4, out_dir="somewhere")
+    cfg = ExperimentConfig(n_list=(3,), trials=2, workers=4)
     d = cfg.to_json_dict()
-    assert "workers" not in d and "out_dir" not in d
+    assert "workers" not in d
     assert d["n_list"] == [3]
 
 
@@ -81,7 +92,7 @@ def test_suite_result_shapes():
 
 
 def test_golden_output_bytes(tmp_path):
-    res = run_suite(ExperimentConfig(n_list=(3,), trials=3, seed=7))
+    res = run_suite(ExperimentConfig(**GOLDEN_SUITES["golden_suite"]))
     paths = write_outputs(res, str(tmp_path))
     assert [p.name for p in paths] == [
         "trials.jsonl", "summary.csv", "rounds.csv", "reports.json",
@@ -90,18 +101,52 @@ def test_golden_output_bytes(tmp_path):
         assert p.read_bytes() == (GOLDEN / p.name).read_bytes(), p.name
 
 
-@pytest.mark.parametrize(
-    "name, kw",
-    [
-        ("golden_suite_n255_shuffled", dict(n_list=(7, 255), request_order="shuffled")),
-        ("golden_suite_n255_prefix3", dict(n_list=(255,), prefix_known_rounds=3)),
-    ],
-)
+@pytest.mark.parametrize("name, kw", list(GOLDEN_SUITES.items())[1:])
 def test_golden_n255_output_bytes(tmp_path, name, kw):
-    # n = 255 reaches the vectorized kernels that n = 3 never does
-    paths = write_outputs(run_suite(ExperimentConfig(trials=2, seed=7, **kw)), str(tmp_path))
+    paths = write_outputs(run_suite(ExperimentConfig(**kw)), str(tmp_path))
     for p in paths:
         assert p.read_bytes() == (DATA / name / p.name).read_bytes(), p.name
+
+
+def test_suite_files_agree_on_one_mean_and_one_cap(tmp_path):
+    # summary.csv's means are its theorem report's, every rounds.csv mean is
+    # the exact mean of its trials, and every theorem report carries the one
+    # offline cap n (sqrt(i) + 3) + n/2^grid_k and its verdict
+    cfg = ExperimentConfig(**GOLDEN_SUITES["golden_suite_n255_shuffled"])
+    res = run_suite(cfg)
+    write_outputs(res, tmp_path)
+    reports = json.loads((tmp_path / "reports.json").read_text(encoding="utf-8"))["reports"]
+    theorem = {
+        (rep["n"], rep["details"]["algorithm"]): rep["details"]
+        for rep in reports
+        if rep["lemma_id"] == "theorem_ratio"
+    }
+    with (tmp_path / "summary.csv").open(encoding="utf-8") as fh:
+        summary = list(csv.DictReader(fh))
+    assert len(summary) == len(theorem) == 8
+    for row in summary:
+        n, kind, k = int(row["n"]), row["algorithm"], int(row["grid_k"])
+        details = theorem[(n, kind)]
+        for key in ("mean_online", "mean_offline"):
+            assert float(row[key]) == details[key], (n, kind, key)
+        i = (n + 1).bit_length() - 1
+        assert details["denominator_cap"] == n * (math.sqrt(i) + 3.0) + n / 2.0**k
+        offline = offline_report_from_stats(res.stats[(n, kind)], cfg.seed)
+        assert details["denominator_cap"] == offline.bound
+        assert details["denominator_pass"] == offline.passed
+
+    costs: dict[tuple, list[Fraction]] = {}  # (n, algorithm, round) -> costs
+    for line in (tmp_path / "trials.jsonl").read_text(encoding="utf-8").splitlines()[1:]:
+        rec = json.loads(line)
+        for r, cost in enumerate(rec["round_costs"], rec["prefix_rounds"] + 1):
+            key = (rec["n"], rec["algorithm"], r)
+            costs.setdefault(key, []).append(Fraction(cost["num"], 1 << cost["k"]))
+    with (tmp_path / "rounds.csv").open(encoding="utf-8") as fh:
+        rounds = list(csv.DictReader(fh))
+    assert len(rounds) == len(costs) == 4 * (3 + 8)
+    for row in rounds:
+        values = costs[(int(row["n"]), row["algorithm"], int(row["round"]))]
+        assert float(row["mean_cost"]) == float(sum(values) / len(values)), row
 
 
 class _RecordingPool:
@@ -168,7 +213,7 @@ def test_block_partition_invariance(monkeypatch, tmp_path, workers):
     # default blocks against blocks of one trial: the same four files
     kw = dict(
         n_list=(7, 63), trials=5, seed=11, request_order="shuffled",
-        prefix_known_rounds=2, workers=workers,
+        prefix_rounds=2, workers=workers,
     )
     assert experiments._block_size(63, 5, workers) > 1
     default = write_outputs(run_suite(ExperimentConfig(**kw)), str(tmp_path / "default"))
@@ -188,10 +233,11 @@ def _flat_run(trial, total_num):
     )
 
 
-@pytest.mark.parametrize("total_num, failing", [(1, "numerator_pass"), (20, "denominator_pass")])
+@pytest.mark.parametrize("total_num, failing", [(1, "numerator_pass"), (40, "denominator_pass")])
 def test_theorem_gate_fails_with_either_inequality(monkeypatch, tmp_path, total_num, failing):
-    # ratio 1 always clears sqrt(2)/12; online 1/2 is below the floor 2/3 and
-    # offline 10 above the cap 3 sqrt(2) + 3 + 3/2
+    # ratio 1 always clears sqrt(2)/12; online 1/2 is below the floor 2/3,
+    # and offline 20 is above the cap 3 (sqrt(2) + 3) + 3/2 = 14.74 while
+    # online 20 clears the floor
     runs = [_flat_run(t, total_num) for t in range(4)]
     rep = ratio_report_from_stats(runs, 0)
     assert rep.observed == 1.0 > rep.bound
@@ -201,10 +247,9 @@ def test_theorem_gate_fails_with_either_inequality(monkeypatch, tmp_path, total_
         "run_trials",
         lambda n, kinds, trials, *rest: [[_flat_run(t, total_num)] for t in trials],
     )
-    cfg = ExperimentConfig(
-        n_list=(3,), algorithms=("greedy_nearest",), trials=4, out_dir=str(tmp_path)
-    )
-    assert not run_suite(cfg).reports[1].passed
+    res = run_suite(ExperimentConfig(n_list=(3,), algorithms=("greedy_nearest",), trials=4))
+    assert not res.reports[1].passed
+    write_outputs(res, tmp_path)
     with (tmp_path / "summary.csv").open(encoding="utf-8") as fh:
         assert next(csv.DictReader(fh))["theorem_pass"] == "false"
 
@@ -223,7 +268,7 @@ def test_trials_header_and_counts(tmp_path):
     lines = (tmp_path / "trials.jsonl").read_text(encoding="utf-8").splitlines()
     header = json.loads(lines[0])
     assert header["record"] == "header"
-    assert header["schema_version"] == 1
+    assert header["schema_version"] == 2
     assert header["sampler"] == 2
     assert header["config"] == cfg.to_json_dict()
     trials = [json.loads(line) for line in lines[1:]]
@@ -246,9 +291,9 @@ def test_summary_recomputable_from_trials(tmp_path):
     assert row["mean_online"] == float(Fraction(sum_on, 5 << k))
     assert row["mean_offline"] == float(Fraction(sum_off, 5 << k))
     assert row["aggregate_ratio"] == float(Fraction(sum_on, sum_off))
-    # per-round mean: same data, same estimator
-    col = np.array([rec["round_costs"][0]["num"] / 2.0**k for rec in recs])
-    assert res.round_rows[0]["mean_cost"] == np.mean(col)
+    # per-round mean: the exact mean of the same numerators
+    col = [rec["round_costs"][0]["num"] for rec in recs]
+    assert res.round_rows[0]["mean_cost"] == float(Fraction(sum(col), 5 << k))
 
 
 def test_csv_headers_and_bools(tmp_path):
@@ -280,7 +325,7 @@ def test_rerun_identical_reports():
 def test_prefix_all_rounds_vacuous():
     cfg = ExperimentConfig(
         n_list=(3,), algorithms=("greedy_nearest",), trials=4, seed=2,
-        prefix_known_rounds=2,
+        prefix_rounds=2,
     )
     res = run_suite(cfg)
     assert res.round_rows == []
@@ -296,7 +341,7 @@ def test_prefix_suffix_rounds_keep_floor():
     # four rounds handed to the policy as a free batch; the rest still pay
     cfg = ExperimentConfig(
         n_list=(255,), algorithms=("greedy_nearest",), trials=150, seed=1,
-        prefix_known_rounds=4,
+        prefix_rounds=4,
     )
     res = run_suite(cfg)
     emp = [r for r in res.reports if r.lemma_id == "lemma2_empirical"][0]
@@ -311,6 +356,6 @@ def test_prefix_suffix_rounds_keep_floor():
 def test_prefix_zero_matches_plain_run():
     kw = dict(n_list=(7,), algorithms=("batch_round_optimal",), trials=4, seed=6)
     plain = run_suite(ExperimentConfig(**kw))
-    pfx = run_suite(ExperimentConfig(prefix_known_rounds=0, **kw))
+    pfx = run_suite(ExperimentConfig(prefix_rounds=0, **kw))
     assert plain.summary_rows == pfx.summary_rows
     assert plain.round_rows == pfx.round_rows

@@ -332,7 +332,7 @@ def test_lemma2_empirical_single_round():
 
 def test_lemma2_empirical_prefix_labels():
     rep = _suite_report(
-        "lemma2_empirical", "greedy_nearest", 7, trials=120, seed=2, prefix_known_rounds=1
+        "lemma2_empirical", "greedy_nearest", 7, trials=120, seed=2, prefix_rounds=1
     )
     assert [row["round"] for row in rep.details["per_round"]] == [2, 3]
     assert rep.details["prefix_rounds"] == 1
