@@ -19,7 +19,6 @@ from matchline.lemma_checks import (
     lemma1_distance_mc,
     lemma1_exact,
     lemma2_config_property,
-    offline_report_from_stats,
     render_reports,
 )
 from matchline.offline import Assignment, sorted_matching_cost
@@ -45,7 +44,6 @@ __all__ = [
     "lemma1_distance_mc",
     "lemma1_exact",
     "lemma2_config_property",
-    "offline_report_from_stats",
     "oracle_report",
     "render_reports",
     "run",

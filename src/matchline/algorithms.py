@@ -271,7 +271,9 @@ def play(
     online with the spec's policy.  One list of RunStats per instance.
 
     An instance's arrival orders, prefix batch and offline total are shared
-    by its policies; each policy gets its own copy of the free servers."""
+    by its policies; each policy gets its own copy of the free servers.
+    A free-server count off the reachable one, or an online total below
+    the offline optimum, raises RuntimeError."""
     n, i = instances[0].params.n, instances[0].params.i
     kinds = [spec.kind for spec in specs[0]]
     if any([spec.kind for spec in row] != kinds for row in specs):
@@ -302,6 +304,11 @@ def play(
         for b, inst in enumerate(instances):
             round_nums = tuple(c[b] for c in costs)
             online_num = prefix[b] + sum(round_nums)
+            if online_num < offline[b]:
+                raise RuntimeError(
+                    f"trial {trials[b]}: {kind} pays {online_num}, below the offline"
+                    f" optimum {offline[b]}"
+                )
             if offline[b] == 0:
                 ratio = 1.0 if online_num == 0 else None
             else:

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: generate, run, lemma1, lemma2, oracle, ratio.  Each
+Subcommands: generate, run, lemma1, lemma2, oracle.  run is the one command
+that plays policies; the others check the construction without any.  Each
 takes --config and the options it reads, with its own defaults (_COMMANDS);
 any other flag is a usage error.  oracle also takes --seed, unread, so one
 seed can go to every command.  --config names a flat key=value file whose
@@ -26,20 +27,13 @@ from matchline.adversary import (
     rounds_for,
 )
 from matchline.algorithms import ALGORITHM_KINDS
-from matchline.experiments import (
-    ExperimentConfig,
-    SuiteResult,
-    run_suite,
-    write_outputs,
-    write_reports,
-)
+from matchline.experiments import ExperimentConfig, run_suite, write_outputs, write_reports
 from matchline.lemma_checks import (
     EXHAUSTIVE_N_LIMIT,
     LemmaReport,
     lemma1_distance_mc,
     lemma1_exact,
     lemma2_config_property,
-    offline_report_from_stats,
     render_reports,
 )
 from matchline.oracle import auto_grid_k, oracle_report
@@ -111,13 +105,6 @@ def _render_summary(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _finish_suite(result: SuiteResult) -> int:
-    print(_render_summary(result.summary_rows))
-    print()
-    print(render_reports(result.reports))
-    return 0 if all(rep.passed for rep in result.reports) else 1
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     n = _one_size(args.n)
     params = GenParams(
@@ -135,27 +122,25 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _suite_config(args: argparse.Namespace, trials: int) -> ExperimentConfig:
-    """The suite every policy-running command plays."""
-    return ExperimentConfig(
+def _cmd_run(args: argparse.Namespace) -> int:
+    """The suite, with the leading --prefix-rounds (default 0) rounds served
+    as one offline batch."""
+    result = run_suite(ExperimentConfig(
         n_list=_sizes(args.n),
         algorithms=args.alg,
-        trials=trials,
+        trials=args.trials,
         seed=args.seed,
         grid_k=args.grid_k,
         request_order=args.order,
         prefix_rounds=args.prefix_rounds,
         workers=args.workers,
-    )
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    """The suite, with the leading --prefix-rounds (default 0) rounds served
-    as one offline batch."""
-    result = run_suite(_suite_config(args, args.trials))
+    ))
     if args.out is not None:
         write_outputs(result, args.out)
-    return _finish_suite(result)
+    print(_render_summary(result.summary_rows))
+    print()
+    print(render_reports(result.reports))
+    return 0 if all(rep.passed for rep in result.reports) else 1
 
 
 def _cmd_lemma1(args: argparse.Namespace) -> int:
@@ -167,26 +152,17 @@ def _cmd_lemma1(args: argparse.Namespace) -> int:
 
 
 def _cmd_lemma2(args: argparse.Namespace) -> int:
-    """The configuration floor for every round, then with --alg the
-    per-round floor of each policy's suite runs.  --trials is the sampled
-    configuration count and, with --alg, the suite's trial count; unset,
-    they are 10000 and 500.  At n <= EXHAUSTIVE_N_LIMIT every configuration
-    is checked, so --trials sets only the suite's trial count."""
+    """The configuration floor of every round: --trials sampled
+    configurations per round, or every configuration at n <=
+    EXHAUSTIVE_N_LIMIT, where --trials is not read."""
     n = _one_size(args.n)
     i = rounds_for(n)
-    given = args.trials
-    if given is not None and given < 1:
-        raise ValueError(f"--trials must be positive, got {given}")
-    samples = 10000 if given is None else given
-    # the suite is validated before any configuration is checked
-    config = None if args.alg is None else _suite_config(args, 500 if given is None else given)
-    exhaustive = n <= EXHAUSTIVE_N_LIMIT
+    if args.trials < 1:
+        raise ValueError(f"--trials must be positive, got {args.trials}")
+    samples = None if n <= EXHAUSTIVE_N_LIMIT else args.trials
     reports = [
-        lemma2_config_property(n, r, samples=None if exhaustive else samples, seed=args.seed)
-        for r in range(1, i + 1)
+        lemma2_config_property(n, r, samples=samples, seed=args.seed) for r in range(1, i + 1)
     ]
-    if config is not None:
-        reports += [rep for rep in run_suite(config).reports if rep.lemma_id == "lemma2_empirical"]
     return _finish(reports, args.out)
 
 
@@ -198,17 +174,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if args.grid_k is not None:
             k = min(k, args.grid_k)
         reports.append(oracle_report(n, r, grid_k=k))
-    return _finish(reports, args.out)
-
-
-def _cmd_ratio(args: argparse.Namespace) -> int:
-    """The offline cap, then each policy's aggregate ratio, from one suite;
-    a trial's policies share its instance, so any policy's runs serve."""
-    n = _one_size(args.n)
-    config = _suite_config(args, args.trials)
-    result = run_suite(config)
-    reports = [offline_report_from_stats(result.stats[(n, config.algorithms[0])], config.seed)]
-    reports += [rep for rep in result.reports if rep.lemma_id == "theorem_ratio"]
     return _finish(reports, args.out)
 
 
@@ -225,24 +190,20 @@ _FLAGS = {
     "workers": {"type": int, "help": "parallel worker processes"},
 }
 
-_BASE = {"n": "1023", "seed": 0, "grid_k": None, "out": None}  # every command takes these
-_SUITE = {
-    **_BASE, "trials": 100, "alg": ",".join(ALGORITHM_KINDS),
-    "order": ORDER_LEFT_TO_RIGHT, "prefix_rounds": 0, "workers": 1,
-}
+_BASE = {"n": "1023", "seed": 0, "grid_k": None, "out": None}
 
 # command: (handler, help, the options it takes with their defaults)
 _COMMANDS = {
     "generate": (_cmd_generate, "emit one adversarial instance as JSON lines",
                  {**_BASE, "order": ORDER_LEFT_TO_RIGHT}),
-    "run": (_cmd_run, "run an experiment suite and print/aggregate results", _SUITE),
+    "run": (_cmd_run, "run an experiment suite and print/aggregate results",
+            {**_BASE, "trials": 100, "alg": ",".join(ALGORITHM_KINDS),
+             "order": ORDER_LEFT_TO_RIGHT, "prefix_rounds": 0, "workers": 1}),
     "lemma1": (_cmd_lemma1, "exact moment identities plus the sorted-distance bound",
                {**_BASE, "trials": 1000}),
-    "lemma2": (_cmd_lemma2, "per-round floor: configuration checks and policy runs",
-               {**_SUITE, "trials": None, "alg": None}),
+    "lemma2": (_cmd_lemma2, "per-round floor on free-server configurations",
+               {"n": "1023", "seed": 0, "out": None, "trials": 10000}),
     "oracle": (_cmd_oracle, "exact round game values at tiny sizes", {**_BASE, "n": "7"}),
-    "ratio": (_cmd_ratio, "aggregate online/offline ratio against its floor",
-              {**_SUITE, "trials": 500, "alg": "greedy_nearest,batch_round_optimal"}),
 }
 
 

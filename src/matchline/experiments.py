@@ -1,11 +1,9 @@
 """The trial runner: trial fan-out, aggregation, CSV/JSONL emission.
 
-run_suite is the one runner behind every command that plays policies: run
-prints its summary, lemma2 --alg keeps its per-round floor reports and
-ratio its aggregate ratio reports.  A suite runs every (n, algorithm) pair
-over a block of trials and attaches the per-round floor report and the
-aggregate ratio report to each pair; write_outputs writes it as four files
-into an output directory:
+run_suite is the runner behind matchline run, the one command that plays
+policies.  A suite runs every (n, algorithm) pair over a block of trials
+and attaches the per-round floor report and the aggregate ratio report to
+each pair; write_outputs writes it as four files into an output directory:
 
   trials.jsonl   one record per trial, preceded by a header record that
                  names the schema and sampler versions

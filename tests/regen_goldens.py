@@ -4,7 +4,8 @@ The golden tests compare output bytes against these files.  This script
 writes them from the same tables those tests read: GENERATE_ARGV and
 REPORT_GOLDENS in test_cli.py, GOLDEN_SUITES in test_experiments.py.  A
 deliberate output change is regenerated with it, never edited by hand, and
-on an unchanged program a rerun leaves tests/data/ byte-identical.
+on an unchanged program a rerun leaves tests/data/ byte-identical.  A test
+checks that it writes every file under tests/data/ and no other.
 
     PYTHONPATH=src python tests/regen_goldens.py
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+from pathlib import Path
 
 from test_cli import GENERATE_ARGV, REPORT_GOLDENS, golden_dir
 from test_experiments import DATA, GOLDEN_SUITES
@@ -31,15 +33,16 @@ def _run(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def main() -> None:
-    _run([*GENERATE_ARGV, "--out", str(DATA / "golden_generate_n15.jsonl")])
+def main(data: Path = DATA) -> None:
+    """Write every golden into data, tests/data/ by default."""
+    _run([*GENERATE_ARGV, "--out", str(data / "golden_generate_n15.jsonl")])
     for command, argv in REPORT_GOLDENS:
-        golden = golden_dir(command, argv)
+        golden = golden_dir(command, data)
         stdout = _run([command, *argv, "--out", str(golden)])
         (golden / "stdout.txt").write_text(stdout, encoding="utf-8")
     for name, kw in GOLDEN_SUITES.items():
-        write_outputs(run_suite(ExperimentConfig(**kw)), DATA / name)
-    print(f"rewrote the goldens under {DATA}")
+        write_outputs(run_suite(ExperimentConfig(**kw)), data / name)
+    print(f"rewrote the goldens under {data}")
 
 
 if __name__ == "__main__":

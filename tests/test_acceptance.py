@@ -7,19 +7,20 @@ ratio criteria through a module-scoped fixture.
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from oracles import brute_force_cost
 
-from matchline import oracle
+from matchline import lemma_checks, oracle
+from matchline.adversary import rounds_for
 from matchline.experiments import ExperimentConfig, run_suite, write_outputs
 from matchline.lemma_checks import (
     empirical_report_from_stats,
     lemma1_distance_mc,
     lemma1_exact,
     lemma2_config_property,
-    offline_report_from_stats,
     ratio_report_from_stats,
 )
 from matchline.offline import sorted_cost_num
@@ -54,6 +55,23 @@ def test_criterion_01_exact_mean_identity(exact_moment_reports):
     _verdict(1, "clamp-sum mean equals l - l/(n+1) for every l, n up to 1023", ok)
 
 
+def _shifted_g_moments(ell, n):
+    """adversary.g_moments with the straddling cell's count c taken at ell + 1."""
+    i = rounds_for(n)
+    mean_num = var_num = 0
+    for r in range(1, i + 1):
+        width = 1 << r
+        c = (ell + 1) & (width - 1)
+        mean_num += ((ell >> r) * width + c) << (i - r)
+        var_num += (c * (width - c)) << (2 * (i - r))
+    return Fraction(mean_num, 1 << i), Fraction(var_num, 1 << (2 * i))
+
+
+def test_criterion_01_fails_on_a_shifted_straddling_cell(monkeypatch):
+    monkeypatch.setattr(lemma_checks, "g_moments", _shifted_g_moments)
+    assert not lemma1_exact(7).details["mean_identity"]
+
+
 def test_criterion_02_exact_variance_bound(exact_moment_reports):
     ok = True
     for n, rep in exact_moment_reports.items():
@@ -79,8 +97,11 @@ def test_criterion_03_sorted_distance_bound():
 def test_criterion_04_offline_aggregate_bound():
     config = ExperimentConfig((1023,), ("greedy_nearest",), trials=1000, seed=ACCEPT_SEED)
     stats = run_suite(config).stats[(1023, "greedy_nearest")]
-    rep = offline_report_from_stats(stats, ACCEPT_SEED)
-    _verdict(4, "mean offline cost within n(sqrt(10)+3) + n/2^40 at 3 SE", rep.passed)
+    rep = ratio_report_from_stats(stats, ACCEPT_SEED)
+    _verdict(
+        4, "mean offline cost within n(sqrt(10)+3) + n/2^40 at 3 SE",
+        rep.details["denominator_pass"],
+    )
 
 
 def test_criterion_05_offline_oracle_equivalence():
@@ -95,15 +116,29 @@ def test_criterion_05_offline_oracle_equivalence():
     _verdict(5, "sorted_cost_num equals the brute-force optimum, 200 instances", ok)
 
 
-def test_criterion_06_config_floor_analytic():
+def _exhaustive_config_floor_holds():
     ok = True
     for r in (1, 2, 3):
         rep = lemma2_config_property(7, r)
         ok = ok and rep.passed and rep.details["mode"].startswith("exhaustive")
+    return ok
+
+
+def test_criterion_06_config_floor_analytic():
+    ok = _exhaustive_config_floor_holds()
     for r in range(1, 11):
         rep = lemma2_config_property(1023, r, samples=10_000, seed=ACCEPT_SEED + r)
         ok = ok and rep.passed
     _verdict(6, "the strict segment floor holds for every configuration", ok)
+
+
+def test_criterion_06_fails_on_finer_cell_bounds(monkeypatch):
+    # bounds every 2^(r-1) cut each cell in two, shrinking its squared segments
+    segments = lemma_checks._sum_squared_segments
+    monkeypatch.setattr(
+        lemma_checks, "_sum_squared_segments", lambda n, r, free: segments(n, r - 1, free)
+    )
+    assert not _exhaustive_config_floor_holds()
 
 
 def _round_game_value_floor_holds():
@@ -149,6 +184,17 @@ def test_criterion_08_per_round_empirical_floor(heavy_stats):
         rep = empirical_report_from_stats(stats, ACCEPT_SEED)
         ok = ok and rep.passed
     _verdict(8, "every round's mean cost at least (n+1)/12 - 3 SE, all policies", ok)
+
+
+def test_criterion_08_fails_on_halved_round_costs():
+    # halved in greedy's kernel, the fault stops in play, whose online total
+    # falls below the offline optimum; so the recorded round costs are halved.
+    # At n = 7 the halved means still clear the floor; at n = 15 round 1 does not.
+    config = ExperimentConfig((15,), ("greedy_nearest",), trials=100, seed=ACCEPT_SEED)
+    stats = run_suite(config).stats[(15, "greedy_nearest")]
+    assert empirical_report_from_stats(stats, ACCEPT_SEED).passed
+    halved = [replace(st, round_costs=tuple(c // 2 for c in st.round_costs)) for st in stats]
+    assert not empirical_report_from_stats(halved, ACCEPT_SEED).passed
 
 
 def test_criterion_09_aggregate_ratio_floor(heavy_stats):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from oracles import brute_force_cost
 
+from matchline import algorithms
 from matchline.adversary import (
     GenParams,
     Instance,
@@ -594,6 +595,14 @@ def test_online_never_beats_offline():
             assert stats.online_total >= stats.offline_total
             assert len(stats.round_costs) == 4
             assert stats.prefix_cost + sum(stats.round_costs) == stats.online_total
+
+
+def test_online_below_offline_raises(monkeypatch):
+    # the offline total is the optimum; doubled, it exceeds most greedy totals
+    cost = algorithms.sorted_cost_num
+    monkeypatch.setattr(algorithms, "sorted_cost_num", lambda srv, pts: 2 * cost(srv, pts))
+    with pytest.raises(RuntimeError, match="below the offline optimum"):
+        run_trials(7, ALGORITHM_KINDS, range(20), 3)
 
 
 def test_prefix_all_rounds_is_offline():

@@ -42,49 +42,38 @@ def test_generate_golden_bytes(tmp_path):
     assert instance_from_jsonl(golden.decode("utf-8")) == generate(params)
 
 
-RUNNER_ARGV = {
-    "ratio": ["--n", "255", "--trials", "100"],
-    "lemma2": [
-        "--n", "63", "--alg", "greedy_nearest,batch_round_optimal,permutation,random_free",
-        "--order", "shuffled", "--trials", "200",
-    ],
-}
-
-
 # (command, argv) of every golden stdout.txt and reports.json pair;
 # regen_goldens.py reads this table too
 REPORT_GOLDENS = [
     ("lemma1", ["--n", "255", "--trials", "100"]),
     ("lemma2", ["--n", "255", "--trials", "50"]),
     ("oracle", ["--n", "7"]),
-    ("ratio", RUNNER_ARGV["ratio"]),
-    ("lemma2", RUNNER_ARGV["lemma2"]),
 ]
 
 
-def golden_dir(command, argv):
-    # lemma2 --alg and ratio play policies; their bytes live in golden_runner
-    runner = command == "ratio" or "--alg" in argv
-    return DATA / ("golden_runner" if runner else "golden_lemma_n255") / command
+def golden_dir(command, data=DATA):
+    return data / "golden_lemma_n255" / command
 
 
 @pytest.mark.parametrize("command, argv", REPORT_GOLDENS)
 def test_lemma_golden_bytes(tmp_path, capsys, command, argv):
-    # pinned stdout and reports.json of the lemma checks and the policy runs
-    golden = golden_dir(command, argv)
+    # pinned stdout and reports.json of the lemma checks
+    golden = golden_dir(command)
     assert cli.main([command, *argv, "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == (golden / "stdout.txt").read_text(encoding="utf-8")
     assert (tmp_path / "reports.json").read_bytes() == (golden / "reports.json").read_bytes()
 
 
-@pytest.mark.parametrize("command", sorted(RUNNER_ARGV))
-def test_runner_golden_bytes_at_two_workers(tmp_path, capsys, command):
-    # the goldens were written at --workers 1; two workers give the same bytes
-    argv = RUNNER_ARGV[command]
-    golden = golden_dir(command, argv)
-    assert cli.main([command, *argv, "--workers", "2", "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().out == (golden / "stdout.txt").read_text(encoding="utf-8")
-    assert (tmp_path / "reports.json").read_bytes() == (golden / "reports.json").read_bytes()
+def test_every_golden_file_comes_from_the_regen_tables(tmp_path):
+    # a golden that regen_goldens.py does not write can never be regenerated
+    import regen_goldens  # not at the top: it imports this module's tables
+
+    regen_goldens.main(tmp_path)
+
+    def files(root):
+        return {path.relative_to(root) for path in root.rglob("*") if path.is_file()}
+
+    assert files(DATA) == files(tmp_path)
 
 
 def test_generate_to_stdout(capsys):
@@ -116,25 +105,16 @@ def test_lemma1_reports_out(tmp_path, capsys):
     assert [rep["pass"] for rep in payload["reports"]] == [True, True]
 
 
-def test_lemma2_with_policy(capsys):
-    rc = cli.main(["lemma2", "--n", "7", "--trials", "150", "--alg", "greedy_nearest"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "lemma2_config_property" in out
-    assert "lemma2_empirical" in out
-
-
 def test_oracle_command(capsys):
     rc = cli.main(["oracle", "--n", "3", "--grid-k", "5"])
     assert rc == 0
     assert "oracle_round_game" in capsys.readouterr().out
 
 
-def test_ratio_command(capsys):
-    rc = cli.main(["ratio", "--n", "3", "--trials", "100", "--alg", "greedy_nearest"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "offline_aggregate" in out and "theorem_ratio" in out
+def test_ratio_is_not_a_command(capsys):
+    # run --alg greedy_nearest,batch_round_optimal writes its theorem reports
+    assert _exit_code(["ratio", "--n", "7"]) == 2
+    assert "invalid choice: 'ratio'" in capsys.readouterr().err
 
 
 def test_ratio_samples_each_instance_once(monkeypatch, tmp_path):
@@ -148,12 +128,12 @@ def test_ratio_samples_each_instance_once(monkeypatch, tmp_path):
 
     for module in (adversary, lemma_checks):
         monkeypatch.setattr(module, "origin_round_numerators", counting)
-    assert cli.main(["ratio", "--n", "7", "--trials", "100"]) == 0
+    argv = ["run", "--n", "7", "--alg", "greedy_nearest,batch_round_optimal"]
+    assert cli.main([*argv, "--trials", "100"]) == 0
     assert len(calls) == 100
-    # below 100 trials the offline cap covers the suite's own trials
-    assert cli.main(["ratio", "--n", "7", "--trials", "50", "--out", str(tmp_path)]) == 0
+    # the theorem reports' offline cap covers exactly the suite's own trials
+    assert cli.main([*argv, "--trials", "50", "--out", str(tmp_path)]) == 0
     reports = json.loads((tmp_path / "reports.json").read_text(encoding="utf-8"))["reports"]
-    assert reports[0]["lemma_id"] == "offline_aggregate" and reports[0]["trials"] == 50
     ratios = [rep for rep in reports if rep["lemma_id"] == "theorem_ratio"]
     assert len(ratios) == 2 and all(rep["trials"] == 50 for rep in ratios)
 
@@ -299,7 +279,9 @@ def test_config_file_precedence_on_suite(monkeypatch, tmp_path):
     )]
 
 
-@pytest.mark.parametrize("argv", [["lemma1"], ["oracle", "--n", "3"], ["generate", "--n", "3"]])
+@pytest.mark.parametrize("argv", [
+    ["lemma1"], ["oracle", "--n", "3"], ["generate", "--n", "3"], ["lemma2", "--n", "7"],
+])
 def test_shared_config_file_serves_commands_that_ignore_its_keys(argv, tmp_path):
     cfg = tmp_path / "opts.cfg"
     cfg.write_text("n=7\ntrials=100\nworkers=2\nalg=greedy_nearest\nprefix-rounds=1\n")
@@ -321,9 +303,10 @@ UNREAD_FLAGS = [
     *[("generate", flag) for flag in ("--trials", "--alg", "--prefix-rounds", "--workers")],
     *[("lemma1", flag) for flag in ("--alg", "--order", "--prefix-rounds", "--workers")],
     *[("oracle", flag) for flag in ("--trials", "--alg", "--order", "--prefix-rounds", "--workers")],
+    *[("lemma2", flag) for flag in ("--grid-k", "--alg", "--order", "--prefix-rounds", "--workers")],
 ]
 FLAG_VALUES = {
-    "--trials": "5", "--alg": "greedy_nearest", "--order": "shuffled",
+    "--trials": "5", "--grid-k": "5", "--alg": "greedy_nearest", "--order": "shuffled",
     "--prefix-rounds": "1", "--workers": "2",
 }
 
@@ -361,8 +344,8 @@ def test_bad_algorithm_exits_two(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["run", "--n", "3", "--trials", "1"],
-    ["ratio", "--n", "3", "--trials", "1", "--alg", "greedy_nearest"],
-    ["lemma2", "--n", "3", "--trials", "1", "--alg", "greedy_nearest"],
+    ["run", "--n", "3", "--trials", "1", "--alg", "greedy_nearest"],
+    ["run", "--n", "7", "--trials", "1", "--order", "shuffled", "--prefix-rounds", "1"],
 ])
 def test_one_trial_statistics_exit_two(argv, capsys):
     # one sample has no standard error, so a 3 SE check cannot be judged
@@ -374,17 +357,17 @@ def test_one_trial_statistics_exit_two(argv, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["run", "--n", "7,7", "--trials", "2", "--alg", "greedy_nearest"], "duplicate n"),
     (
-        ["lemma2", "--n", "7", "--trials", "2", "--alg", "greedy_nearest,greedy_nearest"],
+        ["run", "--n", "7", "--trials", "2", "--alg", "greedy_nearest,greedy_nearest"],
         "duplicate algorithm",
     ),
     (
-        ["lemma2", "--n", "7", "--alg", "greedy_nearest,batch_round_optimal",
+        ["run", "--n", "7", "--alg", "greedy_nearest,batch_round_optimal",
          "--grid-k", "0", "--trials", "2000"],
         "strictly finer than the integers",
     ),
-    (["ratio", "--n", "7", "--trials", "100", "--grid-k", "-1"], "grid_k must be at least 1"),
+    (["run", "--n", "7", "--trials", "100", "--grid-k", "-1"], "grid_k must be at least 1"),
     (["lemma1", "--n", "7", "--trials", "100", "--grid-k", "-1"], "grid_k must be non-negative"),
-    (["ratio", "--n", "7,15", "--trials", "2"], "this command takes one size"),
+    (["lemma2", "--n", "7,15"], "this command takes one size"),
     (["lemma1", "--n", "7,15", "--trials", "100"], "this command takes one size"),
     (["oracle", "--n", "3,7"], "this command takes one size"),
     (["generate", "--n", "7,15"], "this command takes one size"),

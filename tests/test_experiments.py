@@ -18,7 +18,7 @@ from matchline.experiments import (
     run_suite,
     write_outputs,
 )
-from matchline.lemma_checks import offline_report_from_stats, ratio_report_from_stats
+from matchline.lemma_checks import ratio_report_from_stats
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_suite"
@@ -131,9 +131,8 @@ def test_suite_files_agree_on_one_mean_and_one_cap(tmp_path):
             assert float(row[key]) == details[key], (n, kind, key)
         i = (n + 1).bit_length() - 1
         assert details["denominator_cap"] == n * (math.sqrt(i) + 3.0) + n / 2.0**k
-        offline = offline_report_from_stats(res.stats[(n, kind)], cfg.seed)
-        assert details["denominator_cap"] == offline.bound
-        assert details["denominator_pass"] == offline.passed
+        cap_at_3se = details["denominator_cap"] + 3.0 * details["se_offline"]
+        assert details["denominator_pass"] == (details["mean_offline"] <= cap_at_3se)
 
     costs: dict[tuple, list[Fraction]] = {}  # (n, algorithm, round) -> costs
     for line in (tmp_path / "trials.jsonl").read_text(encoding="utf-8").splitlines()[1:]:

@@ -17,7 +17,6 @@ from matchline.lemma_checks import (
     lemma1_distance_mc,
     lemma1_exact,
     lemma2_config_property,
-    offline_report_from_stats,
     render_reports,
 )
 from matchline.rng import Stream
@@ -112,8 +111,8 @@ def test_lemma1_distance_mc_validates_trials():
         lemma1_distance_mc(7, trials=99, seed=0)
 
 
-# the offline cap's grid_k is checked by the suite it is built from
-# (tests/test_cli.py: ratio --grid-k -1)
+# the theorem report's offline cap takes grid_k from the suite that checks it
+# (tests/test_cli.py: run --grid-k -1)
 @pytest.mark.parametrize("check", [lemma1_distance_mc])
 def test_monte_carlo_rejects_negative_grid_k(check):
     # checked before the scale 2^grid_k is formed
@@ -141,18 +140,12 @@ def test_lemma1_distance_mc_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
 
 
-def _offline_report(n, trials, seed):
-    config = ExperimentConfig((n,), ("greedy_nearest",), trials=trials, seed=seed)
-    return offline_report_from_stats(run_suite(config).stats[(n, "greedy_nearest")], seed)
-
-
 def test_offline_cost_mc():
-    rep = _offline_report(15, trials=200, seed=4)
-    assert rep.passed
-    assert rep.lemma_id == "offline_aggregate"
-    assert rep.bound == pytest.approx(15 * (2.0 + 3.0) + 15 / 2**15)
-    again = _offline_report(15, trials=200, seed=4)
-    assert again.to_json_dict() == rep.to_json_dict()
+    # the theorem report's denominator half: the one offline cap at 3 SE
+    rep = _suite_report("theorem_ratio", "greedy_nearest", 15, trials=200, seed=4)
+    assert rep.details["denominator_pass"]
+    assert rep.details["denominator_cap"] == pytest.approx(15 * (2.0 + 3.0) + 15 / 2**15)
+    assert rep.details["mean_offline"] < rep.details["denominator_cap"]
 
 
 def test_lemma2_config_exhaustive_n7():
