@@ -9,7 +9,7 @@ cost guarantees, including the competitive-ratio floor sqrt(log2(n+1))/12.
 """
 
 from matchline.adversary import GenParams, Instance, generate
-from matchline.algorithms import ALGORITHM_KINDS, AlgorithmSpec, RunStats, run
+from matchline.algorithms import ALGORITHM_KINDS, RunStats, run
 from matchline.experiments import ExperimentConfig, SuiteResult, run_suite
 from matchline.geometry import Coord
 from matchline.lemma_checks import (
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHM_KINDS",
-    "AlgorithmSpec",
     "Assignment",
     "Coord",
     "ExperimentConfig",

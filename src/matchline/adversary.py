@@ -10,9 +10,9 @@ SAMPLER_VERSION names that rule.
 
 An Instance is the params plus one int64 numerator array per round, at scale
 grid_k and in cell order; servers are implicit (server j sits at j << grid_k).
-generate(), the JSON Lines reader and the run path all use this one form;
-Coord appears only where values leave it (Instance.servers, all_requests and
-the JSON records).
+generate(), the JSON Lines reader and the run path all use this one form.
+The JSON records write each value as {"num", "k"} integers, and only
+Instance.servers and all_requests build Coords from it.
 
 Key exact facts used by the checkers, with g_ell = number of origins strictly
 left of server ell:
@@ -209,8 +209,9 @@ def g_moments(ell: int, n: int) -> tuple[Fraction, Fraction]:
     cell adds variance.  Sums are accumulated as integers at scales 2**i and
     4**i, in O(i).
     """
-    _check_ell(ell, n)
     i = rounds_for(n)
+    if not 1 <= ell <= n:
+        raise ValueError(f"ell must be in 1..{n}, got {ell}")
     mean_num = 0
     var_num = 0
     for r in range(1, i + 1):
@@ -220,12 +221,6 @@ def g_moments(ell: int, n: int) -> tuple[Fraction, Fraction]:
         mean_num += (full * width + c) << (i - r)
         var_num += (c * (width - c)) << (2 * (i - r))
     return Fraction(mean_num, 1 << i), Fraction(var_num, 1 << (2 * i))
-
-
-def _check_ell(ell: int, n: int) -> None:
-    rounds_for(n)
-    if not 1 <= ell <= n:
-        raise ValueError(f"ell must be in 1..{n}, got {ell}")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +244,7 @@ def instance_to_jsonl(instance: Instance) -> str:
     ]
     for r, nums in enumerate(instance.origins, start=1):
         for m, num in enumerate(nums.tolist()):
-            point = {"num": num, "k": p.grid_k}  # Coord.to_json of the origin
+            point = {"num": num, "k": p.grid_k}
             lines.append(
                 json.dumps(
                     {
@@ -273,10 +268,16 @@ def _json_int(value: object) -> int:
 
 def _grid_num(obj: dict, k: int) -> int:
     """Numerator at scale k of a JSON coordinate that lies on the scale-k grid."""
-    c = Coord(_json_int(obj["num"]), _json_int(obj["k"])).normalized()
-    if c.k > k:
+    num, scale = _json_int(obj["num"]), _json_int(obj["k"])
+    if scale < 0:
+        raise ValueError(f"scale must be non-negative, got {scale}")
+    if num.bit_length() > 63:
+        raise OverflowError(f"numerator {num} does not fit 64 bits")
+    # on the grid iff num has scale - k trailing zero bits; its lowest set
+    # bit num & -num stays below 2**63, however large the scale
+    if num and (num & -num).bit_length() <= scale - k:
         raise ValueError(f"coordinate {obj} is off the scale-{k} grid")
-    return c.at_scale(k)
+    return num << (k - scale) if scale <= k else num >> (scale - k)
 
 
 def instance_from_jsonl(text: str) -> Instance:

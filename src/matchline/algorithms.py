@@ -18,7 +18,8 @@ GenParams' width rule keeps free of overflow.
 play() plays a block of instances of one size (per-round origin numerators)
 with every requested policy, one round at a time across the block, so the
 batch policy and the known-prefix batch solve one stacked DP per round.
-Costs stay integer numerators; Coord appears only in RunStats.to_json_dict.
+Costs stay integer numerators; RunStats.to_json_dict writes each as a
+{"num", "k"} pair at the instance scale.
 """
 
 from __future__ import annotations
@@ -48,20 +49,6 @@ _TAG_CHOICE = "choice"
 # serve removes every server it uses from it.  _KERNELS holds factories for
 # blocks: (frees, seeds) -> serve(rounds) -> costs, rounds[b] into frees[b].
 Kernel = Callable[[Sequence[int]], int]
-
-
-@dataclass(frozen=True)
-class AlgorithmSpec:
-    """Which policy to run; seed only matters for random_free."""
-
-    kind: str
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ALGORITHM_KINDS:
-            raise ValueError(f"unknown algorithm kind {self.kind!r}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must be a 64-bit value, got {self.seed}")
 
 
 def _check_capacity(free: list[int], requests: Sequence[int]) -> None:
@@ -250,7 +237,6 @@ class RunStats:
             "instance_seed": self.instance_seed,
             "grid_k": self.grid_k,
             "prefix_rounds": self.prefix_rounds,
-            # Coord.to_json of each cost
             "prefix_cost": {"num": self.prefix_cost, "k": k},
             "round_costs": [{"num": c, "k": k} for c in self.round_costs],
             "online_total": {"num": self.online_total, "k": k},
@@ -261,23 +247,24 @@ class RunStats:
 
 def play(
     instances: Sequence[Instance],
-    specs: Sequence[Sequence[AlgorithmSpec]],
+    kinds: Sequence[str],
+    seeds: Sequence[Sequence[int]],
     prefix_rounds: int,
     trials: Sequence[int | None],
 ) -> list[list[RunStats]]:
     """Play a block of instances of one size, instance b (trial trials[b])
-    with every spec in specs[b], the same policies in the same order: the
-    first prefix_rounds rounds as one optimal batch, the remaining rounds
-    online with the spec's policy.  One list of RunStats per instance.
+    with every policy in kinds, policy c seeded with seeds[b][c]: the first
+    prefix_rounds rounds as one optimal batch, the remaining rounds online
+    with the policy.  One list of RunStats per instance, in kinds order.
 
     An instance's arrival orders, prefix batch and offline total are shared
     by its policies; each policy gets its own copy of the free servers.
-    A free-server count off the reachable one, or an online total below
-    the offline optimum, raises RuntimeError."""
+    A seed is checked where a policy's Stream reads it.  A free-server
+    count off the reachable one, or an online total below the offline
+    optimum, raises RuntimeError."""
     n, i = instances[0].params.n, instances[0].params.i
-    kinds = [spec.kind for spec in specs[0]]
-    if any([spec.kind for spec in row] != kinds for row in specs):
-        raise ValueError("every instance of a block must list the same policies")
+    if unknown := [kind for kind in kinds if kind not in _KERNELS]:
+        raise ValueError(f"unknown algorithm kind {unknown[0]!r}")
     if not 0 <= prefix_rounds <= i:
         raise ValueError(f"prefix_rounds must be in 0..{i}, got {prefix_rounds}")
     rounds, offline, prefix_free = [], [], []  # per instance
@@ -294,7 +281,7 @@ def play(
     out: list[list[RunStats]] = [[] for _ in instances]
     for col, kind in enumerate(kinds):
         frees = [list(free) for free in prefix_free]
-        serve = _KERNELS[kind](frees, [row[col].seed for row in specs])
+        serve = _KERNELS[kind](frees, [row[col] for row in seeds])
         costs = []
         for r in range(prefix_rounds + 1, i + 1):
             expected = reachable_free_count(n, r)
@@ -332,7 +319,7 @@ def play(
 
 
 def run(
-    instance: Instance, spec: AlgorithmSpec, trial: int | None = None, prefix_rounds: int = 0
+    instance: Instance, kind: str, seed: int = 0, trial: int | None = None, prefix_rounds: int = 0
 ) -> RunStats:
     """play() with a single policy on a block of one instance."""
-    return play([instance], [[spec]], prefix_rounds, [trial])[0][0]
+    return play([instance], [kind], [[seed]], prefix_rounds, [trial])[0][0]

@@ -40,7 +40,7 @@ from matchline.adversary import (
     instance_seed,
     rounds_for,
 )
-from matchline.algorithms import ALGORITHM_KINDS, AlgorithmSpec, RunStats, play
+from matchline.algorithms import ALGORITHM_KINDS, RunStats, play
 from matchline.lemma_checks import (
     LemmaReport,
     empirical_report_from_stats,
@@ -181,11 +181,8 @@ def run_trials(
         generate(GenParams(rounds_for(n), k, instance_seed(root_seed, t), request_order))
         for t in trials
     ]
-    specs = [
-        [AlgorithmSpec(kind, stream_key(root_seed, _TAG_ALG, kind, t)) for kind in kinds]
-        for t in trials
-    ]
-    return play(instances, specs, prefix_rounds, trials)
+    seeds = [[stream_key(root_seed, _TAG_ALG, kind, t) for kind in kinds] for t in trials]
+    return play(instances, kinds, seeds, prefix_rounds, trials)
 
 
 def _block_task(args: tuple) -> list[RunStats]:

@@ -190,6 +190,11 @@ def _mean_se(nums: list[int], k: int) -> tuple[float, float]:
 # lemma1: distribution geometry
 
 
+def _rank_bound(i: int) -> float:
+    """lemma1's bound on each rank's expected distance: sqrt(i) + 3."""
+    return math.sqrt(i) + 3.0
+
+
 def lemma1_exact(n: int) -> LemmaReport:
     """Zero-tolerance check of the mean identity and the variance bound."""
     i = rounds_for(n)
@@ -237,8 +242,9 @@ def lemma1_distance_mc(
         raise ValueError("need at least 100 trials for a stable standard error")
     k = default_grid_k(n) if grid_k is None else grid_k
     GenParams(i=i, grid_k=k, seed=0)  # validates grid_k before 2**k is formed
-    # exact integer accumulation: trials * max distance must stay in int64
-    if i + k + 1 + trials.bit_length() > 63:
+    # exact integer accumulation: each distance is below 2**(i + k), so the
+    # sum of trials of them is below 2**(i + k + trials.bit_length())
+    if i + k + trials.bit_length() > 63:
         raise ValueError("trials too large for exact accumulation at this grid")
     servers = np.arange(1, n + 1, dtype=np.int64) << np.int64(k)
     sums = np.zeros(n, dtype=np.int64)
@@ -257,7 +263,7 @@ def lemma1_distance_mc(
     ell_star = int(np.argmax(means))
     observed = float(means[ell_star])
     se_star = float(se[ell_star])
-    bound = math.sqrt(i) + 3.0
+    bound = _rank_bound(i)
     return LemmaReport(
         lemma_id="lemma1_distance_mc",
         n=n,
@@ -433,7 +439,7 @@ def ratio_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport:
         agg, se_ratio = (1.0 if sum_on == 0 else math.inf), 0.0
     numerator_floor = (n + 1) * i / 12.0
     numerator_pass = mean_on >= numerator_floor - 3.0 * se_on
-    denominator_cap = n * (math.sqrt(i) + 3.0) + n / float(1 << k)
+    denominator_cap = n * _rank_bound(i) + n / float(1 << k)
     denominator_pass = mean_off <= denominator_cap + 3.0 * se_off
     return LemmaReport(
         lemma_id="theorem_ratio",

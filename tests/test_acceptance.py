@@ -14,7 +14,7 @@ import pytest
 from oracles import brute_force_cost
 
 from matchline import lemma_checks, oracle
-from matchline.adversary import rounds_for
+from matchline.adversary import g_moments, origin_round_numerators, rounds_for
 from matchline.experiments import ExperimentConfig, run_suite, write_outputs
 from matchline.lemma_checks import (
     empirical_report_from_stats,
@@ -81,6 +81,24 @@ def test_criterion_02_exact_variance_bound(exact_moment_reports):
     _verdict(2, "per-origin variance at most log2(n+1)/4, exact", ok)
 
 
+def _widened_g_moments(ell, n):
+    """adversary.g_moments with the straddling cell's variance term c (2^r - c + 1)."""
+    i = rounds_for(n)
+    var_num = 0
+    for r in range(1, i + 1):
+        width = 1 << r
+        c = ell & (width - 1)
+        var_num += (c * (width - c + 1)) << (2 * (i - r))
+    return g_moments(ell, n)[0], Fraction(var_num, 1 << (2 * i))
+
+
+def test_criterion_02_fails_on_a_widened_variance_term(monkeypatch):
+    monkeypatch.setattr(lemma_checks, "g_moments", _widened_g_moments)
+    rep = lemma1_exact(3)
+    assert rep.details["mean_identity"] and not rep.details["variance_bound"]
+    assert Fraction(rep.details["max_variance"]) == Fraction(7, 8) > Fraction(1, 2)
+
+
 def test_criterion_03_sorted_distance_bound():
     t0 = time.perf_counter()
     rep = lemma1_distance_mc(1023, trials=1000, seed=ACCEPT_SEED)
@@ -92,6 +110,23 @@ def test_criterion_03_sorted_distance_bound():
         f"({elapsed:.1f}s)",
         ok,
     )
+
+
+def _left_end_origins(params):
+    """adversary.origin_round_numerators with every origin at its cell's left end."""
+    return [
+        nums >> (r + params.grid_k) << (r + params.grid_k)
+        for r, nums in enumerate(origin_round_numerators(params), 1)
+    ]
+
+
+def test_criterion_03_fails_on_left_end_origins(monkeypatch):
+    # at n = 7 the same fault still passes (3.0 against sqrt(3) + 3), so n = 63
+    assert lemma1_distance_mc(63, trials=100, seed=ACCEPT_SEED).passed
+    monkeypatch.setattr(lemma_checks, "origin_round_numerators", _left_end_origins)
+    rep = lemma1_distance_mc(63, trials=100, seed=ACCEPT_SEED)
+    assert not rep.passed
+    assert rep.observed == 6.0 > rep.bound
 
 
 def test_criterion_04_offline_aggregate_bound():

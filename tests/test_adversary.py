@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from matchline.adversary import (
     GenParams,
     ORDER_SHUFFLED,
     SAMPLER_VERSION,
+    _grid_num,
     arrival_indices,
     check_round_numerators,
     default_grid_k,
@@ -344,6 +346,7 @@ def _other_request(rec):
         (lambda t: _edit_line(t, 0, lambda rec: None), "TypeError"),
         (lambda t: _edit_line(t, 1, _with("origin", 5)), "TypeError"),
         (lambda t: _edit_line(t, 1, _with("origin", {"num": 1 << 69, "k": 3})), "64 bits"),
+        (lambda t: _edit_line(t, 1, _with("origin", {"num": 0, "k": -1})), "non-negative"),
         (_swap_first_cells, "cell 1 where 0 is due"),
         (lambda t: _edit_line(t, 1, _other_request), "request is not the origin"),
         (lambda t: _edit_line(t, 1, _off_grid), "off the scale-3 grid"),
@@ -352,7 +355,7 @@ def _other_request(rec):
     ],
     ids=[
         "missing-header-key", "missing-entry-key", "list-line", "null-line", "int-origin",
-        "70-bit-numerator", "subinterval-out-of-order", "request-not-origin", "off-grid-origin",
+        "70-bit-numerator", "negative-scale", "subinterval-out-of-order", "request-not-origin", "off-grid-origin",
         "float-subinterval", "float-numerator",
     ],
 )
@@ -369,3 +372,61 @@ def test_reader_accepts_finer_scale_on_grid():
     point = {"num": int(inst.origins[0][0]) << 2, "k": 5}
     text = _edit_line(instance_to_jsonl(inst), 1, lambda rec: {**rec, "origin": point, "request": point})
     assert instance_from_jsonl(text) == inst
+
+
+@pytest.mark.parametrize(
+    "num,scale,want",
+    [
+        (5, 3, 5),
+        (5, 1, 20),  # coarser: shifted up to scale 3
+        (-5, 0, -40),
+        (40, 6, 5),  # finer, on the grid
+        (-40, 6, -5),
+        (0, 10**9, 0),  # zero lies on every grid
+        ((1 << 63) - 1, 3, (1 << 63) - 1),
+    ],
+)
+def test_grid_num_reads_on_grid_values(num, scale, want):
+    assert _grid_num({"num": num, "k": scale}, 3) == want
+
+
+@pytest.mark.parametrize(
+    "num,scale,error,message",
+    [
+        (1, -1, ValueError, "scale must be non-negative, got -1"),
+        (1 << 63, 0, OverflowError, "does not fit 64 bits"),
+        (-(1 << 63) - 1, 3, OverflowError, "does not fit 64 bits"),
+        (41, 6, ValueError, "off the scale-3 grid"),
+        (-20, 6, ValueError, "off the scale-3 grid"),
+        (1, 10**9, ValueError, "off the scale-3 grid"),
+        (-(1 << 62), 10**9, ValueError, "off the scale-3 grid"),
+    ],
+)
+def test_grid_num_refuses_off_grid_and_wide_values(num, scale, error, message):
+    with pytest.raises(error, match=message):
+        _grid_num({"num": num, "k": scale}, 3)
+
+
+def test_grid_num_huge_scale_builds_no_huge_integer():
+    # a reader that formed 2**(10**9 - 3) would spend milliseconds and 125 MB
+    for point in ({"num": 0, "k": 10**9}, {"num": 1, "k": 10**9}):
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            try:
+                _grid_num(point, 3)
+            except ValueError:
+                pass
+            best = min(best, time.perf_counter() - t0)
+        assert best < 1e-3, (point, best)
+
+
+def test_reader_takes_zero_at_a_huge_scale():
+    # 0 lies in cell 0 of every round, so the first entry may be any zero
+    inst = generate(GenParams(i=2, grid_k=3, seed=1))
+    zero = {"num": 0, "k": 10**9}
+    text = _edit_line(instance_to_jsonl(inst), 1, _with("origin", zero))
+    text = _edit_line(text, 1, _with("request", zero))
+    back = instance_from_jsonl(text)
+    assert back.origins[0].tolist() == [0, *inst.origins[0][1:].tolist()]
+    assert all(np.array_equal(a, b) for a, b in zip(back.origins[1:], inst.origins[1:]))

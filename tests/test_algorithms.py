@@ -21,7 +21,6 @@ from matchline.adversary import (
 )
 from matchline.algorithms import (
     ALGORITHM_KINDS,
-    AlgorithmSpec,
     _KERNELS,
     _each,
     _monotone_min_cost,
@@ -30,7 +29,6 @@ from matchline.algorithms import (
     run,
 )
 from matchline.experiments import run_trials
-from matchline.geometry import Coord
 from matchline.rng import Stream, stream_key
 
 
@@ -293,9 +291,11 @@ def test_wide_instance_plays_like_narrow_one():
         tuple(nums << np.int64(50) for nums in narrow.origins),
     )
     check_round_numerators(wide.params, wide.origins)
-    specs = [AlgorithmSpec(kind, 9) for kind in ALGORITHM_KINDS]
+    seeds = [[9] * len(ALGORITHM_KINDS)]
     for prefix in range(4):
-        (a_runs,), (b_runs,) = (play([inst], [specs], prefix, [None]) for inst in (narrow, wide))
+        (a_runs,), (b_runs,) = (
+            play([inst], ALGORITHM_KINDS, seeds, prefix, [None]) for inst in (narrow, wide)
+        )
         for a, b in zip(a_runs, b_runs):
             assert b.online_total == a.online_total << 50
             assert b.round_costs == tuple(c << 50 for c in a.round_costs)
@@ -422,10 +422,9 @@ def test_permutation_play_matches_scan(i, monkeypatch):
     inst = generate(
         GenParams(i=i, grid_k=default_grid_k((1 << i) - 1), seed=i, request_order=ORDER_SHUFFLED)
     )
-    spec = [AlgorithmSpec("permutation")]
-    fast = [play([inst], [spec], prefix, [i]) for prefix in (0, 2)]
+    fast = [play([inst], ["permutation"], [[0]], prefix, [i]) for prefix in (0, 2)]
     monkeypatch.setitem(_KERNELS, "permutation", _each(_permutation_scan))
-    assert fast == [play([inst], [spec], prefix, [i]) for prefix in (0, 2)]
+    assert fast == [play([inst], ["permutation"], [[0]], prefix, [i]) for prefix in (0, 2)]
 
 
 def test_permutation_request_left_of_every_free_server():
@@ -518,12 +517,7 @@ def test_run_trial_matches_run_per_policy():
             for prefix in range(i + 1):
                 got = run_trial(n, ALGORITHM_KINDS, trial, root, grid_k, order, prefix)
                 want = [
-                    run(
-                        generate(params),
-                        AlgorithmSpec(kind, stream_key(root, "alg", kind, trial)),
-                        trial,
-                        prefix,
-                    )
+                    run(generate(params), kind, stream_key(root, "alg", kind, trial), trial, prefix)
                     for kind in ALGORITHM_KINDS
                 ]
                 assert got == want
@@ -558,14 +552,14 @@ def test_play_checks_free_count_every_round(monkeypatch):
     monkeypatch.setitem(_KERNELS, "greedy_nearest", _each(lambda free, seed: lambda reqs: 0))
     inst = generate(GenParams(i=3, grid_k=5, seed=2))
     with pytest.raises(RuntimeError):
-        play([inst], [[AlgorithmSpec("greedy_nearest")]], 0, [None])
+        play([inst], ["greedy_nearest"], [[0]], 0, [None])
 
 
 def test_run_exact_hit_gives_ratio_one():
     # the one request sits on the one server
     inst = Instance(GenParams(i=1, grid_k=4, seed=0), (np.array([1 << 4], dtype=np.int64),))
     check_round_numerators(inst.params, inst.origins)
-    stats = run(inst, AlgorithmSpec("greedy_nearest"))
+    stats = run(inst, "greedy_nearest")
     assert stats.online_total == 0
     assert stats.offline_total == 0
     assert stats.ratio == 1.0
@@ -573,8 +567,8 @@ def test_run_exact_hit_gives_ratio_one():
 
 def test_run_deterministic():
     inst = generate(GenParams(i=2, grid_k=6, seed=8))
-    a = run(inst, AlgorithmSpec("greedy_nearest"))
-    b = run(inst, AlgorithmSpec("greedy_nearest"))
+    a = run(inst, "greedy_nearest")
+    b = run(inst, "greedy_nearest")
     assert a == b
     assert a.round_costs == b.round_costs
 
@@ -582,16 +576,16 @@ def test_run_deterministic():
 def test_first_round_batch_is_cheapest():
     for seed in range(20):
         inst = generate(GenParams(i=3, grid_k=8, seed=seed))
-        base = run(inst, AlgorithmSpec("batch_round_optimal")).round_costs[0]
+        base = run(inst, "batch_round_optimal").round_costs[0]
         for kind in ("greedy_nearest", "permutation", "random_free"):
-            assert base <= run(inst, AlgorithmSpec(kind, seed=5)).round_costs[0]
+            assert base <= run(inst, kind, seed=5).round_costs[0]
 
 
 def test_online_never_beats_offline():
     for seed in range(12):
         inst = generate(GenParams(i=4, grid_k=9, seed=seed))
         for kind in ALGORITHM_KINDS:
-            stats = run(inst, AlgorithmSpec(kind, seed=1))
+            stats = run(inst, kind, seed=1)
             assert stats.online_total >= stats.offline_total
             assert len(stats.round_costs) == 4
             assert stats.prefix_cost + sum(stats.round_costs) == stats.online_total
@@ -607,7 +601,7 @@ def test_online_below_offline_raises(monkeypatch):
 
 def test_prefix_all_rounds_is_offline():
     inst = generate(GenParams(i=3, grid_k=7, seed=44))
-    stats = run(inst, AlgorithmSpec("greedy_nearest"), prefix_rounds=3)
+    stats = run(inst, "greedy_nearest", prefix_rounds=3)
     assert stats.round_costs == ()
     assert stats.online_total == stats.offline_total
     assert stats.ratio == 1.0
@@ -615,18 +609,18 @@ def test_prefix_all_rounds_is_offline():
 
 def test_prefix_zero_reduces_to_run():
     inst = generate(GenParams(i=3, grid_k=7, seed=45))
-    spec = AlgorithmSpec("permutation")
-    stats = run(inst, spec, prefix_rounds=0)
+    stats = run(inst, "permutation", prefix_rounds=0)
     assert stats.prefix_cost == 0 and len(stats.round_costs) == 3
-    assert stats == play([inst], [[AlgorithmSpec("greedy_nearest"), spec]], 0, [None])[0][1]
+    kinds = ["greedy_nearest", "permutation"]
+    assert stats == play([inst], kinds, [[0, 0]], 0, [None])[0][1]
 
 
 def test_prefix_out_of_range():
     inst = generate(GenParams(i=2, grid_k=5, seed=1))
     with pytest.raises(ValueError):
-        run(inst, AlgorithmSpec("greedy_nearest"), prefix_rounds=3)
+        run(inst, "greedy_nearest", prefix_rounds=3)
     with pytest.raises(ValueError):
-        run(inst, AlgorithmSpec("greedy_nearest"), prefix_rounds=-1)
+        run(inst, "greedy_nearest", prefix_rounds=-1)
 
 
 def test_run_single_trial_derivations():
@@ -656,16 +650,20 @@ def test_stats_json_dict():
     assert d["algorithm"] == "greedy_nearest"
     assert d["trial"] == 2
     assert len(d["round_costs"]) == 2
-    # integer costs leave as the JSON form of Coord(num, grid_k)
+    # integer costs leave as {"num", "k"} pairs at the instance scale
     k = stats.grid_k
-    assert d["online_total"] == Coord(stats.online_total, k).to_json()
-    assert d["offline_total"] == Coord(stats.offline_total, k).to_json()
-    assert d["prefix_cost"] == Coord(0, k).to_json()
-    assert d["round_costs"] == [Coord(c, k).to_json() for c in stats.round_costs]
+    assert d["online_total"] == {"num": stats.online_total, "k": k}
+    assert d["offline_total"] == {"num": stats.offline_total, "k": k}
+    assert d["prefix_cost"] == {"num": 0, "k": k}
+    assert d["round_costs"] == [{"num": c, "k": k} for c in stats.round_costs]
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        AlgorithmSpec("steepest_descent")
-    with pytest.raises(ValueError):
-        AlgorithmSpec("greedy_nearest", seed=-2)
+def test_run_rejects_unknown_kind_and_bad_seed():
+    inst = generate(GenParams(i=2, grid_k=5, seed=1))
+    with pytest.raises(ValueError, match="unknown algorithm kind 'steepest_descent'"):
+        run(inst, "steepest_descent")
+    # the seed is checked where random_free's Stream reads it
+    with pytest.raises(ValueError, match="64-bit"):
+        run(inst, "random_free", seed=-2)
+    with pytest.raises(ValueError, match="64-bit"):
+        run(inst, "random_free", seed=1 << 64)

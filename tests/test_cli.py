@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import itertools
 import json
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import matchline
 import matchline.cli as cli
 from matchline import adversary, lemma_checks
 from matchline.adversary import GenParams, default_grid_k, generate, instance_from_jsonl
+from matchline.algorithms import ALGORITHM_KINDS
 from matchline.experiments import ExperimentConfig
 from matchline.lemma_checks import LemmaReport
 
@@ -461,6 +463,44 @@ def test_failing_report_exits_one(monkeypatch, capsys):
     rc = cli.main(["lemma1", "--n", "3", "--trials", "100"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# README table cells that show a default in words
+README_DEFAULT_WORDS = {
+    "none": None,
+    "stdout": None,
+    "all four": ",".join(ALGORITHM_KINDS),
+    "0 (unread)": 0,
+}
+
+
+def _readme_option_table():
+    """{command: {option: cell}} from the README table under "Command line",
+    leaving out the cells marked - (the command does not take the option)."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = text.split("## Command line", 1)[1].splitlines()
+    start = next(j for j, line in enumerate(lines) if line.startswith("|"))
+    table = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    head, _, *rows = [[c.strip() for c in line.strip("|").split("|")] for line in table]
+    options = {c: {} for c in head[1:]}
+    for flag, *cells in rows:
+        key = flag.strip("`").removeprefix("--").replace("-", "_")
+        for command, cell in zip(head[1:], cells):
+            if cell != "-":
+                options[command][key] = cell
+    return options
+
+
+def test_readme_option_table_matches_the_parser():
+    table = _readme_option_table()
+    assert list(table) == list(cli._COMMANDS)
+    for command, (_, _, defaults) in cli._COMMANDS.items():
+        assert table[command].keys() == defaults.keys(), command
+        for key, cell in table[command].items():
+            if cell in README_DEFAULT_WORDS:
+                assert README_DEFAULT_WORDS[cell] == defaults[key], (command, key)
+            else:
+                assert cell == str(defaults[key]), (command, key)
 
 
 def test_missing_subcommand_exits_two():

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from matchline import lemma_checks
-from matchline.adversary import instance_seed, reachable_free_count, rounds_for
+from matchline.adversary import (
+    GenParams,
+    default_grid_k,
+    instance_seed,
+    origin_round_numerators,
+    reachable_free_count,
+    rounds_for,
+)
 from matchline.experiments import ExperimentConfig, run_suite
 from matchline.lemma_checks import (
     LemmaReport,
@@ -111,6 +118,21 @@ def test_lemma1_distance_mc_validates_trials():
         lemma1_distance_mc(7, trials=99, seed=0)
 
 
+def test_lemma1_distance_mc_sums_exactly_up_to_63_bits():
+    # each distance is below 2^(i + grid_k), so 100 trials (7 bits) sum below
+    # 2^63 at i + grid_k = 56 and may not at 57
+    rep = lemma1_distance_mc(3, trials=100, seed=5, grid_k=54)
+    sums = [0, 0, 0]
+    for t in range(100):
+        rounds = origin_round_numerators(GenParams(2, 54, instance_seed(5, t)))
+        for ell, x in enumerate(sorted(np.concatenate(rounds).tolist())):
+            sums[ell] += abs(x - ((ell + 1) << 54))
+    assert max(sums) >= 1 << 60
+    assert rep.observed == max(s / float(1 << 54) / 100 for s in sums)
+    with pytest.raises(ValueError, match="trials too large for exact accumulation"):
+        lemma1_distance_mc(3, trials=100, seed=5, grid_k=55)
+
+
 # the theorem report's offline cap takes grid_k from the suite that checks it
 # (tests/test_cli.py: run --grid-k -1)
 @pytest.mark.parametrize("check", [lemma1_distance_mc])
@@ -146,6 +168,14 @@ def test_offline_cost_mc():
     assert rep.details["denominator_pass"]
     assert rep.details["denominator_cap"] == pytest.approx(15 * (2.0 + 3.0) + 15 / 2**15)
     assert rep.details["mean_offline"] < rep.details["denominator_cap"]
+
+
+@pytest.mark.parametrize("n,grid_k", [(7, 5), (31, None)])
+def test_theorem_cap_is_lemma1_bound_summed_over_ranks(n, grid_k):
+    rep = _suite_report("theorem_ratio", "greedy_nearest", n, trials=5, seed=4, grid_k=grid_k)
+    k = default_grid_k(n) if grid_k is None else grid_k
+    bound = lemma1_distance_mc(n, 100, 4, grid_k=k).bound
+    assert rep.details["denominator_cap"] == n * bound + n / 2**k
 
 
 def test_lemma2_config_exhaustive_n7():
