@@ -6,11 +6,12 @@ rounds; round r partitions [0, n+1] into (n+1)/2**r half-open cells of width
 multiples of 2**-grid_k.  Each request is its origin: sampling directly on
 the grid keeps every event probability an exact dyadic rational.  Round r's
 origins are consecutive draws of the one stream (seed, "origin", r);
-SAMPLER_VERSION names that rule.
+SAMPLER_VERSION names that rule.  A block of seeds is drawn in one numpy
+pass per round, with the same draws as one seed at a time.
 
 An Instance is the params plus one int64 numerator array per round, at scale
 grid_k and in cell order; servers are implicit (server j sits at j << grid_k).
-generate(), the JSON Lines reader and the run path all use this one form.
+generate(), the JSON Lines reader and the run path all build this one form.
 The JSON records write each value as {"num", "k"} integers, and only
 Instance.servers and all_requests build Coords from it.
 
@@ -33,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from matchline.geometry import Coord
-from matchline.rng import Stream, stream_key
+from matchline.rng import Stream, stream_key, u64_rows
 
 ORDER_LEFT_TO_RIGHT = "left_to_right"
 ORDER_SHUFFLED = "shuffled"
@@ -119,10 +120,13 @@ class Instance:
     """One instance as integers: origins[r - 1] holds round r's origin
     numerators at scale grid_k, one per cell in cell order.  Requests equal
     their origins, and server j sits at j << grid_k.  Instances compare by
-    value."""
+    value; building one that breaks check_round_numerators raises."""
 
     params: GenParams
     origins: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        check_round_numerators(self.params, self.origins)
 
     @property
     def n(self) -> int:
@@ -149,21 +153,23 @@ class Instance:
         return [Coord(x, self.grid_k) for nums in self.origins for x in nums.tolist()]
 
 
-def origin_round_numerators(params: GenParams) -> list[np.ndarray]:
-    """Per-round origin numerators at scale grid_k (round r at index r-1).
+def origin_round_numerators(i: int, grid_k: int, seeds: Sequence[int]) -> list[np.ndarray]:
+    """Per-round origin numerators at scale grid_k, one row per seed: round r
+    is a (len(seeds), cells) int64 array at index r-1.
 
     This is the single sampling path: one stream per (seed, round), draw m
-    for cell m, the top r+grid_k bits giving the offset inside the cell.
-    generate() and the fast Monte Carlo paths both call it.
+    for cell m, the top r+grid_k bits giving the offset inside the cell.  Row
+    b depends on seeds[b] alone, so the block cannot change an instance.
     """
     out = []
-    for r in range(1, params.i + 1):
-        cells = 1 << (params.i - r)
-        width = r + params.grid_k
-        u = Stream(params.seed, _TAG_ORIGIN, r).u64_block(cells)
-        offsets = (u >> np.uint64(64 - width)).astype(np.int64)
-        bases = np.arange(cells, dtype=np.int64) << np.int64(width)
-        out.append(bases + offsets)
+    for r in range(1, i + 1):
+        cells = 1 << (i - r)
+        width = r + grid_k
+        u = u64_rows([stream_key(seed, _TAG_ORIGIN, r) for seed in seeds], cells)
+        u >>= np.uint64(64 - width)
+        nums = u.view(np.int64)  # GenParams keeps width below 63 bits
+        nums += np.arange(cells, dtype=np.int64) << np.int64(width)
+        out.append(nums)
     return out
 
 
@@ -185,9 +191,8 @@ def check_round_numerators(params: GenParams, rounds: Sequence[np.ndarray]) -> N
 
 def generate(params: GenParams) -> Instance:
     """Draw a full instance; deterministic in (seed, params)."""
-    origins = origin_round_numerators(params)
-    check_round_numerators(params, origins)
-    return Instance(params, tuple(origins))
+    rounds = origin_round_numerators(params.i, params.grid_k, [params.seed])
+    return Instance(params, tuple(nums[0] for nums in rounds))
 
 
 def arrival_indices(params: GenParams, r: int) -> list[int]:
@@ -198,20 +203,19 @@ def arrival_indices(params: GenParams, r: int) -> list[int]:
     return order
 
 
-def g_moments(ell: int, n: int) -> tuple[Fraction, Fraction]:
-    """Exact (sum p, sum p(1-p)) over all origins, p = P(origin < ell).
+def g_moment_nums(ell: int, i: int) -> tuple[int, int]:
+    """Exact (sum p, sum p(1-p)) over all origins, p = P(origin < ell), as
+    integer numerators over 2**i and 4**i, for n = 2**i - 1.
 
     For the cell [a, a + 2**r) the half-open grid has exactly (ell - a) * 2**k
     of its 2**(r+k) points in [a, ell), so p = clamp((ell - a) / 2**r, 0, 1)
     holds exactly, independent of grid_k.  In round r the ell >> r cells left
     of ell have p = 1, the cell holding ell has p = c / 2**r with
     c = ell mod 2**r, and the cells right of it have p = 0; only that one
-    cell adds variance.  Sums are accumulated as integers at scales 2**i and
-    4**i, in O(i).
+    cell adds variance.
     """
-    i = rounds_for(n)
-    if not 1 <= ell <= n:
-        raise ValueError(f"ell must be in 1..{n}, got {ell}")
+    if not 1 <= ell < 1 << i:
+        raise ValueError(f"ell must be in 1..{(1 << i) - 1}, got {ell}")
     mean_num = 0
     var_num = 0
     for r in range(1, i + 1):
@@ -220,6 +224,13 @@ def g_moments(ell: int, n: int) -> tuple[Fraction, Fraction]:
         c = ell & (width - 1)
         mean_num += (full * width + c) << (i - r)
         var_num += (c * (width - c)) << (2 * (i - r))
+    return mean_num, var_num
+
+
+def g_moments(ell: int, n: int) -> tuple[Fraction, Fraction]:
+    """g_moment_nums as Fractions: (E[g_ell], Var[g_ell]) for n = 2**i - 1."""
+    i = rounds_for(n)
+    mean_num, var_num = g_moment_nums(ell, i)
     return Fraction(mean_num, 1 << i), Fraction(var_num, 1 << (2 * i))
 
 
@@ -317,5 +328,4 @@ def instance_from_jsonl(text: str) -> Instance:
         origins = tuple(np.array(nums, dtype=np.int64) for nums in per_round)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed transcript: {type(exc).__name__}: {exc}") from exc
-    check_round_numerators(params, origins)
     return Instance(params, origins)

@@ -32,12 +32,13 @@ from typing import Sequence
 
 from matchline.adversary import (
     GenParams,
+    Instance,
     ORDER_LEFT_TO_RIGHT,
     REQUEST_ORDERS,
     SAMPLER_VERSION,
     default_grid_k,
-    generate,
     instance_seed,
+    origin_round_numerators,
     rounds_for,
 )
 from matchline.algorithms import ALGORITHM_KINDS, RunStats, play
@@ -176,11 +177,10 @@ def run_trials(
     Generation and policy seeds derive from (root_seed, trial), so trials
     are independent of their order and of the block they are played in.
     """
-    k = default_grid_k(n) if grid_k is None else grid_k
-    instances = [
-        generate(GenParams(rounds_for(n), k, instance_seed(root_seed, t), request_order))
-        for t in trials
-    ]
+    i, k = rounds_for(n), default_grid_k(n) if grid_k is None else grid_k
+    params = [GenParams(i, k, instance_seed(root_seed, t), request_order) for t in trials]
+    rounds = origin_round_numerators(i, k, [p.seed for p in params])  # one pass per round
+    instances = [Instance(p, tuple(nums[b] for nums in rounds)) for b, p in enumerate(params)]
     seeds = [[stream_key(root_seed, _TAG_ALG, kind, t) for kind in kinds] for t in trials]
     return play(instances, kinds, seeds, prefix_rounds, trials)
 

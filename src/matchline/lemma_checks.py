@@ -55,7 +55,7 @@ import numpy as np
 from matchline.adversary import (
     GenParams,
     default_grid_k,
-    g_moments,
+    g_moment_nums,
     instance_seed,
     origin_round_numerators,
     reachable_free_count,
@@ -198,25 +198,22 @@ def _rank_bound(i: int) -> float:
 def lemma1_exact(n: int) -> LemmaReport:
     """Zero-tolerance check of the mean identity and the variance bound."""
     i = rounds_for(n)
-    bound = Fraction(i, 4)
-    max_var = Fraction(0)
-    argmax_ell = 0
-    identity_ok = True
-    variance_ok = True
+    max_var_num, argmax_ell = 0, 0  # the largest variance's numerator over 4**i
+    identity_ok = variance_ok = True
     for ell in range(1, n + 1):
-        mean, var = g_moments(ell, n)
-        if mean != Fraction(ell * n, n + 1):
-            identity_ok = False
-        if var > bound:
-            variance_ok = False
-        if var > max_var:
-            max_var, argmax_ell = var, ell
+        mean_num, var_num = g_moment_nums(ell, i)
+        # mean_num / 2**i == ell n / (n + 1), and var_num / 4**i <= i / 4
+        identity_ok &= mean_num * (n + 1) == (ell * n) << i
+        variance_ok &= 4 * var_num <= i << (2 * i)
+        if var_num > max_var_num:
+            max_var_num, argmax_ell = var_num, ell
+    max_var = Fraction(max_var_num, 1 << (2 * i))
     return LemmaReport(
         lemma_id="lemma1_exact",
         n=n,
         trials=0,
         observed=float(max_var),
-        bound=float(bound),
+        bound=i / 4,
         standard_error=0.0,
         passed=identity_ok and variance_ok,
         details={
@@ -235,7 +232,10 @@ def lemma1_distance_mc(
 
     origin_(ell) is the ell-th leftmost origin.  Distances accumulate as
     exact integers per ell; only the final means and standard errors are
-    floats.  Pass rule: observed max <= bound + 3 * SE(argmax ell).
+    floats.  Pass rule: observed max <= bound + 3 * SE(argmax ell).  Trials
+    are drawn in blocks of BLOCK_DRAW_BYTES // (8 n) rows, 64 at n = 1023;
+    sumsq adds one trial's squares at a time, in trial order, because a float
+    sum rounds by its order and the block size must not change a result.
     """
     i = rounds_for(n)
     if trials < 100:
@@ -250,13 +250,18 @@ def lemma1_distance_mc(
     sums = np.zeros(n, dtype=np.int64)
     sumsq = np.zeros(n, dtype=np.float64)
     scale = float(1 << k)
-    for t in range(trials):
-        nums = np.concatenate(origin_round_numerators(GenParams(i, k, instance_seed(seed, t))))
-        nums.sort()
-        d = np.abs(nums - servers)  # |origin_(ell) - ell| at scale k
-        sums += d
-        df = d / scale
-        sumsq += df * df
+    rows = max(1, BLOCK_DRAW_BYTES // (8 * n))
+    for a in range(0, trials, rows):
+        seeds = [instance_seed(seed, t) for t in range(a, min(a + rows, trials))]
+        d = np.concatenate(origin_round_numerators(i, k, seeds), axis=1)
+        d.sort(axis=1)
+        d -= servers
+        np.abs(d, out=d)  # |origin_(ell) - ell| at scale k, one row per trial
+        sums += d.sum(axis=0)
+        for row in d:
+            df = row / scale
+            df *= df
+            sumsq += df
     means = sums / scale / trials
     var = (sumsq - trials * means * means) / (trials - 1)
     se = np.sqrt(np.maximum(var, 0.0) / trials)

@@ -7,7 +7,7 @@ stream are distinct (GAMMA is odd and the mixer a bijection).  Streams can
 therefore be evaluated out of order, in parallel workers, or in numpy
 blocks, always reproducing the same values on any platform.  There is no
 global state.  This module is the only place that knows the draw format:
-callers read draws through Stream.
+callers read draws through Stream, or many streams at once by u64_rows.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ def mix64(z: int) -> int:
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a uint64 array (wrapping arithmetic)."""
-    z = z.astype(np.uint64, copy=True)
+    """Vectorized mix64 of a uint64 array, in place; returns it."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(_M1)
     z ^= z >> np.uint64(27)
@@ -55,6 +54,13 @@ def stream_key(seed: int, *labels: int | str) -> int:
     for label in labels:
         h.update(str(label).encode() + b"\x1f")
     return int.from_bytes(h.digest(), "little")
+
+
+def u64_rows(keys: Sequence[int], count: int) -> np.ndarray:
+    """The first `count` draws of each key as a (len(keys), count) uint64
+    array: row b is u64_block(count) of a fresh stream with key keys[b]."""
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GAMMA)
+    return mix64_array(np.array(keys, dtype=np.uint64).reshape(-1, 1) + steps)
 
 
 class Stream:
@@ -109,7 +115,6 @@ class Stream:
 
     def u64_block(self, count: int) -> np.ndarray:
         """The next `count` draws as a uint64 array; matches u64() bit for bit."""
-        start = self.counter + 1
+        key = (self.key + self.counter * GAMMA) & MASK64  # draw counter + j is j of key
         self.counter += count
-        counters = np.arange(start, start + count, dtype=np.uint64)
-        return mix64_array(np.uint64(self.key) + counters * np.uint64(GAMMA))
+        return u64_rows([key], count)[0]

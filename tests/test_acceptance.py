@@ -6,6 +6,7 @@ tolerance.  Monte Carlo claims run at three standard errors.  The heavy
 ratio criteria through a module-scoped fixture.
 """
 
+import os
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -13,8 +14,8 @@ from fractions import Fraction
 import pytest
 from oracles import brute_force_cost
 
-from matchline import lemma_checks, oracle
-from matchline.adversary import g_moments, origin_round_numerators, rounds_for
+from matchline import experiments, lemma_checks, offline, oracle
+from matchline.adversary import g_moment_nums, origin_round_numerators
 from matchline.experiments import ExperimentConfig, run_suite, write_outputs
 from matchline.lemma_checks import (
     empirical_report_from_stats,
@@ -23,7 +24,6 @@ from matchline.lemma_checks import (
     lemma2_config_property,
     ratio_report_from_stats,
 )
-from matchline.offline import sorted_cost_num
 from matchline.oracle import auto_grid_k, oracle_report
 from matchline.rng import Stream
 
@@ -55,20 +55,19 @@ def test_criterion_01_exact_mean_identity(exact_moment_reports):
     _verdict(1, "clamp-sum mean equals l - l/(n+1) for every l, n up to 1023", ok)
 
 
-def _shifted_g_moments(ell, n):
-    """adversary.g_moments with the straddling cell's count c taken at ell + 1."""
-    i = rounds_for(n)
+def _shifted_g_moment_nums(ell, i):
+    """adversary.g_moment_nums with the straddling cell's count c taken at ell + 1."""
     mean_num = var_num = 0
     for r in range(1, i + 1):
         width = 1 << r
         c = (ell + 1) & (width - 1)
         mean_num += ((ell >> r) * width + c) << (i - r)
         var_num += (c * (width - c)) << (2 * (i - r))
-    return Fraction(mean_num, 1 << i), Fraction(var_num, 1 << (2 * i))
+    return mean_num, var_num
 
 
 def test_criterion_01_fails_on_a_shifted_straddling_cell(monkeypatch):
-    monkeypatch.setattr(lemma_checks, "g_moments", _shifted_g_moments)
+    monkeypatch.setattr(lemma_checks, "g_moment_nums", _shifted_g_moment_nums)
     assert not lemma1_exact(7).details["mean_identity"]
 
 
@@ -81,19 +80,18 @@ def test_criterion_02_exact_variance_bound(exact_moment_reports):
     _verdict(2, "per-origin variance at most log2(n+1)/4, exact", ok)
 
 
-def _widened_g_moments(ell, n):
-    """adversary.g_moments with the straddling cell's variance term c (2^r - c + 1)."""
-    i = rounds_for(n)
+def _widened_g_moment_nums(ell, i):
+    """adversary.g_moment_nums with the straddling cell's variance term c (2^r - c + 1)."""
     var_num = 0
     for r in range(1, i + 1):
         width = 1 << r
         c = ell & (width - 1)
         var_num += (c * (width - c + 1)) << (2 * (i - r))
-    return g_moments(ell, n)[0], Fraction(var_num, 1 << (2 * i))
+    return g_moment_nums(ell, i)[0], var_num
 
 
 def test_criterion_02_fails_on_a_widened_variance_term(monkeypatch):
-    monkeypatch.setattr(lemma_checks, "g_moments", _widened_g_moments)
+    monkeypatch.setattr(lemma_checks, "g_moment_nums", _widened_g_moment_nums)
     rep = lemma1_exact(3)
     assert rep.details["mean_identity"] and not rep.details["variance_bound"]
     assert Fraction(rep.details["max_variance"]) == Fraction(7, 8) > Fraction(1, 2)
@@ -112,11 +110,11 @@ def test_criterion_03_sorted_distance_bound():
     )
 
 
-def _left_end_origins(params):
+def _left_end_origins(i, grid_k, seeds):
     """adversary.origin_round_numerators with every origin at its cell's left end."""
     return [
-        nums >> (r + params.grid_k) << (r + params.grid_k)
-        for r, nums in enumerate(origin_round_numerators(params), 1)
+        nums >> (r + grid_k) << (r + grid_k)
+        for r, nums in enumerate(origin_round_numerators(i, grid_k, seeds), 1)
     ]
 
 
@@ -139,7 +137,7 @@ def test_criterion_04_offline_aggregate_bound():
     )
 
 
-def test_criterion_05_offline_oracle_equivalence():
+def _offline_matches_brute_force():
     s = Stream(ACCEPT_SEED, "accept5")
     ok = True
     for _ in range(200):
@@ -147,8 +145,23 @@ def test_criterion_05_offline_oracle_equivalence():
         k = s.randbelow(7)
         servers = [s.randbelow(1 << (k + 5)) for _ in range(size)]
         points = [s.randbelow(1 << (k + 5)) for _ in range(size)]
-        ok = ok and sorted_cost_num(servers, points) == brute_force_cost(servers, points)
-    _verdict(5, "sorted_cost_num equals the brute-force optimum, 200 instances", ok)
+        ok = ok and offline.sorted_cost_num(servers, points) == brute_force_cost(servers, points)
+    return ok
+
+
+def test_criterion_05_offline_oracle_equivalence():
+    _verdict(5, "sorted_cost_num equals the brute-force optimum, 200 instances",
+             _offline_matches_brute_force())
+
+
+def test_criterion_05_fails_on_a_reversed_pairing(monkeypatch):
+    # the sorted servers met by the points sorted right to left
+    def reversed_pairing(server_nums, point_nums):
+        pairs = zip(sorted(point_nums, reverse=True), sorted(server_nums))
+        return sum(abs(p - s) for p, s in pairs)
+
+    monkeypatch.setattr(offline, "sorted_cost_num", reversed_pairing)
+    assert not _offline_matches_brute_force()
 
 
 def _exhaustive_config_floor_holds():
@@ -240,18 +253,32 @@ def test_criterion_09_aggregate_ratio_floor(heavy_stats):
     _verdict(9, "online total floor and offline total cap hold at 3 SE", ok)
 
 
-def test_criterion_10_byte_identical_reruns(tmp_path):
-    def emit(tag, workers):
-        cfg = ExperimentConfig(n_list=(3, 7), trials=5, seed=123, workers=workers)
+def _byte_identical_reruns(tmp_path, workers=(1, 1, 2, 3)):
+    def emit(tag, count):
+        cfg = ExperimentConfig(n_list=(3, 7), trials=5, seed=123, workers=count)
         out = tmp_path / tag
         write_outputs(run_suite(cfg), str(out))
         return out
 
-    dirs = [emit("w1a", 1), emit("w1b", 1), emit("w2", 2), emit("w3", 3)]
+    dirs = [emit(f"run{j}_w{count}", count) for j, count in enumerate(workers)]
     ref = {name: (dirs[0] / name).read_bytes() for name in OUTPUT_NAMES}
-    ok = all(
+    return all(
         (d / name).read_bytes() == ref[name]
         for d in dirs[1:]
         for name in OUTPUT_NAMES
     )
-    _verdict(10, "byte-identical outputs across reruns and worker counts", ok)
+
+
+def test_criterion_10_byte_identical_reruns(tmp_path):
+    _verdict(10, "byte-identical outputs across reruns and worker counts",
+             _byte_identical_reruns(tmp_path))
+
+
+def test_criterion_10_fails_on_process_salted_policy_seeds(monkeypatch, tmp_path):
+    # the pool forks, so its workers inherit the patch and salt with their own pid
+    key = experiments.stream_key
+    monkeypatch.setattr(
+        experiments, "stream_key", lambda seed, *labels: key(seed, *labels, os.getpid())
+    )
+    assert _byte_identical_reruns(tmp_path / "w1", (1, 1))
+    assert not _byte_identical_reruns(tmp_path / "w2", (1, 2))

@@ -10,6 +10,7 @@ import pytest
 
 from matchline.adversary import (
     GenParams,
+    Instance,
     ORDER_SHUFFLED,
     SAMPLER_VERSION,
     _grid_num,
@@ -134,14 +135,19 @@ def test_validate_rejects_tampering():
     moved[0][0] = 3 << 5
     with pytest.raises(ValueError, match="off its cell"):
         check_round_numerators(inst.params, moved)
-    text = instance_to_jsonl(dataclasses.replace(inst, origins=tuple(moved)))
     with pytest.raises(ValueError, match="off its cell"):
-        instance_from_jsonl(text)
+        Instance(inst.params, tuple(moved))
+    head, entry, rest = instance_to_jsonl(inst).split("\n", 2)
+    record = json.loads(entry)
+    assert (record["round"], record["subinterval"]) == (1, 0)
+    record["origin"] = record["request"] = {"num": 3 << 5, "k": 5}
+    with pytest.raises(ValueError, match="off its cell"):
+        instance_from_jsonl("\n".join([head, json.dumps(record), rest]))
 
 
 def test_check_round_numerators_rejects_tampering():
     params = GenParams(i=3, grid_k=5, seed=2)
-    nums = origin_round_numerators(params)
+    nums = [block[0] for block in origin_round_numerators(3, 5, [2])]
     check_round_numerators(params, nums)
     moved = [a.copy() for a in nums]
     moved[0][1] = moved[0][0]  # round-1 cell 1 given a cell-0 origin
@@ -155,10 +161,28 @@ def test_check_round_numerators_rejects_tampering():
 def test_origin_round_numerators_match_generate():
     params = GenParams(i=4, grid_k=7, seed=55)
     inst = generate(params)
-    nums = origin_round_numerators(params)
+    nums = origin_round_numerators(4, 7, [55])
     assert len(inst.origins) == len(nums)
     for got, want in zip(inst.origins, nums):
-        assert got.tolist() == want.tolist()
+        assert want.shape == (1, len(got))
+        assert got.tolist() == want[0].tolist()
+
+
+@pytest.mark.parametrize("i,grid_k", [(1, 0), (3, 6), (10, 40)])
+def test_block_sampler_rows_are_the_one_seed_instances(i, grid_k):
+    # (10, 40) shifts by up to r + grid_k = 50 bits
+    seeds = [instance_seed(8, t) for t in range(5)] + [0, (1 << 64) - 1]
+    rounds = origin_round_numerators(i, grid_k, seeds)
+    assert [nums.shape for nums in rounds] == [(len(seeds), 1 << (i - r)) for r in range(1, i + 1)]
+    assert all(nums.dtype == np.int64 for nums in rounds)
+    for b, seed in enumerate(seeds):
+        inst = generate(GenParams(i, grid_k, seed))
+        assert [nums[b].tolist() for nums in rounds] == [x.tolist() for x in inst.origins]
+
+
+def test_block_sampler_on_no_seeds_gives_empty_rounds():
+    rounds = origin_round_numerators(3, 6, [])
+    assert [nums.shape for nums in rounds] == [(0, 4), (0, 2), (0, 1)]
 
 
 def test_expected_g_examples():
@@ -234,8 +258,7 @@ def test_g_sample_mean_tracks_expectation():
     mean, var = g_moments(ell, n)
     total = 0
     for t in range(trials):
-        params = GenParams(i=3, grid_k=8, seed=stream_key(90, "gmc", t))
-        nums = np.concatenate(origin_round_numerators(params))
+        nums = np.concatenate(origin_round_numerators(3, 8, [stream_key(90, "gmc", t)]), axis=1)
         total += int((nums < (ell << 8)).sum())
     sample = Fraction(total, trials)
     slack = 4 * float(var / trials) ** 0.5
@@ -252,11 +275,11 @@ def test_origin_sampler_calibration():
     probability at most 97 x 6.8e-6 = 0.07 %.
     """
     trials, grid_k = 4096, 2
-    offsets = [np.empty((trials, 8 >> r), dtype=np.int64) for r in (1, 2, 3)]
-    for t in range(trials):
-        params = GenParams(i=3, grid_k=grid_k, seed=instance_seed(99, t))
-        for r, nums in enumerate(origin_round_numerators(params), start=1):
-            offsets[r - 1][t] = nums - (np.arange(len(nums)) << (r + grid_k))
+    seeds = [instance_seed(99, t) for t in range(trials)]
+    offsets = [
+        nums - (np.arange(nums.shape[1]) << (r + grid_k))
+        for r, nums in enumerate(origin_round_numerators(3, grid_k, seeds), start=1)
+    ]
     zs = []
     for r, offs in enumerate(offsets, start=1):
         size = 1 << (r + grid_k)

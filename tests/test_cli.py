@@ -11,7 +11,7 @@ import pytest
 
 import matchline
 import matchline.cli as cli
-from matchline import adversary, lemma_checks
+from matchline import adversary, experiments, lemma_checks
 from matchline.adversary import GenParams, default_grid_k, generate, instance_from_jsonl
 from matchline.algorithms import ALGORITHM_KINDS
 from matchline.experiments import ExperimentConfig
@@ -120,15 +120,15 @@ def test_ratio_is_not_a_command(capsys):
 
 
 def test_ratio_samples_each_instance_once(monkeypatch, tmp_path):
-    # both module bindings are counted, so a second sampling pass would show
+    # every module binding is counted, so a second sampling pass would show
     calls = []
     sample = adversary.origin_round_numerators
 
-    def counting(params):
-        calls.append(params.seed)
-        return sample(params)
+    def counting(i, grid_k, seeds):
+        calls.extend(seeds)
+        return sample(i, grid_k, seeds)
 
-    for module in (adversary, lemma_checks):
+    for module in (adversary, experiments, lemma_checks):
         monkeypatch.setattr(module, "origin_round_numerators", counting)
     argv = ["run", "--n", "7", "--alg", "greedy_nearest,batch_round_optimal"]
     assert cli.main([*argv, "--trials", "100"]) == 0

@@ -313,6 +313,19 @@ def test_runs_draw_instances_by_the_one_seed_rule():
         assert [st.instance_seed for st in runs] == [instance_seed(11, t) for t in range(3)]
 
 
+def test_run_trials_checks_every_row_of_the_block(monkeypatch):
+    sample = experiments.origin_round_numerators
+
+    def one_origin_off(i, grid_k, seeds):
+        rounds = sample(i, grid_k, seeds)
+        rounds[1][3, 0] = rounds[1][3, 1]  # row 3, round 2: cell 0 given cell 1's origin
+        return rounds
+
+    monkeypatch.setattr(experiments, "origin_round_numerators", one_origin_off)
+    with pytest.raises(ValueError, match="round 2: origin off its cell"):
+        experiments.run_trials(7, ("greedy_nearest",), range(5), 3)
+
+
 def test_rerun_identical_reports():
     cfg = ExperimentConfig(n_list=(7,), algorithms=("permutation",), trials=3, seed=42)
     a = run_suite(cfg)

@@ -9,7 +9,6 @@ import pytest
 
 from matchline import lemma_checks
 from matchline.adversary import (
-    GenParams,
     default_grid_k,
     instance_seed,
     origin_round_numerators,
@@ -124,8 +123,8 @@ def test_lemma1_distance_mc_sums_exactly_up_to_63_bits():
     rep = lemma1_distance_mc(3, trials=100, seed=5, grid_k=54)
     sums = [0, 0, 0]
     for t in range(100):
-        rounds = origin_round_numerators(GenParams(2, 54, instance_seed(5, t)))
-        for ell, x in enumerate(sorted(np.concatenate(rounds).tolist())):
+        rounds = origin_round_numerators(2, 54, [instance_seed(5, t)])
+        for ell, x in enumerate(sorted(np.concatenate(rounds, axis=1)[0].tolist())):
             sums[ell] += abs(x - ((ell + 1) << 54))
     assert max(sums) >= 1 << 60
     assert rep.observed == max(s / float(1 << 54) / 100 for s in sums)
@@ -147,13 +146,23 @@ def test_lemma1_distance_mc_draws_the_suite_instances(monkeypatch):
     seeds = []
     sample = lemma_checks.origin_round_numerators
 
-    def recording(params):
-        seeds.append(params.seed)
-        return sample(params)
+    def recording(i, grid_k, block):
+        seeds.extend(block)
+        return sample(i, grid_k, block)
 
     monkeypatch.setattr(lemma_checks, "origin_round_numerators", recording)
     lemma1_distance_mc(7, trials=100, seed=9)
     assert seeds == [instance_seed(9, t) for t in range(100)]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 150])
+@pytest.mark.parametrize("seed", [9, 1])
+def test_lemma1_distance_mc_block_size_cannot_change_a_report(monkeypatch, rows, seed):
+    # at seed 1, adding each block's axis-0 float sum to sumsq changes the
+    # standard error's last bits with 7 rows; at seed 9 it happens not to
+    want = lemma1_distance_mc(63, trials=150, seed=seed)
+    monkeypatch.setattr(lemma_checks, "BLOCK_DRAW_BYTES", rows * 8 * 63)
+    assert lemma1_distance_mc(63, trials=150, seed=seed) == want
 
 
 def test_lemma1_distance_mc_deterministic():
