@@ -155,10 +155,14 @@ def _serve_batch(frees: Sequence[list[int]], rounds: Sequence[Sequence[int]]) ->
 #  (c) With Q the seen requests between s_L and s_R plus x, sorted, and j
 #      the pool rank of s_L, the two matchings agree outside the block, so
 #      H(s_R) - H(s_L) = sum_a |Q[a] - pool[j+1+a]| - sum_a |Q[a] - pool[j+a]|.
+#      With no seen request between s_L and s_R, (a) leaves no used server
+#      there either, so Q = [x], pool[j+1] = s_R and the rule reads
+#      s_R - x >= x - s_L -> s_L.
 
 
 def _permutation(free: list[int], seed: int) -> Kernel:
     pool = list(free)  # the kernel's servers, used or free
+    rank = {s: j for j, s in enumerate(pool)}
     seen: list[int] = []  # requests served so far, sorted
 
     def serve(requests: Sequence[int]) -> int:
@@ -168,12 +172,18 @@ def _permutation(free: list[int], seed: int) -> Kernel:
             b = bisect.bisect_left(free, x)
             if 0 < b < len(free):
                 lo, hi = free[b - 1], free[b]
-                block = seen[bisect.bisect_right(seen, lo) : bisect.bisect_left(seen, hi)]
-                bisect.insort(block, x)
-                j = bisect.bisect_left(pool, lo)
-                srv = pool[j : j + len(block) + 1]
-                if sum(map(abs, map(sub, block, srv[1:]))) >= sum(map(abs, map(sub, block, srv))):
-                    b -= 1
+                start, stop = bisect.bisect_right(seen, lo), bisect.bisect_left(seen, hi)
+                if start == stop:
+                    if hi - x >= x - lo:
+                        b -= 1
+                else:
+                    block = seen[start:stop]
+                    bisect.insort(block, x)
+                    j = rank[lo]
+                    srv = pool[j : j + len(block) + 1]
+                    cost_r = sum(map(abs, map(sub, block, srv[1:])))
+                    if cost_r >= sum(map(abs, map(sub, block, srv))):
+                        b -= 1
             total += abs(x - free.pop(min(b, len(free) - 1)))  # x right of all: the last
             bisect.insort(seen, x)
         return total

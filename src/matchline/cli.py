@@ -187,7 +187,7 @@ _FLAGS = {
     "order": {"choices": sorted(REQUEST_ORDERS), "help": "arrival order within a round"},
     "prefix_rounds": {"type": int, "help": "leading rounds served as one offline batch"},
     "out": {"help": "output file (generate) or directory (other commands)"},
-    "workers": {"type": int, "help": "parallel worker processes"},
+    "workers": {"type": int, "help": "processes that play trials, this one included"},
 }
 
 _BASE = {"n": "1023", "seed": 0, "grid_k": None, "out": None}

@@ -13,9 +13,12 @@ each pair; write_outputs writes it as four files into an output directory:
 
 A task is (n, a contiguous block of trials): it generates each instance once
 and plays every configured policy on the whole block, so all policies of a
-trial see the same requests.  Outputs are byte-deterministic for a given
-configuration and seed: no trial's result depends on its block, tasks fan
-out to workers but are mapped in a fixed order and regrouped by
+trial see the same requests.  workers counts the calling process: with N
+workers it forks N - 1 children, at most tasks - 1; process w plays task w
+first, then every process takes the next task not yet taken as it comes
+free, and each child sends its results back once.  Outputs are
+byte-deterministic for a given configuration and seed: no trial's result
+depends on its block or its process, results are regrouped by
 (n, algorithm) in trial order, exact integer cost sums happen before any
 float conversion, and neither the worker count nor the blocks appear in a
 file.  Floats serialize via Python's shortest round-trip repr.
@@ -25,8 +28,9 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass, field
+from multiprocessing import Pipe, Process, Value
 from pathlib import Path
 from typing import Sequence
 
@@ -189,6 +193,30 @@ def _block_task(args: tuple) -> list[RunStats]:
     return [st for runs in run_trials(*args) for st in runs]
 
 
+def _play_tasks(tasks: list[tuple], first: int, next_task) -> list[tuple[int, list[RunStats]]]:
+    """Play tasks[first], then take the lowest task index no process has
+    taken from the shared counter next_task, until none is left; (index,
+    results) of every task played."""
+    played, i = [], first
+    while i < len(tasks):
+        played.append((i, _block_task(tasks[i])))
+        with next_task.get_lock():
+            i = next_task.value
+            next_task.value = i + 1
+    return played
+
+
+def _play_share(tasks: list[tuple], first: int, next_task, conn) -> None:
+    """A child's body: send what _play_tasks returns, or (the exception that
+    stopped it, its traceback as text), then close conn."""
+    try:
+        msg = (_play_tasks(tasks, first, next_task), None)
+    except Exception as exc:
+        msg = (exc, traceback.format_exc())
+    conn.send(msg)
+    conn.close()
+
+
 def _block_size(n: int, trials: int, workers: int) -> int:
     """Trials per task: an even share per worker, capped so the batch DP's
     traceback table, at most ((n+1)/2)^2 bools per trial (round 1, or a
@@ -203,18 +231,42 @@ def _collect_stats(config: ExperimentConfig) -> dict[tuple[int, str], list[RunSt
         size = _block_size(n, config.trials, config.workers)
         blocks = [range(t, min(t + size, config.trials)) for t in range(0, config.trials, size)]
         tasks += [(n, config.algorithms, block, *opts) for block in blocks]
-    # the pool starts all its processes up front, so never more than there are tasks
     workers = min(config.workers, len(tasks))
-    if workers == 1:
-        results = [_block_task(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map preserves task order, so scheduling cannot reorder results
-            results = list(pool.map(_block_task, tasks))
+    # process w plays task w first, so every child plays; then each process
+    # takes the next task as it comes free, so uneven blocks even out
+    next_task = Value("q", workers)
+    children = []
+    try:
+        for w in range(1, workers):
+            recv, send = Pipe(duplex=False)
+            child = Process(target=_play_share, args=(tasks, w, next_task, send))
+            child.start()
+            send.close()  # so a child that dies without sending reads as EOF
+            children.append((child, recv))
+        played = _play_tasks(tasks, 0, next_task)
+        # a child blocked on send waits only for this loop: no cycle of waits
+        for child, recv in children:
+            try:
+                payload, trace = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"worker process exited with code {child.exitcode} before sending results"
+                ) from None
+            if trace is not None:
+                raise payload from RuntimeError(f"in worker process:\n{trace}")
+            played += payload
+            child.join()
+    finally:
+        for child, recv in children:  # stop a child before closing the pipe it may send on
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            recv.close()
     stats: dict[tuple[int, str], list[RunStats]] = {
         (n, kind): [] for n in config.n_list for kind in config.algorithms
     }
-    for runs in results:
+    for _, runs in sorted(played):  # task order, whoever played them
         for st in runs:
             stats[(st.n, st.algorithm)].append(st)
     return stats

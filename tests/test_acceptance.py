@@ -275,7 +275,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
 
 
 def test_criterion_10_fails_on_process_salted_policy_seeds(monkeypatch, tmp_path):
-    # the pool forks, so its workers inherit the patch and salt with their own pid
+    # a forked child inherits the patch and salts its blocks with its own pid
     key = experiments.stream_key
     monkeypatch.setattr(
         experiments, "stream_key", lambda seed, *labels: key(seed, *labels, os.getpid())

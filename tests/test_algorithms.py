@@ -463,6 +463,16 @@ def test_permutation_tie_goes_left():
     assert free == [3]
 
 
+def test_permutation_empty_gap_takes_the_nearer_neighbour():
+    # no seen request between s_L and s_R: 4 ties between 2 and 6 and takes
+    # 2; then 9 has only 4, left of 6, seen, and takes 10, the nearer
+    free = [2, 6, 10]
+    serve = kernel("permutation", free)
+    assert serve_one(serve, free, 4) == (2, 2)
+    assert serve_one(serve, free, 9) == (10, 1)
+    assert free == [6]
+
+
 def test_random_free_single_choice():
     free = at4([4])
     taken, cost = serve_one(kernel("random_free", free), free, 3 << 4)

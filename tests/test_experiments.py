@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
+import pickle
+import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -148,51 +152,197 @@ def test_suite_files_agree_on_one_mean_and_one_cap(tmp_path):
         assert float(row["mean_cost"]) == float(sum(values) / len(values)), row
 
 
-class _RecordingPool:
-    """Serial stand-in for ProcessPoolExecutor that records its size and the
-    (n, trials) block of every task it maps."""
+class _SerialChild:
+    """Serial stand-in for multiprocessing.Process: start() plays the child's
+    share on the spot.  plays gets one (process, n, trials) entry per block
+    played, process 0 being the parent and c the c-th child of its run."""
 
-    sizes: list[int] = []
-    blocks: list[tuple[int, list[int]]] = []
+    started = 0  # children started in the current run
+    playing = 0
+    plays: list[tuple[int, int, list[int]]] = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def __init__(self, target, args):
+        self.target, self.args = target, args
 
-    def __enter__(self):
-        return self
+    def start(self):
+        _SerialChild.started += 1
+        _SerialChild.playing = _SerialChild.started
+        try:
+            self.target(*self.args)
+        finally:
+            _SerialChild.playing = 0
 
-    def __exit__(self, *exc):
+    def is_alive(self):
         return False
 
-    def map(self, fn, tasks):
-        tasks = list(tasks)
-        self.blocks.extend((task[0], list(task[2])) for task in tasks)
-        return map(fn, tasks)
+    def join(self):
+        pass
+
+
+class _Slot:
+    """In-memory stand-in for both ends of a one-way Pipe, so a serial child's
+    send never waits on a reader: send pickles into the slot, recv unpickles."""
+
+    def __init__(self):
+        self.items = []
+
+    def send(self, obj):
+        self.items.append(pickle.dumps(obj))
+
+    def recv(self):
+        if not self.items:
+            raise EOFError
+        return pickle.loads(self.items.pop(0))
+
+    def close(self):
+        pass
+
+
+def _pipe(duplex=True):
+    slot = _Slot()
+    return slot, slot
+
+
+def _record_fan_out(monkeypatch):
+    block_task = experiments._block_task
+
+    def recording(task):
+        _SerialChild.plays.append((_SerialChild.playing, task[0], list(task[2])))
+        return block_task(task)
+
+    monkeypatch.setattr(experiments, "Process", _SerialChild)
+    monkeypatch.setattr(experiments, "Pipe", _pipe)
+    monkeypatch.setattr(experiments, "_block_task", recording)
+    monkeypatch.setattr(_SerialChild, "started", 0)
+    monkeypatch.setattr(_SerialChild, "plays", [])
+
+
+def _fan_out(config):
+    """(result, children started, blocks played in order) of run_suite(config)."""
+    _SerialChild.started = 0
+    _SerialChild.plays.clear()
+    result = run_suite(config)
+    return result, _SerialChild.started, list(_SerialChild.plays)
 
 
 def test_pool_never_larger_than_task_count(monkeypatch, tmp_path):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(_RecordingPool, "blocks", [])
+    _record_fan_out(monkeypatch)
     kw = dict(n_list=(3, 7), trials=2, seed=5)  # four (n, one-trial block) tasks
     ref = write_outputs(run_suite(ExperimentConfig(**kw)), str(tmp_path / "w1"))
-    for workers in (5000, 4, 3):
-        out = write_outputs(
-            run_suite(ExperimentConfig(workers=workers, **kw)), str(tmp_path / f"w{workers}")
-        )
+    blocks = [(3, [0]), (3, [1]), (7, [0]), (7, [1])]
+    for workers, children in ((5000, 3), (4, 3), (3, 2)):
+        result, started, plays = _fan_out(ExperimentConfig(workers=workers, **kw))
+        out = write_outputs(result, str(tmp_path / f"w{workers}"))
         for pa, pb in zip(ref, out):
             assert pa.read_bytes() == pb.read_bytes(), pa.name
-    assert _RecordingPool.sizes == [4, 4, 3]
-    assert _RecordingPool.blocks == [(3, [0]), (3, [1]), (7, [0]), (7, [1])] * 3
-    run_suite(ExperimentConfig(n_list=(3,), trials=2, workers=5000))
-    assert _RecordingPool.sizes == [4, 4, 3, 2]
-    # an even share per worker: 5 trials on 2 workers are blocks of 3 and 2
-    _RecordingPool.blocks.clear()
-    run_suite(ExperimentConfig(n_list=(3, 7), trials=5, workers=2))
-    assert _RecordingPool.sizes[-1] == 2
-    assert _RecordingPool.blocks == [
-        (3, [0, 1, 2]), (3, [3, 4]), (7, [0, 1, 2]), (7, [3, 4])
-    ]
+        assert started == children
+        # every block is played once, and process w plays task w first
+        assert sorted(p[1:] for p in plays) == blocks
+        assert all((w, *blocks[w]) in plays for w in range(children + 1))
+    assert _fan_out(ExperimentConfig(n_list=(3,), trials=2, workers=5000))[1] == 1
+    # an even share per worker: 5 trials on 2 workers are blocks of 3 and 2,
+    # and the parent plays task 0
+    _, started, plays = _fan_out(ExperimentConfig(n_list=(3, 7), trials=5, workers=2))
+    assert started == 1
+    assert sorted(p[1:] for p in plays) == [(3, [0, 1, 2]), (3, [3, 4]), (7, [0, 1, 2]), (7, [3, 4])]
+    assert (0, 3, [0, 1, 2]) in plays
+
+
+def test_play_tasks_takes_the_next_free_task(monkeypatch):
+    # process 1 plays task 1, then takes tasks from the shared counter; while
+    # it plays task 3, another process takes task 4
+    next_task = multiprocessing.Value("q", 3)
+
+    def block_task(task):
+        if task == "t3":
+            next_task.value += 1
+        return [task]
+
+    monkeypatch.setattr(experiments, "_block_task", block_task)
+    tasks = [f"t{i}" for i in range(6)]
+    played = experiments._play_tasks(tasks, 1, next_task)
+    assert played == [(1, ["t1"]), (3, ["t3"]), (5, ["t5"])]
+    assert next_task.value == 7
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="children must inherit the patched _block_task",
+)
+
+
+def _fail_in_block(monkeypatch, first_trial, fault):
+    """Patch _block_task to call fault() on the block starting at first_trial."""
+    block_task = experiments._block_task
+
+    def faulty(task):
+        if task[2][0] == first_trial:
+            fault()
+        return block_task(task)
+
+    monkeypatch.setattr(experiments, "_block_task", faulty)
+
+
+def _raise_value_error():
+    raise ValueError("no such block")
+
+
+# n = 3 and 6 trials at 3 workers: blocks [0, 1], [2, 3], [4, 5], three
+# tasks, so process w plays task w and none is left to take
+_FAN_OUT = ExperimentConfig(n_list=(3,), trials=6, workers=3)
+
+
+@fork_only
+def test_child_error_reaches_the_caller(monkeypatch):
+    _fail_in_block(monkeypatch, 2, _raise_value_error)
+    with pytest.raises(ValueError, match="no such block") as info:
+        run_suite(_FAN_OUT)
+    assert "in _raise_value_error" in str(info.value.__cause__)  # the child's traceback
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_parent_error_leaves_no_child(monkeypatch):
+    _fail_in_block(monkeypatch, 0, _raise_value_error)
+    with pytest.raises(ValueError, match="no such block"):
+        run_suite(_FAN_OUT)
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_child_that_dies_silently_names_its_exit_code(monkeypatch):
+    _fail_in_block(monkeypatch, 4, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="code 3"):
+        run_suite(_FAN_OUT)
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_run_suite_leaves_no_child():
+    assert len(run_suite(_FAN_OUT).stats[(3, "permutation")]) == 6
+    assert multiprocessing.active_children() == []
+
+
+def _time_out(signum, frame):
+    raise TimeoutError("run_suite took over 120 s")
+
+
+@fork_only
+def test_shared_counter_gives_each_task_to_one_process(monkeypatch):
+    # 2000 one-trial tasks over more processes than cores: a lost update on
+    # the shared counter would play a trial twice or not at all (without the
+    # lock, 85 to 350 trials were played twice in each of eight runs)
+    monkeypatch.setattr(experiments, "BLOCK_TABLE_BYTES", 0)
+    config = ExperimentConfig(n_list=(3,), trials=2000, workers=6, algorithms=("greedy_nearest",))
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.alarm(120)
+    try:
+        runs = run_suite(config).stats[(3, "greedy_nearest")]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [st.trial for st in runs] == list(range(2000))
+    assert multiprocessing.active_children() == []
 
 
 def test_block_size_share_and_table_budget():
