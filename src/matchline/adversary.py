@@ -277,23 +277,25 @@ def _json_int(value: object) -> int:
     return value
 
 
-def _grid_num(obj: dict, k: int) -> int:
-    """Numerator at scale k of a JSON coordinate that lies on the scale-k grid."""
-    num, scale = _json_int(obj["num"]), _json_int(obj["k"])
-    if scale < 0:
-        raise ValueError(f"scale must be non-negative, got {scale}")
-    if num.bit_length() > 63:
-        raise OverflowError(f"numerator {num} does not fit 64 bits")
-    # on the grid iff num has scale - k trailing zero bits; its lowest set
-    # bit num & -num stays below 2**63, however large the scale
-    if num and (num & -num).bit_length() <= scale - k:
-        raise ValueError(f"coordinate {obj} is off the scale-{k} grid")
-    return num << (k - scale) if scale <= k else num >> (scale - k)
+def _entry_num(obj: dict, r: int, m: int, k: int) -> int:
+    """Origin numerator of the entry due at round r, cell m, at scale k."""
+    if obj["record"] != "entry":
+        raise ValueError(f"unexpected record {obj['record']!r}")
+    if (_json_int(obj["round"]), _json_int(obj["subinterval"])) != (r, m):
+        raise ValueError(f"round {obj['round']} cell {obj['subinterval']} where round {r} cell {m} is due")
+    origin, request = ((_json_int(p["num"]), _json_int(p["k"])) for p in (obj["origin"], obj["request"]))
+    if origin[1] != k:
+        raise ValueError(f"round {r} cell {m}: scale {origin[1]}, expected grid_k = {k}")
+    if request != origin:
+        raise ValueError(f"round {r} cell {m}: request is not the origin")
+    return origin[0]
 
 
 def instance_from_jsonl(text: str) -> Instance:
-    """Read what instance_to_jsonl writes: on-grid origins, each its own
-    request, in cell order.  Raises ValueError on any other input."""
+    """Read what instance_to_jsonl writes: a params header, then exactly n
+    entries in round order and cell order within a round, each origin its
+    own request as {"num", "k"} integers with k = grid_k.  Instance checks
+    that each origin lies in its cell.  Raises ValueError on any other input."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty transcript")
@@ -309,23 +311,14 @@ def instance_from_jsonl(text: str) -> Instance:
         )
         if _json_int(head["n"]) != params.n:
             raise ValueError(f"header n={head['n']} does not match i={params.i}")
-        k = params.grid_k
-        per_round: list[list[int]] = [[] for _ in range(params.i)]
-        for line in lines[1:]:
-            obj = json.loads(line)
-            if obj["record"] != "entry":
-                raise ValueError(f"unexpected record {obj['record']!r}")
-            r = _json_int(obj["round"])
-            if not 1 <= r <= params.i:
-                raise ValueError(f"entry for unknown round {r}")
-            nums = per_round[r - 1]
-            if _json_int(obj["subinterval"]) != len(nums):
-                raise ValueError(f"round {r}: cell {obj['subinterval']} where {len(nums)} is due")
-            origin = _grid_num(obj["origin"], k)
-            if _grid_num(obj["request"], k) != origin:
-                raise ValueError(f"round {r} cell {len(nums)}: request is not the origin")
-            nums.append(origin)
-        origins = tuple(np.array(nums, dtype=np.int64) for nums in per_round)
+        if len(lines) - 1 != params.n:
+            raise ValueError(f"expected {params.n} entries, got {len(lines) - 1}")
+        entries = iter(lines[1:])
+        origins = []
+        for r in range(1, params.i + 1):
+            cells = range((params.n + 1) >> r)
+            nums = [_entry_num(json.loads(next(entries)), r, m, params.grid_k) for m in cells]
+            origins.append(np.array(nums, dtype=np.int64))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed transcript: {type(exc).__name__}: {exc}") from exc
-    return Instance(params, origins)
+    return Instance(params, tuple(origins))

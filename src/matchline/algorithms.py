@@ -213,6 +213,13 @@ _KERNELS = {
 # Full runs.
 
 
+def cost_ratio(online: int, offline: int) -> float | None:
+    """online/offline rounded once, with 0/0 = 1; None when only offline is 0."""
+    if offline == 0:
+        return 1.0 if online == 0 else None
+    return float(Fraction(online, offline))
+
+
 @dataclass(frozen=True)
 class RunStats:
     """Exact per-run cost accounting for one instance and one policy.
@@ -220,10 +227,9 @@ class RunStats:
     Costs are integer numerators at scale grid_k.  round_costs lists the
     rounds the policy actually played online; with a known prefix those are
     rounds prefix_rounds+1..i and prefix_cost is the one batch matching that
-    served the prefix.  ratio is online/offline with the convention 0/0 = 1;
-    it is None when only the offline cost is zero.  It is per-trial
-    information: no aggregate reads it, since the suite's ratio is
-    sum online / sum offline.
+    served the prefix.  ratio is cost_ratio(online_total, offline_total).
+    It is per-trial information: no aggregate reads it, since the suite's
+    ratio is cost_ratio of the summed totals.
     """
 
     n: int
@@ -306,10 +312,6 @@ def play(
                     f"trial {trials[b]}: {kind} pays {online_num}, below the offline"
                     f" optimum {offline[b]}"
                 )
-            if offline[b] == 0:
-                ratio = 1.0 if online_num == 0 else None
-            else:
-                ratio = float(Fraction(online_num, offline[b]))
             out[b].append(
                 RunStats(
                     n=n,
@@ -322,7 +324,7 @@ def play(
                     round_costs=round_nums,
                     online_total=online_num,
                     offline_total=offline[b],
-                    ratio=ratio,
+                    ratio=cost_ratio(online_num, offline[b]),
                 )
             )
     return out

@@ -31,6 +31,7 @@ from matchline.experiments import ExperimentConfig, run_suite, write_outputs, wr
 from matchline.lemma_checks import (
     EXHAUSTIVE_N_LIMIT,
     LemmaReport,
+    format_cell,
     lemma1_distance_mc,
     lemma1_exact,
     lemma2_config_property,
@@ -100,7 +101,7 @@ def _render_summary(rows: list[dict]) -> str:
         lines.append(
             f"{row['n']:>6}{row['algorithm']:>22}{row['trials']:>8}"
             f"{row['mean_online']:>12.4g}{row['mean_offline']:>12.4g}"
-            f"{row['aggregate_ratio']:>10.4g}{row['ratio_bound']:>10.4g}  {verdict}"
+            f"{format_cell(row['aggregate_ratio'], 10, '.4g')}{row['ratio_bound']:>10.4g}  {verdict}"
         )
     return "\n".join(lines)
 

@@ -389,11 +389,10 @@ def write_outputs(result: SuiteResult, out_dir: str | Path) -> list[Path]:
 
 
 def write_reports(out_dir: str | Path, payload: dict) -> Path:
-    """Write payload as out_dir/reports.json, indented, with a final newline."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "reports.json"
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    """Write payload as out_dir/reports.json, indented, with a final newline.
+    It is serialized before the file is opened, so a failed dump writes nothing."""
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    path = Path(out_dir) / "reports.json"
+    path.write_text(text, encoding="utf-8")
     return path

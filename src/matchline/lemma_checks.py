@@ -61,7 +61,7 @@ from matchline.adversary import (
     reachable_free_count,
     rounds_for,
 )
-from matchline.algorithms import RunStats
+from matchline.algorithms import RunStats, cost_ratio
 from matchline.rng import Stream
 
 _TAG_CONFIG = "config"
@@ -137,7 +137,7 @@ class LemmaReport:
     lemma_id: str
     n: int
     trials: int
-    observed: float
+    observed: float | None  # None only for a cost_ratio with no value
     bound: float
     standard_error: float
     passed: bool
@@ -164,6 +164,11 @@ def _report_context(rep: LemmaReport) -> str:
     return ""
 
 
+def format_cell(value: float | None, width: int, spec: str) -> str:
+    """value in format spec, right-aligned to width; None shows as "-"."""
+    return f"{'-' if value is None else format(value, spec):>{width}}"
+
+
 def render_reports(reports: list[LemmaReport]) -> str:
     head = (
         f"{'check':<24}{'context':<21}{'n':>6}{'trials':>8}"
@@ -173,7 +178,7 @@ def render_reports(reports: list[LemmaReport]) -> str:
     for rep in reports:
         lines.append(
             f"{rep.lemma_id:<24}{_report_context(rep):<21}{rep.n:>6}{rep.trials:>8}"
-            f"{rep.observed:>14.6g}{rep.bound:>14.6g}{rep.standard_error:>12.3g}"
+            f"{format_cell(rep.observed, 14, '.6g')}{rep.bound:>14.6g}{rep.standard_error:>12.3g}"
             f"  {'pass' if rep.passed else 'FAIL'}"
         )
     return "\n".join(lines)
@@ -432,16 +437,15 @@ def ratio_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport:
     mean_on, se_on = _mean_se(on_nums, k)
     mean_off, se_off = _mean_se(off_nums, k)
     t = len(stats)
+    agg = cost_ratio(sum_on, sum_off)
+    se_ratio = 0.0
     if sum_off:
-        agg = float(Fraction(sum_on, sum_off))
         scale = float(1 << k)
         on = np.array(on_nums, dtype=np.float64) / scale
         off = np.array(off_nums, dtype=np.float64) / scale
         cov = float(np.cov(on, off, ddof=1)[0, 1]) / t
         var_ratio = max(se_on**2 - 2 * agg * cov + agg * agg * se_off**2, 0.0)
         se_ratio = math.sqrt(var_ratio) / mean_off
-    else:
-        agg, se_ratio = (1.0 if sum_on == 0 else math.inf), 0.0
     numerator_floor = (n + 1) * i / 12.0
     numerator_pass = mean_on >= numerator_floor - 3.0 * se_on
     denominator_cap = n * _rank_bound(i) + n / float(1 << k)

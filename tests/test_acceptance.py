@@ -137,6 +137,26 @@ def test_criterion_04_offline_aggregate_bound():
     )
 
 
+def _greedy_stats(n):
+    config = ExperimentConfig((n,), ("greedy_nearest",), trials=100, seed=ACCEPT_SEED)
+    return run_suite(config).stats[(n, "greedy_nearest")]
+
+
+def _ratio_report(stats, **scaled):
+    """ratio_report_from_stats over stats with each named total mapped by its function."""
+    edited = [replace(st, **{key: f(getattr(st, key)) for key, f in scaled.items()}) for st in stats]
+    return ratio_report_from_stats(edited, ACCEPT_SEED)
+
+
+def test_criterion_04_fails_on_inflated_offline_totals():
+    # the cap is loose: 162.32 against a mean offline total of 22.45 at
+    # n = 31, so offline totals six times too large still pass
+    stats = _greedy_stats(31)
+    assert _ratio_report(stats, offline_total=lambda x: 6 * x).details["denominator_pass"]
+    rep = _ratio_report(stats, offline_total=lambda x: 8 * x)
+    assert not rep.details["denominator_pass"] and not rep.passed
+
+
 def _offline_matches_brute_force():
     s = Stream(ACCEPT_SEED, "accept5")
     ok = True
@@ -251,6 +271,14 @@ def test_criterion_09_aggregate_ratio_floor(heavy_stats):
         rep = ratio_report_from_stats(heavy_stats[(1023, kind)], ACCEPT_SEED)
         ok = ok and rep.passed
     _verdict(9, "online total floor and offline total cap hold at 3 SE", ok)
+
+
+def test_criterion_09_fails_on_a_third_of_the_online_totals():
+    # halved online totals still clear the floor (n+1) i/12 at n = 15
+    stats = _greedy_stats(15)
+    assert _ratio_report(stats, online_total=lambda x: x // 2).passed
+    rep = _ratio_report(stats, online_total=lambda x: x // 3)
+    assert not rep.details["numerator_pass"] and not rep.passed
 
 
 def _byte_identical_reruns(tmp_path, workers=(1, 1, 2, 3)):

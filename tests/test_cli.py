@@ -3,8 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import csv
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,36 @@ def test_run_summary_table(tmp_path, capsys):
     assert "lemma2_empirical" in out and "theorem_ratio" in out
     for name in ("trials.jsonl", "summary.csv", "rounds.csv", "reports.json"):
         assert (tmp_path / name).exists()
+
+
+def test_run_with_zero_offline_totals_writes_valid_files(tmp_path, capsys):
+    # every seed-405 instance at grid_k = 1 has offline total 0 and online > 0,
+    # so each trial ratio and the aggregate ratio have no value
+    rc = cli.main([
+        "run", "--n", "3", "--trials", "2", "--grid-k", "1", "--seed", "405",
+        "--alg", "random_free", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert re.search(r"\brandom_free +2 +3 +0 +- ", out)
+    assert re.search(r"\btheorem_ratio +random_free +3 +2 +- ", out)
+    for path in tmp_path.iterdir():
+        assert not re.search(r"\b(inf|Infinity|NaN)\b", path.read_text(encoding="utf-8")), path.name
+    trials = [json.loads(line) for line in (tmp_path / "trials.jsonl").read_text().splitlines()]
+    assert [rec["ratio"] for rec in trials[1:]] == [None, None]
+    assert all(rec["offline_total"]["num"] == 0 < rec["online_total"]["num"] for rec in trials[1:])
+    reports = json.loads((tmp_path / "reports.json").read_text(encoding="utf-8"))["reports"]
+    assert [rep["observed"] for rep in reports if rep["lemma_id"] == "theorem_ratio"] == [None]
+    with (tmp_path / "summary.csv").open(newline="", encoding="utf-8") as fh:
+        assert [row["aggregate_ratio"] for row in csv.DictReader(fh)] == [""]
+    with (tmp_path / "rounds.csv").open(newline="", encoding="utf-8") as fh:
+        assert len(list(csv.DictReader(fh))) == 2
+
+
+def test_failed_report_dump_leaves_no_file(tmp_path):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        experiments.write_reports(tmp_path, {"observed": float("inf")})
+    assert not (tmp_path / "reports.json").exists()
 
 
 def test_lemma1_reports_out(tmp_path, capsys):
@@ -501,6 +533,18 @@ def test_readme_option_table_matches_the_parser():
                 assert README_DEFAULT_WORDS[cell] == defaults[key], (command, key)
             else:
                 assert cell == str(defaults[key]), (command, key)
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    # the API examples and the transcript round trip, run as written
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    names = {"trials.jsonl", "summary.csv", "rounds.csv", "reports.json"}
+    assert {p.name for p in (tmp_path / "results").iterdir()} == names
 
 
 def test_missing_subcommand_exits_two():

@@ -14,7 +14,7 @@ import pytest
 
 from matchline import experiments
 from matchline.adversary import instance_seed
-from matchline.algorithms import RunStats
+from matchline.algorithms import RunStats, cost_ratio
 from matchline.experiments import (
     ExperimentConfig,
     ROUNDS_COLUMNS,
@@ -22,7 +22,7 @@ from matchline.experiments import (
     run_suite,
     write_outputs,
 )
-from matchline.lemma_checks import ratio_report_from_stats
+from matchline.lemma_checks import ratio_report_from_stats, render_reports
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_suite"
@@ -401,6 +401,23 @@ def test_theorem_gate_fails_with_either_inequality(monkeypatch, tmp_path, total_
     write_outputs(res, tmp_path)
     with (tmp_path / "summary.csv").open(encoding="utf-8") as fh:
         assert next(csv.DictReader(fh))["theorem_pass"] == "false"
+
+
+@pytest.mark.parametrize("online_num, want, cell", [(0, 1.0, "1"), (8, None, "-")])
+def test_theorem_ratio_of_zero_offline_totals(online_num, want, cell):
+    # the aggregate follows the per-trial rule: 0/0 is 1, x/0 has no value
+    runs = [
+        RunStats(
+            n=3, algorithm="random_free", instance_seed=0, grid_k=1, trial=t,
+            prefix_rounds=0, prefix_cost=0, round_costs=(online_num, 0),
+            online_total=online_num, offline_total=0, ratio=cost_ratio(online_num, 0),
+        )
+        for t in range(2)
+    ]
+    assert {st.ratio for st in runs} == {want}
+    rep = ratio_report_from_stats(runs, 0)
+    assert (rep.observed, rep.standard_error) == (want, 0.0)
+    assert render_reports([rep]).splitlines()[2].split()[4] == cell
 
 
 def test_worker_count_invariance(tmp_path):
