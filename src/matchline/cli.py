@@ -3,12 +3,13 @@
 Subcommands: generate, run, lemma1, lemma2, oracle.  run is the one command
 that plays policies; the others check the construction without any.  Each
 takes --config and the options it reads, with its own defaults (_COMMANDS);
-any other flag is a usage error.  oracle also takes --seed, unread, so one
-seed can go to every command.  --config names a flat key=value file whose
-values become the command's defaults, so flags win over the file and the
-file over built-in defaults; a key no command takes is an error, a key only
-other commands take is ignored.  Exit status is 0 when every emitted report
-passes, 1 when any fails, 2 on usage errors.
+any other flag is a usage error.  oracle takes --seed and lemma2 takes
+--seed and --trials without reading them, so one seed can go to every
+command; lemma2's --trials must still be positive.  --config names a flat
+key=value file whose values become the command's defaults, so flags win
+over the file and the file over built-in defaults; a key no command takes
+is an error, a key only other commands take is ignored.  Exit status is 0
+when every emitted report passes, 1 when any fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from matchline.adversary import (
 from matchline.algorithms import ALGORITHM_KINDS
 from matchline.experiments import ExperimentConfig, run_suite, write_outputs, write_reports
 from matchline.lemma_checks import (
-    EXHAUSTIVE_N_LIMIT,
     LemmaReport,
     format_cell,
     lemma1_distance_mc,
@@ -153,18 +153,13 @@ def _cmd_lemma1(args: argparse.Namespace) -> int:
 
 
 def _cmd_lemma2(args: argparse.Namespace) -> int:
-    """The configuration floor of every round: --trials sampled
-    configurations per round, or every configuration at n <=
-    EXHAUSTIVE_N_LIMIT, where --trials is not read."""
+    """The exact configuration floor of every round; --trials and --seed
+    are not read."""
     n = _one_size(args.n)
     i = rounds_for(n)
     if args.trials < 1:
         raise ValueError(f"--trials must be positive, got {args.trials}")
-    samples = None if n <= EXHAUSTIVE_N_LIMIT else args.trials
-    reports = [
-        lemma2_config_property(n, r, samples=samples, seed=args.seed) for r in range(1, i + 1)
-    ]
-    return _finish(reports, args.out)
+    return _finish([lemma2_config_property(n, r) for r in range(1, i + 1)], args.out)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:

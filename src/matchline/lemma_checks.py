@@ -24,9 +24,9 @@ Three claims about the construction are verified, referenced by id:
 lemma1_distance_mc draws its own instances; the per-round floor and
 theorem reports of each policy are built from RunStats the trial runner
 already holds, so the theorem's offline cap reads the suite's own trials.
-lemma2_config_property checks configurations a block at a time, as the
-rows of one free-server mask, in sampled and exhaustive mode alike; sampled
-configurations of round r are consecutive rows of one seeded stream.
+lemma2_config_property is exact at every n: the least sum d^2 over all
+configurations of a round has a closed form (min_segment_sum), and the
+configuration attaining it is built and measured by the segment code.
 
 Statistical checks use a 3-standard-error margin and need at least two
 trials; exact checks use none.
@@ -45,7 +45,6 @@ less likely than that bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,15 +61,15 @@ from matchline.adversary import (
     rounds_for,
 )
 from matchline.algorithms import RunStats, cost_ratio
-from matchline.rng import Stream
 
-_TAG_CONFIG = "config"
-
-EXHAUSTIVE_CAP = 2_000_000
-# worst round of n=15 enumerates C(15,7) = 6435 configs; n=31 is out of reach
-EXHAUSTIVE_N_LIMIT = 15
-# Bytes of uint64 draws one block of sampled configurations holds: 64 rows at n = 1023.
+# Bytes of int64 distances one block of lemma1 trials holds: 64 rows at n = 1023.
 BLOCK_DRAW_BYTES = 1 << 19
+
+
+def round_floor(n: int) -> Fraction:
+    """lemma2's per-round floor (n+1)/12: every round of every policy costs
+    more than this in expectation."""
+    return Fraction(n + 1, 12)
 
 
 @dataclass(frozen=True)
@@ -290,83 +289,82 @@ def lemma1_distance_mc(
 # lemma2: per-round cost floor
 
 
-def lemma2_config_property(
-    n: int, r: int, samples: int | None = None, seed: int = 0
-) -> LemmaReport:
-    """Check the per-round floor on free-server configurations of round r.
+def _least_part_squares(w: int, p: int) -> int:
+    """The least sum of squares of p positive integers that sum to w: the
+    parts as even as they go."""
+    q, rem = divmod(w, p)
+    return (p - rem) * q * q + rem * (q + 1) * (q + 1)
 
-    samples=None enumerates every configuration of the reachable size
-    (errors out above EXHAUSTIVE_CAP); otherwise that many uniform
-    configurations are drawn from one seeded stream.  The one gate is the
-    exact floor sum d^2/(4*2^r) > (n+1)/12 on every configuration
-    (floor_strict).  Two facts behind it are identities, not gates: with f
-    free servers there are at most s_r = (n+1)/2^r + f segments, since each
-    free server adds at most one, and sum d^2 >= (n+1)^2 / s_r by
-    Cauchy-Schwarz.  The checks run on blocks of configurations sized to
-    BLOCK_DRAW_BYTES of draws; min_config is the first minimizer found.
+
+def min_segment_sum(n: int, r: int) -> int:
+    """The least sum d^2 over every configuration of round r's reachable size.
+
+    Round r has c = (n+1)/2^r cells of width w = 2^r.  A free server on a
+    cell bound adds no segment, so at most c (w-1) of the f free servers
+    count, and a cell holding m of them contributes at least
+    _least_part_squares(w, m + 1).  That is convex and decreasing in m, so
+    the minimum puts as many servers inside cells as fit, spread evenly.
     """
-    if samples is not None and samples < 1:
-        raise ValueError("samples must be positive")
+    c, w = (n + 1) >> r, 1 << r
+    inner = min(reachable_free_count(n, r), c * (w - 1))
+    base, extra = divmod(inner, c)
+    return extra * _least_part_squares(w, base + 2) + (c - extra) * _least_part_squares(w, base + 1)
+
+
+def _min_free_mask(n: int, r: int) -> np.ndarray:
+    """(1, n) mask of a configuration attaining min_segment_sum: the extra
+    servers in the leftmost cells, each cell cut into even parts with the
+    smaller parts first, and the servers that fit inside no cell on the
+    leftmost cell bounds."""
+    c, w = (n + 1) >> r, 1 << r
     f = reachable_free_count(n, r)
-    width = 1 << r
-    # strict floor: sum_d2 / (4*2^r) > (n+1)/12  <=>  3*sum_d2 > (n+1)*2^r
-    floor_rhs = (n + 1) << r
+    inner = min(f, c * (w - 1))
+    base, extra = divmod(inner, c)
+    free = np.zeros((1, n), dtype=bool)
+    free[0, w * np.arange(1, f - inner + 1) - 1] = True
+    for cells, m in ((np.arange(extra), base + 1), (np.arange(extra, c), base)):
+        q, rem = divmod(w, m + 1)
+        k = np.arange(1, m + 1)
+        cuts = k * q + np.maximum(k - (m + 1 - rem), 0)  # ends of the first k parts
+        free[0, (cells[:, None] * w + cuts).ravel() - 1] = True
+    return free
 
-    rows = max(1, BLOCK_DRAW_BYTES // (8 * n))
-    if samples is None or f == n:
-        count = math.comb(n, f)
-        if count > EXHAUSTIVE_CAP:
-            raise ValueError(
-                f"{count} configurations at n={n}, r={r}; pass samples= to sample instead"
-            )
-        combos = itertools.combinations(range(1, n + 1), f)
-        chunks = iter(lambda: list(itertools.islice(combos, rows)), [])
-        blocks = (_free_mask(n, chunk) for chunk in chunks)
-        mode = f"exhaustive:{count}"
-        total = count
-    else:
-        # sample s frees the f servers with the smallest of draws
-        # s n + 1 .. (s + 1) n of Stream(seed, _TAG_CONFIG, r); a stream's
-        # draws are distinct, so those f are one set, and rows are read in
-        # order, so the block size cannot change a sample
-        stream = Stream(seed, _TAG_CONFIG, r)
-        draws = (
-            stream.u64_block(n * min(rows, samples - a)).reshape(-1, n)
-            for a in range(0, samples, rows)
-        )
-        blocks = (d <= np.partition(d, f - 1, axis=1)[:, f - 1 : f] for d in draws)
-        mode = f"sampled:{samples}"
-        total = samples
 
-    min_sum_d2 = None
-    min_config: tuple[int, ...] = ()
-    floor_ok = True
-    for free in blocks:
-        # sum_d2 <= (n+1) 2^r: int64 is exact for n < 2^30
-        sum_d2 = _sum_squared_segments(n, r, free)
-        floor_ok &= bool((3 * sum_d2 > floor_rhs).all())
-        j = int(sum_d2.argmin())  # the first minimum, as a one-by-one scan keeps it
-        if min_sum_d2 is None or sum_d2[j] < min_sum_d2:
-            min_sum_d2 = int(sum_d2[j])
-            min_config = tuple((np.flatnonzero(free[j]) + 1).tolist())
+def lemma2_config_property(n: int, r: int) -> LemmaReport:
+    """Exact check of the per-round floor over every configuration of round r.
 
-    observed = float(Fraction(min_sum_d2, 4 * width))
+    The gate is sum d^2/(4*2^r) > round_floor(n) at the least sum d^2 of
+    every configuration of the reachable size (floor_strict), taken from
+    min_segment_sum's closed form.  The configuration attaining it is built
+    as a mask and measured by _sum_squared_segments; the report passes only
+    when that measurement equals the closed form, so each checks the other.
+    Two facts behind the floor are identities, not gates: with f free
+    servers there are at most s_r = (n+1)/2^r + f segments, since each free
+    server adds at most one, and sum d^2 >= (n+1)^2 / s_r by Cauchy-Schwarz.
+    """
+    f = reachable_free_count(n, r)
+    min_sum_d2 = min_segment_sum(n, r)
+    min_lower_bound = Fraction(min_sum_d2, 4 << r)
+    free = _min_free_mask(n, r)
+    # sum_d2 <= (n+1) 2^r: int64 is exact for n < 2^30
+    measured = int(_sum_squared_segments(n, r, free)[0])
+    floor_ok = min_lower_bound > round_floor(n)
+    min_config = (np.flatnonzero(free[0]) + 1).tolist() if f <= 32 else []
     return LemmaReport(
         lemma_id="lemma2_config_property",
         n=n,
-        trials=total,
-        observed=observed,
-        bound=float(Fraction(n + 1, 12)),
+        trials=0,
+        observed=float(min_lower_bound),
+        bound=float(round_floor(n)),
         standard_error=0.0,
-        passed=floor_ok,
+        passed=floor_ok and measured == min_sum_d2,
         details={
             "r": r,
-            "mode": mode,
+            "mode": "exact",
             "free_count": f,
             "floor_strict": floor_ok,
-            "min_config": list(min_config) if len(min_config) <= 32 else [],
-            "min_lower_bound": f"{min_sum_d2}/{4 * width}",
-            "seed": seed,
+            "min_config": min_config,
+            "min_lower_bound": f"{min_sum_d2}/{4 << r}",
         },
     )
 
@@ -376,7 +374,7 @@ def empirical_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport
     mean cost must be >= (n+1)/12 - 3 SE."""
     first = stats[0]
     n = first.n
-    floor = (n + 1) / 12.0
+    floor = float(round_floor(n))
     rounds_played = len(first.round_costs)
     first_label = first.prefix_rounds + 1
     rows = []
@@ -446,7 +444,7 @@ def ratio_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport:
         cov = float(np.cov(on, off, ddof=1)[0, 1]) / t
         var_ratio = max(se_on**2 - 2 * agg * cov + agg * agg * se_off**2, 0.0)
         se_ratio = math.sqrt(var_ratio) / mean_off
-    numerator_floor = (n + 1) * i / 12.0
+    numerator_floor = float(round_floor(n) * i)
     numerator_pass = mean_on >= numerator_floor - 3.0 * se_on
     denominator_cap = n * _rank_bound(i) + n / float(1 << k)
     denominator_pass = mean_off <= denominator_cap + 3.0 * se_off

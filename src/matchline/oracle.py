@@ -14,7 +14,8 @@ server of rank t + s, slack s in 0..f-q, and the cheapest pairing of cells
 and going through rank t + s.  That is f-q+1 passes over pts^q outcomes for
 q cells of pts grid points, so this is for desk sizes only (the cap is
 MAX_OUTCOMES outcomes, keeping every outcome's cost exact in int32).  The
-segment bound's own minimizer is lemma2_config_property's min_config.
+segment bound's exact minimum at any n, and a configuration attaining it,
+are lemma2_config_property's min_lower_bound and min_config.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from matchline.adversary import reachable_free_count, rounds_for
-from matchline.lemma_checks import LemmaReport, RoundConfig, config_lower_bound
+from matchline.lemma_checks import LemmaReport, RoundConfig, config_lower_bound, round_floor
 
 MAX_OUTCOMES = 1 << 18
 
@@ -108,7 +109,7 @@ def oracle_report(n: int, r: int, grid_k: int | None = None) -> LemmaReport:
     f = reachable_free_count(n, r)
     count = math.comb(n, f)
     k = auto_grid_k(n, r) if grid_k is None else grid_k
-    floor = Fraction(n + 1, 12)
+    floor = round_floor(n)
     dominates_ok = True
     strict_ok = True
     min_game: Fraction | None = None

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from matchline.adversary import reachable_free_count
+
 BRUTE_FORCE_CAP = 9
 
 
@@ -39,6 +41,26 @@ def subset_game_value(config, grid_k):
             grid = grid + np.abs(cell - (server << grid_k)).reshape(shape)
         best = grid if best is None else np.minimum(best, grid)
     return Fraction(int(best.sum()), pts**q << grid_k)
+
+
+def segment_square_sum(n, r, free):
+    """Sum of squared segment lengths of one configuration of round r, by
+    sorting its free servers among the cell bounds."""
+    width = 1 << r
+    bounds = np.arange(0, n + 1 + width, width, dtype=np.int64)
+    free = np.asarray(free, dtype=np.int64)
+    pts = np.sort(np.concatenate((bounds, free[free % width != 0])))
+    d = np.diff(pts)
+    return int((d * d).sum())
+
+
+def min_segment_sum_by_enumeration(n, r):
+    """The least segment_square_sum over every configuration of round r's
+    reachable size, one configuration at a time."""
+    f = reachable_free_count(n, r)
+    return min(
+        segment_square_sum(n, r, conf) for conf in itertools.combinations(range(1, n + 1), f)
+    )
 
 
 # Two-sided margin of the sampler calibration tests: a correct sampler puts

@@ -184,29 +184,36 @@ def test_criterion_05_fails_on_a_reversed_pairing(monkeypatch):
     assert not _offline_matches_brute_force()
 
 
-def _exhaustive_config_floor_holds():
+def _config_floor_holds(sizes=N_FULL):
     ok = True
-    for r in (1, 2, 3):
-        rep = lemma2_config_property(7, r)
-        ok = ok and rep.passed and rep.details["mode"].startswith("exhaustive")
+    for n in sizes:
+        for r in range(1, (n + 1).bit_length()):
+            rep = lemma2_config_property(n, r)
+            ok = ok and rep.passed and rep.trials == 0
     return ok
 
 
 def test_criterion_06_config_floor_analytic():
-    ok = _exhaustive_config_floor_holds()
-    for r in range(1, 11):
-        rep = lemma2_config_property(1023, r, samples=10_000, seed=ACCEPT_SEED + r)
-        ok = ok and rep.passed
-    _verdict(6, "the strict segment floor holds for every configuration", ok)
+    _verdict(6, "the strict segment floor holds for every configuration, exact up to 1023",
+             _config_floor_holds())
 
 
 def test_criterion_06_fails_on_finer_cell_bounds(monkeypatch):
-    # bounds every 2^(r-1) cut each cell in two, shrinking its squared segments
+    # bounds every 2^(r-1) cut each cell in two, so the minimizing
+    # configuration's measured segments fall below the closed form
     segments = lemma_checks._sum_squared_segments
     monkeypatch.setattr(
         lemma_checks, "_sum_squared_segments", lambda n, r, free: segments(n, r - 1, free)
     )
-    assert not _exhaustive_config_floor_holds()
+    assert not _config_floor_holds()
+
+
+@pytest.mark.parametrize("scale, holds", [(Fraction(102, 100), False), (Fraction(101, 100), True)])
+def test_criterion_06_fails_on_a_raised_floor(monkeypatch, scale, holds):
+    # at n = 1023, r = 4 the least segment bound is 8319/8192 of the floor
+    floor = lemma_checks.round_floor
+    monkeypatch.setattr(lemma_checks, "round_floor", lambda n: floor(n) * scale)
+    assert _config_floor_holds((1023,)) == holds
 
 
 def _round_game_value_floor_holds():

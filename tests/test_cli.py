@@ -50,13 +50,22 @@ def test_generate_golden_bytes(tmp_path):
 # regen_goldens.py reads this table too
 REPORT_GOLDENS = [
     ("lemma1", ["--n", "255", "--trials", "100"]),
-    ("lemma2", ["--n", "255", "--trials", "50"]),
+    ("lemma2", ["--n", "255"]),
     ("oracle", ["--n", "7"]),
 ]
 
 
 def golden_dir(command, data=DATA):
     return data / "golden_lemma_n255" / command
+
+
+def test_lemma2_reads_neither_trials_nor_seed(tmp_path):
+    runs = {}
+    for flags in (("--trials", "1"), ("--trials", "300"), ("--seed", "0"), ("--seed", "9")):
+        out = tmp_path / "-".join(flags)
+        assert cli.main(["lemma2", "--n", "255", *flags, "--out", str(out)]) == 0
+        runs[flags] = (out / "reports.json").read_bytes()
+    assert len(set(runs.values())) == 1
 
 
 @pytest.mark.parametrize("command, argv", REPORT_GOLDENS)
@@ -503,6 +512,7 @@ README_DEFAULT_WORDS = {
     "stdout": None,
     "all four": ",".join(ALGORITHM_KINDS),
     "0 (unread)": 0,
+    "10000 (unread)": 10000,
 }
 
 

@@ -1,7 +1,6 @@
 """Checkers: exact moment identities, configuration floors, MC reports."""
 
 import itertools
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +25,7 @@ from matchline.lemma_checks import (
     render_reports,
 )
 from matchline.rng import Stream
-from oracles import CALIBRATION_Z, binomial_z
+from oracles import min_segment_sum_by_enumeration, segment_square_sum
 
 
 def test_reachable_free_count():
@@ -187,14 +186,20 @@ def test_theorem_cap_is_lemma1_bound_summed_over_ranks(n, grid_k):
     assert rep.details["denominator_cap"] == n * bound + n / 2**k
 
 
+def test_round_floor_floats_are_the_quotients_they_replace():
+    # each report's float floor is the one correctly rounded value of the
+    # rational, so reading it through round_floor changes no output byte
+    for i in (1, 2, 10, 30, 52, 53, 54, 60):
+        n = (1 << i) - 1
+        assert float(lemma_checks.round_floor(n)) == (n + 1) / 12.0
+        assert float(lemma_checks.round_floor(n) * i) == (n + 1) * i / 12.0
+
+
 def test_lemma2_config_exhaustive_n7():
-    counts = {1: 1, 2: 35, 3: 7}
-    for r, count in counts.items():
+    for r in (1, 2, 3):
         rep = lemma2_config_property(7, r)
-        assert rep.passed
-        assert rep.trials == count
-        assert rep.details["floor_strict"]
-        assert rep.details["mode"] == f"exhaustive:{count}"
+        assert rep.passed and rep.details["floor_strict"]
+        assert rep.trials == 0 and rep.details["mode"] == "exact"
 
 
 def test_lemma2_config_worst_round3_detail():
@@ -204,36 +209,12 @@ def test_lemma2_config_worst_round3_detail():
     assert rep.bound == pytest.approx(8 / 12)
 
 
-def test_lemma2_config_sampled_deterministic():
-    a = lemma2_config_property(255, 3, samples=300, seed=6)
-    b = lemma2_config_property(255, 3, samples=300, seed=6)
-    assert a.passed and a.to_json_dict() == b.to_json_dict()
-    assert a.details["mode"] == "sampled:300"
-    c = lemma2_config_property(255, 2, samples=300, seed=6)
-    assert c.details["min_lower_bound"] != a.details["min_lower_bound"]
-
-
-def test_lemma2_config_sample_validation():
-    with pytest.raises(ValueError):
-        lemma2_config_property(255, 2, samples=0)
-
-
-def _segments_one_config(n, r, free):
-    """Sum of squared segment lengths of one configuration, by sorting its points."""
-    width = 1 << r
-    bounds = np.arange(0, n + 1 + width, width, dtype=np.int64)
-    interior = free[(free % width) != 0]
-    pts = np.sort(np.concatenate((bounds, interior)))
-    d = np.diff(pts)
-    return int((d * d).sum())
-
-
 def _scan_configs(n, r, configs):
     """lemma2_config_property's details, one configuration at a time."""
     min_sum_d2, min_config = None, ()
     floor_ok = True
     for conf in configs:
-        sum_d2 = _segments_one_config(n, r, np.asarray(conf, dtype=np.int64))
+        sum_d2 = segment_square_sum(n, r, conf)
         floor_ok = floor_ok and 3 * sum_d2 > (n + 1) << r
         if min_sum_d2 is None or sum_d2 < min_sum_d2:
             min_sum_d2, min_config = sum_d2, tuple(conf)
@@ -245,36 +226,12 @@ def _scan_configs(n, r, configs):
 
 
 def _drawn_configs(n, r, f, samples, seed):
-    """Sample s: the f positions of the smallest of draws s n + 1 .. (s + 1) n
-    of the round's one stream."""
+    """Uniform configurations of f free servers: sample s frees the positions
+    of the f smallest of draws s n + 1 .. (s + 1) n of one seeded stream."""
     stream = Stream(seed, "config", r)
     for _ in range(samples):
         draws = stream.u64_block(n)
         yield tuple(int(v) + 1 for v in np.sort(np.argpartition(draws, f)[:f]))
-
-
-def test_config_sampler_calibration():
-    """Sampled configurations are uniform, and independent from row to row.
-
-    3500 samples at n = 7, r = 2 (3 free servers of 7, so 35 subsets): each
-    subset count against 1/35, and the rate at which sample s + 1 repeats
-    sample s against 1/35.  For independent uniform samples those 3499
-    repeat indicators are pairwise independent, so their sum has binomial
-    variance.  Each of the 36 comparisons is two-sided at CALIBRATION_Z =
-    4.5 SE, so a correct sampler fails the family with probability at most
-    36 x 6.8e-6 = 0.025 %.
-    """
-    n, r, samples = 7, 2, 3500
-    f = reachable_free_count(n, r)
-    configs = list(_drawn_configs(n, r, f, samples, 99))
-    subsets = list(itertools.combinations(range(1, n + 1), f))
-    counts = Counter(configs)
-    assert set(counts) <= set(subsets)
-    zs = [binomial_z(counts[c], samples, 1 / len(subsets)) for c in subsets]
-    repeats = sum(a == b for a, b in zip(configs, configs[1:]))
-    zs.append(binomial_z(repeats, samples - 1, 1 / len(subsets)))
-    worst = max(zs, key=abs)
-    assert abs(worst) <= CALIBRATION_Z, (zs.index(worst), worst)
 
 
 def _random_configs(n, r, stream):
@@ -300,51 +257,45 @@ def test_block_segment_sums_match_per_config_oracle():
             for row, conf in enumerate(configs):
                 free[row, [v - 1 for v in conf]] = True
             sums = lemma_checks._sum_squared_segments(n, r, free)
-            want = [_segments_one_config(n, r, np.asarray(c, dtype=np.int64)) for c in configs]
-            assert sums.tolist() == want, (n, r)
+            assert sums.tolist() == [segment_square_sum(n, r, c) for c in configs], (n, r)
 
 
 @pytest.mark.parametrize("n, samples, seed", [
-    (3, 40, 1), (7, 300, 2), (63, 200, 3), (1023, 150, 4), (3, None, 0), (7, None, 0), (15, None, 0),
+    (3, 40, 1), (7, 300, 2), (31, 300, 5), (63, 200, 3), (255, 200, 6), (1023, 150, 4),
+    (1, None, 0), (3, None, 0), (7, None, 0), (15, None, 0),
 ])
 def test_lemma2_config_property_matches_per_config_scan(n, samples, seed):
-    # every round: f == n (round 1) and the single-server last round included
+    # samples=None, or round 1 with its one configuration: the minimum over
+    # every configuration is the report's; otherwise no configuration drawn
+    # beats the report's minimum
     for r in range(1, rounds_for(n) + 1):
         f = reachable_free_count(n, r)
-        rep = lemma2_config_property(n, r, samples=samples, seed=seed)
+        rep = lemma2_config_property(n, r)
+        least = lemma_checks.min_segment_sum(n, r)
+        assert rep.details["min_lower_bound"] == f"{least}/{4 << r}"
+        assert rep.observed == float(Fraction(least, 4 << r))
+        assert rep.passed and rep.details["free_count"] == f
         if samples is None or f == n:
-            configs = list(itertools.combinations(range(1, n + 1), f))
+            assert least == min_segment_sum_by_enumeration(n, r), (n, r)
         else:
-            configs = list(_drawn_configs(n, r, f, samples, seed))
-        want = _scan_configs(n, r, configs)
-        assert {key: rep.details[key] for key in want} == want, (n, r)
-        assert rep.trials == len(configs)
-        assert rep.observed == float(Fraction(want["min_lower_bound"]))
+            drawn = _drawn_configs(n, r, f, samples, seed)
+            assert min(segment_square_sum(n, r, conf) for conf in drawn) >= least, (n, r)
+        min_config = tuple(rep.details["min_config"])
+        if f <= 32:
+            assert len(min_config) == f
+            assert config_lower_bound(RoundConfig(n, r, min_config)) == Fraction(least, 4 << r)
+        else:
+            assert min_config == ()
 
 
 def test_lemma2_config_flags_fail_with_too_many_free_servers(monkeypatch):
-    # 14 of 15 servers free in round 3: the floor fails for every sample,
-    # and the block check must say so exactly as the one-by-one scan does
+    # 14 of 15 servers free in round 3: the floor fails for every
+    # configuration, and the exact check must say so as the one-by-one scan does
     monkeypatch.setattr(lemma_checks, "reachable_free_count", lambda n, r: 14)
-    rep = lemma2_config_property(15, 3, samples=50, seed=8)
-    want = _scan_configs(15, 3, list(_drawn_configs(15, 3, 14, 50, 8)))
+    rep = lemma2_config_property(15, 3)
+    want = _scan_configs(15, 3, list(itertools.combinations(range(1, 16), 14)))
     assert not want["floor_strict"] and not rep.passed
     assert {key: rep.details[key] for key in want} == want
-
-
-@pytest.mark.parametrize("n, r, samples", [
-    (7, 2, 300),  # 35 configurations: the samples repeat, so minima tie
-    (63, 3, 200),
-    (1023, 2, 130),
-    (15, 2, None),  # exhaustive: mirror images tie for the minimum
-    (7, 2, None),
-])
-def test_block_size_does_not_change_the_report(monkeypatch, n, r, samples):
-    default = lemma2_config_property(n, r, samples=samples, seed=5).to_json_dict()
-    for rows in (1, 3, 64):
-        monkeypatch.setattr(lemma_checks, "BLOCK_DRAW_BYTES", rows * 8 * n)
-        rep = lemma2_config_property(n, r, samples=samples, seed=5)
-        assert rep.to_json_dict() == default, rows
 
 
 def _suite_report(lemma_id, kind, n, **kw):
