@@ -8,8 +8,9 @@ any other flag is a usage error.  oracle takes --seed and lemma2 takes
 command; lemma2's --trials must still be positive.  --config names a flat
 key=value file whose values become the command's defaults, so flags win
 over the file and the file over built-in defaults; a key no command takes
-is an error, a key only other commands take is ignored.  Exit status is 0
-when every emitted report passes, 1 when any fails, 2 on usage errors.
+or given twice is an error, a key only other commands take is ignored.
+Exit status is 0 when every emitted report passes, 1 when any fails, 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def _names(raw: str) -> tuple[str, ...]:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    """Flat key=value lines; # starts a comment; blank lines ignored."""
+    """Flat key=value lines; # starts a comment; blank lines ignored; a key
+    given twice, in either spelling (grid-k, grid_k), is an error."""
     values: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -77,6 +79,8 @@ def _load_config_file(path: str) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if key not in _FLAGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = value.strip()
     return values
 

@@ -4,18 +4,24 @@ One round of the construction is a game: a request lands uniformly on the
 grid inside each live cell and the policy matches each to a free server.
 The cheapest any policy can do, even seeing the whole round up front, is
 the minimum-cost matching of the request tuple to the free servers.  This
-module enumerates every request tuple and averages that optimum exactly,
-giving an independent reference for the per-round floor: the game value
-must dominate the segment bound sum d^2/(4*2^r) and exceed (n+1)/12.
+module averages that optimum exactly over every request tuple, giving an
+independent reference for the per-round floor: the game value must
+dominate the segment bound sum d^2/(4*2^r) and exceed (n+1)/12.
 
 The optimum is a band DP over cells: a sorted pairing sends cell t to the
 server of rank t + s, slack s in 0..f-q, and the cheapest pairing of cells
 0..t ending at rank <= t + s is the cheaper of ending at rank <= t + s - 1
-and going through rank t + s.  That is f-q+1 passes over pts^q outcomes for
-q cells of pts grid points, so this is for desk sizes only (the cap is
-MAX_OUTCOMES outcomes, keeping every outcome's cost exact in int32).  The
-segment bound's exact minimum at any n, and a configuration attaining it,
-are lemma2_config_property's min_lower_bound and min_config.
+and going through rank t + s.  The DP runs over the request tuples of the
+first q-1 cells only.  For each such prefix the last cell's cost is
+min_s(best[s] + |x - c_s|), a piecewise-linear function of its request x
+whose sum over the cell is closed form (_last_cell_sum), so the work is
+about pts^(q-1) (f-q+2) for q cells of pts grid points, and no array holds
+all pts^q tuples.  MAX_OUTCOMES still caps the tuple count pts^q, though
+the work no longer needs it: auto_grid_k picks each round's grid from it,
+and every report carries that grid and the exact value on it, so a larger
+cap would change the reports.  The segment bound's exact minimum at
+any n, and a configuration attaining it, are lemma2_config_property's
+min_lower_bound and min_config.
 """
 
 from __future__ import annotations
@@ -49,20 +55,52 @@ def auto_grid_k(n: int, r: int) -> int:
     return min(k, 10)
 
 
-def exact_round_game_value(
-    config: RoundConfig, grid_k: int | None = None, out: np.ndarray | None = None
-) -> Fraction:
+def _span(u: int | np.ndarray, v: int | np.ndarray) -> int | np.ndarray:
+    """Sum of the integers in [u, v), exact: (v - u)(u + v - 1) is even."""
+    return (v - u) * (u + v - 1) // 2
+
+
+def _last_cell_sum(best: list[np.ndarray], servers: list[int], lo: int, hi: int) -> int:
+    """Sum over every prefix and every x in [lo, hi) of min_s(best[s] + |x - servers[s]|).
+
+    Cut [lo, hi) at each server strictly inside it.  On a piece [a, b) every
+    server lies at or left of a, or at or right of b, so the minimum is
+    min(L + x, R - x) with L = min(best[s] - c_s) over the left servers and
+    R = min(best[s] + c_s) over the right ones; L + x wins up to
+    x = floor((R - L) / 2), and each side sums as an arithmetic series.
+    """
+    # right[j] = min over s >= j of best[s] + c_s, None past the last server
+    right: list[np.ndarray | None] = [None] * (len(servers) + 1)
+    for j in range(len(servers) - 1, -1, -1):
+        here = best[j] + servers[j]
+        right[j] = here if right[j + 1] is None else np.minimum(right[j + 1], here)
+    edges = [lo, *(c for c in servers if lo < c < hi), hi]
+    left: np.ndarray | None = None  # min of best[s] - c_s over servers s < j
+    j = total = 0
+    for a, b in zip(edges, edges[1:]):
+        while j < len(servers) and servers[j] <= a:
+            here = best[j] - servers[j]
+            left = here if left is None else np.minimum(left, here)
+            j += 1
+        if left is None:
+            piece = (b - a) * right[j] - _span(a, b)
+        elif right[j] is None:
+            piece = (b - a) * left + _span(a, b)
+        else:
+            e = np.clip((right[j] - left) // 2 + 1, a, b)
+            piece = (e - a) * left + _span(a, e) + (b - e) * right[j] - _span(e, b)
+        total += int(piece.sum())
+    return total
+
+
+def exact_round_game_value(config: RoundConfig, grid_k: int | None = None) -> Fraction:
     """Exact E[min-cost matching of one round's requests to the free servers].
 
     Requests are one per cell, uniform over the half-open grid of spacing
     2^-grid_k.  Cells are disjoint and ordered, so any request tuple is
     already sorted and the optimum over server subsets is the cheapest sorted
-    pairing, found by the band DP of the module docstring.  The outcome grid
-    is int32: an outcome sums q distances below (n+1) 2^k = q pts, DP partial
-    sums are bounded by full outcome sums (grid - d by minus one distance),
-    and q^2 pts <= 2^18 whenever pts^q <= MAX_OUTCOMES.  out, if given, is a
-    flat int32 scratch array of at least pts^q entries; every entry used is
-    overwritten.
+    pairing, found by the band DP of the module docstring over cells
+    0..q-2, in int64, with the last cell summed in closed form.
     """
     n, r = config.n, config.r
     k = auto_grid_k(n, r) if grid_k is None else grid_k
@@ -78,25 +116,15 @@ def exact_round_game_value(
         raise ValueError(
             f"{outcomes} request tuples at n={n}, r={r}, grid_k={k} exceeds the cap"
         )
-    if out is None:
-        out = np.empty(outcomes, dtype=np.int32)
-    grid = out[:outcomes].reshape((pts,) * q)
+    servers = [c << k for c in config.free_servers]
     # best[s]: cheapest sorted pairing of cells 0..t, last server rank <= t + s
-    best = [np.zeros((), dtype=np.int32)] * (f - q + 1)
-    for t in range(q):
-        x = np.arange(t * pts, (t + 1) * pts, dtype=np.int32)
+    best = [np.zeros((), dtype=np.int64)] * (f - q + 1)
+    for t in range(q - 1):
+        x = np.arange(t * pts, (t + 1) * pts, dtype=np.int64)
         for s in range(f - q + 1):
-            d = np.abs(x - (config.free_servers[t + s] << k))
-            prev = best[s][..., None]
-            if t < q - 1:
-                best[s] = prev + d if s == 0 else np.minimum(best[s - 1], prev + d)
-            elif s == 0:
-                np.add(prev, d, out=grid)
-            else:  # grid = min(grid, prev + d), with no pts^q temporary
-                np.subtract(grid, d, out=grid)
-                np.minimum(grid, prev, out=grid)
-                np.add(grid, d, out=grid)
-    total = int(grid.sum(dtype=np.int64))
+            through = best[s][..., None] + np.abs(x - servers[t + s])
+            best[s] = through if s == 0 else np.minimum(best[s - 1], through)
+    total = _last_cell_sum(best, servers[q - 1 :], (q - 1) * pts, q * pts)
     return Fraction(total, outcomes << k)
 
 
@@ -114,11 +142,10 @@ def oracle_report(n: int, r: int, grid_k: int | None = None) -> LemmaReport:
     strict_ok = True
     min_game: Fraction | None = None
     min_conf: tuple[int, ...] = ()
-    grid = np.empty(MAX_OUTCOMES, dtype=np.int32)  # one scratch grid per round
     for conf in itertools.combinations(range(1, n + 1), f):
         cfg = RoundConfig(n, r, conf)
         lb = config_lower_bound(cfg)
-        game = exact_round_game_value(cfg, k, out=grid)
+        game = exact_round_game_value(cfg, k)
         if game < lb:
             dominates_ok = False
         if game <= floor:

@@ -43,6 +43,23 @@ def subset_game_value(config, grid_k):
     return Fraction(int(best.sum()), pts**q << grid_k)
 
 
+def grid_game_value(config, grid_k):
+    """Exact game value of one round by the band DP over the full outcome
+    grid: pts^q request tuples, one pass over them per unit of slack, each
+    tuple's cost kept whole until the final average."""
+    q = (config.n + 1) >> config.r
+    slack = len(config.free_servers) - q
+    pts = 1 << (config.r + grid_k)
+    # best[s]: cheapest sorted pairing of cells 0..t, last server rank <= t + s
+    best = [np.zeros((), dtype=np.int64)] * (slack + 1)
+    for t in range(q):
+        cell = np.arange(t * pts, (t + 1) * pts, dtype=np.int64)
+        for s in range(slack + 1):
+            through = best[s][..., None] + np.abs(cell - (config.free_servers[t + s] << grid_k))
+            best[s] = through if s == 0 else np.minimum(best[s - 1], through)
+    return Fraction(int(best[slack].sum()), pts**q << grid_k)
+
+
 def segment_square_sum(n, r, free):
     """Sum of squared segment lengths of one configuration of round r, by
     sorting its free servers among the cell bounds."""

@@ -246,8 +246,8 @@ def test_criterion_07_fails_on_a_shrunk_oracle(monkeypatch):
     # game values divided by 2^(k+1) fall below the segment bound
     exact = oracle.exact_round_game_value
 
-    def shrunk(config, grid_k, out=None):
-        return exact(config, grid_k, out=out) / 2 ** (grid_k + 1)
+    def shrunk(config, grid_k):
+        return exact(config, grid_k) / 2 ** (grid_k + 1)
 
     monkeypatch.setattr(oracle, "exact_round_game_value", shrunk)
     assert not _round_game_value_floor_holds()

@@ -295,6 +295,18 @@ def test_config_file_malformed_line(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, key, line", [
+    ("n=3\ntrials=100\nn=7\n", "n", 3),
+    ("n=3\ngrid-k=3\n# both spell one key\ngrid_k=5\n", "grid_k", 4),
+], ids=["same-spelling", "dash-and-underscore"])
+def test_config_file_duplicate_key_exits_two(text, key, line, tmp_path, capsys):
+    # a repeated key is an error, not a silent last-one-wins
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text(text)
+    assert cli.main(["lemma1", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:{line}: duplicate key {key!r}\n"
+
+
 def _exit_code(argv):
     # argparse exits on a bad flag or file value; the handlers return 2
     try:
@@ -331,10 +343,13 @@ def test_shared_config_file_serves_commands_that_ignore_its_keys(argv, tmp_path)
     assert cli.main([*argv, "--config", str(cfg)]) == 0
 
 
-@pytest.mark.parametrize("line, option", [("trials=abc", "--trials"), ("n=abc", "--n")])
-def test_config_file_malformed_value_exits_two(line, option, tmp_path, capsys):
+@pytest.mark.parametrize("text, option", [
+    pytest.param("n=7\ntrials=abc\n", "--trials", id="trials=abc---trials"),
+    pytest.param("n=abc\n", "--n", id="n=abc---n"),
+])
+def test_config_file_malformed_value_exits_two(text, option, tmp_path, capsys):
     cfg = tmp_path / "opts.cfg"
-    cfg.write_text(f"n=7\n{line}\n")
+    cfg.write_text(text)
     assert _exit_code(["lemma1", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert option in err and "abc" in err

@@ -3,12 +3,15 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import brute_force_cost, subset_game_value
+from oracles import brute_force_cost, grid_game_value, subset_game_value
 
+from matchline import oracle
+from matchline.adversary import reachable_free_count
 from matchline.lemma_checks import RoundConfig, config_lower_bound, lemma2_config_property
 from matchline.oracle import MAX_OUTCOMES, auto_grid_k, exact_round_game_value, oracle_report
 
@@ -115,27 +118,85 @@ def test_band_dp_matches_subset_enumeration():
     assert len(cases) > 300
     assert (RoundConfig(3, 2, (1, 2, 3)), 1) in cases
     assert any(((c.n + 1) >> c.r) == len(c.free_servers) > 1 for c, _ in cases)
-    # one scratch grid shared by every call, whatever its shape
-    scratch = np.zeros(MAX_OUTCOMES, dtype=np.int32)
     for cfg, k in cases:
-        want = subset_game_value(cfg, k)
-        assert exact_round_game_value(cfg, k, out=scratch) == want, (cfg, k)
-        assert exact_round_game_value(cfg, k) == want, (cfg, k)
+        assert exact_round_game_value(cfg, k) == subset_game_value(cfg, k), (cfg, k)
 
 
-def test_outcome_grid_fits_int32_under_the_cap():
-    # an outcome of q cells with pts grid points each sums to under q^2 pts;
-    # the grid is int32, so every (q, pts) the cap admits must keep that below 2^31
-    admitted = [
-        (q, 1 << b)
-        for q in range(1, MAX_OUTCOMES.bit_length())
-        for b in range(1, MAX_OUTCOMES.bit_length())
-        if (1 << b) ** q <= MAX_OUTCOMES
-    ]
-    assert (1, MAX_OUTCOMES) in admitted
-    assert all(q * q * pts < 1 << 31 for q, pts in admitted)
-    # the largest single-cell grid the cap admits: 2^18 points, exact
+def _oracle_configs(n, r):
+    """Every configuration oracle_report(n, r) evaluates."""
+    f = reachable_free_count(n, r)
+    return [RoundConfig(n, r, c) for c in itertools.combinations(range(1, n + 1), f)]
+
+
+def test_closed_form_matches_grid_dp_on_every_oracle_n7_config():
+    cfgs = [cfg for r in (1, 2, 3) for cfg in _oracle_configs(7, r)]
+    assert len(cfgs) == 43
+    for cfg in cfgs:
+        k = auto_grid_k(cfg.n, cfg.r)
+        assert exact_round_game_value(cfg, k) == grid_game_value(cfg, k), cfg
+
+
+def test_closed_form_matches_grid_dp_on_every_n15_round3_config():
+    cfgs = _oracle_configs(15, 3)
+    assert len(cfgs) == 455
+    k = auto_grid_k(15, 3)
+    for cfg in cfgs:
+        assert exact_round_game_value(cfg, k) == grid_game_value(cfg, k), cfg
+
+
+def test_closed_form_matches_grid_dp_on_seeded_configs():
+    # two random configurations of random size per (n, round, grid_k), every
+    # grid_k up to the cap
+    rng = random.Random(20261019)
+    count = 0
+    for n in (1, 3, 7, 15):
+        for r in range(1, (n + 1).bit_length()):
+            q = (n + 1) >> r
+            for k in range(1, auto_grid_k(n, r) + 1):
+                for _ in range(2):
+                    free = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(q, n))))
+                    cfg = RoundConfig(n, r, free)
+                    assert exact_round_game_value(cfg, k) == grid_game_value(cfg, k), (cfg, k)
+                    count += 1
+    assert count > 100
+
+
+def test_last_cell_sum_matches_the_direct_minimum():
+    # the closed form for any integer prefix costs and server positions: in
+    # the round game every best[s] has the parity of its prefix's request sum
+    # and servers are even, so R - L is even and a wrong split point at the
+    # tie goes unseen there; odd servers and free costs make it show
+    rng = random.Random(20261020)
+    for _ in range(300):
+        lo = rng.randrange(-8, 8)
+        hi = lo + rng.randrange(1, 24)
+        servers = sorted(rng.sample(range(lo - 6, hi + 6), rng.randint(1, 6)))
+        best = [np.array([rng.randrange(-9, 30) for _ in range(5)]) for _ in servers]
+        # cost[s, x, prefix] = best[s][prefix] + |x - servers[s]|
+        x = np.arange(lo, hi)[:, None]
+        want = int(np.min([b + np.abs(x - c) for b, c in zip(best, servers)], axis=0).sum())
+        assert oracle._last_cell_sum(best, servers, lo, hi) == want, (best, servers, lo, hi)
+
+
+def test_round_game_memory_stays_below_the_outcome_grid():
+    # the full outcome grid at n = 7, r = 2, grid_k = 7 is 512 x 512 int32,
+    # 1 MiB; the closed-form last cell needs a few 512-entry rows
+    tracemalloc.start()
+    try:
+        exact_round_game_value(RoundConfig(7, 2, (1, 2, 6)), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+def test_cap_admits_one_cell_of_max_outcomes_points():
+    # n = 1, r = 1 is one cell of 2^(1 + grid_k) points: grid_k = 17 fills the
+    # cap exactly and stays exact, grid_k = 18 exceeds it
+    assert 1 << (1 + 17) == MAX_OUTCOMES
     assert exact_round_game_value(RoundConfig(1, 1, (1,)), grid_k=17) == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        exact_round_game_value(RoundConfig(1, 1, (1,)), grid_k=18)
 
 
 def test_game_value_input_validation():
