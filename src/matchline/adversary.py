@@ -29,12 +29,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from matchline.geometry import Coord
-from matchline.rng import Stream, stream_key, u64_rows
+from matchline.rng import Stream, stream_keys, u64_rows
 
 ORDER_LEFT_TO_RIGHT = "left_to_right"
 ORDER_SHUFFLED = "shuffled"
@@ -74,9 +74,14 @@ def reachable_free_count(n: int, r: int) -> int:
     return ((n + 1) >> (r - 1)) - 1
 
 
+def instance_seeds(root_seed: int, trials: Iterable[int]) -> list[int]:
+    """Seeds of the instances every sampled check draws for these trials."""
+    return stream_keys(root_seed, (_TAG_TRIAL,), trials)
+
+
 def instance_seed(root_seed: int, trial: int) -> int:
     """Seed of the instance every sampled check draws for this trial."""
-    return stream_key(root_seed, _TAG_TRIAL, trial)
+    return instance_seeds(root_seed, (trial,))[0]
 
 
 def default_grid_k(n: int) -> int:
@@ -161,11 +166,15 @@ def origin_round_numerators(i: int, grid_k: int, seeds: Sequence[int]) -> list[n
     for cell m, the top r+grid_k bits giving the offset inside the cell.  Row
     b depends on seeds[b] alone, so the block cannot change an instance.
     """
+    # keys[b, r - 1]: the key of stream (seeds[b], "origin", r)
+    keys = np.array(
+        [stream_keys(seed, (_TAG_ORIGIN,), range(1, i + 1)) for seed in seeds], dtype=np.uint64
+    ).reshape(len(seeds), i)
     out = []
     for r in range(1, i + 1):
         cells = 1 << (i - r)
         width = r + grid_k
-        u = u64_rows([stream_key(seed, _TAG_ORIGIN, r) for seed in seeds], cells)
+        u = u64_rows(keys[:, r - 1], cells)
         u >>= np.uint64(64 - width)
         nums = u.view(np.int64)  # GenParams keeps width below 63 bits
         nums += np.arange(cells, dtype=np.int64) << np.int64(width)
@@ -203,9 +212,11 @@ def arrival_indices(params: GenParams, r: int) -> list[int]:
     return order
 
 
-def g_moment_nums(ell: int, i: int) -> tuple[int, int]:
+def g_moment_nums(ell: int | np.ndarray, i: int) -> tuple:
     """Exact (sum p, sum p(1-p)) over all origins, p = P(origin < ell), as
-    integer numerators over 2**i and 4**i, for n = 2**i - 1.
+    integer numerators over 2**i and 4**i, for n = 2**i - 1.  ell is one int
+    or an int64 array of ranks, and the numerators match it; an array's
+    numerators reach i 4**i / 4, so int64 holds them for i <= 30.
 
     For the cell [a, a + 2**r) the half-open grid has exactly (ell - a) * 2**k
     of its 2**(r+k) points in [a, ell), so p = clamp((ell - a) / 2**r, 0, 1)
@@ -214,10 +225,11 @@ def g_moment_nums(ell: int, i: int) -> tuple[int, int]:
     c = ell mod 2**r, and the cells right of it have p = 0; only that one
     cell adds variance.
     """
-    if not 1 <= ell < 1 << i:
-        raise ValueError(f"ell must be in 1..{(1 << i) - 1}, got {ell}")
-    mean_num = 0
-    var_num = 0
+    ranks = np.atleast_1d(ell)
+    bad = ranks[(ranks < 1) | (ranks >= 1 << i)]
+    if bad.size:
+        raise ValueError(f"ell must be in 1..{(1 << i) - 1}, got {bad[0]}")
+    mean_num = var_num = 0
     for r in range(1, i + 1):
         width = 1 << r
         full = ell >> r

@@ -150,8 +150,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_lemma1(args: argparse.Namespace) -> int:
     n = _one_size(args.n)
-    # the sampled check validates n, grid_k and trials before its O(n) work,
-    # so it runs first: lemma1_exact's O(n) loop would spin on an n out of range
+    # the sampled check validates n, grid_k and trials before any work, so it
+    # runs first: lemma1_exact's pass over all n ranks takes minutes near
+    # n = 2^30 - 1, and would run before a bad --trials or --grid-k is seen
     sampled = lemma1_distance_mc(n, trials=args.trials, seed=args.seed, grid_k=args.grid_k)
     return _finish([lemma1_exact(n), sampled], args.out)
 

@@ -55,7 +55,7 @@ from matchline.adversary import (
     GenParams,
     default_grid_k,
     g_moment_nums,
-    instance_seed,
+    instance_seeds,
     origin_round_numerators,
     reachable_free_count,
     rounds_for,
@@ -64,6 +64,9 @@ from matchline.algorithms import RunStats, cost_ratio
 
 # Bytes of int64 distances one block of lemma1 trials holds: 64 rows at n = 1023.
 BLOCK_DRAW_BYTES = 1 << 19
+
+# Ranks lemma1_exact takes in one numpy pass: each int64 temporary is 512 KiB.
+RANK_CHUNK = 1 << 16
 
 
 def round_floor(n: int) -> Fraction:
@@ -93,10 +96,11 @@ class RoundConfig:
             prev = s
 
 
-def _free_mask(n: int, chunk) -> np.ndarray:
-    """(rows, n) mask of each row's free servers among 1..n."""
-    free = np.zeros((len(chunk), n), dtype=bool)
-    np.put_along_axis(free, np.asarray(chunk, dtype=np.intp) - 1, True, axis=1)
+def _free_mask(n: int, configs) -> np.ndarray:
+    """(rows, n) mask of each row's free servers among 1..n; every row holds
+    the same number of free servers."""
+    free = np.zeros((len(configs), n), dtype=bool)
+    free[np.arange(len(configs))[:, None], np.asarray(configs, dtype=np.intp) - 1] = True
     return free
 
 
@@ -113,16 +117,21 @@ def _sum_squared_segments(n: int, r: int, free: np.ndarray) -> np.ndarray:
     return np.add.reduceat(d * d, np.cumsum(counts) - counts)
 
 
-def config_lower_bound(config: RoundConfig) -> Fraction:
-    """Exact floor on the expected cost of serving round r from this config.
+def config_lower_bounds(n: int, r: int, configs) -> list[Fraction]:
+    """Exact floor on the expected cost of serving round r from each
+    configuration, given as free-server tuples of one size, in one pass.
 
     A request is uniform on its cell; conditioned on a segment of length d it
     pays at least the distance to the closer endpoint, d/4 on average, and
     lands there with probability d/2^r.
     """
-    free = _free_mask(config.n, [config.free_servers])
-    sum_d2 = _sum_squared_segments(config.n, config.r, free)
-    return Fraction(int(sum_d2[0]), 4 << config.r)
+    sum_d2 = _sum_squared_segments(n, r, _free_mask(n, configs))
+    return [Fraction(s, 4 << r) for s in sum_d2.tolist()]
+
+
+def config_lower_bound(config: RoundConfig) -> Fraction:
+    """config_lower_bounds of one configuration."""
+    return config_lower_bounds(config.n, config.r, [config.free_servers])[0]
 
 
 @dataclass(frozen=True)
@@ -200,17 +209,23 @@ def _rank_bound(i: int) -> float:
 
 
 def lemma1_exact(n: int) -> LemmaReport:
-    """Zero-tolerance check of the mean identity and the variance bound."""
+    """Zero-tolerance check of the mean identity and the variance bound at
+    every rank, RANK_CHUNK ranks per numpy pass."""
     i = rounds_for(n)
+    if i > 30:
+        raise ValueError(f"n = {n}: the variance numerators overflow int64 past n = 2**30 - 1")
     max_var_num, argmax_ell = 0, 0  # the largest variance's numerator over 4**i
     identity_ok = variance_ok = True
-    for ell in range(1, n + 1):
+    for lo in range(1, n + 1, RANK_CHUNK):
+        ell = np.arange(lo, min(lo + RANK_CHUNK, n + 1), dtype=np.int64)
         mean_num, var_num = g_moment_nums(ell, i)
-        # mean_num / 2**i == ell n / (n + 1), and var_num / 4**i <= i / 4
-        identity_ok &= mean_num * (n + 1) == (ell * n) << i
-        variance_ok &= 4 * var_num <= i << (2 * i)
-        if var_num > max_var_num:
-            max_var_num, argmax_ell = var_num, ell
+        # mean_num / 2**i == ell n / (n + 1) with n + 1 = 2**i, and
+        # var_num / 4**i <= i / 4
+        identity_ok &= bool(np.all(mean_num == ell * n))
+        variance_ok &= bool(np.all(var_num <= i << (2 * i - 2)))
+        top = int(np.argmax(var_num))
+        if var_num[top] > max_var_num:
+            max_var_num, argmax_ell = int(var_num[top]), lo + top
     max_var = Fraction(max_var_num, 1 << (2 * i))
     return LemmaReport(
         lemma_id="lemma1_exact",
@@ -256,8 +271,8 @@ def lemma1_distance_mc(
     scale = float(1 << k)
     rows = max(1, BLOCK_DRAW_BYTES // (8 * n))
     for a in range(0, trials, rows):
-        seeds = [instance_seed(seed, t) for t in range(a, min(a + rows, trials))]
-        d = np.concatenate(origin_round_numerators(i, k, seeds), axis=1)
+        block = instance_seeds(seed, range(a, min(a + rows, trials)))
+        d = np.concatenate(origin_round_numerators(i, k, block), axis=1)
         d.sort(axis=1)
         d -= servers
         np.abs(d, out=d)  # |origin_(ell) - ell| at scale k, one row per trial

@@ -6,14 +6,15 @@ key + j * GAMMA, so any draw depends only on (key, j), and the draws of one
 stream are distinct (GAMMA is odd and the mixer a bijection).  Streams can
 therefore be evaluated out of order, in parallel workers, or in numpy
 blocks, always reproducing the same values on any platform.  There is no
-global state.  This module is the only place that knows the draw format:
-callers read draws through Stream, or many streams at once by u64_rows.
+global state.  This module is the only place that knows the key and draw
+formats: callers read draws through Stream, or many streams at once by
+u64_rows, whose keys stream_keys derives from one keyed BLAKE2b state.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,19 +42,39 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def stream_key(seed: int, *labels: int | str) -> int:
-    """64-bit stream key for (seed, labels...): BLAKE2b keyed by the seed,
-    absorbing each label as str(label) followed by 0x1f.
-
-    Distinct label tuples give independent-looking keys; the mapping is pure
-    BLAKE2b, hence stable across platforms and processes.
-    """
+def _seeded(seed: int) -> hashlib.blake2b:
+    """An 8-byte BLAKE2b state keyed by the 64-bit seed."""
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be a 64-bit value, got {seed}")
-    h = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
+    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
+
+
+def stream_keys(seed: int, labels: Sequence[int | str], lasts: Iterable[int | str]) -> list[int]:
+    """The 64-bit stream key of (seed, *labels, last) for each last in lasts.
+
+    A key is BLAKE2b keyed by the seed, absorbing each label as str(label)
+    followed by 0x1f.  The shared labels are absorbed once, and each key
+    finishes its own copy of that state.  Distinct label tuples give
+    independent-looking keys; the mapping is pure BLAKE2b, hence stable
+    across platforms and processes.
+    """
+    shared = _seeded(seed)
     for label in labels:
-        h.update(str(label).encode() + b"\x1f")
-    return int.from_bytes(h.digest(), "little")
+        shared.update(str(label).encode() + b"\x1f")
+    keys = []
+    for last in lasts:
+        h = shared.copy()
+        h.update(str(last).encode() + b"\x1f")
+        keys.append(int.from_bytes(h.digest(), "little"))
+    return keys
+
+
+def stream_key(seed: int, *labels: int | str) -> int:
+    """64-bit stream key for (seed, labels...): stream_keys' one-element
+    case, or with no labels the digest of the bare keyed state."""
+    if not labels:
+        return int.from_bytes(_seeded(seed).digest(), "little")
+    return stream_keys(seed, labels[:-1], labels[-1:])[0]
 
 
 def u64_rows(keys: Sequence[int], count: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from matchline.adversary import reachable_free_count
+from matchline.adversary import g_moment_nums, reachable_free_count, rounds_for
 
 BRUTE_FORCE_CAP = 9
 
@@ -78,6 +78,27 @@ def min_segment_sum_by_enumeration(n, r):
     return min(
         segment_square_sum(n, r, conf) for conf in itertools.combinations(range(1, n + 1), f)
     )
+
+
+def lemma1_exact_details_by_rank(n):
+    """lemma1_exact's four details, one scalar g_moment_nums call per rank,
+    with both gates in unbounded Python integers."""
+    i = rounds_for(n)
+    max_var_num, argmax_ell = 0, 0
+    identity_ok = variance_ok = True
+    for ell in range(1, n + 1):
+        mean_num, var_num = g_moment_nums(ell, i)
+        identity_ok &= mean_num * (n + 1) == (ell * n) << i
+        variance_ok &= 4 * var_num <= i << (2 * i)
+        if var_num > max_var_num:
+            max_var_num, argmax_ell = var_num, ell
+    max_var = Fraction(max_var_num, 1 << (2 * i))
+    return {
+        "mean_identity": identity_ok,
+        "variance_bound": variance_ok,
+        "max_variance": f"{max_var.numerator}/{max_var.denominator}",
+        "argmax_ell": argmax_ell,
+    }
 
 
 # Two-sided margin of the sampler calibration tests: a correct sampler puts

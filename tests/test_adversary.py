@@ -16,15 +16,17 @@ from matchline.adversary import (
     arrival_indices,
     check_round_numerators,
     default_grid_k,
+    g_moment_nums,
     g_moments,
     generate,
     instance_from_jsonl,
     instance_seed,
+    instance_seeds,
     instance_to_jsonl,
     origin_round_numerators,
     rounds_for,
 )
-from matchline.rng import stream_key
+from matchline.rng import Stream, stream_key
 from oracles import CALIBRATION_Z, binomial_z
 
 
@@ -179,6 +181,23 @@ def test_block_sampler_rows_are_the_one_seed_instances(i, grid_k):
         assert [nums[b].tolist() for nums in rounds] == [x.tolist() for x in inst.origins]
 
 
+def test_instance_seeds_match_instance_seed():
+    assert instance_seeds(8, range(40)) == [instance_seed(8, t) for t in range(40)]
+    assert instance_seeds(8, [7, 3]) == [instance_seed(8, 7), instance_seed(8, 3)]
+    assert instance_seeds(8, []) == []
+
+
+@pytest.mark.parametrize("seed", [0, 77, (1 << 64) - 1])
+def test_round_origins_are_the_documented_stream(seed):
+    # round r reads draw m of stream (seed, "origin", r) for cell m
+    i, grid_k = 4, 5
+    rounds = origin_round_numerators(i, grid_k, [seed])
+    for r, nums in enumerate(rounds, start=1):
+        cells, width = 1 << (i - r), r + grid_k
+        draws = Stream(seed, "origin", r).u64_block(cells).tolist()
+        assert nums[0].tolist() == [(m << width) + (u >> (64 - width)) for m, u in enumerate(draws)]
+
+
 def test_block_sampler_on_no_seeds_gives_empty_rounds():
     rounds = origin_round_numerators(3, 6, [])
     assert [nums.shape for nums in rounds] == [(0, 4), (0, 2), (0, 1)]
@@ -229,6 +248,24 @@ def test_g_moments_consistency():
         g_moments(0, 7)
     with pytest.raises(ValueError):
         g_moments(8, 7)
+
+
+@pytest.mark.parametrize("i", [1, 3, 6])
+def test_g_moment_nums_of_an_array_are_the_per_rank_values(i):
+    ranks = np.arange(1, 1 << i, dtype=np.int64)
+    mean_num, var_num = g_moment_nums(ranks, i)
+    assert mean_num.dtype == var_num.dtype == np.int64
+    assert list(zip(mean_num.tolist(), var_num.tolist())) == [
+        g_moment_nums(ell, i) for ell in ranks.tolist()
+    ]
+
+
+@pytest.mark.parametrize("bad", [0, -1, 8])
+def test_g_moment_nums_rejects_an_array_entry_like_an_int(bad):
+    with pytest.raises(ValueError, match=f"ell must be in 1..7, got {bad}$"):
+        g_moment_nums(bad, 3)
+    with pytest.raises(ValueError, match=f"ell must be in 1..7, got {bad}$"):
+        g_moment_nums(np.array([1, 7, bad, 2], dtype=np.int64), 3)
 
 
 def _g_moments_by_clamps(ell, n):

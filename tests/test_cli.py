@@ -382,7 +382,7 @@ def test_bad_n_exits_two(capsys):
 
 
 def test_lemma1_rejects_n_past_width_rule_before_exact_loop(monkeypatch, capsys):
-    # lemma1_exact is O(n); at n = 2^31 - 1 it would spin for hours
+    # lemma1_exact passes over all n ranks; the width rule rejects n before it
     def exact_loop(n):
         raise AssertionError("lemma1_exact ran before n was validated")
 

@@ -9,6 +9,7 @@ import pytest
 from matchline import lemma_checks
 from matchline.adversary import (
     default_grid_k,
+    g_moment_nums,
     instance_seed,
     origin_round_numerators,
     reachable_free_count,
@@ -25,7 +26,7 @@ from matchline.lemma_checks import (
     render_reports,
 )
 from matchline.rng import Stream
-from oracles import min_segment_sum_by_enumeration, segment_square_sum
+from oracles import lemma1_exact_details_by_rank, min_segment_sum_by_enumeration, segment_square_sum
 
 
 def test_reachable_free_count():
@@ -100,6 +101,38 @@ def test_lemma1_exact_reports():
     assert rep3.details["mean_identity"] and rep3.details["variance_bound"]
     with pytest.raises(ValueError):
         lemma1_exact(4)
+
+
+@pytest.mark.parametrize("i", range(1, 11))
+def test_lemma1_exact_matches_the_per_rank_loop(i):
+    n = (1 << i) - 1
+    assert lemma1_exact(n).details == lemma1_exact_details_by_rank(n)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 256])
+def test_lemma1_exact_chunk_size_cannot_change_a_report(monkeypatch, chunk):
+    # Var[g_ell] is symmetric in ell <-> n + 1 - ell, so the largest variance
+    # sits at two ranks, in different chunks; argmax_ell is the first
+    monkeypatch.setattr(lemma_checks, "RANK_CHUNK", chunk)
+    for i in range(1, 11):
+        n = (1 << i) - 1
+        assert lemma1_exact(n).details == lemma1_exact_details_by_rank(n), n
+
+
+@pytest.mark.parametrize("i", [21, 22])
+def test_lemma1_exact_gates_hold_where_the_products_leave_int64(i):
+    # mean_num (n + 1) is within 2^-20 of 2^63 at i = 21 and past it from
+    # i = 22; the gates compare mean_num with ell n and var_num with
+    # i 4^(i-1), which int64 holds through i = 30
+    rep = lemma1_exact((1 << i) - 1)
+    assert rep.passed and rep.details["mean_identity"] and rep.details["variance_bound"]
+    _, var_num = g_moment_nums(rep.details["argmax_ell"], i)
+    assert Fraction(var_num, 1 << (2 * i)) == Fraction(rep.details["max_variance"]) == rep.observed
+
+
+def test_lemma1_exact_rejects_n_past_the_int64_numerators():
+    with pytest.raises(ValueError, match="overflow int64"):
+        lemma1_exact((1 << 31) - 1)
 
 
 def test_lemma1_distance_mc_small():

@@ -8,11 +8,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import brute_force_cost, grid_game_value, subset_game_value
+from oracles import brute_force_cost, grid_game_value, segment_square_sum, subset_game_value
 
 from matchline import oracle
-from matchline.adversary import reachable_free_count
-from matchline.lemma_checks import RoundConfig, config_lower_bound, lemma2_config_property
+from matchline.adversary import reachable_free_count, rounds_for
+from matchline.lemma_checks import (
+    RoundConfig,
+    config_lower_bound,
+    config_lower_bounds,
+    lemma2_config_property,
+)
 from matchline.oracle import MAX_OUTCOMES, auto_grid_k, exact_round_game_value, oracle_report
 
 
@@ -126,6 +131,16 @@ def _oracle_configs(n, r):
     """Every configuration oracle_report(n, r) evaluates."""
     f = reachable_free_count(n, r)
     return [RoundConfig(n, r, c) for c in itertools.combinations(range(1, n + 1), f)]
+
+
+@pytest.mark.parametrize("n", [3, 7, 15])
+def test_config_lower_bounds_match_one_config_at_a_time(n):
+    for r in range(1, rounds_for(n) + 1):
+        cfgs = _oracle_configs(n, r)
+        got = config_lower_bounds(n, r, [cfg.free_servers for cfg in cfgs])
+        assert got == [config_lower_bound(cfg) for cfg in cfgs]
+        assert got == [Fraction(segment_square_sum(n, r, cfg.free_servers), 4 << r) for cfg in cfgs]
+    assert config_lower_bounds(n, 1, []) == []
 
 
 def test_closed_form_matches_grid_dp_on_every_oracle_n7_config():

@@ -1,9 +1,11 @@
 """Counter-based RNG streams: determinism, block equivalence, uniformity."""
 
+import random
+
 import numpy as np
 import pytest
 
-from matchline.rng import GAMMA, MASK64, Stream, mix64, mix64_array, stream_key
+from matchline.rng import GAMMA, MASK64, Stream, mix64, mix64_array, stream_key, stream_keys
 
 # reference sequence for the mixing function: outputs for seed 0 of the
 # well-known splitmix64 generator, whose step is mix(seed += gamma)
@@ -28,6 +30,33 @@ def test_stream_key_frozen_values():
     # pinned so an accidental change to the derivation scheme is loud
     assert stream_key(0, "origin", 1, 0) == 0x5C9FEACF8DD94C86
     assert stream_key(12345, "alg", "greedy_nearest", 7) == 0x2A20145B9A472B11
+
+
+def test_stream_keys_frozen_values():
+    assert stream_keys(0, ("origin", 1), [0, 1]) == [0x5C9FEACF8DD94C86, stream_key(0, "origin", 1, 1)]
+    assert stream_keys(12345, ("alg", "greedy_nearest"), [7]) == [0x2A20145B9A472B11]
+
+
+def test_stream_keys_are_one_stream_key_per_last():
+    rnd = random.Random(2305)
+
+    def label():
+        return rnd.randrange(1 << 20) if rnd.random() < 0.5 else f"tag{rnd.randrange(10)}"
+
+    for _ in range(200):
+        seed = rnd.getrandbits(64)
+        labels = tuple(label() for _ in range(rnd.randrange(4)))
+        lasts = [label() for _ in range(rnd.randrange(6))]
+        assert stream_keys(seed, labels, lasts) == [stream_key(seed, *labels, x) for x in lasts]
+    assert stream_keys(5, ("a", 1), []) == []
+    assert stream_keys(5, (), ["a", 1]) == [stream_key(5, "a"), stream_key(5, 1)]
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+@pytest.mark.parametrize("lasts", [[], [0, 1]])
+def test_stream_keys_reject_a_seed_past_64_bits(seed, lasts):
+    with pytest.raises(ValueError, match="64-bit"):
+        stream_keys(seed, ("origin", 1), lasts)
 
 
 def test_stream_key_distinct_per_label():
