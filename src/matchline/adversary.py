@@ -7,7 +7,8 @@ multiples of 2**-grid_k.  Each request is its origin: sampling directly on
 the grid keeps every event probability an exact dyadic rational.  Round r's
 origins are consecutive draws of the one stream (seed, "origin", r);
 SAMPLER_VERSION names that rule.  A block of seeds is drawn in one numpy
-pass per round, with the same draws as one seed at a time.
+pass per round, with the same draws as one seed at a time; so are a block's
+shuffled arrival orders (arrival_orders).
 
 An Instance is the params plus one int64 numerator array per round, at scale
 grid_k and in cell order; servers are implicit (server j sits at j << grid_k).
@@ -29,12 +30,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from matchline.geometry import Coord
-from matchline.rng import Stream, stream_keys, u64_rows
+from matchline.rng import Stream, shuffle_rows, stream_keys, u64_rows
 
 ORDER_LEFT_TO_RIGHT = "left_to_right"
 ORDER_SHUFFLED = "shuffled"
@@ -204,12 +206,26 @@ def generate(params: GenParams) -> Instance:
     return Instance(params, tuple(nums[0] for nums in rounds))
 
 
+def arrival_orders(params: Sequence[GenParams]) -> Iterator[list[list[int]]]:
+    """For r = 1..i, the cell indices of round r in arrival order for each
+    of a block of params of one i: left to right, or shuffled by the stream
+    (seed, "order", r).  A seed's round keys come from one keyed BLAKE2b
+    state, and a round shuffles every shuffled instance in one draw pass;
+    row b depends on params[b] alone."""
+    i = params[0].i
+    shuffled = [b for b, p in enumerate(params) if p.request_order == ORDER_SHUFFLED]
+    keys = [stream_keys(params[b].seed, (_TAG_ORDER,), range(1, i + 1)) for b in shuffled]
+    for r in range(1, i + 1):
+        orders = [list(range(1 << (i - r))) for _ in params]
+        shuffle_rows([Stream.from_key(k[r - 1]) for k in keys], [orders[b] for b in shuffled])
+        yield orders
+
+
 def arrival_indices(params: GenParams, r: int) -> list[int]:
-    """Cell indices of round r in arrival order (left-to-right or a seeded shuffle)."""
-    order = list(range((params.n + 1) >> r))
-    if params.request_order == ORDER_SHUFFLED:
-        Stream(params.seed, _TAG_ORDER, r).shuffle(order)
-    return order
+    """Cell indices of round r in arrival order: arrival_orders of one instance."""
+    if not 1 <= r <= params.i:
+        raise ValueError(f"round must be in 1..{params.i}, got {r}")
+    return next(islice(arrival_orders([params]), r - 1, None))[0]
 
 
 def g_moment_nums(ell: int | np.ndarray, i: int) -> tuple:

@@ -7,7 +7,8 @@ Four policies:
   permutation          keeps an optimal matching of everything seen so far and
                        serves each request with the one server that matching
                        newly uses
-  random_free          uniform random free server (seeded stream)
+  random_free          uniform random free server (seeded stream; a block's
+                       picks for a round are drawn in one pass)
 
 Each policy is one kernel over exact integer numerators at the instance grid
 scale: the free servers are a sorted list of numerators (server j sits at
@@ -17,14 +18,16 @@ GenParams' width rule keeps free of overflow.
 
 play() plays a block of instances of one size (per-round origin numerators)
 with every requested policy, one round at a time across the block, so the
-batch policy and the known-prefix batch solve one stacked DP per round.
+batch policy and the known-prefix batch solve one stacked DP per round, and
+the block's arrival orders and random_free picks take one draw pass per
+round.
 Costs stay integer numerators; RunStats.to_json_dict writes each as a
 {"num", "k"} pair at the instance scale.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
@@ -32,9 +35,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from matchline.adversary import Instance, arrival_indices, reachable_free_count
+from matchline.adversary import Instance, arrival_orders, reachable_free_count
 from matchline.offline import sorted_cost_num
-from matchline.rng import Stream
+from matchline.rng import Stream, randbelow_rows
 
 GREEDY_NEAREST = "greedy_nearest"
 BATCH_ROUND_OPTIMAL = "batch_round_optimal"
@@ -63,7 +66,7 @@ def _greedy(free: list[int], seed: int) -> Kernel:
         _check_capacity(free, requests)
         total = 0
         for x in requests:
-            pos = bisect.bisect_left(free, x)
+            pos = bisect_left(free, x)
             if pos == len(free) or (pos and x - free[pos - 1] <= free[pos] - x):
                 pos -= 1
             total += abs(x - free.pop(pos))
@@ -72,15 +75,20 @@ def _greedy(free: list[int], seed: int) -> Kernel:
     return serve
 
 
-def _random_free(free: list[int], seed: int) -> Kernel:
-    """Uniform random free server, drawn from Stream(seed, "choice")."""
-    stream = Stream(seed, _TAG_CHOICE)
+def _random_free(frees: Sequence[list[int]], seeds: Sequence[int]) -> Callable:
+    """Uniform random free server: instance b draws from Stream(seeds[b],
+    "choice"), and a round's picks for the whole block come from one
+    randbelow_rows pass (every free list has one length)."""
+    streams = [Stream(seed, _TAG_CHOICE) for seed in seeds]
 
-    def serve(requests: Sequence[int]) -> int:
-        _check_capacity(free, requests)
-        m = len(free)
-        picks = stream.randbelow_each(range(m, m - len(requests), -1))
-        return sum(abs(x - free.pop(p)) for x, p in zip(requests, picks))
+    def serve(rounds: Sequence[Sequence[int]]) -> list[int]:
+        _check_capacity(frees[0], rounds[0])
+        m = len(frees[0])
+        picks = randbelow_rows(streams, range(m, m - len(rounds[0]), -1))
+        return [
+            sum(abs(x - free.pop(p)) for x, p in zip(reqs, row))
+            for free, reqs, row in zip(frees, rounds, picks)
+        ]
 
     return serve
 
@@ -95,10 +103,18 @@ def _random_free(free: list[int], seed: int) -> Kernel:
 # is only needed for i <= j <= i + slack, slack = m - q: the first i requests
 # take at least i servers and leave m - j >= q - i for the rest.  So one band
 # row, band[s] = dp[i][i + s], serves every instance of a block (they share q
-# and m), and the traceback keeps only where a row repeats its left
-# neighbour.  Walking back from s = slack, s stays put between rows and in
-# row i steps left to the end of its run of equal values: the leftmost
-# server set on ties, in at most q + slack steps per instance.
+# and m), and the traceback keeps, for each s, where the run of equal values
+# holding s starts.  Walking back from s = slack, s stays put between rows
+# and in row i jumps to the start of its run: the leftmost server set on
+# ties, one gather per row.  The run starts take the smallest unsigned dtype
+# that holds slack, so the table is no larger than a bool table through
+# slack 255 (n = 511).
+
+
+def batch_table_bytes(n: int) -> int:
+    """Bytes of one instance's largest batch traceback table: (n+1)/2
+    requests into n servers (round 1, or a one-round prefix)."""
+    return ((n + 1) // 2) ** 2 * np.min_scalar_type((n - 1) // 2).itemsize
 
 
 def _monotone_min_cost(req: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,18 +124,21 @@ def _monotone_min_cost(req: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, n
     t, q = req.shape
     slack = free.shape[1] - q
     band = np.zeros((t, slack + 1), dtype=np.int64)  # row 0: dp[0][j] = 0
-    same = np.zeros((q, t, slack + 1), dtype=bool)  # same[i-1, :, s]: row i at s equals s-1
+    # start[i-1, :, s]: 1 where row i at s differs from s-1, then its run start
+    start = np.zeros((q, t, slack + 1), dtype=np.min_scalar_type(slack))
     for i in range(q):
         cand = band + np.abs(req[:, i, None] - free[:, i : i + slack + 1])
         np.minimum.accumulate(cand, axis=1, out=band)
-        np.equal(band[:, 1:], band[:, :-1], out=same[i, :, 1:])
-    rows = np.arange(t)
+        np.not_equal(band[:, 1:], band[:, :-1], out=start[i, :, 1:])
+    start *= np.arange(slack + 1, dtype=start.dtype)
+    np.maximum.accumulate(start, axis=2, out=start)
+    flat = start.reshape(q, t * (slack + 1))
+    offsets = np.arange(t) * (slack + 1)
     s = np.full(t, slack)
     sel = np.empty((t, q), dtype=np.int64)
     for i in range(q - 1, -1, -1):
-        while (step := same[i, rows, s]).any():
-            s = s - step
-        sel[:, i] = i + s
+        sel[:, i] = s = flat[i, offsets + s]
+    sel += np.arange(q)
     return band[:, slack], sel
 
 
@@ -169,23 +188,26 @@ def _permutation(free: list[int], seed: int) -> Kernel:
         _check_capacity(free, requests)
         total = 0
         for x in requests:
-            b = bisect.bisect_left(free, x)
-            if 0 < b < len(free):
+            b = bisect_left(free, x)
+            if b == len(free):  # x right of every free server: the last
+                b -= 1
+            elif b:
                 lo, hi = free[b - 1], free[b]
-                start, stop = bisect.bisect_right(seen, lo), bisect.bisect_left(seen, hi)
+                start = bisect_right(seen, lo)
+                stop = bisect_left(seen, hi, start)
                 if start == stop:
                     if hi - x >= x - lo:
                         b -= 1
                 else:
                     block = seen[start:stop]
-                    bisect.insort(block, x)
+                    block.insert(bisect_left(seen, x, start, stop) - start, x)
                     j = rank[lo]
                     srv = pool[j : j + len(block) + 1]
                     cost_r = sum(map(abs, map(sub, block, srv[1:])))
                     if cost_r >= sum(map(abs, map(sub, block, srv))):
                         b -= 1
-            total += abs(x - free.pop(min(b, len(free) - 1)))  # x right of all: the last
-            bisect.insort(seen, x)
+            total += abs(x - free.pop(b))
+            insort(seen, x)
         return total
 
     return serve
@@ -205,7 +227,7 @@ _KERNELS = {
     GREEDY_NEAREST: _each(_greedy),
     BATCH_ROUND_OPTIMAL: lambda frees, seeds: lambda rounds: _serve_batch(frees, rounds),
     PERMUTATION: _each(_permutation),
-    RANDOM_FREE: _each(_random_free),
+    RANDOM_FREE: _random_free,
 }
 
 
@@ -283,10 +305,11 @@ def play(
         raise ValueError(f"unknown algorithm kind {unknown[0]!r}")
     if not 0 <= prefix_rounds <= i:
         raise ValueError(f"prefix_rounds must be in 0..{i}, got {prefix_rounds}")
-    rounds, offline, prefix_free = [], [], []  # per instance
+    rounds, offline, prefix_free = [[] for _ in instances], [], []  # per instance
+    for r, orders in enumerate(arrival_orders([inst.params for inst in instances]), 1):
+        for rr, inst, order in zip(rounds, instances, orders):
+            rr.append(inst.origins[r - 1][order].tolist())
     for inst in instances:
-        arrivals = enumerate(inst.origins, 1)
-        rounds.append([nums[arrival_indices(inst.params, r)].tolist() for r, nums in arrivals])
         servers = np.arange(1, n + 1, dtype=np.int64) << np.int64(inst.params.grid_k)
         offline.append(sorted_cost_num(servers, np.concatenate(inst.origins)))
         prefix_free.append(servers.tolist())

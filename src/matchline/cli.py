@@ -16,7 +16,9 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
+from functools import partial
 from pathlib import Path
 
 from matchline.adversary import (
@@ -211,16 +213,18 @@ _COMMANDS = {
 def build_parser(file_values: dict[str, str] | None = None) -> argparse.ArgumentParser:
     """The parser; file_values (from --config) replace the defaults of the
     commands that take those options, and string defaults go through the
-    same type conversion as flags."""
+    same type conversion as flags.  The terminal width is read once here:
+    argparse would read it again for every argument it adds."""
+    width = shutil.get_terminal_size().columns - 2  # argparse's own margin
     parser = argparse.ArgumentParser(
         prog="matchline",
         description="online matching on the line: adversarial instances, policies, checkers",
+        formatter_class=partial(argparse.HelpFormatter, width=width),
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    sub_format = partial(argparse.ArgumentDefaultsHelpFormatter, width=width)
     for name, (handler, help_text, defaults) in _COMMANDS.items():
-        sub = subs.add_parser(
-            name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter
-        )
+        sub = subs.add_parser(name, help=help_text, formatter_class=sub_format)
         sub.add_argument("--config", help="flat key=value option file; flags override it")
         for key in defaults:
             sub.add_argument(f"--{key.replace('_', '-')}", **_FLAGS[key])

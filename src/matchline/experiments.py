@@ -45,7 +45,7 @@ from matchline.adversary import (
     origin_round_numerators,
     rounds_for,
 )
-from matchline.algorithms import ALGORITHM_KINDS, RunStats, play
+from matchline.algorithms import ALGORITHM_KINDS, RunStats, batch_table_bytes, play
 from matchline.lemma_checks import (
     LemmaReport,
     empirical_report_from_stats,
@@ -219,9 +219,9 @@ def _play_share(tasks: list[tuple], first: int, next_task, conn) -> None:
 
 def _block_size(n: int, trials: int, workers: int) -> int:
     """Trials per task: an even share per worker, capped so the batch DP's
-    traceback table, at most ((n+1)/2)^2 bools per trial (round 1, or a
-    one-round prefix), stays within BLOCK_TABLE_BYTES."""
-    return max(1, min(-(-trials // workers), BLOCK_TABLE_BYTES // ((n + 1) // 2) ** 2))
+    traceback table, batch_table_bytes(n) per trial, stays within
+    BLOCK_TABLE_BYTES."""
+    return max(1, min(-(-trials // workers), BLOCK_TABLE_BYTES // batch_table_bytes(n)))
 
 
 def _collect_stats(config: ExperimentConfig) -> dict[tuple[int, str], list[RunStats]]:

@@ -9,12 +9,15 @@ blocks, always reproducing the same values on any platform.  There is no
 global state.  This module is the only place that knows the key and draw
 formats: callers read draws through Stream, or many streams at once by
 u64_rows, whose keys stream_keys derives from one keyed BLAKE2b state.
+Bounded draws and shuffles of a block of streams that share their bounds
+take one read-ahead for the block (randbelow_rows, shuffle_rows); a
+Stream's own randbelow_each and shuffle are their one-row case.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,9 +82,56 @@ def stream_key(seed: int, *labels: int | str) -> int:
 
 def u64_rows(keys: Sequence[int], count: int) -> np.ndarray:
     """The first `count` draws of each key as a (len(keys), count) uint64
-    array: row b is u64_block(count) of a fresh stream with key keys[b]."""
+    array: row b holds u64() 1..count of a fresh stream with key keys[b]."""
     steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GAMMA)
     return mix64_array(np.array(keys, dtype=np.uint64).reshape(-1, 1) + steps)
+
+
+def _read_ahead(streams: Sequence[Stream], bounds: int) -> Iterator[list[int]]:
+    """Draws for `bounds` more bounds of each stream, one int list per stream
+    and counters untouched: half again as many past 16 (a bound takes under
+    two on average), scalar below 16 in all, where numpy's overhead wins."""
+    count = bounds + bounds // 2 if bounds > 16 else bounds
+    if len(streams) * count <= 16:
+        for s in streams:
+            yield [mix64(s.key + j * GAMMA) for j in range(s.counter + 1, s.counter + count + 1)]
+    else:
+        for row in u64_rows([(s.key + s.counter * GAMMA) & MASK64 for s in streams], count):
+            yield row.tolist()
+
+
+def randbelow_rows(streams: Sequence[Stream], bounds: Sequence[int]) -> list[list[int]]:
+    """randbelow(m) for each m in bounds, per stream (distinct objects), with
+    one read-ahead for all: the top (m-1).bit_length() bits of each draw
+    until they fall below m (m = 1 takes none).  A stream that runs out
+    refills alone, and its counter ends where one randbelow per m leaves it."""
+    if min(bounds, default=1) <= 0:
+        raise ValueError(f"randbelow needs positive bounds, got {min(bounds)}")
+    shifts = [64 - (m - 1).bit_length() for m in bounds]
+    out = []
+    for s, draws in zip(streams, _read_ahead(streams, len(bounds))):
+        start, used, picks = s.counter, 0, []
+        for idx, m in enumerate(bounds):
+            v = m if m > 1 else 0
+            while v >= m:
+                if used == len(draws):
+                    s.counter = start + used
+                    draws += next(_read_ahead([s], len(bounds) - idx))
+                v = draws[used] >> shifts[idx]
+                used += 1
+            picks.append(v)
+        s.counter = start + used
+        out.append(picks)
+    return out
+
+
+def shuffle_rows(streams: Sequence[Stream], rows: Sequence[list]) -> None:
+    """Fisher-Yates shuffle of each rows[b] in place, driven by streams[b];
+    the rows have one length, so their draws share one randbelow_rows."""
+    last = len(rows[0]) - 1 if rows else 0
+    for items, picks in zip(rows, randbelow_rows(streams, range(last + 1, 1, -1))):
+        for idx, j in zip(range(last, 0, -1), picks):
+            items[idx], items[j] = items[j], items[idx]
 
 
 class Stream:
@@ -93,6 +143,13 @@ class Stream:
         self.key = stream_key(seed, *labels)
         self.counter = 0
 
+    @classmethod
+    def from_key(cls, key: int) -> Stream:
+        """The stream with this key (as from stream_keys), at counter 0."""
+        stream = cls.__new__(cls)
+        stream.key, stream.counter = key, 0
+        return stream
+
     def u64(self) -> int:
         self.counter += 1
         return mix64((self.key + self.counter * GAMMA) & MASK64)
@@ -102,40 +159,9 @@ class Stream:
         return self.randbelow_each((m,))[0]
 
     def randbelow_each(self, bounds: Sequence[int]) -> list[int]:
-        """randbelow(m) for each m in bounds: the top (m-1).bit_length() bits
-        of each draw until they fall below m (m = 1 takes none).  Draws are
-        read ahead; the counter ends where one randbelow per m leaves it."""
-        if min(bounds, default=1) <= 0:
-            raise ValueError(f"randbelow needs positive bounds, got {min(bounds)}")
-        start, used = self.counter, 0
-        draws: list[int] = []
-        out: list[int] = []
-        for idx, m in enumerate(bounds):
-            shift = 64 - (m - 1).bit_length()
-            v = m if m > 1 else 0
-            while v >= m:
-                if used == len(draws):
-                    count = len(bounds) - idx
-                    # a bound takes under two draws on average; below about 16
-                    # draws numpy's call overhead outweighs the scalar loop
-                    if count > 16:
-                        draws += self.u64_block(count + count // 2).tolist()
-                    else:
-                        draws += [self.u64() for _ in range(count)]
-                v = draws[used] >> shift
-                used += 1
-            out.append(v)
-        self.counter = start + used
-        return out
+        """randbelow(m) for each m in bounds: randbelow_rows of this stream."""
+        return randbelow_rows([self], bounds)[0]
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by this stream."""
-        last = len(items) - 1
-        for idx, j in zip(range(last, 0, -1), self.randbelow_each(range(last + 1, 1, -1))):
-            items[idx], items[j] = items[j], items[idx]
-
-    def u64_block(self, count: int) -> np.ndarray:
-        """The next `count` draws as a uint64 array; matches u64() bit for bit."""
-        key = (self.key + self.counter * GAMMA) & MASK64  # draw counter + j is j of key
-        self.counter += count
-        return u64_rows([key], count)[0]
+        shuffle_rows([self], [items])

@@ -14,6 +14,7 @@ from matchline.adversary import (
     ORDER_SHUFFLED,
     SAMPLER_VERSION,
     arrival_indices,
+    arrival_orders,
     check_round_numerators,
     default_grid_k,
     g_moment_nums,
@@ -194,7 +195,8 @@ def test_round_origins_are_the_documented_stream(seed):
     rounds = origin_round_numerators(i, grid_k, [seed])
     for r, nums in enumerate(rounds, start=1):
         cells, width = 1 << (i - r), r + grid_k
-        draws = Stream(seed, "origin", r).u64_block(cells).tolist()
+        stream = Stream(seed, "origin", r)
+        draws = [stream.u64() for _ in range(cells)]
         assert nums[0].tolist() == [(m << width) + (u >> (64 - width)) for m, u in enumerate(draws)]
 
 
@@ -338,6 +340,31 @@ def test_arrival_order_modes():
     assert got == arrival_indices(shuffled, 1)  # stable under repetition
     other = dataclasses.replace(shuffled, seed=67)
     assert arrival_indices(other, 1) != got
+
+
+def test_block_arrival_orders_are_the_one_instance_orders():
+    # shuffled and left-to-right instances mixed in one block, seeds repeated
+    params = [
+        GenParams(i=6, grid_k=3, seed=seed, request_order=order)
+        for seed, order in [
+            (1, ORDER_SHUFFLED), (2, "left_to_right"), (3, ORDER_SHUFFLED),
+            (1, "left_to_right"), (1, ORDER_SHUFFLED), ((1 << 64) - 1, ORDER_SHUFFLED),
+        ]
+    ]
+    orders = list(zip(*arrival_orders(params)))  # orders[b][r - 1]
+    assert [len(rows) for rows in orders] == [6] * 6
+    for p, rows in zip(params, orders):
+        assert list(rows) == [arrival_indices(p, r) for r in range(1, 7)]
+        # round r is the documented shuffle of Stream(seed, "order", r)
+        for r, row in enumerate(rows, start=1):
+            want = list(range(64 >> r))
+            if p.request_order == ORDER_SHUFFLED:
+                Stream(p.seed, "order", r).shuffle(want)
+            assert row == want
+    assert orders[0] == orders[4] and orders[0] != orders[3]
+    for r in (0, 7):
+        with pytest.raises(ValueError, match="round must be in 1..6"):
+            arrival_indices(params[0], r)
 
 
 def test_jsonl_round_trip_bit_exact():

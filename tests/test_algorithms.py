@@ -253,6 +253,30 @@ def test_stacked_batch_matches_one_instance_dp():
     assert brute >= 300
 
 
+@pytest.mark.parametrize("slack", [255, 256])
+def test_stacked_batch_ties_match_one_instance_dp(slack):
+    # grid_k = 0: integer requests on and between integer servers, many of
+    # them repeated, give long runs of equal DP values; slack 255 keeps the
+    # run starts in uint8 and slack 256 needs uint16.  A request on the last
+    # server starts a run at s = slack in the last row.
+    s = Stream(slack, "stacked-ties")
+    q = 40
+    m = q + slack
+    frees, rounds = [], []
+    for _ in range(4):
+        pool = list(range(1, 2 * m))
+        free = sorted(pool.pop(p) for p in s.randbelow_each(range(len(pool), len(pool) - m, -1)))
+        spots = [free[s.randbelow(m)] + s.randbelow(3) - 1 for _ in range(5)] + [free[-1]]
+        frees.append(free)
+        rounds.append([spots[s.randbelow(len(spots))] for _ in range(q)])
+    req = np.sort(np.array(rounds, dtype=np.int64), axis=1)
+    srv = np.array(frees, dtype=np.int64)
+    cost, sel = _monotone_min_cost(req, srv)
+    want = [_monotone_min_cost_1d(r, f) for r, f in zip(req, srv)]
+    assert cost.tolist() == [c for c, _ in want]
+    assert sel.tolist() == [p for _, p in want]
+
+
 def test_batch_solve_memory_at_n1023():
     # one round-1 solve at n = 1023 keeps a 512 x 512 bool traceback table
     # (256 KiB); a full (q+1) x (m+1) int64 DP matrix would take 4 MiB
@@ -495,6 +519,26 @@ def test_random_free_reproducible():
     free = at4(range(1, 9))
     kernel("random_free", free, seed=99)([4 << 4] * 5)
     assert free == sorted(set(at4(range(1, 9))) - set(picks[0][:5]))
+
+
+def test_random_free_block_plays_like_one_instance_at_a_time():
+    # a block of 16 draws each round's picks in one pass; each instance
+    # alone must take the same servers in every round
+    n, k = 255, 3
+    insts = [generate(GenParams(i=8, grid_k=k, seed=s, request_order=ORDER_SHUFFLED)) for s in range(16)]
+    seeds = [stream_key(4, "alg", t) for t in range(16)]
+    frees = [[j << k for j in range(1, n + 1)] for _ in insts]
+    serve = _KERNELS["random_free"](frees, seeds)
+    alone = [[j << k for j in range(1, n + 1)] for _ in insts]
+    alone_serves = [kernel("random_free", free, seed) for free, seed in zip(alone, seeds)]
+    for nums in zip(*(inst.origins for inst in insts)):
+        rounds = [row.tolist() for row in nums]
+        assert serve(rounds) == [f(reqs) for f, reqs in zip(alone_serves, rounds)]
+        assert frees == alone
+    assert alone == [[] for _ in insts]
+    block = play(insts, ["random_free"], [[s] for s in seeds], 0, list(range(16)))
+    for t, (inst, seed) in enumerate(zip(insts, seeds)):
+        assert block[t] == play([inst], ["random_free"], [[seed]], 0, [t])[0]
 
 
 def test_random_free_frequency():

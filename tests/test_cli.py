@@ -7,6 +7,7 @@ import csv
 import itertools
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -570,6 +571,30 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
         exec(compile(block, "README.md", "exec"), {})
     names = {"trials.jsonl", "summary.csv", "rounds.csv", "reports.json"}
     assert {p.name for p in (tmp_path / "results").iterdir()} == names
+
+
+def test_build_parser_reads_the_terminal_width_once(monkeypatch):
+    calls = []
+    real = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    widest = []
+    for columns in (60, 150):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        calls.clear()
+        parser = cli.build_parser()
+        assert len(calls) == 1
+        # help still wraps at the width read, less argparse's margin of 2
+        run = parser._subparsers._group_actions[0].choices["run"]
+        lines = (parser.format_help() + run.format_help()).splitlines()
+        widest.append(max(map(len, lines)))
+        assert widest[-1] <= columns - 2
+        assert len(calls) == 1
+    assert widest[1] > 58
 
 
 def test_missing_subcommand_exits_two():

@@ -347,12 +347,14 @@ def test_shared_counter_gives_each_task_to_one_process(monkeypatch):
 
 def test_block_size_share_and_table_budget():
     # an even share per worker, capped by BLOCK_TABLE_BYTES over ((n + 1)/2)^2
+    # run starts, one byte each through n = 511 and two from n = 1023 on
     assert experiments.BLOCK_TABLE_BYTES == 8 << 20
     assert experiments._block_size(255, 32, 2) == 16
     assert experiments._block_size(255, 500, 1) == 500
     assert experiments._block_size(255, 1000, 1) == 512
-    assert experiments._block_size(1023, 500, 2) == 32
-    assert experiments._block_size(4095, 500, 1) == 2
+    assert experiments._block_size(511, 500, 1) == 128
+    assert experiments._block_size(1023, 500, 2) == 16
+    assert experiments._block_size(4095, 500, 1) == 1
     assert experiments._block_size(8191, 500, 1) == 1  # one table past the budget
     assert experiments._block_size(7, 5, 5000) == 1
 

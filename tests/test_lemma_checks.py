@@ -25,7 +25,7 @@ from matchline.lemma_checks import (
     lemma2_config_property,
     render_reports,
 )
-from matchline.rng import Stream
+from matchline.rng import Stream, stream_key, u64_rows
 from oracles import lemma1_exact_details_by_rank, min_segment_sum_by_enumeration, segment_square_sum
 
 
@@ -261,9 +261,7 @@ def _scan_configs(n, r, configs):
 def _drawn_configs(n, r, f, samples, seed):
     """Uniform configurations of f free servers: sample s frees the positions
     of the f smallest of draws s n + 1 .. (s + 1) n of one seeded stream."""
-    stream = Stream(seed, "config", r)
-    for _ in range(samples):
-        draws = stream.u64_block(n)
+    for draws in u64_rows([stream_key(seed, "config", r)], samples * n).reshape(samples, n):
         yield tuple(int(v) + 1 for v in np.sort(np.argpartition(draws, f)[:f]))
 
 

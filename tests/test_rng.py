@@ -5,7 +5,18 @@ import random
 import numpy as np
 import pytest
 
-from matchline.rng import GAMMA, MASK64, Stream, mix64, mix64_array, stream_key, stream_keys
+from matchline.rng import (
+    GAMMA,
+    MASK64,
+    Stream,
+    mix64,
+    mix64_array,
+    randbelow_rows,
+    shuffle_rows,
+    stream_key,
+    stream_keys,
+    u64_rows,
+)
 
 # reference sequence for the mixing function: outputs for seed 0 of the
 # well-known splitmix64 generator, whose step is mix(seed += gamma)
@@ -83,16 +94,15 @@ def test_stream_key_labels_do_not_collide_across_boundaries():
 def test_stream_keys_match_stream_key(seed, labels, count):
     """A stream's block of draws is mix64(stream_key + j GAMMA), j = 1..count.
 
-    Origins and sampled configurations read a whole round as one block, so
-    this pins the block path to the documented format, keyed by stream_key,
-    at the block sizes a round takes (up to 1023 cells).
+    Origins read a whole round as one block, so this pins the block path to
+    the documented format, keyed by stream_key, at the block sizes a round
+    takes (up to 1023 cells).
     """
     s = Stream(seed, *labels)
     assert s.key == stream_key(seed, *labels)
-    got = s.u64_block(count)
-    assert got.dtype == np.uint64 and got.shape == (count,)
-    assert got.tolist() == [mix64(s.key + j * GAMMA) for j in range(1, count + 1)]
-    assert s.counter == count
+    got = u64_rows([s.key], count)
+    assert got.dtype == np.uint64 and got.shape == (1, count)
+    assert got[0].tolist() == [mix64(s.key + j * GAMMA) for j in range(1, count + 1)]
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
@@ -107,15 +117,11 @@ def test_stream_deterministic_and_stateless_between_instances():
     assert [a.u64() for _ in range(5)] == [b.u64() for _ in range(5)]
 
 
-def test_u64_block_matches_scalar_draws():
-    s = Stream(5, "block")
-    block = s.u64_block(257)
-    t = Stream(5, "block")
-    scalars = [t.u64() for _ in range(257)]
-    assert block.dtype == np.uint64
-    assert block.tolist() == scalars
-    # the stream continues after a block draw without repeating
-    assert s.u64() == t.u64()
+def test_u64_rows_match_scalar_draws():
+    streams = [Stream(5, "block"), Stream(6, "block"), Stream(5, "block")]
+    block = u64_rows([s.key for s in streams], 257)
+    assert block.dtype == np.uint64 and block.shape == (3, 257)
+    assert block.tolist() == [[s.u64() for _ in range(257)] for s in streams]
 
 
 def test_randbelow_bounds_and_determinism():
@@ -222,3 +228,54 @@ def test_shuffle_matches_per_draw_fisher_yates():
             j = _randbelow_per_draw(oracle, idx + 1)
             want[idx], want[j] = want[j], want[idx]
         assert items == want
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        [2, 3],  # 3 streams x 2 draws: the scalar read-ahead
+        [(1 << 12) + 1] * 300,  # about 600 draws: every row refills
+        # about 450 draws, the read-ahead: some rows refill and some do not
+        [(1 << 12) + 1] * 150 + [1 << 12] * 150,
+        [1, 5, 1, 1, (1 << 33) + 1, 7, 1] * 10,
+        [1, 1],
+        [],
+    ],
+)
+def test_randbelow_rows_matches_per_draw_loop(bounds):
+    # streams at different counters share one bound list and one read-ahead
+    starts = (0, 1, 5, 40, 1000, 3)
+    rows = [Stream(seed, "rows") for seed in (0, 7, (1 << 64) - 1, 7, 9, 11)]
+    oracles = [Stream(seed, "rows") for seed in (0, 7, (1 << 64) - 1, 7, 9, 11)]
+    for s, o, start in zip(rows, oracles, starts):
+        s.counter = o.counter = start
+    used = []
+    for width in (3, 6):
+        before = [s.counter for s in rows[:width]]
+        got = randbelow_rows(rows[:width], bounds)
+        assert got == [[_randbelow_per_draw(o, m) for m in bounds] for o in oracles[:width]]
+        assert [s.counter for s in rows] == [o.counter for o in oracles]
+        used += [s.counter - c for s, c in zip(rows, before)]
+    assert [s.u64() for s in rows] == [o.u64() for o in oracles]
+    if len(bounds) == 300:
+        refilled = {u > 450 for u in used}
+        assert refilled == ({True} if len(set(bounds)) == 1 else {True, False}), used
+
+
+def test_randbelow_rows_of_no_streams_and_bad_bounds():
+    assert randbelow_rows([], [3, 4]) == []
+    assert randbelow_rows([], []) == []
+    with pytest.raises(ValueError):
+        randbelow_rows([Stream(1, "bad")], [3, 0, 2])
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 9, 128])
+def test_shuffle_rows_is_a_shuffle_per_stream(size):
+    seeds = (3, 4, 5, 3)
+    rows = [list(range(size)) for _ in seeds]
+    shuffle_rows([Stream(seed, "fy-rows") for seed in seeds], rows)
+    for seed, row in zip(seeds, rows):
+        want = list(range(size))
+        Stream(seed, "fy-rows").shuffle(want)
+        assert row == want
+    shuffle_rows([], [])
