@@ -5,10 +5,10 @@ rounds; round r partitions [0, n+1] into (n+1)/2**r half-open cells of width
 2**r and draws one origin per cell, uniformly over the cell's grid of
 multiples of 2**-grid_k.  Each request is its origin: sampling directly on
 the grid keeps every event probability an exact dyadic rational.  Round r's
-origins are consecutive draws of the one stream (seed, "origin", r);
-SAMPLER_VERSION names that rule.  A block of seeds is drawn in one numpy
-pass per round, with the same draws as one seed at a time; so are a block's
-shuffled arrival orders (arrival_orders).
+origins are consecutive draws of the one stream (seed, "origin", r), and
+a shuffled round arrives in the order permutation_rows gives the key
+(seed, "order", r).  A block of seeds is drawn in one numpy pass per round,
+with the same draws as one seed at a time.
 
 An Instance is the params plus one int64 numerator array per round, at scale
 grid_k and in cell order; servers are implicit (server j sits at j << grid_k).
@@ -36,18 +36,18 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from matchline.geometry import Coord
-from matchline.rng import Stream, shuffle_rows, stream_keys, u64_rows
+from matchline.rng import permutation_rows, stream_keys, u64_rows
 
 ORDER_LEFT_TO_RIGHT = "left_to_right"
 ORDER_SHUFFLED = "shuffled"
 REQUEST_ORDERS = (ORDER_LEFT_TO_RIGHT, ORDER_SHUFFLED)
 
-# Version of the rule that turns a seed into origins and sampled
-# configurations; the trials.jsonl header and generate's params record
-# carry it, since a new rule changes every sampled output.
-SAMPLER_VERSION = 2
+# Version of the rules that turn a seed into origins, shuffled arrival
+# orders and random_free's picks; the trials.jsonl header and generate's
+# params record carry it, since a new rule changes sampled outputs.
+SAMPLER_VERSION = 3
 
-# Stream name tags. One stream per (seed, tag, ...coords); draws never mix.
+# Key label tags. One stream key per (seed, tag, ...coords); draws never mix.
 _TAG_ORIGIN = "origin"
 _TAG_ORDER = "order"
 _TAG_TRIAL = "trial"
@@ -79,11 +79,6 @@ def reachable_free_count(n: int, r: int) -> int:
 def instance_seeds(root_seed: int, trials: Iterable[int]) -> list[int]:
     """Seeds of the instances every sampled check draws for these trials."""
     return stream_keys(root_seed, (_TAG_TRIAL,), trials)
-
-
-def instance_seed(root_seed: int, trial: int) -> int:
-    """Seed of the instance every sampled check draws for this trial."""
-    return instance_seeds(root_seed, (trial,))[0]
 
 
 def default_grid_k(n: int) -> int:
@@ -206,18 +201,19 @@ def generate(params: GenParams) -> Instance:
     return Instance(params, tuple(nums[0] for nums in rounds))
 
 
-def arrival_orders(params: Sequence[GenParams]) -> Iterator[list[list[int]]]:
+def arrival_orders(params: Sequence[GenParams]) -> Iterator[np.ndarray]:
     """For r = 1..i, the cell indices of round r in arrival order for each
-    of a block of params of one i: left to right, or shuffled by the stream
-    (seed, "order", r).  A seed's round keys come from one keyed BLAKE2b
-    state, and a round shuffles every shuffled instance in one draw pass;
-    row b depends on params[b] alone."""
+    of a block of params of one i, as a (len(params), cells) int64 array:
+    left to right, or permutation_rows of the key (seed, "order", r).  A
+    seed's round keys come from one keyed BLAKE2b state, and a round orders
+    every shuffled instance in one pass; row b depends on params[b] alone."""
     i = params[0].i
     shuffled = [b for b, p in enumerate(params) if p.request_order == ORDER_SHUFFLED]
     keys = [stream_keys(params[b].seed, (_TAG_ORDER,), range(1, i + 1)) for b in shuffled]
     for r in range(1, i + 1):
-        orders = [list(range(1 << (i - r))) for _ in params]
-        shuffle_rows([Stream.from_key(k[r - 1]) for k in keys], [orders[b] for b in shuffled])
+        cells = 1 << (i - r)
+        orders = np.tile(np.arange(cells), (len(params), 1))
+        orders[shuffled] = permutation_rows([k[r - 1] for k in keys], cells)
         yield orders
 
 
@@ -225,7 +221,7 @@ def arrival_indices(params: GenParams, r: int) -> list[int]:
     """Cell indices of round r in arrival order: arrival_orders of one instance."""
     if not 1 <= r <= params.i:
         raise ValueError(f"round must be in 1..{params.i}, got {r}")
-    return next(islice(arrival_orders([params]), r - 1, None))[0]
+    return next(islice(arrival_orders([params]), r - 1, None))[0].tolist()
 
 
 def g_moment_nums(ell: int | np.ndarray, i: int) -> tuple:

@@ -7,8 +7,9 @@ Four policies:
   permutation          keeps an optimal matching of everything seen so far and
                        serves each request with the one server that matching
                        newly uses
-  random_free          uniform random free server (seeded stream; a block's
-                       picks for a round are drawn in one pass)
+  random_free          uniform random free server: request j of a round
+                       takes the free server at place j of a seeded random
+                       order of the free servers
 
 Each policy is one kernel over exact integer numerators at the instance grid
 scale: the free servers are a sorted list of numerators (server j sits at
@@ -37,7 +38,7 @@ import numpy as np
 
 from matchline.adversary import Instance, arrival_orders, reachable_free_count
 from matchline.offline import sorted_cost_num
-from matchline.rng import Stream, randbelow_rows
+from matchline.rng import permutation_rows, stream_key
 
 GREEDY_NEAREST = "greedy_nearest"
 BATCH_ROUND_OPTIMAL = "batch_round_optimal"
@@ -76,19 +77,26 @@ def _greedy(free: list[int], seed: int) -> Kernel:
 
 
 def _random_free(frees: Sequence[list[int]], seeds: Sequence[int]) -> Callable:
-    """Uniform random free server: instance b draws from Stream(seeds[b],
-    "choice"), and a round's picks for the whole block come from one
-    randbelow_rows pass (every free list has one length)."""
-    streams = [Stream(seed, _TAG_CHOICE) for seed in seeds]
+    """Uniform random free server.  With m servers free, instance b orders
+    them by permutation_rows of the key (seeds[b], "choice", m), and request
+    j of the round takes the server at place j: the first q places of a
+    uniform order are q uniform picks without replacement.  A round's
+    orders for the whole block come from one pass (the free lists have
+    one length)."""
+    for seed in seeds:  # a bad seed fails here, even if no round is served
+        stream_key(seed)
 
     def serve(rounds: Sequence[Sequence[int]]) -> list[int]:
         _check_capacity(frees[0], rounds[0])
-        m = len(frees[0])
-        picks = randbelow_rows(streams, range(m, m - len(rounds[0]), -1))
-        return [
-            sum(abs(x - free.pop(p)) for x, p in zip(reqs, row))
-            for free, reqs, row in zip(frees, rounds, picks)
-        ]
+        m, q = len(frees[0]), len(rounds[0])
+        perm = permutation_rows([stream_key(seed, _TAG_CHOICE, m) for seed in seeds], m)
+        srv = np.array(frees, dtype=np.int64)
+        picked = np.take_along_axis(srv, perm[:, :q], axis=1)
+        costs = np.abs(np.array(rounds, dtype=np.int64) - picked).sum(axis=1)
+        rest = np.take_along_axis(srv, np.sort(perm[:, q:], axis=1), axis=1)
+        for free, row in zip(frees, rest.tolist()):
+            free[:] = row
+        return costs.tolist()
 
     return serve
 
@@ -297,7 +305,7 @@ def play(
 
     An instance's arrival orders, prefix batch and offline total are shared
     by its policies; each policy gets its own copy of the free servers.
-    A seed is checked where a policy's Stream reads it.  A free-server
+    random_free checks its seeds when its kernel is built.  A free-server
     count off the reachable one, or an online total below the offline
     optimum, raises RuntimeError."""
     n, i = instances[0].params.n, instances[0].params.i

@@ -41,7 +41,7 @@ from matchline.adversary import (
     REQUEST_ORDERS,
     SAMPLER_VERSION,
     default_grid_k,
-    instance_seed,
+    instance_seeds,
     origin_round_numerators,
     rounds_for,
 )
@@ -98,7 +98,8 @@ class ExperimentConfig:
     prefix_rounds > 0 switches every run to advance-knowledge mode:
     that many leading rounds are served as one optimal batch and only the
     remaining rounds are played online.  Every suite judges the per-round
-    floor, so an explicit grid_k must be at least 1.
+    floor, so an explicit grid_k must be at least 1 and prefix_rounds must
+    leave every n an online round.
     """
 
     n_list: tuple[int, ...]
@@ -117,9 +118,10 @@ class ExperimentConfig:
             raise ValueError("duplicate n in list")
         for n in self.n_list:
             i = rounds_for(n)
-            if self.prefix_rounds > i:
+            if self.prefix_rounds >= i:
                 raise ValueError(
-                    f"prefix_rounds={self.prefix_rounds} exceeds the {i} rounds of n={n}"
+                    f"prefix_rounds={self.prefix_rounds} must be below the {i} rounds of"
+                    f" n={n}: the per-round floor needs an online round"
                 )
         if not self.algorithms:
             raise ValueError("algorithms must not be empty")
@@ -182,7 +184,7 @@ def run_trials(
     are independent of their order and of the block they are played in.
     """
     i, k = rounds_for(n), default_grid_k(n) if grid_k is None else grid_k
-    params = [GenParams(i, k, instance_seed(root_seed, t), request_order) for t in trials]
+    params = [GenParams(i, k, s, request_order) for s in instance_seeds(root_seed, trials)]
     rounds = origin_round_numerators(i, k, [p.seed for p in params])  # one pass per round
     instances = [Instance(p, tuple(nums[b] for nums in rounds)) for b, p in enumerate(params)]
     seeds = [[stream_key(root_seed, _TAG_ALG, kind, t) for kind in kinds] for t in trials]

@@ -38,9 +38,10 @@ and policy; the acceptance gate's per-round criterion makes 72 (4
 policies x 18 rounds over n = 255 and 1023), so its family-wise
 false-fail rate is at most 72 x 0.00135 = 9.7 % by the Bonferroni
 bound.  That bound applies only if every true round mean sat exactly at
-(n+1)/12; at the gate's seed the smallest of the 72 round means is 1.627
-times (n+1)/12 and 22.7 standard errors above it, so a false fail is far
-less likely than that bound.
+(n+1)/12; at the gate's seed the smallest of the 72 round means is 1.624
+times (n+1)/12, and none is closer than 22.4 standard errors above it
+(both batch_round_optimal at n = 1023), so a false fail is far less likely
+than that bound.
 """
 
 from __future__ import annotations

@@ -10,6 +10,17 @@ from matchline.adversary import g_moment_nums, reachable_free_count, rounds_for
 
 BRUTE_FORCE_CAP = 9
 
+MASK64 = (1 << 64) - 1
+
+
+def mix64(z):
+    """SplitMix64 finalizer on one 64-bit word, in Python integers: the
+    reference for rng.mix64_array."""
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
 
 def brute_force_cost(server_nums, point_nums):
     """Minimum total |point - server| over all point->server bijections, by

@@ -7,6 +7,7 @@ ratio criteria through a module-scoped fixture.
 """
 
 import os
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -25,7 +26,6 @@ from matchline.lemma_checks import (
     ratio_report_from_stats,
 )
 from matchline.oracle import auto_grid_k, oracle_report
-from matchline.rng import Stream
 
 ACCEPT_SEED = 20260819
 N_FULL = tuple((1 << i) - 1 for i in range(1, 11))
@@ -158,13 +158,13 @@ def test_criterion_04_fails_on_inflated_offline_totals():
 
 
 def _offline_matches_brute_force():
-    s = Stream(ACCEPT_SEED, "accept5")
+    s = random.Random(ACCEPT_SEED)
     ok = True
     for _ in range(200):
-        size = 1 + s.randbelow(8)
-        k = s.randbelow(7)
-        servers = [s.randbelow(1 << (k + 5)) for _ in range(size)]
-        points = [s.randbelow(1 << (k + 5)) for _ in range(size)]
+        size = 1 + s.randrange(8)
+        k = s.randrange(7)
+        servers = [s.randrange(1 << (k + 5)) for _ in range(size)]
+        points = [s.randrange(1 << (k + 5)) for _ in range(size)]
         ok = ok and offline.sorted_cost_num(servers, points) == brute_force_cost(servers, points)
     return ok
 

@@ -21,14 +21,13 @@ from matchline.adversary import (
     g_moments,
     generate,
     instance_from_jsonl,
-    instance_seed,
     instance_seeds,
     instance_to_jsonl,
     origin_round_numerators,
     rounds_for,
 )
-from matchline.rng import Stream, stream_key
-from oracles import CALIBRATION_Z, binomial_z
+from matchline.rng import GAMMA, stream_key
+from oracles import CALIBRATION_Z, binomial_z, mix64
 
 
 def test_rounds_for():
@@ -173,7 +172,7 @@ def test_origin_round_numerators_match_generate():
 @pytest.mark.parametrize("i,grid_k", [(1, 0), (3, 6), (10, 40)])
 def test_block_sampler_rows_are_the_one_seed_instances(i, grid_k):
     # (10, 40) shifts by up to r + grid_k = 50 bits
-    seeds = [instance_seed(8, t) for t in range(5)] + [0, (1 << 64) - 1]
+    seeds = instance_seeds(8, range(5)) + [0, (1 << 64) - 1]
     rounds = origin_round_numerators(i, grid_k, seeds)
     assert [nums.shape for nums in rounds] == [(len(seeds), 1 << (i - r)) for r in range(1, i + 1)]
     assert all(nums.dtype == np.int64 for nums in rounds)
@@ -182,9 +181,9 @@ def test_block_sampler_rows_are_the_one_seed_instances(i, grid_k):
         assert [nums[b].tolist() for nums in rounds] == [x.tolist() for x in inst.origins]
 
 
-def test_instance_seeds_match_instance_seed():
-    assert instance_seeds(8, range(40)) == [instance_seed(8, t) for t in range(40)]
-    assert instance_seeds(8, [7, 3]) == [instance_seed(8, 7), instance_seed(8, 3)]
+def test_instance_seeds_match_stream_key():
+    assert instance_seeds(8, range(40)) == [stream_key(8, "trial", t) for t in range(40)]
+    assert instance_seeds(8, [7, 3]) == [stream_key(8, "trial", 7), stream_key(8, "trial", 3)]
     assert instance_seeds(8, []) == []
 
 
@@ -195,8 +194,8 @@ def test_round_origins_are_the_documented_stream(seed):
     rounds = origin_round_numerators(i, grid_k, [seed])
     for r, nums in enumerate(rounds, start=1):
         cells, width = 1 << (i - r), r + grid_k
-        stream = Stream(seed, "origin", r)
-        draws = [stream.u64() for _ in range(cells)]
+        key = stream_key(seed, "origin", r)
+        draws = [mix64(key + j * GAMMA) for j in range(1, cells + 1)]
         assert nums[0].tolist() == [(m << width) + (u >> (64 - width)) for m, u in enumerate(draws)]
 
 
@@ -313,7 +312,7 @@ def test_origin_sampler_calibration():
     probability at most 97 x 6.8e-6 = 0.07 %.
     """
     trials, grid_k = 4096, 2
-    seeds = [instance_seed(99, t) for t in range(trials)]
+    seeds = instance_seeds(99, range(trials))
     offsets = [
         nums - (np.arange(nums.shape[1]) << (r + grid_k))
         for r, nums in enumerate(origin_round_numerators(3, grid_k, seeds), start=1)
@@ -351,20 +350,28 @@ def test_block_arrival_orders_are_the_one_instance_orders():
             (1, "left_to_right"), (1, ORDER_SHUFFLED), ((1 << 64) - 1, ORDER_SHUFFLED),
         ]
     ]
-    orders = list(zip(*arrival_orders(params)))  # orders[b][r - 1]
-    assert [len(rows) for rows in orders] == [6] * 6
+    orders = [[row.tolist() for row in rows] for rows in zip(*arrival_orders(params))]
+    assert [len(rows) for rows in orders] == [6] * 6  # orders[b][r - 1]
     for p, rows in zip(params, orders):
-        assert list(rows) == [arrival_indices(p, r) for r in range(1, 7)]
-        # round r is the documented shuffle of Stream(seed, "order", r)
+        assert rows == [arrival_indices(p, r) for r in range(1, 7)]
+        # round r lists its cells by the draws of the key (seed, "order", r)
         for r, row in enumerate(rows, start=1):
             want = list(range(64 >> r))
             if p.request_order == ORDER_SHUFFLED:
-                Stream(p.seed, "order", r).shuffle(want)
+                key = stream_key(p.seed, "order", r)
+                want.sort(key=lambda j: mix64(key + (j + 1) * GAMMA))
             assert row == want
     assert orders[0] == orders[4] and orders[0] != orders[3]
     for r in (0, 7):
         with pytest.raises(ValueError, match="round must be in 1..6"):
             arrival_indices(params[0], r)
+
+
+def test_shuffled_arrival_order_frozen_values():
+    # pinned with SAMPLER_VERSION: a new draw rule must bump the version
+    assert SAMPLER_VERSION == 3
+    params = GenParams(i=4, grid_k=8, seed=66, request_order=ORDER_SHUFFLED)
+    assert arrival_indices(params, 1) == [4, 7, 3, 2, 0, 6, 5, 1]
 
 
 def test_jsonl_round_trip_bit_exact():
@@ -375,7 +382,7 @@ def test_jsonl_round_trip_bit_exact():
     assert instance_to_jsonl(back) == text
     head, rest = text.split("\n", 1)
     fields = json.loads(head)
-    assert fields["sampler"] == SAMPLER_VERSION == 2
+    assert fields["sampler"] == SAMPLER_VERSION == 3
     del fields["sampler"]  # transcripts written before the key existed still load
     assert instance_from_jsonl(json.dumps(fields) + "\n" + rest) == inst
 

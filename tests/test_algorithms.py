@@ -3,18 +3,20 @@
 import dataclasses
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import brute_force_cost
+from oracles import brute_force_cost, mix64
 
 from matchline import algorithms
 from matchline.adversary import (
     GenParams,
     Instance,
     ORDER_SHUFFLED,
+    SAMPLER_VERSION,
     check_round_numerators,
     default_grid_k,
     generate,
@@ -29,7 +31,7 @@ from matchline.algorithms import (
     run,
 )
 from matchline.experiments import run_trials
-from matchline.rng import Stream, stream_key
+from matchline.rng import GAMMA, stream_key
 
 
 def kernel(kind, free, seed=0):
@@ -79,11 +81,11 @@ def test_greedy_boundary_requests():
 
 def test_greedy_matches_linear_scan():
     # the nearest server by linear scan, leftmost among equally near ones
-    s = Stream(41, "greedy-oracle")
+    s = random.Random(41)
     for _ in range(200):
-        size = 1 + s.randbelow(7)
-        vals = sorted({s.randbelow(1 << 9) for _ in range(size)})
-        x = s.randbelow(1 << 9) if s.randbelow(2) else (vals[0] + vals[-1]) >> 1
+        size = 1 + s.randrange(7)
+        vals = sorted({s.randrange(1 << 9) for _ in range(size)})
+        x = s.randrange(1 << 9) if s.randrange(2) else (vals[0] + vals[-1]) >> 1
         free = list(vals)
         taken, cost = serve_one(kernel("greedy_nearest", free), free, x)
         best = min(abs(v - x) for v in vals)
@@ -100,10 +102,10 @@ def test_greedy_empty_pool():
 
 
 def test_batch_single_request_equals_greedy():
-    s = Stream(17, "batch1")
+    s = random.Random(17)
     for _ in range(40):
-        vals = sorted({s.randbelow(200) for _ in range(1 + s.randbelow(6))})
-        x = s.randbelow(220)
+        vals = sorted({s.randrange(200) for _ in range(1 + s.randrange(6))})
+        x = s.randrange(220)
         a, b = list(vals), list(vals)
         assert kernel("batch_round_optimal", b)([x]) == kernel("greedy_nearest", a)([x])
         # on a cost tie the two rules may pick different servers; totals agree
@@ -143,12 +145,12 @@ def _injection_min(req_nums, free_nums):
 
 
 def test_batch_matches_injection_brute_force():
-    s = Stream(59, "batch-oracle")
+    s = random.Random(59)
     for _ in range(200):
-        m = 2 + s.randbelow(7)
-        vals = sorted({s.randbelow(400) for _ in range(m)})
-        q = 1 + s.randbelow(min(4, len(vals)))
-        reqs = [s.randbelow(440) for _ in range(q)]
+        m = 2 + s.randrange(7)
+        vals = sorted({s.randrange(400) for _ in range(m)})
+        q = 1 + s.randrange(min(4, len(vals)))
+        reqs = [s.randrange(440) for _ in range(q)]
         free = list(vals)
         cost = kernel("batch_round_optimal", free)(reqs)
         assert cost == _injection_min(reqs, vals)
@@ -159,12 +161,12 @@ def test_batch_matches_injection_brute_force():
 
 def test_batch_matches_full_permutation_brute_force():
     # tiny sizes, permutations instead of subsets, no uncrossing assumption
-    s = Stream(61, "batch-perms")
+    s = random.Random(61)
     for _ in range(60):
-        m = 1 + s.randbelow(4)
-        vals = sorted({s.randbelow(64) for _ in range(m)})
-        q = 1 + s.randbelow(len(vals))
-        reqs = [s.randbelow(72) for _ in range(q)]
+        m = 1 + s.randrange(4)
+        vals = sorted({s.randrange(64) for _ in range(m)})
+        q = 1 + s.randrange(len(vals))
+        reqs = [s.randrange(72) for _ in range(q)]
         want = min(
             sum(abs(r - c) for r, c in zip(reqs, perm))
             for perm in itertools.permutations(vals, q)
@@ -202,27 +204,26 @@ def _stack_case(s):
     """T = 1..6 instances sharing one n, grid_k, free count m and request
     count q: servers j << k with holes, requests uniform, on a free server,
     next to one, or repeating an earlier request."""
-    t = 1 + s.randbelow(6)
-    n = (1 << (1 + s.randbelow(7))) - 1
-    k = (0, 1, 2, 5)[s.randbelow(4)]
-    m = 1 + s.randbelow(n)
-    q = s.randbelow(m + 1)
+    t = 1 + s.randrange(6)
+    n = (1 << (1 + s.randrange(7))) - 1
+    k = (0, 1, 2, 5)[s.randrange(4)]
+    m = 1 + s.randrange(n)
+    q = s.randrange(m + 1)
     top = (n + 1) << k
     frees, rounds = [], []
     for _ in range(t):
-        pool = list(range(1, n + 1))
-        free = sorted(pool.pop(p) << k for p in s.randbelow_each(range(n, n - m, -1)))
+        free = sorted(j << k for j in s.sample(range(1, n + 1), m))
         reqs = []
         for _ in range(q):
-            mode = s.randbelow(4)
+            mode = s.randrange(4)
             if mode == 1:
-                x = free[s.randbelow(m)]
+                x = free[s.randrange(m)]
             elif mode == 2:
-                x = free[s.randbelow(m)] + s.randbelow(3) - 1
+                x = free[s.randrange(m)] + s.randrange(3) - 1
             elif mode == 3 and reqs:
-                x = reqs[s.randbelow(len(reqs))]
+                x = reqs[s.randrange(len(reqs))]
             else:
-                x = s.randbelow(top + 1)
+                x = s.randrange(top + 1)
             reqs.append(min(max(x, 0), top))
         frees.append(free)
         rounds.append(reqs)
@@ -230,7 +231,7 @@ def _stack_case(s):
 
 
 def test_stacked_batch_matches_one_instance_dp():
-    s = Stream(89, "stacked-batch")
+    s = random.Random(89)
     brute = 0
     for _ in range(2000):
         k, frees, rounds = _stack_case(s)
@@ -259,16 +260,15 @@ def test_stacked_batch_ties_match_one_instance_dp(slack):
     # them repeated, give long runs of equal DP values; slack 255 keeps the
     # run starts in uint8 and slack 256 needs uint16.  A request on the last
     # server starts a run at s = slack in the last row.
-    s = Stream(slack, "stacked-ties")
+    s = random.Random(slack)
     q = 40
     m = q + slack
     frees, rounds = [], []
     for _ in range(4):
-        pool = list(range(1, 2 * m))
-        free = sorted(pool.pop(p) for p in s.randbelow_each(range(len(pool), len(pool) - m, -1)))
-        spots = [free[s.randbelow(m)] + s.randbelow(3) - 1 for _ in range(5)] + [free[-1]]
+        free = sorted(s.sample(range(1, 2 * m), m))
+        spots = [free[s.randrange(m)] + s.randrange(3) - 1 for _ in range(5)] + [free[-1]]
         frees.append(free)
-        rounds.append([spots[s.randbelow(len(spots))] for _ in range(q)])
+        rounds.append([spots[s.randrange(len(spots))] for _ in range(q)])
     req = np.sort(np.array(rounds, dtype=np.int64), axis=1)
     srv = np.array(frees, dtype=np.int64)
     cost, sel = _monotone_min_cost(req, srv)
@@ -359,10 +359,10 @@ def test_permutation_used_set_stays_offline_optimal():
     for seed in (3, 11, 29):
         inst = generate(GenParams(i=3, grid_k=6, seed=seed))
         check([j << 6 for j in range(1, 8)], np.concatenate(inst.origins).tolist())
-    s = Stream(67, "perm-oracle")
+    s = random.Random(67)
     for _ in range(150):
-        vals = sorted({s.randbelow(300) for _ in range(2 + s.randbelow(7))})
-        check(vals, [s.randbelow(320) for _ in range(1 + s.randbelow(len(vals)))])
+        vals = sorted({s.randrange(300) for _ in range(2 + s.randrange(7))})
+        check(vals, [s.randrange(320) for _ in range(1 + s.randrange(len(vals)))])
 
 
 def _permutation_scan(free, seed):
@@ -410,27 +410,27 @@ def _pool_case(s):
     """A random post-prefix-like pool (servers j << k with holes) and 1-4
     rounds of requests: uniform on [0, (n+1) << k], on or next to a server,
     or clustered around an earlier request (duplicates included)."""
-    n = (1 << (1 + s.randbelow(7))) - 1
-    k = (0, 1, 2, 5)[s.randbelow(4)]
-    keep = 1 + s.randbelow(4)
-    pool = [j << k for j in range(1, n + 1) if s.randbelow(4) < keep] or [n << k]
+    n = (1 << (1 + s.randrange(7))) - 1
+    k = (0, 1, 2, 5)[s.randrange(4)]
+    keep = 1 + s.randrange(4)
+    pool = [j << k for j in range(1, n + 1) if s.randrange(4) < keep] or [n << k]
     top = (n + 1) << k
     reqs = []
-    for _ in range(1 + s.randbelow(len(pool))):
-        mode = s.randbelow(3)
+    for _ in range(1 + s.randrange(len(pool))):
+        mode = s.randrange(3)
         if mode == 0 or not reqs:
-            x = s.randbelow(top + 1)
+            x = s.randrange(top + 1)
         elif mode == 1:
-            x = pool[s.randbelow(len(pool))] + s.randbelow(3) - 1
+            x = pool[s.randrange(len(pool))] + s.randrange(3) - 1
         else:
-            x = reqs[s.randbelow(len(reqs))] + s.randbelow(5) - 2
+            x = reqs[s.randrange(len(reqs))] + s.randrange(5) - 2
         reqs.append(min(max(x, 0), top))
-    cuts = sorted({1 + s.randbelow(len(reqs)) for _ in range(s.randbelow(4))} | {len(reqs)})
+    cuts = sorted({1 + s.randrange(len(reqs)) for _ in range(s.randrange(4))} | {len(reqs)})
     return pool, [reqs[a:b] for a, b in zip([0, *cuts], cuts)]
 
 
 def test_permutation_block_rule_matches_scan():
-    s = Stream(71, "perm-scan")
+    s = random.Random(71)
     for _ in range(2500):
         pool, rounds = _pool_case(s)
         fast_free, scan_free = list(pool), list(pool)
@@ -512,13 +512,23 @@ def test_random_free_reproducible():
         picks.append([serve_one(serve, free, 4 << 4)[0] for _ in range(8)])
     assert picks[0] == picks[1]
     assert sorted(picks[0]) == at4(range(1, 9))
-    # the draws are Stream(seed, "choice").randbelow over the free count
-    stream, pool = Stream(99, "choice"), at4(range(1, 9))
-    assert picks[0] == [pool.pop(stream.randbelow(len(pool))) for _ in range(8)]
-    # a round of five served at once draws the same servers
+    # pinned with SAMPLER_VERSION: a new draw rule must bump the version
+    assert SAMPLER_VERSION == 3
+    assert picks[0] == at4([2, 5, 6, 7, 8, 3, 1, 4])
+    # with m servers free, request j of a round takes place j of the free
+    # servers sorted by the first m draws of the key (seed, "choice", m)
+    pool = at4(range(1, 9))
+
+    def order(m):
+        key = stream_key(99, "choice", m)
+        return sorted(range(m), key=lambda j: mix64(key + (j + 1) * GAMMA))
+
+    assert picks[0] == [pool.pop(order(len(pool))[0]) for _ in range(8)]
     free = at4(range(1, 9))
-    kernel("random_free", free, seed=99)([4 << 4] * 5)
-    assert free == sorted(set(at4(range(1, 9))) - set(picks[0][:5]))
+    assert kernel("random_free", free, seed=99)([4 << 4] * 5) == sum(
+        abs(3 - j) << 4 for j in order(8)[:5]
+    )
+    assert free == sorted(at4(range(1, 9))[j] for j in order(8)[5:])
 
 
 def test_random_free_block_plays_like_one_instance_at_a_time():
@@ -542,12 +552,12 @@ def test_random_free_block_plays_like_one_instance_at_a_time():
 
 
 def test_random_free_frequency():
+    # seeds 0..99999 as one block, which plays each seed as it plays alone
+    frees = [[1, 2, 3, 4] for _ in range(100_000)]
+    _KERNELS["random_free"](frees, range(100_000))([[2]] * 100_000)
     counts = [0] * 4
-    for t in range(100_000):
-        free = [1, 2, 3, 4]
-        serve = kernel("random_free", free, seed=t)
-        taken, _ = serve_one(serve, free, 2)
-        counts[taken - 1] += 1
+    for free in frees:  # the server taken is the one missing from 1..4
+        counts[10 - sum(free) - 1] += 1
     for c in counts:
         assert abs(c / 100_000 - 0.25) < 0.01
 
@@ -555,12 +565,12 @@ def test_random_free_frequency():
 def test_run_trial_matches_run_per_policy():
     # the shared per-(n, trial) runner against one generate + run per policy:
     # a policy that leaked state through the shared prefix would differ here
-    s = Stream(83, "shared-runner")
+    s = random.Random(83)
     for _ in range(12):
-        i = 1 + s.randbelow(5)
+        i = 1 + s.randrange(5)
         n = (1 << i) - 1
-        root, trial = s.randbelow(1 << 64), s.randbelow(1000)
-        grid_k = None if s.randbelow(2) else s.randbelow(12)
+        root, trial = s.randrange(1 << 64), s.randrange(1000)
+        grid_k = None if s.randrange(2) else s.randrange(12)
         for order in ("left_to_right", ORDER_SHUFFLED):
             params = GenParams(
                 i=i,
@@ -716,8 +726,10 @@ def test_run_rejects_unknown_kind_and_bad_seed():
     inst = generate(GenParams(i=2, grid_k=5, seed=1))
     with pytest.raises(ValueError, match="unknown algorithm kind 'steepest_descent'"):
         run(inst, "steepest_descent")
-    # the seed is checked where random_free's Stream reads it
+    # random_free checks its seeds when its kernel is built
     with pytest.raises(ValueError, match="64-bit"):
         run(inst, "random_free", seed=-2)
     with pytest.raises(ValueError, match="64-bit"):
         run(inst, "random_free", seed=1 << 64)
+    with pytest.raises(ValueError, match="64-bit"):
+        run(inst, "random_free", seed=-2, prefix_rounds=2)  # no online round

@@ -112,10 +112,10 @@ def test_run_summary_table(tmp_path, capsys):
 
 
 def test_run_with_zero_offline_totals_writes_valid_files(tmp_path, capsys):
-    # every seed-405 instance at grid_k = 1 has offline total 0 and online > 0,
+    # every seed-44148 instance at grid_k = 1 has offline total 0 and online > 0,
     # so each trial ratio and the aggregate ratio have no value
     rc = cli.main([
-        "run", "--n", "3", "--trials", "2", "--grid-k", "1", "--seed", "405",
+        "run", "--n", "3", "--trials", "2", "--grid-k", "1", "--seed", "44148",
         "--alg", "random_free", "--out", str(tmp_path),
     ])
     assert rc == 0
@@ -197,6 +197,12 @@ def test_run_prefix_rounds_out_of_range_exits_two(capsys):
     rc = cli.main(["run", "--n", "3", "--trials", "2", "--prefix-rounds", "5"])
     assert rc == 2
     assert "prefix_rounds=5" in capsys.readouterr().err
+    # every round a known prefix: no online round for the floor to judge
+    rc = cli.main(["run", "--n", "7", "--trials", "3", "--prefix-rounds", "3", "--alg", "greedy_nearest"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "prefix_rounds=3 must be below the 3 rounds of n=7" in captured.err
 
 
 def _bench_module(stem):

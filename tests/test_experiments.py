@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from matchline import experiments
-from matchline.adversary import instance_seed
 from matchline.algorithms import RunStats, cost_ratio
 from matchline.experiments import (
     ExperimentConfig,
@@ -23,6 +22,7 @@ from matchline.experiments import (
     write_outputs,
 )
 from matchline.lemma_checks import ratio_report_from_stats, render_reports
+from matchline.rng import stream_key
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_suite"
@@ -437,7 +437,7 @@ def test_trials_header_and_counts(tmp_path):
     header = json.loads(lines[0])
     assert header["record"] == "header"
     assert header["schema_version"] == 2
-    assert header["sampler"] == 2
+    assert header["sampler"] == 3
     assert header["config"] == cfg.to_json_dict()
     trials = [json.loads(line) for line in lines[1:]]
     assert len(trials) == 4
@@ -479,7 +479,7 @@ def test_runs_draw_instances_by_the_one_seed_rule():
         n_list=(7,), algorithms=("greedy_nearest", "random_free"), trials=3, seed=11
     )
     for runs in run_suite(cfg).stats.values():
-        assert [st.instance_seed for st in runs] == [instance_seed(11, t) for t in range(3)]
+        assert [st.instance_seed for st in runs] == [stream_key(11, "trial", t) for t in range(3)]
 
 
 def test_run_trials_checks_every_row_of_the_block(monkeypatch):
@@ -504,18 +504,15 @@ def test_rerun_identical_reports():
 
 
 def test_prefix_all_rounds_vacuous():
-    cfg = ExperimentConfig(
-        n_list=(3,), algorithms=("greedy_nearest",), trials=4, seed=2,
-        prefix_rounds=2,
-    )
-    res = run_suite(cfg)
-    assert res.round_rows == []
-    emp = [r for r in res.reports if r.lemma_id == "lemma2_empirical"][0]
-    assert emp.passed
-    assert emp.details["rounds_checked"] == 0
-    row = res.summary_rows[0]
-    assert row["mean_online"] == row["mean_offline"]
-    assert row["aggregate_ratio"] == 1.0
+    # a suite whose every round is the known prefix leaves the per-round
+    # floor nothing to judge, so it is refused, at any n of its list
+    for n_list, prefix in (((3,), 2), ((7,), 3), ((15, 3), 2)):
+        with pytest.raises(ValueError, match=rf"prefix_rounds={prefix} must be below"):
+            ExperimentConfig(
+                n_list=n_list, algorithms=("greedy_nearest",), trials=4, seed=2,
+                prefix_rounds=prefix,
+            )
+    ExperimentConfig(n_list=(15, 7), trials=4, prefix_rounds=2)
 
 
 def test_prefix_suffix_rounds_keep_floor():

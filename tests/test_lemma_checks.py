@@ -1,6 +1,7 @@
 """Checkers: exact moment identities, configuration floors, MC reports."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from matchline import lemma_checks
 from matchline.adversary import (
     default_grid_k,
     g_moment_nums,
-    instance_seed,
     origin_round_numerators,
     reachable_free_count,
     rounds_for,
@@ -25,7 +25,7 @@ from matchline.lemma_checks import (
     lemma2_config_property,
     render_reports,
 )
-from matchline.rng import Stream, stream_key, u64_rows
+from matchline.rng import stream_key, u64_rows
 from oracles import lemma1_exact_details_by_rank, min_segment_sum_by_enumeration, segment_square_sum
 
 
@@ -77,14 +77,14 @@ def test_config_lower_bound_empty_cell_term():
 
 
 def test_config_lower_bound_reflection_invariant():
-    s = Stream(88, "reflect")
+    s = random.Random(88)
     n = 15
     for r in (1, 2, 3):
         f = reachable_free_count(n, r)
         for _ in range(20):
             picks = set()
             while len(picks) < f:
-                picks.add(1 + s.randbelow(n))
+                picks.add(1 + s.randrange(n))
             conf = tuple(sorted(picks))
             mirror = tuple(sorted(n + 1 - v for v in conf))
             a = config_lower_bound(RoundConfig(n, r, conf))
@@ -155,7 +155,7 @@ def test_lemma1_distance_mc_sums_exactly_up_to_63_bits():
     rep = lemma1_distance_mc(3, trials=100, seed=5, grid_k=54)
     sums = [0, 0, 0]
     for t in range(100):
-        rounds = origin_round_numerators(2, 54, [instance_seed(5, t)])
+        rounds = origin_round_numerators(2, 54, [stream_key(5, "trial", t)])
         for ell, x in enumerate(sorted(np.concatenate(rounds, axis=1)[0].tolist())):
             sums[ell] += abs(x - ((ell + 1) << 54))
     assert max(sums) >= 1 << 60
@@ -184,7 +184,7 @@ def test_lemma1_distance_mc_draws_the_suite_instances(monkeypatch):
 
     monkeypatch.setattr(lemma_checks, "origin_round_numerators", recording)
     lemma1_distance_mc(7, trials=100, seed=9)
-    assert seeds == [instance_seed(9, t) for t in range(100)]
+    assert seeds == [stream_key(9, "trial", t) for t in range(100)]
 
 
 @pytest.mark.parametrize("rows", [1, 7, 150])
@@ -270,16 +270,16 @@ def _random_configs(n, r, stream):
     bounds = list(range(1 << r, n + 1, 1 << r))  # the servers on cell bounds
     configs = [(), tuple(range(1, n + 1)), tuple(bounds)]
     for _ in range(12):
-        picks = {1 + stream.randbelow(n) for _ in range(stream.randbelow(n + 1))}
+        picks = {1 + stream.randrange(n) for _ in range(stream.randrange(n + 1))}
         if bounds:
-            picks.add(bounds[stream.randbelow(len(bounds))])
+            picks.add(bounds[stream.randrange(len(bounds))])
         configs.append(tuple(sorted(picks)))
     return configs
 
 
 def test_block_segment_sums_match_per_config_oracle():
     # ragged rows in one block: every row's sum, whatever its size
-    stream = Stream(71, "segments")
+    stream = random.Random(71)
     for i in range(2, 11):
         n = (1 << i) - 1
         for r in range(1, i + 1):

@@ -1,5 +1,6 @@
 """Offline optimum on the line against the brute-force oracle."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,6 @@ from oracles import brute_force_cost
 
 from matchline.geometry import Coord
 from matchline.offline import sorted_cost_num, sorted_matching_cost
-from matchline.rng import Stream
 
 
 def c(x, k=6):
@@ -74,21 +74,21 @@ def test_brute_force_size_cap():
 
 
 def test_oracle_equivalence_random():
-    s = Stream(314, "offline-oracle")
+    s = random.Random(314)
     for _ in range(120):
-        size = 1 + s.randbelow(6)
-        servers = sorted(s.randbelow(1 << 10) for _ in range(size))
-        points = [s.randbelow(1 << 10) for _ in range(size)]
+        size = 1 + s.randrange(6)
+        servers = sorted(s.randrange(1 << 10) for _ in range(size))
+        points = [s.randrange(1 << 10) for _ in range(size)]
         assert sorted_cost_num(servers, points) == brute_force_cost(servers, points)
 
 
 def test_shift_changes_cost_by_at_most_n_t():
-    s = Stream(272, "shift")
+    s = random.Random(272)
     for _ in range(40):
-        size = 1 + s.randbelow(5)
-        servers = sorted(s.randbelow(1 << 8) for _ in range(size))
-        points = [s.randbelow(1 << 8) for _ in range(size)]
-        t = 1 + s.randbelow(16)
+        size = 1 + s.randrange(5)
+        servers = sorted(s.randrange(1 << 8) for _ in range(size))
+        points = [s.randrange(1 << 8) for _ in range(size)]
+        t = 1 + s.randrange(16)
         base = sorted_cost_num(servers, points)
         moved = sorted_cost_num(servers, [p + t for p in points])
         assert abs(moved - base) <= size * t
@@ -102,11 +102,11 @@ def test_coincident_points_stable_and_cost_invariant():
 
 
 def test_sorted_cost_num_agrees_with_rank_pairing():
-    s = Stream(288, "cost-num")
+    s = random.Random(288)
     for _ in range(60):
-        size = s.randbelow(9)
-        servers = [s.randbelow(1 << 12) for _ in range(size)]
-        points = [s.randbelow(1 << 12) for _ in range(size)]
+        size = s.randrange(9)
+        servers = [s.randrange(1 << 12) for _ in range(size)]
+        points = [s.randrange(1 << 12) for _ in range(size)]
         want = sum(abs(a - b) for a, b in zip(sorted(servers), sorted(points)))
         got = sorted_cost_num(np.asarray(servers, dtype=np.int64), points)
         assert type(got) is int
@@ -118,12 +118,12 @@ def test_sorted_cost_num_agrees_with_rank_pairing():
 
 def test_sorted_cost_num_exact_at_widest_legal_scale():
     # the widest grid GenParams allows, 2 i + grid_k + 1 = 61, against Python ints
-    s = Stream(289, "cost-num-wide")
+    s = random.Random(289)
     for i in (1, 5, 10, 13):
         n, k = (1 << i) - 1, 60 - 2 * i
         servers = [j << k for j in range(1, n + 1)]
         top = (n + 1) << k
-        for points in ([0] * n, [top] * n, [s.randbelow(top + 1) for _ in range(n)]):
+        for points in ([0] * n, [top] * n, [s.randrange(top + 1) for _ in range(n)]):
             want = sum(abs(a - b) for a, b in zip(sorted(points), servers))
             assert sorted_cost_num(np.asarray(servers, dtype=np.int64), points) == want
 

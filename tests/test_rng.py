@@ -1,22 +1,13 @@
-"""Counter-based RNG streams: determinism, block equivalence, uniformity."""
+"""Counter-based RNG draws: determinism, block equivalence, uniform orders."""
 
 import random
 
 import numpy as np
 import pytest
 
-from matchline.rng import (
-    GAMMA,
-    MASK64,
-    Stream,
-    mix64,
-    mix64_array,
-    randbelow_rows,
-    shuffle_rows,
-    stream_key,
-    stream_keys,
-    u64_rows,
-)
+from matchline import rng
+from matchline.rng import GAMMA, mix64_array, permutation_rows, stream_key, stream_keys, u64_rows
+from oracles import CALIBRATION_Z, MASK64, binomial_z, mix64
 
 # reference sequence for the mixing function: outputs for seed 0 of the
 # well-known splitmix64 generator, whose step is mix(seed += gamma)
@@ -98,11 +89,10 @@ def test_stream_keys_match_stream_key(seed, labels, count):
     the documented format, keyed by stream_key, at the block sizes a round
     takes (up to 1023 cells).
     """
-    s = Stream(seed, *labels)
-    assert s.key == stream_key(seed, *labels)
-    got = u64_rows([s.key], count)
+    key = stream_key(seed, *labels)
+    got = u64_rows([key], count)
     assert got.dtype == np.uint64 and got.shape == (1, count)
-    assert got[0].tolist() == [mix64(s.key + j * GAMMA) for j in range(1, count + 1)]
+    assert got[0].tolist() == [mix64(key + j * GAMMA) for j in range(1, count + 1)]
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
@@ -112,170 +102,85 @@ def test_stream_keys_reject_seed_like_stream_key(seed):
 
 
 def test_stream_deterministic_and_stateless_between_instances():
-    a = Stream(77, "x", 3)
-    b = Stream(77, "x", 3)
-    assert [a.u64() for _ in range(5)] == [b.u64() for _ in range(5)]
+    # draw j depends on (key, j) alone: a longer read extends a shorter one
+    key = stream_key(77, "x", 3)
+    assert u64_rows([key], 5).tolist() == u64_rows([key], 5).tolist()
+    assert u64_rows([key], 9)[:, :5].tolist() == u64_rows([key], 5).tolist()
 
 
 def test_u64_rows_match_scalar_draws():
-    streams = [Stream(5, "block"), Stream(6, "block"), Stream(5, "block")]
-    block = u64_rows([s.key for s in streams], 257)
+    keys = [stream_key(5, "block"), stream_key(6, "block"), stream_key(5, "block")]
+    block = u64_rows(keys, 257)
     assert block.dtype == np.uint64 and block.shape == (3, 257)
-    assert block.tolist() == [[s.u64() for _ in range(257)] for s in streams]
-
-
-def test_randbelow_bounds_and_determinism():
-    s = Stream(31, "rb")
-    draws = [s.randbelow(10) for _ in range(2000)]
-    assert min(draws) == 0 and max(draws) == 9
-    t = Stream(31, "rb")
-    assert draws == [t.randbelow(10) for _ in range(2000)]
-
-
-def test_randbelow_one_consumes_nothing():
-    s = Stream(1, "one")
-    before = s.counter
-    assert s.randbelow(1) == 0
-    assert s.counter == before
-
-
-def test_randbelow_rejects_bad_bound():
-    s = Stream(1, "bad")
-    with pytest.raises(ValueError):
-        s.randbelow(0)
-
-
-def test_randbelow_roughly_uniform():
-    s = Stream(202, "freq")
-    counts = [0] * 4
-    for _ in range(100_000):
-        counts[s.randbelow(4)] += 1
-    for c in counts:
-        # 25% within 1 percentage point; sd is about 0.14pp here
-        assert abs(c / 100_000 - 0.25) < 0.01
+    assert block.tolist() == [[mix64(k + j * GAMMA) for j in range(1, 258)] for k in keys]
 
 
 def test_shuffle_is_permutation_and_seeded():
-    items = list(range(30))
-    s = Stream(8, "sh")
-    s.shuffle(items)
-    assert sorted(items) == list(range(30))
-    again = list(range(30))
-    Stream(8, "sh").shuffle(again)
-    assert items == again
-    other = list(range(30))
-    Stream(9, "sh").shuffle(other)
-    assert other != items
+    key = stream_key(8, "sh")
+    row = permutation_rows([key], 30)
+    assert row.shape == (1, 30) and row.dtype == np.int64
+    assert sorted(row[0].tolist()) == list(range(30))
+    assert row.tolist() == permutation_rows([key], 30).tolist()
+    assert row.tolist() != permutation_rows([stream_key(9, "sh")], 30).tolist()
 
 
-def _randbelow_per_draw(stream, m):
-    """Oracle: the per-draw rejection loop, one u64() at a time."""
-    if m == 1:
-        return 0
-    b = (m - 1).bit_length()
-    while True:
-        v = stream.u64() >> (64 - b)
-        if v < m:
-            return v
+@pytest.mark.parametrize("m", [0, 1, 2, 9, 128])
+def test_permutation_rows_sort_each_key_draws(m):
+    # row b lists 0..m-1 by the first m draws of keys[b]; a block of keys,
+    # a repeated one and 2**64 - 1 among them, gives the one-key rows
+    keys = [stream_key(seed, "fy-rows") for seed in (3, 4, 5, 3)] + [(1 << 64) - 1]
+    rows = permutation_rows(keys, m)
+    assert rows.shape == (len(keys), m)
+    for key, row in zip(keys, rows.tolist()):
+        draws = [mix64(key + j * GAMMA) for j in range(1, m + 1)]
+        assert row == sorted(range(m), key=draws.__getitem__)
+        assert [row] == permutation_rows([key], m).tolist()
+    assert permutation_rows([], m).shape == (0, m)
 
 
-@pytest.mark.parametrize(
-    "bounds",
-    [
-        [1],
-        [1, 1, 1],
-        [2, 4, 8, 1 << 20, 1 << 63, 1 << 64],
-        [3, 5, 9, 17, (1 << 40) + 1, (1 << 63) + 1],
-        # 2^b + 1 rejects almost half its draws, so the first read-ahead of
-        # 1.5 draws per bound runs out and the draws are read again
-        [(1 << 12) + 1] * 300,
-        [1, 2, 1, 3, 1] * 40,
-        list(range(500, 0, -1)),
-        [],
-    ],
-)
-def test_randbelow_each_matches_per_draw_loop(bounds):
-    for seed in (0, 7, (1 << 64) - 1):
-        block, oracle = Stream(seed, "each"), Stream(seed, "each")
-        block.u64()  # start mid-stream
-        oracle.u64()
-        got = block.randbelow_each(bounds)
-        assert got == [_randbelow_per_draw(oracle, m) for m in bounds]
-        assert block.counter == oracle.counter
-        # later draws continue from the same place
-        assert block.u64() == oracle.u64()
-        assert block.randbelow(1000) == _randbelow_per_draw(oracle, 1000)
+def _top_bits(monkeypatch, bits):
+    """Make permutation_rows sort by the top `bits` bits of each draw."""
+    full = rng.u64_rows
+    monkeypatch.setattr(rng, "u64_rows", lambda keys, count: full(keys, count) >> np.uint64(64 - bits))
 
 
-def test_randbelow_each_refills_past_its_first_block():
-    s = Stream(3, "refill")
-    bounds = [(1 << 12) + 1] * 300
-    s.randbelow_each(bounds)
-    assert s.counter > 450  # past the first read-ahead of 1.5 draws per bound
+def test_permutation_rows_keep_index_order_on_ties(monkeypatch):
+    # ties are too rare to meet with 64-bit draws; with 2-bit draws most
+    # rows hold some, and each must list its tied indices in order
+    keys = [stream_key(seed, "ties") for seed in range(50)]
+    draws = u64_rows(keys, 12) >> np.uint64(62)
+    _top_bits(monkeypatch, 2)
+    for d, row in zip(draws.tolist(), permutation_rows(keys, 12).tolist()):
+        assert row == sorted(range(12), key=lambda j: (d[j], j))
 
 
-def test_randbelow_each_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        Stream(1, "bad").randbelow_each([3, 0, 2])
+def _worst_calibration_z(keys, m):
+    """The largest |z| over every (place, index) count of permutation_rows
+    against the uniform rate 1/m."""
+    rows = permutation_rows(keys, m)
+    return max(
+        abs(binomial_z(c, len(keys), 1 / m))
+        for place in rows.T
+        for c in np.bincount(place, minlength=m).tolist()
+    )
 
 
-def test_shuffle_matches_per_draw_fisher_yates():
-    for size in (0, 1, 2, 3, 64, 257):
-        items, want = list(range(size)), list(range(size))
-        Stream(12, "fy", size).shuffle(items)
-        oracle = Stream(12, "fy", size)
-        for idx in range(size - 1, 0, -1):
-            j = _randbelow_per_draw(oracle, idx + 1)
-            want[idx], want[j] = want[j], want[idx]
-        assert items == want
+CALIBRATION_KEYS = stream_keys(2025, ("calibrate",), range(1 << 14))
 
 
-@pytest.mark.parametrize(
-    "bounds",
-    [
-        [2, 3],  # 3 streams x 2 draws: the scalar read-ahead
-        [(1 << 12) + 1] * 300,  # about 600 draws: every row refills
-        # about 450 draws, the read-ahead: some rows refill and some do not
-        [(1 << 12) + 1] * 150 + [1 << 12] * 150,
-        [1, 5, 1, 1, (1 << 33) + 1, 7, 1] * 10,
-        [1, 1],
-        [],
-    ],
-)
-def test_randbelow_rows_matches_per_draw_loop(bounds):
-    # streams at different counters share one bound list and one read-ahead
-    starts = (0, 1, 5, 40, 1000, 3)
-    rows = [Stream(seed, "rows") for seed in (0, 7, (1 << 64) - 1, 7, 9, 11)]
-    oracles = [Stream(seed, "rows") for seed in (0, 7, (1 << 64) - 1, 7, 9, 11)]
-    for s, o, start in zip(rows, oracles, starts):
-        s.counter = o.counter = start
-    used = []
-    for width in (3, 6):
-        before = [s.counter for s in rows[:width]]
-        got = randbelow_rows(rows[:width], bounds)
-        assert got == [[_randbelow_per_draw(o, m) for m in bounds] for o in oracles[:width]]
-        assert [s.counter for s in rows] == [o.counter for o in oracles]
-        used += [s.counter - c for s, c in zip(rows, before)]
-    assert [s.u64() for s in rows] == [o.u64() for o in oracles]
-    if len(bounds) == 300:
-        refilled = {u > 450 for u in used}
-        assert refilled == ({True} if len(set(bounds)) == 1 else {True, False}), used
+def test_permutation_rows_are_calibrated():
+    """Each place of a row holds each index with probability 1/m.
+
+    2**14 keys at m = 6: 36 (place, index) counts, each two-sided at
+    CALIBRATION_Z = 4.5 SE, so a correct rule fails the family with
+    probability at most 36 x 6.8e-6 = 0.025 %.
+    """
+    assert _worst_calibration_z(CALIBRATION_KEYS, 6) <= CALIBRATION_Z
 
 
-def test_randbelow_rows_of_no_streams_and_bad_bounds():
-    assert randbelow_rows([], [3, 4]) == []
-    assert randbelow_rows([], []) == []
-    with pytest.raises(ValueError):
-        randbelow_rows([Stream(1, "bad")], [3, 0, 2])
-
-
-@pytest.mark.parametrize("size", [0, 1, 2, 9, 128])
-def test_shuffle_rows_is_a_shuffle_per_stream(size):
-    seeds = (3, 4, 5, 3)
-    rows = [list(range(size)) for _ in seeds]
-    shuffle_rows([Stream(seed, "fy-rows") for seed in seeds], rows)
-    for seed, row in zip(seeds, rows):
-        want = list(range(size))
-        Stream(seed, "fy-rows").shuffle(want)
-        assert row == want
-    shuffle_rows([], [])
+def test_permutation_calibration_fails_on_top_4_bit_draws(monkeypatch):
+    # with 16 draw values ties keep index order, so index 0 leads a row
+    # with probability sum(k**5 for k in 1..16) / 16**6 = 0.200, not 1/6:
+    # about 11 SE at 2**14 keys
+    _top_bits(monkeypatch, 4)
+    assert _worst_calibration_z(CALIBRATION_KEYS, 6) > CALIBRATION_Z
