@@ -261,10 +261,14 @@ def g_moments(ell: int, n: int) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 # JSON Lines transcripts: one params header record, one record per entry.
 
+# one encoder for every line: json.dumps with arguments builds one per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def instance_to_jsonl(instance: Instance) -> str:
     p = instance.params
     lines = [
-        json.dumps(
+        _ENCODER.encode(
             {
                 "record": "params",
                 "i": p.i,
@@ -273,23 +277,15 @@ def instance_to_jsonl(instance: Instance) -> str:
                 "seed": p.seed,
                 "request_order": p.request_order,
                 "sampler": SAMPLER_VERSION,
-            },
-            separators=(",", ":"),
+            }
         )
     ]
     for r, nums in enumerate(instance.origins, start=1):
         for m, num in enumerate(nums.tolist()):
             point = {"num": num, "k": p.grid_k}
             lines.append(
-                json.dumps(
-                    {
-                        "record": "entry",
-                        "round": r,
-                        "subinterval": m,
-                        "origin": point,
-                        "request": point,
-                    },
-                    separators=(",", ":"),
+                _ENCODER.encode(
+                    {"record": "entry", "round": r, "subinterval": m, "origin": point, "request": point}
                 )
             )
     return "\n".join(lines) + "\n"

@@ -28,7 +28,7 @@ Costs stay integer numerators; RunStats.to_json_dict writes each as a
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
@@ -185,6 +185,11 @@ def _serve_batch(frees: Sequence[list[int]], rounds: Sequence[Sequence[int]]) ->
 #      With no seen request between s_L and s_R, (a) leaves no used server
 #      there either, so Q = [x], pool[j+1] = s_R and the rule reads
 #      s_R - x >= x - s_L -> s_L.
+#  (d) With s_L = free[b-1] and s_R = free[b], (a) makes #seen <= s_L the
+#      #U below s_L, rank(s_L) - b + 1, and #seen < s_R the #U below s_R,
+#      rank(s_R) - b (a seen request at s_R would leave D < 0 just left of
+#      it).  So Q's seen part is seen[rank(s_L)-b+1 : rank(s_R)-b], empty
+#      exactly when rank(s_R) - rank(s_L) = 1.
 
 
 def _permutation(free: list[int], seed: int) -> Kernel:
@@ -201,16 +206,15 @@ def _permutation(free: list[int], seed: int) -> Kernel:
                 b -= 1
             elif b:
                 lo, hi = free[b - 1], free[b]
-                start = bisect_right(seen, lo)
-                stop = bisect_left(seen, hi, start)
-                if start == stop:
+                j, end = rank[lo], rank[hi]
+                if end - j == 1:
                     if hi - x >= x - lo:
                         b -= 1
                 else:
+                    start, stop = j - b + 1, end - b  # (d)
                     block = seen[start:stop]
                     block.insert(bisect_left(seen, x, start, stop) - start, x)
-                    j = rank[lo]
-                    srv = pool[j : j + len(block) + 1]
+                    srv = pool[j : end + 1]
                     cost_r = sum(map(abs, map(sub, block, srv[1:])))
                     if cost_r >= sum(map(abs, map(sub, block, srv))):
                         b -= 1

@@ -10,7 +10,8 @@ key=value file whose values become the command's defaults, so flags win
 over the file and the file over built-in defaults; a key no command takes
 or given twice is an error, a key only other commands take is ignored.
 Exit status is 0 when every emitted report passes, 1 when any fails, 2 on
-usage errors.
+usage errors.  main() reuses one parser per process and terminal width;
+a --config call builds its own.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import argparse
 import shutil
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 from matchline.adversary import (
@@ -233,8 +234,16 @@ def build_parser(file_values: dict[str, str] | None = None) -> argparse.Argument
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser(width: int) -> argparse.ArgumentParser:
+    """build_parser() for this terminal width, built once.  Reuse is safe:
+    parse_args fills a fresh Namespace and converts string defaults into
+    it, leaving the parser, its subparsers and their defaults unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser(shutil.get_terminal_size().columns).parse_args(argv)
     try:
         if args.config is not None:
             args = build_parser(_load_config_file(args.config)).parse_args(argv)

@@ -334,8 +334,12 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     return SuiteResult(config, stats, summary_rows, round_rows, reports)
 
 
+# json.dumps with arguments builds a new encoder per call; this one is shared
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
 def _json_line(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 def _csv_cell(v) -> str:

@@ -22,16 +22,18 @@ import numpy as np
 GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
+# the numpy scalars of the above and of the shifts, built once, not per call
+_U_GAMMA, _U_M1, _U_M2, _U30, _U27, _U31 = map(np.uint64, (GAMMA, _M1, _M2, 30, 27, 31))
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer, a bijection on 64-bit words, applied to a
     uint64 array in place; returns it."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_M1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_M2)
-    z ^= z >> np.uint64(31)
+    z ^= z >> _U30
+    z *= _U_M1
+    z ^= z >> _U27
+    z *= _U_M2
+    z ^= z >> _U31
     return z
 
 
@@ -73,7 +75,7 @@ def stream_key(seed: int, *labels: int | str) -> int:
 def u64_rows(keys: Sequence[int], count: int) -> np.ndarray:
     """The first `count` draws of each key as a (len(keys), count) uint64
     array: row b holds draws 1..count of the stream with key keys[b]."""
-    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GAMMA)
+    steps = np.arange(1, count + 1, dtype=np.uint64) * _U_GAMMA
     return mix64_array(np.array(keys, dtype=np.uint64).reshape(-1, 1) + steps)
 
 

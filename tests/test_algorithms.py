@@ -15,6 +15,7 @@ from matchline import algorithms
 from matchline.adversary import (
     GenParams,
     Instance,
+    ORDER_LEFT_TO_RIGHT,
     ORDER_SHUFFLED,
     SAMPLER_VERSION,
     check_round_numerators,
@@ -449,6 +450,19 @@ def test_permutation_play_matches_scan(i, monkeypatch):
     fast = [play([inst], ["permutation"], [[0]], prefix, [i]) for prefix in (0, 2)]
     monkeypatch.setitem(_KERNELS, "permutation", _each(_permutation_scan))
     assert fast == [play([inst], ["permutation"], [[0]], prefix, [i]) for prefix in (0, 2)]
+
+
+@pytest.mark.parametrize("order", [ORDER_LEFT_TO_RIGHT, ORDER_SHUFFLED])
+def test_permutation_play_on_server_positions_matches_scan(order, monkeypatch):
+    # grid_k = 0 puts every request on a server position, so requests land
+    # on the neighbours s_L and s_R the pool ranks bound a block by
+    insts = [generate(GenParams(i=i, grid_k=0, seed=seed, request_order=order))
+             for i, seed in ((3, 5), (6, 29), (8, 83))]
+    prefixes = [range(inst.params.i + 1) for inst in insts]
+    fast = [[play([inst], ["permutation"], [[7]], p, [0]) for p in ps] for inst, ps in zip(insts, prefixes)]
+    monkeypatch.setitem(_KERNELS, "permutation", _each(_permutation_scan))
+    scan = [[play([inst], ["permutation"], [[7]], p, [0]) for p in ps] for inst, ps in zip(insts, prefixes)]
+    assert fast == scan
 
 
 def test_permutation_request_left_of_every_free_server():

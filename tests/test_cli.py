@@ -1,11 +1,13 @@
 """Command-line behavior: option merging, exit codes, file outputs."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import csv
 import itertools
 import json
+import os
 import re
 import shutil
 from pathlib import Path
@@ -601,6 +603,77 @@ def test_build_parser_reads_the_terminal_width_once(monkeypatch):
         assert widest[-1] <= columns - 2
         assert len(calls) == 1
     assert widest[1] > 58
+
+
+def test_main_builds_one_parser_per_terminal_width(monkeypatch, capsys):
+    builds = []
+    real = cli.build_parser
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    for columns in (71, 71, 71, 93, 93):
+        size = os.terminal_size((columns, 24))
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *args: size)
+        assert cli.main(["oracle", "--n", "3"]) == 0
+    assert builds == [(), ()]
+    # --help after the resize wraps to the new width, less argparse's margin
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli.main(["run", "--help"])
+    lines = capsys.readouterr().out.splitlines()
+    assert 71 - 2 < max(map(len, lines)) <= 93 - 2
+    assert len(builds) == 2
+
+
+def _report_count(out):
+    return len(json.loads((out / "reports.json").read_text(encoding="utf-8"))["reports"])
+
+
+def test_config_file_values_do_not_outlive_their_call(tmp_path, capsys):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("n = 15\n")
+    assert cli.main(["lemma2", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    assert cli.main(["lemma2", "--out", str(tmp_path / "plain")]) == 0
+    # n = 15 has 4 rounds, the built-in n = 1023 has 10
+    assert [_report_count(tmp_path / d) for d in ("file", "plain")] == [4, 10]
+
+
+def test_a_usage_error_leaves_the_next_parse_intact(tmp_path, capsys):
+    assert _exit_code(["lemma2", "--n", "15", "--trials", "many"]) == 2
+    assert _exit_code(["lemma2", "--n", "15", "--workers", "2"]) == 2
+    assert cli.main(["lemma2", "--out", str(tmp_path)]) == 0
+    assert _report_count(tmp_path) == 10
+
+
+def test_parse_args_leaves_the_parser_unchanged():
+    # main() reuses one parser: sound only while parse_args converts string
+    # defaults (run's --alg) into the Namespace, never into the parser
+    parser = cli.build_parser()
+    run = parser._subparsers._group_actions[0].choices["run"]
+    defaults = [(a.dest, a.default) for a in run._actions], dict(run._defaults)
+    first = parser.parse_args(["run", "--alg", "permutation", "--n", "7", "--trials", "3"])
+    assert first.alg == ("permutation",)
+    again = parser.parse_args(["run"])
+    assert again.alg == tuple(ALGORITHM_KINDS)
+    assert vars(again) == vars(cli.build_parser().parse_args(["run"]))
+    assert ([(a.dest, a.default) for a in run._actions], dict(run._defaults)) == defaults
+
+
+def test_shared_json_encoders_write_what_json_dumps_writes():
+    stats = experiments.run_trials(7, ("permutation",), [0], 3)[0][0]
+    rec = {"record": "trial", **dataclasses.replace(stats, trial=None, ratio=1 / 3).to_json_dict()}
+    assert rec["trial"] is None
+    assert experiments._json_line(rec) == json.dumps(rec, separators=(",", ":"), allow_nan=False) + "\n"
+    with pytest.raises(ValueError):
+        experiments._json_line({**rec, "ratio": float("nan")})
+    text = adversary.instance_to_jsonl(generate(GenParams(i=3, grid_k=2, seed=1)))
+    lines = text.splitlines()
+    assert len(lines) == 8
+    assert lines == [json.dumps(json.loads(line), separators=(",", ":")) for line in lines]
 
 
 def test_missing_subcommand_exits_two():
