@@ -6,47 +6,31 @@ segment into (n+1)/2**r cells and draws one request uniformly in each cell.
 The package provides the request generator, online matching algorithms, the
 exact offline optimum, and exact/statistical checkers for the distribution's
 cost guarantees, including the competitive-ratio floor sqrt(log2(n+1))/12.
+
+The names below are the ones README.md documents; everything else is
+reached through its module.
 """
 
-from matchline.adversary import GenParams, Instance, generate
-from matchline.algorithms import ALGORITHM_KINDS, RunStats, run
-from matchline.experiments import ExperimentConfig, SuiteResult, run_suite
-from matchline.geometry import Coord
+from matchline.adversary import GenParams, generate
+from matchline.experiments import ExperimentConfig, run_suite
 from matchline.lemma_checks import (
-    LemmaReport,
     RoundConfig,
-    config_lower_bound,
     lemma1_distance_mc,
     lemma1_exact,
     lemma2_config_property,
-    render_reports,
 )
-from matchline.offline import Assignment, sorted_matching_cost
-from matchline.oracle import exact_round_game_value, oracle_report
+from matchline.oracle import exact_round_game_value
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHM_KINDS",
-    "Assignment",
-    "Coord",
     "ExperimentConfig",
     "GenParams",
-    "Instance",
-    "LemmaReport",
     "RoundConfig",
-    "RunStats",
-    "SuiteResult",
-    "config_lower_bound",
     "exact_round_game_value",
     "generate",
     "lemma1_distance_mc",
     "lemma1_exact",
     "lemma2_config_property",
-    "oracle_report",
-    "render_reports",
-    "run",
     "run_suite",
-    "sorted_matching_cost",
-    "__version__",
 ]

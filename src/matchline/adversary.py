@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -215,13 +214,6 @@ def arrival_orders(params: Sequence[GenParams]) -> Iterator[np.ndarray]:
         orders = np.tile(np.arange(cells), (len(params), 1))
         orders[shuffled] = permutation_rows([k[r - 1] for k in keys], cells)
         yield orders
-
-
-def arrival_indices(params: GenParams, r: int) -> list[int]:
-    """Cell indices of round r in arrival order: arrival_orders of one instance."""
-    if not 1 <= r <= params.i:
-        raise ValueError(f"round must be in 1..{params.i}, got {r}")
-    return next(islice(arrival_orders([params]), r - 1, None))[0].tolist()
 
 
 def g_moment_nums(ell: int | np.ndarray, i: int) -> tuple:

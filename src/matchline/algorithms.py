@@ -83,8 +83,6 @@ def _random_free(frees: Sequence[list[int]], seeds: Sequence[int]) -> Callable:
     uniform order are q uniform picks without replacement.  A round's
     orders for the whole block come from one pass (the free lists have
     one length)."""
-    for seed in seeds:  # a bad seed fails here, even if no round is served
-        stream_key(seed)
 
     def serve(rounds: Sequence[Sequence[int]]) -> list[int]:
         _check_capacity(frees[0], rounds[0])
@@ -309,14 +307,14 @@ def play(
 
     An instance's arrival orders, prefix batch and offline total are shared
     by its policies; each policy gets its own copy of the free servers.
-    random_free checks its seeds when its kernel is built.  A free-server
-    count off the reachable one, or an online total below the offline
-    optimum, raises RuntimeError."""
+    At least one round is online, and random_free's first round refuses a
+    seed outside 64 bits.  A free-server count off the reachable one, or an
+    online total below the offline optimum, raises RuntimeError."""
     n, i = instances[0].params.n, instances[0].params.i
     if unknown := [kind for kind in kinds if kind not in _KERNELS]:
         raise ValueError(f"unknown algorithm kind {unknown[0]!r}")
-    if not 0 <= prefix_rounds <= i:
-        raise ValueError(f"prefix_rounds must be in 0..{i}, got {prefix_rounds}")
+    if not 0 <= prefix_rounds < i:
+        raise ValueError(f"prefix_rounds must be in 0..{i - 1}, got {prefix_rounds}")
     rounds, offline, prefix_free = [[] for _ in instances], [], []  # per instance
     for r, orders in enumerate(arrival_orders([inst.params for inst in instances]), 1):
         for rr, inst, order in zip(rounds, instances, orders):
@@ -364,9 +362,3 @@ def play(
             )
     return out
 
-
-def run(
-    instance: Instance, kind: str, seed: int = 0, trial: int | None = None, prefix_rounds: int = 0
-) -> RunStats:
-    """play() with a single policy on a block of one instance."""
-    return play([instance], [kind], [[seed]], prefix_rounds, [trial])[0][0]

@@ -98,10 +98,24 @@ class RoundConfig:
 
 
 def _free_mask(n: int, configs) -> np.ndarray:
-    """(rows, n) mask of each row's free servers among 1..n; every row holds
-    the same number of free servers."""
+    """(rows, n) mask of each row's free servers among 1..n.  Refuses rows
+    of unequal length and any row that does not climb strictly within 1..n,
+    checked at once as positive steps from 0 through the row to n+1."""
     free = np.zeros((len(configs), n), dtype=bool)
-    free[np.arange(len(configs))[:, None], np.asarray(configs, dtype=np.intp) - 1] = True
+    if not len(configs):
+        return free
+    try:
+        servers = np.asarray(configs, dtype=np.int64)
+    except ValueError:  # numpy refuses ragged rows
+        servers = np.zeros(0)
+    if servers.ndim != 2:
+        raise ValueError("configurations must be rows of free servers, all of one length")
+    steps = np.diff(servers, axis=1, prepend=0, append=n + 1)
+    if bad := np.flatnonzero((steps <= 0).any(axis=1)).tolist():
+        raise ValueError(
+            f"free servers must be strictly increasing within 1..{n}, got {configs[bad[0]]}"
+        )
+    free[np.arange(len(configs))[:, None], servers - 1] = True
     return free
 
 
@@ -120,19 +134,19 @@ def _sum_squared_segments(n: int, r: int, free: np.ndarray) -> np.ndarray:
 
 def config_lower_bounds(n: int, r: int, configs) -> list[Fraction]:
     """Exact floor on the expected cost of serving round r from each
-    configuration, given as free-server tuples of one size, in one pass.
+    configuration, given as free-server tuples of one size, in one pass;
+    a round outside 1..i or a configuration that is not one raises
+    ValueError.
 
     A request is uniform on its cell; conditioned on a segment of length d it
     pays at least the distance to the closer endpoint, d/4 on average, and
     lands there with probability d/2^r.
     """
+    i = rounds_for(n)
+    if not 1 <= r <= i:
+        raise ValueError(f"round must be in 1..{i}, got {r}")
     sum_d2 = _sum_squared_segments(n, r, _free_mask(n, configs))
     return [Fraction(s, 4 << r) for s in sum_d2.tolist()]
-
-
-def config_lower_bound(config: RoundConfig) -> Fraction:
-    """config_lower_bounds of one configuration."""
-    return config_lower_bounds(config.n, config.r, [config.free_servers])[0]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from matchline.adversary import (
     Instance,
     ORDER_SHUFFLED,
     SAMPLER_VERSION,
-    arrival_indices,
     arrival_orders,
     check_round_numerators,
     default_grid_k,
@@ -329,16 +328,21 @@ def test_origin_sampler_calibration():
     assert abs(worst) <= CALIBRATION_Z, (zs.index(worst), worst)
 
 
+def one_instance_orders(params):
+    """arrival_orders of a block of one instance: round r's order at r - 1."""
+    return [orders[0].tolist() for orders in arrival_orders([params])]
+
+
 def test_arrival_order_modes():
     params = GenParams(i=4, grid_k=8, seed=66)
-    assert arrival_indices(params, 1) == list(range(8))
+    assert one_instance_orders(params) == [list(range(8 >> r)) for r in range(4)]
 
     shuffled = dataclasses.replace(params, request_order=ORDER_SHUFFLED)
-    got = arrival_indices(shuffled, 1)
+    got = one_instance_orders(shuffled)[0]
     assert sorted(got) == list(range(8))
-    assert got == arrival_indices(shuffled, 1)  # stable under repetition
+    assert got == one_instance_orders(shuffled)[0]  # stable under repetition
     other = dataclasses.replace(shuffled, seed=67)
-    assert arrival_indices(other, 1) != got
+    assert one_instance_orders(other)[0] != got
 
 
 def test_block_arrival_orders_are_the_one_instance_orders():
@@ -353,7 +357,7 @@ def test_block_arrival_orders_are_the_one_instance_orders():
     orders = [[row.tolist() for row in rows] for rows in zip(*arrival_orders(params))]
     assert [len(rows) for rows in orders] == [6] * 6  # orders[b][r - 1]
     for p, rows in zip(params, orders):
-        assert rows == [arrival_indices(p, r) for r in range(1, 7)]
+        assert rows == one_instance_orders(p)
         # round r lists its cells by the draws of the key (seed, "order", r)
         for r, row in enumerate(rows, start=1):
             want = list(range(64 >> r))
@@ -362,16 +366,13 @@ def test_block_arrival_orders_are_the_one_instance_orders():
                 want.sort(key=lambda j: mix64(key + (j + 1) * GAMMA))
             assert row == want
     assert orders[0] == orders[4] and orders[0] != orders[3]
-    for r in (0, 7):
-        with pytest.raises(ValueError, match="round must be in 1..6"):
-            arrival_indices(params[0], r)
 
 
 def test_shuffled_arrival_order_frozen_values():
     # pinned with SAMPLER_VERSION: a new draw rule must bump the version
     assert SAMPLER_VERSION == 3
     params = GenParams(i=4, grid_k=8, seed=66, request_order=ORDER_SHUFFLED)
-    assert arrival_indices(params, 1) == [4, 7, 3, 2, 0, 6, 5, 1]
+    assert one_instance_orders(params)[0] == [4, 7, 3, 2, 0, 6, 5, 1]
 
 
 def test_jsonl_round_trip_bit_exact():

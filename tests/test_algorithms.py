@@ -29,7 +29,6 @@ from matchline.algorithms import (
     _monotone_min_cost,
     _serve_batch,
     play,
-    run,
 )
 from matchline.experiments import run_trials
 from matchline.rng import GAMMA, stream_key
@@ -39,6 +38,11 @@ def kernel(kind, free, seed=0):
     """The policy's kernel on a block of one free list."""
     serve = _KERNELS[kind]([free], [seed])
     return lambda requests: serve([requests])[0]
+
+
+def play_one(inst, kind, seed=0, trial=None, prefix_rounds=0):
+    """play() with one policy on a block of one instance."""
+    return play([inst], [kind], [[seed]], prefix_rounds, [trial])[0][0]
 
 
 def run_trial(n, kinds, trial, root_seed, *args):
@@ -317,7 +321,7 @@ def test_wide_instance_plays_like_narrow_one():
     )
     check_round_numerators(wide.params, wide.origins)
     seeds = [[9] * len(ALGORITHM_KINDS)]
-    for prefix in range(4):
+    for prefix in range(3):
         (a_runs,), (b_runs,) = (
             play([inst], ALGORITHM_KINDS, seeds, prefix, [None]) for inst in (narrow, wide)
         )
@@ -458,7 +462,7 @@ def test_permutation_play_on_server_positions_matches_scan(order, monkeypatch):
     # on the neighbours s_L and s_R the pool ranks bound a block by
     insts = [generate(GenParams(i=i, grid_k=0, seed=seed, request_order=order))
              for i, seed in ((3, 5), (6, 29), (8, 83))]
-    prefixes = [range(inst.params.i + 1) for inst in insts]
+    prefixes = [range(inst.params.i) for inst in insts]
     fast = [[play([inst], ["permutation"], [[7]], p, [0]) for p in ps] for inst, ps in zip(insts, prefixes)]
     monkeypatch.setitem(_KERNELS, "permutation", _each(_permutation_scan))
     scan = [[play([inst], ["permutation"], [[7]], p, [0]) for p in ps] for inst, ps in zip(insts, prefixes)]
@@ -592,10 +596,10 @@ def test_run_trial_matches_run_per_policy():
                 seed=stream_key(root, "trial", trial),
                 request_order=order,
             )
-            for prefix in range(i + 1):
+            for prefix in range(i):
                 got = run_trial(n, ALGORITHM_KINDS, trial, root, grid_k, order, prefix)
                 want = [
-                    run(generate(params), kind, stream_key(root, "alg", kind, trial), trial, prefix)
+                    play_one(generate(params), kind, stream_key(root, "alg", kind, trial), trial, prefix)
                     for kind in ALGORITHM_KINDS
                 ]
                 assert got == want
@@ -637,7 +641,7 @@ def test_run_exact_hit_gives_ratio_one():
     # the one request sits on the one server
     inst = Instance(GenParams(i=1, grid_k=4, seed=0), (np.array([1 << 4], dtype=np.int64),))
     check_round_numerators(inst.params, inst.origins)
-    stats = run(inst, "greedy_nearest")
+    stats = play_one(inst, "greedy_nearest")
     assert stats.online_total == 0
     assert stats.offline_total == 0
     assert stats.ratio == 1.0
@@ -645,8 +649,8 @@ def test_run_exact_hit_gives_ratio_one():
 
 def test_run_deterministic():
     inst = generate(GenParams(i=2, grid_k=6, seed=8))
-    a = run(inst, "greedy_nearest")
-    b = run(inst, "greedy_nearest")
+    a = play_one(inst, "greedy_nearest")
+    b = play_one(inst, "greedy_nearest")
     assert a == b
     assert a.round_costs == b.round_costs
 
@@ -654,16 +658,16 @@ def test_run_deterministic():
 def test_first_round_batch_is_cheapest():
     for seed in range(20):
         inst = generate(GenParams(i=3, grid_k=8, seed=seed))
-        base = run(inst, "batch_round_optimal").round_costs[0]
+        base = play_one(inst, "batch_round_optimal").round_costs[0]
         for kind in ("greedy_nearest", "permutation", "random_free"):
-            assert base <= run(inst, kind, seed=5).round_costs[0]
+            assert base <= play_one(inst, kind, seed=5).round_costs[0]
 
 
 def test_online_never_beats_offline():
     for seed in range(12):
         inst = generate(GenParams(i=4, grid_k=9, seed=seed))
         for kind in ALGORITHM_KINDS:
-            stats = run(inst, kind, seed=1)
+            stats = play_one(inst, kind, seed=1)
             assert stats.online_total >= stats.offline_total
             assert len(stats.round_costs) == 4
             assert stats.prefix_cost + sum(stats.round_costs) == stats.online_total
@@ -677,17 +681,9 @@ def test_online_below_offline_raises(monkeypatch):
         run_trials(7, ALGORITHM_KINDS, range(20), 3)
 
 
-def test_prefix_all_rounds_is_offline():
-    inst = generate(GenParams(i=3, grid_k=7, seed=44))
-    stats = run(inst, "greedy_nearest", prefix_rounds=3)
-    assert stats.round_costs == ()
-    assert stats.online_total == stats.offline_total
-    assert stats.ratio == 1.0
-
-
 def test_prefix_zero_reduces_to_run():
     inst = generate(GenParams(i=3, grid_k=7, seed=45))
-    stats = run(inst, "permutation", prefix_rounds=0)
+    stats = play_one(inst, "permutation", prefix_rounds=0)
     assert stats.prefix_cost == 0 and len(stats.round_costs) == 3
     kinds = ["greedy_nearest", "permutation"]
     assert stats == play([inst], kinds, [[0, 0]], 0, [None])[0][1]
@@ -695,10 +691,10 @@ def test_prefix_zero_reduces_to_run():
 
 def test_prefix_out_of_range():
     inst = generate(GenParams(i=2, grid_k=5, seed=1))
-    with pytest.raises(ValueError):
-        run(inst, "greedy_nearest", prefix_rounds=3)
-    with pytest.raises(ValueError):
-        run(inst, "greedy_nearest", prefix_rounds=-1)
+    # the last round is always online, as in ExperimentConfig
+    for prefix in (2, 3, -1):
+        with pytest.raises(ValueError, match="prefix_rounds must be in 0..1"):
+            play_one(inst, "greedy_nearest", prefix_rounds=prefix)
 
 
 def test_run_single_trial_derivations():
@@ -739,11 +735,10 @@ def test_stats_json_dict():
 def test_run_rejects_unknown_kind_and_bad_seed():
     inst = generate(GenParams(i=2, grid_k=5, seed=1))
     with pytest.raises(ValueError, match="unknown algorithm kind 'steepest_descent'"):
-        run(inst, "steepest_descent")
-    # random_free checks its seeds when its kernel is built
-    with pytest.raises(ValueError, match="64-bit"):
-        run(inst, "random_free", seed=-2)
-    with pytest.raises(ValueError, match="64-bit"):
-        run(inst, "random_free", seed=1 << 64)
-    with pytest.raises(ValueError, match="64-bit"):
-        run(inst, "random_free", seed=-2, prefix_rounds=2)  # no online round
+        play_one(inst, "steepest_descent")
+    # random_free's first round keys its picks with the seed
+    for prefix in (0, 1):
+        with pytest.raises(ValueError, match="64-bit"):
+            play_one(inst, "random_free", seed=-2, prefix_rounds=prefix)
+        with pytest.raises(ValueError, match="64-bit"):
+            play_one(inst, "random_free", seed=1 << 64, prefix_rounds=prefix)

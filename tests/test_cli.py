@@ -581,6 +581,20 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     assert {p.name for p in (tmp_path / "results").iterdir()} == names
 
 
+def test_package_exports_what_the_readme_documents():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    exported = set(matchline.__all__)
+    assert exported <= set(re.findall(r"\w+", text))
+    assert all(hasattr(matchline, name) for name in exported)
+    imported = set()
+    for block in re.findall(r"^```python\n(.*?)^```", text, flags=re.DOTALL | re.MULTILINE):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "matchline":
+                imported |= {alias.name for alias in node.names}
+    # every name a block imports is exported, and nothing else is
+    assert imported == exported
+
+
 def test_build_parser_reads_the_terminal_width_once(monkeypatch):
     calls = []
     real = shutil.get_terminal_size

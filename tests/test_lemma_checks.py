@@ -19,7 +19,7 @@ from matchline.experiments import ExperimentConfig, run_suite
 from matchline.lemma_checks import (
     LemmaReport,
     RoundConfig,
-    config_lower_bound,
+    config_lower_bounds,
     lemma1_distance_mc,
     lemma1_exact,
     lemma2_config_property,
@@ -55,25 +55,23 @@ def test_round_config_validation():
 def test_segment_decomposition():
     # cell [0,4) is cut at 1 into 1 + 3; cell [4,8) has no interior free
     # server: sum d^2 / (4 * 2^r) = (1 + 9 + 16) / 16
-    assert config_lower_bound(RoundConfig(7, 2, (1,))) == Fraction(26, 16)
+    assert config_lower_bounds(7, 2, [(1,)])[0] == Fraction(26, 16)
 
 
 def test_boundary_server_is_not_interior():
     # server 4 sits on the cell boundary of round 2 and cuts nothing
-    whole = config_lower_bound(RoundConfig(7, 2, ()))
-    assert config_lower_bound(RoundConfig(7, 2, (4,))) == whole == Fraction(32, 16)
+    whole = config_lower_bounds(7, 2, [()])[0]
+    assert config_lower_bounds(7, 2, [(4,)])[0] == whole == Fraction(32, 16)
 
 
 def test_config_lower_bound_all_free_round1():
     for n in (3, 7, 15):
-        cfg = RoundConfig(n, 1, tuple(range(1, n + 1)))
-        assert config_lower_bound(cfg) == Fraction(n + 1, 8)
+        assert config_lower_bounds(n, 1, [range(1, n + 1)]) == [Fraction(n + 1, 8)]
 
 
 def test_config_lower_bound_empty_cell_term():
     # a cell without interior free servers contributes width^2/(4*width)
-    cfg = RoundConfig(7, 2, (1,))
-    assert config_lower_bound(cfg) == Fraction(1 + 9 + 16, 16)
+    assert config_lower_bounds(7, 2, [(1,)]) == [Fraction(1 + 9 + 16, 16)]
 
 
 def test_config_lower_bound_reflection_invariant():
@@ -87,9 +85,38 @@ def test_config_lower_bound_reflection_invariant():
                 picks.add(1 + s.randrange(n))
             conf = tuple(sorted(picks))
             mirror = tuple(sorted(n + 1 - v for v in conf))
-            a = config_lower_bound(RoundConfig(n, r, conf))
-            b = config_lower_bound(RoundConfig(n, r, mirror))
+            a = config_lower_bounds(n, r, [conf])[0]
+            b = config_lower_bounds(n, r, [mirror])[0]
             assert a == b
+
+
+def test_config_lower_bounds_refuses_a_server_outside_1_to_n():
+    # server 0 would index mask column -1 and read as server 7
+    for bad in [(0, 1, 2)], [(1, 2, 8)], [(1, 2, 3), (-1, 5, 6)]:
+        with pytest.raises(ValueError, match=r"strictly increasing within 1\.\.7"):
+            config_lower_bounds(7, 2, bad)
+
+
+def test_config_lower_bounds_refuses_a_row_not_strictly_increasing():
+    # (2, 2, 3) would read as the two-server configuration (2, 3)
+    for bad in [(2, 2, 3)], [(3, 2, 1)], [(1, 2, 3), (5, 4, 6)]:
+        with pytest.raises(ValueError, match=r"strictly increasing within 1\.\.7"):
+            config_lower_bounds(7, 2, bad)
+    assert config_lower_bounds(7, 2, [(1, 2, 3), (4, 6, 7)]) == [Fraction(5, 4), Fraction(11, 8)]
+
+
+def test_config_lower_bounds_refuses_a_round_outside_1_to_i():
+    # round 4 of n = 7 marks no cell bound at n + 1 and would read as 1/64
+    for r in (0, 4):
+        with pytest.raises(ValueError, match=r"round must be in 1\.\.3"):
+            config_lower_bounds(7, r, [(1,)])
+
+
+def test_config_lower_bounds_refuses_rows_of_unequal_length():
+    # a bare tuple is one row given as three
+    for bad in [(1, 2), (3,)], [(1, 2, 3), ()], (1, 2, 3):
+        with pytest.raises(ValueError, match="all of one length"):
+            config_lower_bounds(7, 2, bad)
 
 
 def test_lemma1_exact_reports():
@@ -314,7 +341,7 @@ def test_lemma2_config_property_matches_per_config_scan(n, samples, seed):
         min_config = tuple(rep.details["min_config"])
         if f <= 32:
             assert len(min_config) == f
-            assert config_lower_bound(RoundConfig(n, r, min_config)) == Fraction(least, 4 << r)
+            assert config_lower_bounds(n, r, [min_config])[0] == Fraction(least, 4 << r)
         else:
             assert min_config == ()
 

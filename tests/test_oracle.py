@@ -14,7 +14,6 @@ from matchline import oracle
 from matchline.adversary import reachable_free_count, rounds_for
 from matchline.lemma_checks import (
     RoundConfig,
-    config_lower_bound,
     config_lower_bounds,
     lemma2_config_property,
 )
@@ -54,7 +53,7 @@ def test_game_value_beats_floor_n3():
     cfg = RoundConfig(3, 1, (1, 2, 3))
     v = exact_round_game_value(cfg, grid_k=6)
     assert v > Fraction(4, 12)
-    assert v >= config_lower_bound(cfg)
+    assert v >= config_lower_bounds(3, 1, [cfg.free_servers])[0]
 
 
 def _enumerated_game_value(cfg, grid_k):
@@ -138,7 +137,7 @@ def test_config_lower_bounds_match_one_config_at_a_time(n):
     for r in range(1, rounds_for(n) + 1):
         cfgs = _oracle_configs(n, r)
         got = config_lower_bounds(n, r, [cfg.free_servers for cfg in cfgs])
-        assert got == [config_lower_bound(cfg) for cfg in cfgs]
+        assert got == [config_lower_bounds(n, r, [cfg.free_servers])[0] for cfg in cfgs]
         assert got == [Fraction(segment_square_sum(n, r, cfg.free_servers), 4 << r) for cfg in cfgs]
     assert config_lower_bounds(n, 1, []) == []
 
@@ -237,7 +236,7 @@ def test_exhaustive_worst_config(n, r, config, lower_bound):
     rep = lemma2_config_property(n, r)
     assert tuple(rep.details["min_config"]) == config
     assert Fraction(rep.details["min_lower_bound"]) == lower_bound
-    assert config_lower_bound(RoundConfig(n, r, config)) == lower_bound
+    assert config_lower_bounds(n, r, [config])[0] == lower_bound
     assert lower_bound > Fraction(n + 1, 12)
 
 
