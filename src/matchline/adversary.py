@@ -67,12 +67,18 @@ def rounds_for(n: int) -> int:
     return i
 
 
-def reachable_free_count(n: int, r: int) -> int:
-    """Free servers at the start of round r: (n+1)/2**(r-1) - 1."""
+def round_cells(n: int, r: int) -> int:
+    """Cells, and so requests, of round r: (n+1)/2**r.  The one check that
+    r is a round of n, 1 <= r <= i."""
     i = rounds_for(n)
     if not 1 <= r <= i:
         raise ValueError(f"round must be in 1..{i}, got {r}")
-    return ((n + 1) >> (r - 1)) - 1
+    return (n + 1) >> r
+
+
+def reachable_free_count(n: int, r: int) -> int:
+    """Free servers at the start of round r: (n+1)/2**(r-1) - 1."""
+    return 2 * round_cells(n, r) - 1
 
 
 def instance_seeds(root_seed: int, trials: Iterable[int]) -> list[int]:
@@ -304,10 +310,11 @@ def _entry_num(obj: dict, r: int, m: int, k: int) -> int:
 
 
 def instance_from_jsonl(text: str) -> Instance:
-    """Read what instance_to_jsonl writes: a params header, then exactly n
-    entries in round order and cell order within a round, each origin its
-    own request as {"num", "k"} integers with k = grid_k.  Instance checks
-    that each origin lies in its cell.  Raises ValueError on any other input."""
+    """Read what instance_to_jsonl writes: a params header of this
+    SAMPLER_VERSION, then exactly n entries in round order and cell order
+    within a round, each origin its own request as {"num", "k"} integers
+    with k = grid_k.  Instance checks that each origin lies in its cell.
+    Raises ValueError on any other input."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty transcript")
@@ -315,6 +322,12 @@ def instance_from_jsonl(text: str) -> Instance:
         head = json.loads(lines[0])
         if head["record"] != "params":
             raise ValueError("transcript must start with a params record")
+        # another sampler's shuffled transcript would replay in this one's order
+        sampler = head.get("sampler")
+        if type(sampler) is not int or sampler != SAMPLER_VERSION:
+            raise ValueError(
+                f"transcript of sampler {sampler!r}; this reader takes sampler {SAMPLER_VERSION}"
+            )
         params = GenParams(
             i=_json_int(head["i"]),
             grid_k=_json_int(head["grid_k"]),

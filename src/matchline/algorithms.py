@@ -293,6 +293,18 @@ class RunStats:
         }
 
 
+def check_play(kinds: Sequence[str], i: int, prefix_rounds: int) -> None:
+    """Refuse what play refuses before it plays an instance of i rounds: a
+    kind outside ALGORITHM_KINDS, or a prefix that leaves no round online."""
+    for kind in kinds:
+        if kind not in ALGORITHM_KINDS:
+            raise ValueError(
+                f"unknown algorithm {kind!r}; choose from {', '.join(ALGORITHM_KINDS)}"
+            )
+    if not 0 <= prefix_rounds < i:
+        raise ValueError(f"prefix_rounds must be in 0..{i - 1}, got {prefix_rounds}")
+
+
 def play(
     instances: Sequence[Instance],
     kinds: Sequence[str],
@@ -307,14 +319,11 @@ def play(
 
     An instance's arrival orders, prefix batch and offline total are shared
     by its policies; each policy gets its own copy of the free servers.
-    At least one round is online, and random_free's first round refuses a
-    seed outside 64 bits.  A free-server count off the reachable one, or an
+    check_play's rules hold, and random_free's first round refuses a seed
+    outside 64 bits.  A free-server count off the reachable one, or an
     online total below the offline optimum, raises RuntimeError."""
     n, i = instances[0].params.n, instances[0].params.i
-    if unknown := [kind for kind in kinds if kind not in _KERNELS]:
-        raise ValueError(f"unknown algorithm kind {unknown[0]!r}")
-    if not 0 <= prefix_rounds < i:
-        raise ValueError(f"prefix_rounds must be in 0..{i - 1}, got {prefix_rounds}")
+    check_play(kinds, i, prefix_rounds)
     rounds, offline, prefix_free = [[] for _ in instances], [], []  # per instance
     for r, orders in enumerate(arrival_orders([inst.params for inst in instances]), 1):
         for rr, inst, order in zip(rounds, instances, orders):

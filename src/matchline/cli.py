@@ -5,10 +5,11 @@ that plays policies; the others check the construction without any.  Each
 takes --config and the options it reads, with its own defaults (_COMMANDS);
 any other flag is a usage error.  oracle takes --seed and lemma2 takes
 --seed and --trials without reading them, so one seed can go to every
-command; lemma2's --trials must still be positive.  --config names a flat
-key=value file whose values become the command's defaults, so flags win
-over the file and the file over built-in defaults; a key no command takes
-or given twice is an error, a key only other commands take is ignored.
+command; lemma2's --trials must still be positive.  run's defaults are
+ExperimentConfig's.  --config names a flat key=value file whose values
+become the command's defaults, so flags win over the file and the file
+over built-in defaults; a key no command takes or given twice is an
+error, a key only other commands take is ignored.
 Exit status is 0 when every emitted report passes, 1 when any fails, 2 on
 usage errors.  main() reuses one parser per process and terminal width;
 a --config call builds its own.
@@ -144,11 +145,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         workers=args.workers,
     ))
     if args.out is not None:
-        write_outputs(result, args.out)
+        write_outputs(result, args.out)  # reports.json with the configuration
     print(_render_summary(result.summary_rows))
     print()
-    print(render_reports(result.reports))
-    return 0 if all(rep.passed for rep in result.reports) else 1
+    return _finish(result.reports, None)
 
 
 def _cmd_lemma1(args: argparse.Namespace) -> int:
@@ -196,13 +196,16 @@ _FLAGS = {
 
 _BASE = {"n": "1023", "seed": 0, "grid_k": None, "out": None}
 
+_SUITE = ExperimentConfig(n_list=(1023,))  # its fields are run's defaults
+
 # command: (handler, help, the options it takes with their defaults)
 _COMMANDS = {
     "generate": (_cmd_generate, "emit one adversarial instance as JSON lines",
                  {**_BASE, "order": ORDER_LEFT_TO_RIGHT}),
     "run": (_cmd_run, "run an experiment suite and print/aggregate results",
-            {**_BASE, "trials": 100, "alg": ",".join(ALGORITHM_KINDS),
-             "order": ORDER_LEFT_TO_RIGHT, "prefix_rounds": 0, "workers": 1}),
+            {**_BASE, "seed": _SUITE.seed, "grid_k": _SUITE.grid_k, "trials": _SUITE.trials,
+             "alg": ",".join(_SUITE.algorithms), "order": _SUITE.request_order,
+             "prefix_rounds": _SUITE.prefix_rounds, "workers": _SUITE.workers}),
     "lemma1": (_cmd_lemma1, "exact moment identities plus the sorted-distance bound",
                {**_BASE, "trials": 1000}),
     "lemma2": (_cmd_lemma2, "per-round floor on free-server configurations",

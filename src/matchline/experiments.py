@@ -38,14 +38,13 @@ from matchline.adversary import (
     GenParams,
     Instance,
     ORDER_LEFT_TO_RIGHT,
-    REQUEST_ORDERS,
     SAMPLER_VERSION,
     default_grid_k,
     instance_seeds,
     origin_round_numerators,
     rounds_for,
 )
-from matchline.algorithms import ALGORITHM_KINDS, RunStats, batch_table_bytes, play
+from matchline.algorithms import ALGORITHM_KINDS, RunStats, batch_table_bytes, check_play, play
 from matchline.lemma_checks import (
     LemmaReport,
     empirical_report_from_stats,
@@ -60,37 +59,6 @@ BLOCK_TABLE_BYTES = 8 << 20
 
 _TAG_ALG = "alg"
 
-SUMMARY_COLUMNS = (
-    "schema_version",
-    "n",
-    "algorithm",
-    "trials",
-    "grid_k",
-    "request_order",
-    "prefix_rounds",
-    "mean_online",
-    "se_online",
-    "mean_offline",
-    "se_offline",
-    "aggregate_ratio",
-    "ratio_bound",
-    "lemma2_pass",
-    "theorem_pass",
-)
-
-ROUNDS_COLUMNS = (
-    "schema_version",
-    "n",
-    "algorithm",
-    "round",
-    "trials",
-    "mean_cost",
-    "se_cost",
-    "floor",
-    "pass",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One suite: sizes x algorithms x trials, plus the worker count.
@@ -99,7 +67,9 @@ class ExperimentConfig:
     that many leading rounds are served as one optimal batch and only the
     remaining rounds are played online.  Every suite judges the per-round
     floor, so an explicit grid_k must be at least 1 and prefix_rounds must
-    leave every n an online round.
+    leave every n an online round.  Each n's GenParams and check_play
+    judge the rest, so a bad seed, order or grid refuses the config before
+    any trial runs.
     """
 
     n_list: tuple[int, ...]
@@ -116,20 +86,8 @@ class ExperimentConfig:
             raise ValueError("n_list must not be empty")
         if len(set(self.n_list)) != len(self.n_list):
             raise ValueError("duplicate n in list")
-        for n in self.n_list:
-            i = rounds_for(n)
-            if self.prefix_rounds >= i:
-                raise ValueError(
-                    f"prefix_rounds={self.prefix_rounds} must be below the {i} rounds of"
-                    f" n={n}: the per-round floor needs an online round"
-                )
         if not self.algorithms:
             raise ValueError("algorithms must not be empty")
-        for kind in self.algorithms:
-            if kind not in ALGORITHM_KINDS:
-                raise ValueError(
-                    f"unknown algorithm {kind!r}; choose from {', '.join(ALGORITHM_KINDS)}"
-                )
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError("duplicate algorithm in list")
         if self.trials < 2:
@@ -139,12 +97,13 @@ class ExperimentConfig:
                 f"grid_k must be at least 1, got {self.grid_k}: the per-round floor"
                 " needs a request grid strictly finer than the integers"
             )
-        if self.request_order not in REQUEST_ORDERS:
-            raise ValueError(f"unknown request order {self.request_order!r}")
-        if self.prefix_rounds < 0:
-            raise ValueError("prefix_rounds must be nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        for n in self.n_list:
+            i = rounds_for(n)
+            check_play(self.algorithms, i, self.prefix_rounds)
+            k = default_grid_k(n) if self.grid_k is None else self.grid_k
+            GenParams(i, k, self.seed, self.request_order)
 
     def to_json_dict(self) -> dict:
         # workers is an execution detail, not part of the result
@@ -350,12 +309,14 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """rows as CSV under a header of the first row's keys; every row has
+    those keys in that order, since one function builds each file's rows."""
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_csv_cell(row[c]) for c in columns])
+            writer.writerow([_csv_cell(v) for v in row.values()])
 
 
 def write_outputs(result: SuiteResult, out_dir: str | Path) -> list[Path]:
@@ -381,10 +342,10 @@ def write_outputs(result: SuiteResult, out_dir: str | Path) -> list[Path]:
                     fh.write(_json_line(rec))
 
     summary_path = out / "summary.csv"
-    _write_csv(summary_path, SUMMARY_COLUMNS, result.summary_rows)
+    _write_csv(summary_path, result.summary_rows)
 
     rounds_path = out / "rounds.csv"
-    _write_csv(rounds_path, ROUNDS_COLUMNS, result.round_rows)
+    _write_csv(rounds_path, result.round_rows)
 
     reports_path = write_reports(out, {
         "schema_version": SCHEMA_VERSION,

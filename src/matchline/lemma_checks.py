@@ -59,6 +59,7 @@ from matchline.adversary import (
     instance_seeds,
     origin_round_numerators,
     reachable_free_count,
+    round_cells,
     rounds_for,
 )
 from matchline.algorithms import RunStats, cost_ratio
@@ -85,11 +86,11 @@ class RoundConfig:
     free_servers: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        i = rounds_for(self.n)
-        if not 1 <= self.r <= i:
-            raise ValueError(f"round must be in 1..{i}, got {self.r}")
+        round_cells(self.n, self.r)
         prev = 0
         for s in self.free_servers:
+            if not isinstance(s, (int, np.integer)):
+                raise ValueError(f"free server {s!r} is not an integer")
             if not 1 <= s <= self.n:
                 raise ValueError(f"free server {s} outside 1..{self.n}")
             if s <= prev:
@@ -99,17 +100,20 @@ class RoundConfig:
 
 def _free_mask(n: int, configs) -> np.ndarray:
     """(rows, n) mask of each row's free servers among 1..n.  Refuses rows
-    of unequal length and any row that does not climb strictly within 1..n,
-    checked at once as positive steps from 0 through the row to n+1."""
+    of unequal length or of other than integers, and any row that does not
+    climb strictly within 1..n, checked at once as positive steps from 0
+    through the row to n+1.  RoundConfig checks one row the same way."""
     free = np.zeros((len(configs), n), dtype=bool)
     if not len(configs):
         return free
     try:
-        servers = np.asarray(configs, dtype=np.int64)
+        servers = np.asarray(configs)
     except ValueError:  # numpy refuses ragged rows
         servers = np.zeros(0)
-    if servers.ndim != 2:
-        raise ValueError("configurations must be rows of free servers, all of one length")
+    # an int64 cast would truncate 1.5 to server 1
+    if servers.ndim != 2 or (servers.size and servers.dtype.kind not in "iu"):
+        raise ValueError("configurations must be rows of integer free servers, all of one length")
+    servers = servers.astype(np.int64, copy=False)
     steps = np.diff(servers, axis=1, prepend=0, append=n + 1)
     if bad := np.flatnonzero((steps <= 0).any(axis=1)).tolist():
         raise ValueError(
@@ -134,17 +138,15 @@ def _sum_squared_segments(n: int, r: int, free: np.ndarray) -> np.ndarray:
 
 def config_lower_bounds(n: int, r: int, configs) -> list[Fraction]:
     """Exact floor on the expected cost of serving round r from each
-    configuration, given as free-server tuples of one size, in one pass;
-    a round outside 1..i or a configuration that is not one raises
+    configuration, given as integer free-server tuples of one size, in one
+    pass; a round outside 1..i or a configuration that is not one raises
     ValueError.
 
     A request is uniform on its cell; conditioned on a segment of length d it
     pays at least the distance to the closer endpoint, d/4 on average, and
     lands there with probability d/2^r.
     """
-    i = rounds_for(n)
-    if not 1 <= r <= i:
-        raise ValueError(f"round must be in 1..{i}, got {r}")
+    round_cells(n, r)
     sum_d2 = _sum_squared_segments(n, r, _free_mask(n, configs))
     return [Fraction(s, 4 << r) for s in sum_d2.tolist()]
 
@@ -405,36 +407,27 @@ def empirical_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport
     first = stats[0]
     n = first.n
     floor = float(round_floor(n))
-    rounds_played = len(first.round_costs)
-    first_label = first.prefix_rounds + 1
     rows = []
-    passed = True
-    observed, se_at_min = 0.0, 0.0
-    if rounds_played:
-        worst_margin = None
-        for idx in range(rounds_played):
-            mean, se = _mean_se([s.round_costs[idx] for s in stats], first.grid_k)
-            ok = mean >= floor - 3.0 * se
-            passed = passed and ok
-            rows.append(
-                {"round": first_label + idx, "mean": mean, "se": se, "pass": ok}
-            )
-            margin = mean - (floor - 3.0 * se)
-            if worst_margin is None or margin < worst_margin:
-                worst_margin = margin
-                observed, se_at_min = mean, se
+    for idx in range(len(first.round_costs)):  # play leaves at least one
+        mean, se = _mean_se([s.round_costs[idx] for s in stats], first.grid_k)
+        rows.append({
+            "round": first.prefix_rounds + 1 + idx, "mean": mean, "se": se,
+            "pass": mean >= floor - 3.0 * se,
+        })
+    # observed is the round closest to failing; the first of equals wins
+    worst = min(rows, key=lambda row: row["mean"] - (floor - 3.0 * row["se"]))
     return LemmaReport(
         lemma_id="lemma2_empirical",
         n=n,
         trials=len(stats),
-        observed=observed,
+        observed=worst["mean"],
         bound=floor,
-        standard_error=se_at_min,
-        passed=passed,
+        standard_error=worst["se"],
+        passed=all(row["pass"] for row in rows),
         details={
             "algorithm": first.algorithm,
             "prefix_rounds": first.prefix_rounds,
-            "rounds_checked": rounds_played,
+            "rounds_checked": len(rows),
             "per_round": rows,
             "seed": seed,
         },

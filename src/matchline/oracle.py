@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from matchline.adversary import reachable_free_count, rounds_for
+from matchline.adversary import reachable_free_count, round_cells
 from matchline.lemma_checks import LemmaReport, RoundConfig, config_lower_bounds, round_floor
 
 MAX_OUTCOMES = 1 << 18
@@ -44,11 +44,7 @@ def auto_grid_k(n: int, r: int) -> int:
     mean endpoint distance (d^2-1)/(4d) < d/4, so the segment bound needs a
     strictly finer grid to hold exactly.
     """
-    i = rounds_for(n)
-    if not 1 <= r <= i:
-        raise ValueError(f"round must be in 1..{i}, got {r}")
-    q = (n + 1) >> r
-    k = 18 // q - r
+    k = 18 // round_cells(n, r) - r
     if k < 1:
         raise ValueError(f"n={n}, r={r} too large for exact enumeration")
     return min(k, 10)

@@ -59,6 +59,45 @@ MUTANTS = (
             "tests/test_lemma_checks.py::test_config_lower_bounds_refuses_a_row_not_strictly_increasing",
         ),
     ),
+    (
+        "round_range_widened",
+        "src/matchline/adversary.py",
+        "if not 1 <= r <= i:",
+        "if not 1 <= r <= i + 1:",
+        (
+            "tests/test_lemma_checks.py::test_reachable_free_count",
+            "tests/test_lemma_checks.py::test_round_config_validation",
+            "tests/test_lemma_checks.py::test_config_lower_bounds_refuses_a_round_outside_1_to_i",
+        ),
+    ),
+    (
+        "free_mask_integer_check_removed",
+        "src/matchline/lemma_checks.py",
+        'if servers.ndim != 2 or (servers.size and servers.dtype.kind not in "iu"):',
+        "if servers.ndim != 2:",
+        ("tests/test_lemma_checks.py::test_both_configuration_checks_refuse_the_same_rows",),
+    ),
+    (
+        "policy_name_check_skipped",
+        "src/matchline/algorithms.py",
+        "if kind not in ALGORITHM_KINDS:",
+        "if False:",
+        (
+            "tests/test_algorithms.py::test_run_rejects_unknown_kind_and_bad_seed",
+            "tests/test_experiments.py::test_config_validation",
+            "tests/test_cli.py::test_bad_algorithm_exits_two",
+        ),
+    ),
+    (
+        "transcript_sampler_check_removed",
+        "src/matchline/adversary.py",
+        "if type(sampler) is not int or sampler != SAMPLER_VERSION:",
+        "if False:",
+        (
+            "tests/test_adversary.py::test_jsonl_round_trip_bit_exact",
+            "tests/test_adversary.py::test_jsonl_refuses_another_sampler",
+        ),
+    ),
 )
 
 TIER1 = ["--continue-on-collection-errors"]

@@ -384,8 +384,19 @@ def test_jsonl_round_trip_bit_exact():
     head, rest = text.split("\n", 1)
     fields = json.loads(head)
     assert fields["sampler"] == SAMPLER_VERSION == 3
-    del fields["sampler"]  # transcripts written before the key existed still load
-    assert instance_from_jsonl(json.dumps(fields) + "\n" + rest) == inst
+    del fields["sampler"]  # a transcript that names no sampler is refused
+    with pytest.raises(ValueError, match="transcript of sampler None; this reader takes sampler 3"):
+        instance_from_jsonl(json.dumps(fields) + "\n" + rest)
+
+
+@pytest.mark.parametrize("sampler", [2, 99, 3.5, "3"])
+def test_jsonl_refuses_another_sampler(sampler):
+    # a shuffled transcript of another sampler would replay in sampler 3's order
+    inst = generate(GenParams(i=3, grid_k=11, seed=123, request_order=ORDER_SHUFFLED))
+    text = _edit_line(instance_to_jsonl(inst), 0, _with("sampler", sampler))
+    message = rf"transcript of sampler {sampler!r}; this reader takes sampler 3$"
+    with pytest.raises(ValueError, match=message):
+        instance_from_jsonl(text)
 
 
 def test_file_round_trip(tmp_path):

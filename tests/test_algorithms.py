@@ -734,7 +734,8 @@ def test_stats_json_dict():
 
 def test_run_rejects_unknown_kind_and_bad_seed():
     inst = generate(GenParams(i=2, grid_k=5, seed=1))
-    with pytest.raises(ValueError, match="unknown algorithm kind 'steepest_descent'"):
+    message = "unknown algorithm 'steepest_descent'; choose from greedy_nearest,"
+    with pytest.raises(ValueError, match=message):
         play_one(inst, "steepest_descent")
     # random_free's first round keys its picks with the seed
     for prefix in (0, 1):

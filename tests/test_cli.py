@@ -198,13 +198,13 @@ def test_prefix_command(tmp_path, capsys):
 def test_run_prefix_rounds_out_of_range_exits_two(capsys):
     rc = cli.main(["run", "--n", "3", "--trials", "2", "--prefix-rounds", "5"])
     assert rc == 2
-    assert "prefix_rounds=5" in capsys.readouterr().err
+    assert "prefix_rounds must be in 0..1, got 5" in capsys.readouterr().err
     # every round a known prefix: no online round for the floor to judge
     rc = cli.main(["run", "--n", "7", "--trials", "3", "--prefix-rounds", "3", "--alg", "greedy_nearest"])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "prefix_rounds=3 must be below the 3 rounds of n=7" in captured.err
+    assert "prefix_rounds must be in 0..2, got 3" in captured.err
 
 
 def _bench_module(stem):
@@ -443,6 +443,15 @@ def test_one_trial_statistics_exit_two(argv, capsys):
     # --trials 0 is a count of zero, not "use the default", at every size
     (["lemma2", "--n", "31", "--trials", "0"], "--trials must be positive"),
     (["lemma2", "--n", "15", "--trials", "0"], "--trials must be positive"),
+    (["run", "--n", ",", "--trials", "2"], "n_list must not be empty"),
+    (["run", "--n", "7", "--trials", "2", "--alg", ","], "algorithms must not be empty"),
+    (
+        ["run", "--n", "7", "--trials", "2", "--prefix-rounds", "-1"],
+        "prefix_rounds must be in 0..2, got -1",
+    ),
+    # GenParams' rules, judged when the config is built, before any trial
+    (["run", "--n", "7", "--trials", "2", "--seed", "-1"], "seed must be a 64-bit value, got -1"),
+    (["run", "--n", "1023", "--trials", "2", "--grid-k", "45"], "2 i + grid_k + 1 = 66 exceeds 61"),
 ])
 def test_bad_suite_input_exits_two(argv, message, capsys):
     assert cli.main(argv) == 2

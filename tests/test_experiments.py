@@ -14,13 +14,7 @@ import pytest
 
 from matchline import experiments
 from matchline.algorithms import RunStats, cost_ratio
-from matchline.experiments import (
-    ExperimentConfig,
-    ROUNDS_COLUMNS,
-    SUMMARY_COLUMNS,
-    run_suite,
-    write_outputs,
-)
+from matchline.experiments import ExperimentConfig, run_suite, write_outputs
 from matchline.lemma_checks import ratio_report_from_stats, render_reports
 from matchline.rng import stream_key
 
@@ -67,6 +61,19 @@ def test_config_validation():
     for grid_k in (0, -1):
         with pytest.raises(ValueError, match="strictly finer than the integers"):
             ExperimentConfig(n_list=(7,), trials=2, grid_k=grid_k)
+    with pytest.raises(ValueError, match="n_list must not be empty"):
+        ExperimentConfig(n_list=(), trials=2)
+    with pytest.raises(ValueError, match="algorithms must not be empty"):
+        ExperimentConfig(n_list=(3,), trials=2, algorithms=())
+    with pytest.raises(ValueError, match=r"prefix_rounds must be in 0\.\.1, got -1"):
+        ExperimentConfig(n_list=(3,), trials=2, prefix_rounds=-1)
+    # GenParams' seed and width rules refuse the config before any trial runs
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed must be a 64-bit value"):
+            ExperimentConfig(n_list=(3,), trials=2, seed=seed)
+    with pytest.raises(ValueError, match="exceeds 61"):
+        ExperimentConfig(n_list=(1023,), trials=2, grid_k=45)
+    ExperimentConfig(n_list=(1023,), trials=2, grid_k=40)
 
 
 def test_config_json_omits_local_machine_fields():
@@ -469,8 +476,14 @@ def test_csv_headers_and_bools(tmp_path):
     write_outputs(res, str(tmp_path))
     summary = (tmp_path / "summary.csv").read_text(encoding="utf-8")
     rounds = (tmp_path / "rounds.csv").read_text(encoding="utf-8")
-    assert summary.splitlines()[0] == ",".join(SUMMARY_COLUMNS)
-    assert rounds.splitlines()[0] == ",".join(ROUNDS_COLUMNS)
+    # each header is the keys of its rows, in the order the rows hold them
+    assert summary.splitlines()[0] == (
+        "schema_version,n,algorithm,trials,grid_k,request_order,prefix_rounds,mean_online,"
+        "se_online,mean_offline,se_offline,aggregate_ratio,ratio_bound,lemma2_pass,theorem_pass"
+    )
+    assert rounds.splitlines()[0] == (
+        "schema_version,n,algorithm,round,trials,mean_cost,se_cost,floor,pass"
+    )
     assert ",true" in summary and "True" not in summary
 
 
@@ -506,8 +519,8 @@ def test_rerun_identical_reports():
 def test_prefix_all_rounds_vacuous():
     # a suite whose every round is the known prefix leaves the per-round
     # floor nothing to judge, so it is refused, at any n of its list
-    for n_list, prefix in (((3,), 2), ((7,), 3), ((15, 3), 2)):
-        with pytest.raises(ValueError, match=rf"prefix_rounds={prefix} must be below"):
+    for n_list, prefix, top in (((3,), 2, 1), ((7,), 3, 2), ((15, 3), 2, 1)):
+        with pytest.raises(ValueError, match=rf"prefix_rounds must be in 0\.\.{top}, got {prefix}$"):
             ExperimentConfig(
                 n_list=n_list, algorithms=("greedy_nearest",), trials=4, seed=2,
                 prefix_rounds=prefix,

@@ -105,6 +105,21 @@ def test_config_lower_bounds_refuses_a_row_not_strictly_increasing():
     assert config_lower_bounds(7, 2, [(1, 2, 3), (4, 6, 7)]) == [Fraction(5, 4), Fraction(11, 8)]
 
 
+@pytest.mark.parametrize("row", [
+    (1.5, 2.5, 7), (1.0, 2.0, 7.0),  # not integers: an int64 cast would truncate
+    (0, 1, 2), (1, 2, 8),  # outside 1..7
+    (2, 2, 3), (3, 2, 1),  # repeated, descending
+])
+def test_both_configuration_checks_refuse_the_same_rows(row):
+    # RoundConfig checks one row by itself, config_lower_bounds a block at once
+    with pytest.raises(ValueError):
+        RoundConfig(7, 2, row)
+    with pytest.raises(ValueError):
+        config_lower_bounds(7, 2, [(1, 2, 7), row])
+    RoundConfig(7, 2, (1, 2, 7))
+    assert config_lower_bounds(7, 2, [(1, 2, 7)]) == [Fraction(1)]
+
+
 def test_config_lower_bounds_refuses_a_round_outside_1_to_i():
     # round 4 of n = 7 marks no cell bound at n + 1 and would read as 1/64
     for r in (0, 4):
