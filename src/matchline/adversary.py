@@ -117,6 +117,14 @@ class GenParams:
         if self.request_order not in REQUEST_ORDERS:
             raise ValueError(f"unknown request order {self.request_order!r}")
 
+    @classmethod
+    def for_size(
+        cls, n: int, grid_k: int | None, seed: int, request_order: str = ORDER_LEFT_TO_RIGHT
+    ) -> GenParams:
+        """The params of size n: grid_k, or default_grid_k(n) when it is
+        None.  The one place a default grid is picked."""
+        return cls(rounds_for(n), default_grid_k(n) if grid_k is None else grid_k, seed, request_order)
+
     @property
     def n(self) -> int:
         return (1 << self.i) - 1

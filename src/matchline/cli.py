@@ -27,7 +27,6 @@ from matchline.adversary import (
     GenParams,
     ORDER_LEFT_TO_RIGHT,
     REQUEST_ORDERS,
-    default_grid_k,
     generate,
     instance_to_jsonl,
     rounds_for,
@@ -42,7 +41,7 @@ from matchline.lemma_checks import (
     lemma2_config_property,
     render_reports,
 )
-from matchline.oracle import auto_grid_k, oracle_report
+from matchline.oracle import oracle_report
 
 
 def _one_size(raw: str) -> int:
@@ -116,12 +115,7 @@ def _render_summary(rows: list[dict]) -> str:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     n = _one_size(args.n)
-    params = GenParams(
-        i=rounds_for(n),
-        grid_k=default_grid_k(n) if args.grid_k is None else args.grid_k,
-        seed=args.seed,
-        request_order=args.order,
-    )
+    params = GenParams.for_size(n, args.grid_k, args.seed, args.order)
     text = instance_to_jsonl(generate(params))
     if args.out is None:
         sys.stdout.write(text)
@@ -172,12 +166,7 @@ def _cmd_lemma2(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     n = _one_size(args.n)
-    reports = []
-    for r in range(1, rounds_for(n) + 1):
-        k = auto_grid_k(n, r)
-        if args.grid_k is not None:
-            k = min(k, args.grid_k)
-        reports.append(oracle_report(n, r, grid_k=k))
+    reports = [oracle_report(n, r, args.grid_k) for r in range(1, rounds_for(n) + 1)]
     return _finish(reports, args.out)
 
 

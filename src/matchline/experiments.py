@@ -39,10 +39,8 @@ from matchline.adversary import (
     Instance,
     ORDER_LEFT_TO_RIGHT,
     SAMPLER_VERSION,
-    default_grid_k,
     instance_seeds,
     origin_round_numerators,
-    rounds_for,
 )
 from matchline.algorithms import ALGORITHM_KINDS, RunStats, batch_table_bytes, check_play, play
 from matchline.lemma_checks import (
@@ -66,10 +64,10 @@ class ExperimentConfig:
     prefix_rounds > 0 switches every run to advance-knowledge mode:
     that many leading rounds are served as one optimal batch and only the
     remaining rounds are played online.  Every suite judges the per-round
-    floor, so an explicit grid_k must be at least 1 and prefix_rounds must
-    leave every n an online round.  Each n's GenParams and check_play
-    judge the rest, so a bad seed, order or grid refuses the config before
-    any trial runs.
+    floor, so the grid each n plays on, explicit or default, must be at
+    least 1, and prefix_rounds must leave every n an online round.  Each
+    n's GenParams and check_play judge the rest, so a bad seed, order or
+    grid refuses the config before any trial runs.
     """
 
     n_list: tuple[int, ...]
@@ -92,18 +90,16 @@ class ExperimentConfig:
             raise ValueError("duplicate algorithm in list")
         if self.trials < 2:
             raise ValueError(f"need at least 2 trials for a standard error, got {self.trials}")
-        if self.grid_k is not None and self.grid_k < 1:
-            raise ValueError(
-                f"grid_k must be at least 1, got {self.grid_k}: the per-round floor"
-                " needs a request grid strictly finer than the integers"
-            )
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         for n in self.n_list:
-            i = rounds_for(n)
-            check_play(self.algorithms, i, self.prefix_rounds)
-            k = default_grid_k(n) if self.grid_k is None else self.grid_k
-            GenParams(i, k, self.seed, self.request_order)
+            p = GenParams.for_size(n, self.grid_k, self.seed, self.request_order)
+            check_play(self.algorithms, p.i, self.prefix_rounds)
+            if p.grid_k < 1:
+                raise ValueError(
+                    f"grid_k must be at least 1, got {p.grid_k}: the per-round floor"
+                    " needs a request grid strictly finer than the integers"
+                )
 
     def to_json_dict(self) -> dict:
         # workers is an execution detail, not part of the result
@@ -142,9 +138,11 @@ def run_trials(
     Generation and policy seeds derive from (root_seed, trial), so trials
     are independent of their order and of the block they are played in.
     """
-    i, k = rounds_for(n), default_grid_k(n) if grid_k is None else grid_k
-    params = [GenParams(i, k, s, request_order) for s in instance_seeds(root_seed, trials)]
-    rounds = origin_round_numerators(i, k, [p.seed for p in params])  # one pass per round
+    params = [
+        GenParams.for_size(n, grid_k, s, request_order) for s in instance_seeds(root_seed, trials)
+    ]
+    # one pass per round: every params of the block has the same i and grid_k
+    rounds = origin_round_numerators(params[0].i, params[0].grid_k, [p.seed for p in params])
     instances = [Instance(p, tuple(nums[b] for nums in rounds)) for b, p in enumerate(params)]
     seeds = [[stream_key(root_seed, _TAG_ALG, kind, t) for kind in kinds] for t in trials]
     return play(instances, kinds, seeds, prefix_rounds, trials)

@@ -54,7 +54,6 @@ import numpy as np
 
 from matchline.adversary import (
     GenParams,
-    default_grid_k,
     g_moment_nums,
     instance_seeds,
     origin_round_numerators,
@@ -273,11 +272,10 @@ def lemma1_distance_mc(
     sumsq adds one trial's squares at a time, in trial order, because a float
     sum rounds by its order and the block size must not change a result.
     """
-    i = rounds_for(n)
+    p = GenParams.for_size(n, grid_k, seed)  # validates grid_k before 2**k is formed
+    i, k = p.i, p.grid_k
     if trials < 100:
         raise ValueError("need at least 100 trials for a stable standard error")
-    k = default_grid_k(n) if grid_k is None else grid_k
-    GenParams(i=i, grid_k=k, seed=0)  # validates grid_k before 2**k is formed
     # exact integer accumulation: each distance is below 2**(i + k), so the
     # sum of trials of them is below 2**(i + k + trials.bit_length())
     if i + k + trials.bit_length() > 63:

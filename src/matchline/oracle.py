@@ -129,10 +129,10 @@ def oracle_report(n: int, r: int, grid_k: int | None = None) -> LemmaReport:
     Verifies, with zero tolerance, game value >= segment bound > (n+1)/12
     for each configuration; the segment bounds of all configurations come
     from one config_lower_bounds pass.  observed is the smallest game value
-    found.
+    found.  The grid is auto_grid_k(n, r), capped by grid_k when given.
     """
     f = reachable_free_count(n, r)
-    k = auto_grid_k(n, r) if grid_k is None else grid_k
+    k = auto_grid_k(n, r) if grid_k is None else min(auto_grid_k(n, r), grid_k)
     floor = round_floor(n)
     dominates_ok = True
     strict_ok = True

@@ -64,12 +64,10 @@ def stream_keys(seed: int, labels: Sequence[int | str], lasts: Iterable[int | st
     return keys
 
 
-def stream_key(seed: int, *labels: int | str) -> int:
-    """64-bit stream key for (seed, labels...): stream_keys' one-element
-    case, or with no labels the digest of the bare keyed state."""
-    if not labels:
-        return int.from_bytes(_seeded(seed).digest(), "little")
-    return stream_keys(seed, labels[:-1], labels[-1:])[0]
+def stream_key(seed: int, label: int | str, *labels: int | str) -> int:
+    """64-bit stream key for (seed, label, labels...): stream_keys' one-element case."""
+    *shared, last = label, *labels
+    return stream_keys(seed, shared, [last])[0]
 
 
 def u64_rows(keys: Sequence[int], count: int) -> np.ndarray:

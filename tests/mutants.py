@@ -2,9 +2,11 @@
 
 Each row of MUTANTS is (id, path, old, new, killing tests): replacing the
 one occurrence of old in path with new breaks a checked property, and the
-named tests fail on the result.  tests/test_mutants.py checks in tier-1
-that each old still occurs exactly once, so moving mutated code means
-updating this table.
+named tests fail on the result.  Each row of EQUIVALENT is (id, path,
+old, new, reason): a change that no valid input can tell apart, listed so
+that it is not mistaken for a gap in the tests, and never run.
+tests/test_mutants.py checks in tier-1 that each old of either table still
+occurs exactly once, so moving mutated code means updating these tables.
 
     python tests/mutants.py [--only ID]
 
@@ -97,6 +99,47 @@ MUTANTS = (
             "tests/test_adversary.py::test_jsonl_round_trip_bit_exact",
             "tests/test_adversary.py::test_jsonl_refuses_another_sampler",
         ),
+    ),
+    (
+        "for_size_ignores_explicit_grid",
+        "src/matchline/adversary.py",
+        "default_grid_k(n) if grid_k is None else grid_k",
+        "default_grid_k(n)",
+        ("tests/test_experiments.py::test_config_validation",),
+    ),
+    (
+        "suite_grid_check_admits_zero",
+        "src/matchline/experiments.py",
+        "if p.grid_k < 1:",
+        "if p.grid_k < 0:",
+        ("tests/test_experiments.py::test_config_validation",),
+    ),
+    (
+        "oracle_grid_cap_dropped",
+        "src/matchline/oracle.py",
+        "else min(auto_grid_k(n, r), grid_k)",
+        "else grid_k",
+        ("tests/test_oracle.py::test_oracle_report_caps_the_auto_grid",),
+    ),
+    (
+        # no oracle output changes, since every call oracle_report makes has
+        # R - L even and the split only moves an exact tie; the direct test,
+        # which puts servers at odd positions, tells it apart
+        "last_cell_split_off_by_one",
+        "src/matchline/oracle.py",
+        "(right[j] - left) // 2 + 1",
+        "(right[j] - left) // 2",
+        ("tests/test_oracle.py::test_last_cell_sum_matches_the_direct_minimum",),
+    ),
+)
+
+EQUIVALENT = (
+    (
+        "permutation_rows_mergesort",
+        "src/matchline/rng.py",
+        'kind="stable"',
+        'kind="mergesort"',
+        "numpy maps kind='mergesort' and kind='stable' to the same stable sort",
     ),
 )
 

@@ -25,7 +25,7 @@ from matchline.lemma_checks import (
     lemma2_config_property,
     ratio_report_from_stats,
 )
-from matchline.oracle import auto_grid_k, oracle_report
+from matchline.oracle import oracle_report
 
 ACCEPT_SEED = 20260819
 N_FULL = tuple((1 << i) - 1 for i in range(1, 11))
@@ -221,8 +221,7 @@ def _round_game_value_floor_holds():
     for n in (1, 3, 7):
         i = (n + 1).bit_length() - 1
         for r in range(1, i + 1):
-            k = min(auto_grid_k(n, r), 6)
-            rep = oracle_report(n, r, grid_k=k)
+            rep = oracle_report(n, r, grid_k=6)
             ok = ok and rep.passed
             ok = ok and rep.details["exceeds_round_floor"]
             ok = ok and rep.details["dominates_segment_bound"]

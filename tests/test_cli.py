@@ -157,6 +157,14 @@ def test_oracle_command(capsys):
     assert "oracle_round_game" in capsys.readouterr().out
 
 
+def test_oracle_grid_above_the_auto_grid_writes_the_auto_reports(tmp_path):
+    # --grid-k caps each round's auto grid; 20 is above every round's at n = 7
+    for name, flags in (("auto", []), ("capped", ["--grid-k", "20"])):
+        assert cli.main(["oracle", "--n", "7", "--out", str(tmp_path / name), *flags]) == 0
+    auto, capped = ((tmp_path / name / "reports.json").read_bytes() for name in ("auto", "capped"))
+    assert capped == auto
+
+
 def test_ratio_is_not_a_command(capsys):
     # run --alg greedy_nearest,batch_round_optimal writes its theorem reports
     assert _exit_code(["ratio", "--n", "7"]) == 2
@@ -432,7 +440,7 @@ def test_one_trial_statistics_exit_two(argv, capsys):
          "--grid-k", "0", "--trials", "2000"],
         "strictly finer than the integers",
     ),
-    (["run", "--n", "7", "--trials", "100", "--grid-k", "-1"], "grid_k must be at least 1"),
+    (["run", "--n", "7", "--trials", "100", "--grid-k", "-1"], "grid_k must be non-negative, got -1"),
     (["lemma1", "--n", "7", "--trials", "100", "--grid-k", "-1"], "grid_k must be non-negative"),
     (["lemma2", "--n", "7,15"], "this command takes one size"),
     (["lemma1", "--n", "7,15", "--trials", "100"], "this command takes one size"),
@@ -452,6 +460,8 @@ def test_one_trial_statistics_exit_two(argv, capsys):
     # GenParams' rules, judged when the config is built, before any trial
     (["run", "--n", "7", "--trials", "2", "--seed", "-1"], "seed must be a 64-bit value, got -1"),
     (["run", "--n", "1023", "--trials", "2", "--grid-k", "45"], "2 i + grid_k + 1 = 66 exceeds 61"),
+    # the default grid of n = 2^30 - 1 is 0, refused before any instance is built
+    (["run", "--n", "1073741823", "--trials", "2"], "grid_k must be at least 1, got 0"),
 ])
 def test_bad_suite_input_exits_two(argv, message, capsys):
     assert cli.main(argv) == 2

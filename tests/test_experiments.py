@@ -58,9 +58,14 @@ def test_config_validation():
     # the per-round floor is false on the integer grid (see
     # test_integer_grid_breaks_the_round_floor)
     ExperimentConfig(n_list=(7,), trials=2, grid_k=1)
-    for grid_k in (0, -1):
-        with pytest.raises(ValueError, match="strictly finer than the integers"):
-            ExperimentConfig(n_list=(7,), trials=2, grid_k=grid_k)
+    with pytest.raises(ValueError, match="strictly finer than the integers"):
+        ExperimentConfig(n_list=(7,), trials=2, grid_k=0)
+    # the rule judges the grid a size plays on, so the default grid 0 of
+    # n = 2^30 - 1 is refused as an explicit 0 is
+    with pytest.raises(ValueError, match="grid_k must be at least 1, got 0"):
+        ExperimentConfig(n_list=((1 << 30) - 1,), trials=2)
+    with pytest.raises(ValueError, match="grid_k must be non-negative, got -1"):
+        ExperimentConfig(n_list=(7,), trials=2, grid_k=-1)
     with pytest.raises(ValueError, match="n_list must not be empty"):
         ExperimentConfig(n_list=(), trials=2)
     with pytest.raises(ValueError, match="algorithms must not be empty"):

@@ -271,6 +271,12 @@ def test_oracle_report_n1():
     assert rep.details["grid_k"] == 6
 
 
+def test_oracle_report_caps_the_auto_grid():
+    # an explicit grid caps auto_grid_k, so a finer one plays the auto grid
+    assert oracle_report(7, 2, 20) == oracle_report(7, 2)
+    assert oracle_report(7, 2, 3).details["grid_k"] == 3
+
+
 def test_oracle_report_deterministic():
     a = oracle_report(3, 2, grid_k=5)
     b = oracle_report(3, 2, grid_k=5)

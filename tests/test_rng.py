@@ -80,7 +80,7 @@ def test_stream_key_labels_do_not_collide_across_boundaries():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, (1 << 64) - 1])
-@pytest.mark.parametrize("labels", [(), ("origin", 3), (7, "alg", "greedy_nearest", 0)])
+@pytest.mark.parametrize("labels", [("trial",), ("origin", 3), (7, "alg", "greedy_nearest", 0)])
 @pytest.mark.parametrize("count", [0, 1, 512, 1023])
 def test_stream_keys_match_stream_key(seed, labels, count):
     """A stream's block of draws is mix64(stream_key + j GAMMA), j = 1..count.
