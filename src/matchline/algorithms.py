@@ -112,14 +112,39 @@ def _random_free(frees: Sequence[list[int]], seeds: Sequence[int]) -> Callable:
 # and m), and the traceback keeps, for each s, where the run of equal values
 # holding s starts.  Walking back from s = slack, s stays put between rows
 # and in row i jumps to the start of its run: the leftmost server set on
-# ties, one gather per row.  The run starts take the smallest unsigned dtype
-# that holds slack, so the table is no larger than a bool table through
-# slack 255 (n = 511).
+# ties, one gather per row.
+#
+# Row i is computed only on a window [lo_i, hi_i] of slack columns; the band
+# rows are non-increasing and the servers distinct, so for sorted requests
+# (a prefix batch included):
+#  - Right edge.  Let a_i be the slack of the first server at or right of
+#    request i (#servers < x_i, less i, clipped to [0, slack]) and hi_i the
+#    running maximum of a_i.  From hi_i on, row i - 1 is flat (induction)
+#    and the cost rises strictly, so the candidates rise strictly: row i is
+#    flat past hi_i, holds band[hi_i] there and starts no run there.
+#  - Left edge.  Let c_i be the slack of the last server at or left of
+#    request i (#servers <= x_i, less i + 1, clipped to [0, slack]) and lo_i
+#    the minimum of c_i' over i' >= i.  On [0, c_i] row i - 1 does not rise
+#    and the cost falls strictly, so the candidates fall strictly: no column
+#    left of lo_i wins a running minimum at or right of it, and lo_i starts
+#    its own run.  lo_i never falls from row to row, so every column a row
+#    reads was computed exactly, and the traceback, which only moves left to
+#    run starts, never goes left of lo_i.
+# A block takes the union of its instances' windows, which the two facts
+# hold for too.  The run starts are kept relative to lo_i in a (q, w, T)
+# table, w the widest window, in the smallest unsigned dtype that holds
+# w - 1; the widest possible window, w = slack + 1, gives batch_table_bytes.
+
+
+# Rows of request-server distances the batch DP computes in one pass, as
+# int64 over the window: a small slice of the table it fills.
+_COST_ROWS = 64
 
 
 def batch_table_bytes(n: int) -> int:
     """Bytes of one instance's largest batch traceback table: (n+1)/2
-    requests into n servers (round 1, or a one-round prefix)."""
+    requests into n servers (round 1, or a one-round prefix), at the widest
+    possible window."""
     return ((n + 1) // 2) ** 2 * np.min_scalar_type((n - 1) // 2).itemsize
 
 
@@ -128,30 +153,63 @@ def _monotone_min_cost(req: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, n
     same row of sorted free servers free (T, m), both int64: the (T,) costs
     and the (T, q) server positions, the leftmost server set on ties."""
     t, q = req.shape
-    slack = free.shape[1] - q
-    band = np.zeros((t, slack + 1), dtype=np.int64)  # row 0: dp[0][j] = 0
-    # start[i-1, :, s]: 1 where row i at s differs from s-1, then its run start
-    start = np.zeros((q, t, slack + 1), dtype=np.min_scalar_type(slack))
-    for i in range(q):
-        cand = band + np.abs(req[:, i, None] - free[:, i : i + slack + 1])
-        np.minimum.accumulate(cand, axis=1, out=band)
-        np.not_equal(band[:, 1:], band[:, :-1], out=start[i, :, 1:])
-    start *= np.arange(slack + 1, dtype=start.dtype)
-    np.maximum.accumulate(start, axis=2, out=start)
-    flat = start.reshape(q, t * (slack + 1))
-    offsets = np.arange(t) * (slack + 1)
-    s = np.full(t, slack)
-    sel = np.empty((t, q), dtype=np.int64)
+    m = free.shape[1]
+    slack = m - q
+    ar = np.arange(q)
+    below = np.array([f.searchsorted(x) for f, x in zip(free, req)])  # servers < x
+    on = free.reshape(-1)[np.minimum(below, m - 1) + (np.arange(t) * m)[:, None]] == req
+    right = below.max(axis=0) - ar  # slack of the first server at or right of x
+    left = (below + on).min(axis=0) - 1 - ar  # and of the last at or left of it
+    hi = np.clip(np.maximum.accumulate(right), 0, slack)
+    lo = np.clip(np.minimum.accumulate(left[::-1])[::-1], 0, slack)
+    w = int((hi - lo).max(initial=0)) + 1
+    # start[i, c, b]: 1 where row i at lo_i + c differs from c - 1, then its run start
+    start = np.zeros((q, w, t), dtype=np.min_scalar_type(w - 1))
+    flags = start.view(bool) if start.itemsize == 1 else start  # skips a cast per row
+    band = np.zeros((slack + 1, t), dtype=np.int64)  # row 0: dp[0][j] = 0
+    los, his = lo.tolist(), hi.tolist()
+    top = slack  # band is exact up to top and flat past it
+    for i0 in range(0, q, _COST_ROWS):
+        rows = slice(i0, i0 + _COST_ROWS)
+        # cost[k, c] = |x_i - f_(i + lo_i + c)| for row i = i0 + k, the server
+        # index capped at m - 1 (a row never reads columns past the last server)
+        at = np.minimum((ar + lo)[rows, None] + np.arange(w), m - 1)
+        cost = np.abs(free.T[at] - req.T[rows, None])
+        for i, (a, b, c) in enumerate(zip(los[rows], his[rows], cost), i0):
+            if b > top:
+                band[top + 1 : b + 1] = band[top]
+            top = b
+            win = band[a : b + 1]
+            np.add(win, c[: b - a + 1], out=win)
+            np.minimum.accumulate(win, axis=0, out=win)
+            np.not_equal(band[a + 1 : b + 1], band[a:b], out=flags[i, 1 : b - a + 1])
+    start *= np.arange(w, dtype=start.dtype)[:, None]
+    np.maximum.accumulate(start, axis=1, out=start)
+    # Walk back: row i gathers at flat index (i w + s - lo_i) t + b, s the
+    # run start the row above picked (slack above the last row), clipped to
+    # hi_i unless hi_(i+1) = hi_i, where s <= hi_i already.  With run[i] =
+    # s - lo_i that index is run[i + 1] t + base[i]; run is int64, so the
+    # product never overflows the table's dtype.
+    flat = start.reshape(-1)
+    cols = np.arange(t)
+    base = (ar * w + np.append(lo[1:], 0) - lo)[:, None] * t + cols  # lo_q = 0
+    run = np.empty((q, t), dtype=np.int64)
+    above = np.full(t, slack)  # run[q]
     for i in range(q - 1, -1, -1):
-        sel[:, i] = s = flat[i, offsets + s]
-    sel += np.arange(q)
-    return band[:, slack], sel
+        u = above * t + base[i]
+        if i == q - 1 or his[i + 1] > his[i]:
+            np.minimum(u, (i * w + his[i] - los[i]) * t + cols, out=u)
+        run[i] = flat.take(u)
+        above = run[i]
+    return band[top], (run + (lo + ar)[:, None]).T
 
 
 def _serve_batch(frees: Sequence[list[int]], rounds: Sequence[Sequence[int]]) -> list[int]:
     """Serve rounds[b] into frees[b] with a minimum-cost matching, for every
     b at once; the rounds have one length, the free lists another."""
     _check_capacity(frees[0], rounds[0])  # np.array refuses ragged blocks
+    if not rounds[0]:
+        return [0] * len(frees)
     srv = np.array(frees, dtype=np.int64)
     cost, sel = _monotone_min_cost(np.sort(np.array(rounds, dtype=np.int64), axis=1), srv)
     for free, picked in zip(frees, sel.tolist()):

@@ -131,6 +131,30 @@ MUTANTS = (
         "(right[j] - left) // 2",
         ("tests/test_oracle.py::test_last_cell_sum_matches_the_direct_minimum",),
     ),
+    (
+        # a window ending left of the one before takes a row for flat
+        # where the row before it is not flat yet
+        "batch_window_hi_no_running_max",
+        "src/matchline/algorithms.py",
+        "hi = np.clip(np.maximum.accumulate(right), 0, slack)",
+        "hi = np.clip(right, 0, slack)",
+        (
+            "tests/test_algorithms.py::test_stacked_batch_matches_one_instance_dp",
+            "tests/test_algorithms.py::test_batch_wide_windows_match_one_instance_dp",
+        ),
+    ),
+    (
+        # a row whose window starts right of the next row's start leaves
+        # that row reading columns it never computed
+        "batch_window_lo_no_suffix_min",
+        "src/matchline/algorithms.py",
+        "lo = np.clip(np.minimum.accumulate(left[::-1])[::-1], 0, slack)",
+        "lo = np.clip(left, 0, slack)",
+        (
+            "tests/test_algorithms.py::test_stacked_batch_matches_one_instance_dp",
+            "tests/test_algorithms.py::test_batch_wide_windows_match_one_instance_dp",
+        ),
+    ),
 )
 
 EQUIVALENT = (

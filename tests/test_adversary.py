@@ -158,6 +158,36 @@ def test_check_round_numerators_rejects_tampering():
             check_round_numerators(params, bad)
 
 
+def test_check_round_numerators_names_the_first_breach():
+    params = GenParams(i=3, grid_k=5, seed=2)
+    nums = [block[0] for block in origin_round_numerators(3, 5, [2])]
+
+    def message(rounds):
+        with pytest.raises(ValueError) as err:
+            check_round_numerators(params, rounds)
+        return str(err.value)
+
+    def moved(*edits):
+        rounds = [a.copy() for a in nums]
+        for r, m, value in edits:
+            rounds[r - 1][m] = value
+        return rounds
+
+    # round 2's cells are [0, 4 << 5) and [4 << 5, 8 << 5); a round 1 cell
+    # is half as wide, so round 1's last origin is the first one past it
+    assert message(moved((2, 0, 4 << 5), (3, 0, -1))) == "round 2: origin off its cell"
+    assert message(moved((3, 0, -1), (1, 3, 8 << 5))) == "round 1: origin off its cell"
+    assert message(moved((3, 0, 8 << 5))) == "round 3: origin off its cell"
+    assert message(moved((2, 1, (4 << 5) - 1))) == "round 2: origin off its cell"
+    # every length and dtype is checked before any cell
+    short = moved((1, 0, 1 << 10))
+    short[2] = short[2][:0]
+    assert message(short) == "round 3: expected 1 requests"
+    wide = nums[:2] + [nums[2].astype(np.int32)]
+    assert message(wide) == "round 3: origins must be int64, got int32"
+    assert message(nums[:2]) == "expected 3 rounds, got 2"
+
+
 def test_origin_round_numerators_match_generate():
     params = GenParams(i=4, grid_k=7, seed=55)
     inst = generate(params)

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -259,12 +260,25 @@ def test_stacked_batch_matches_one_instance_dp():
     assert brute >= 300
 
 
+def _check_block(frees, rounds):
+    """The stacked DP on one block gives each instance the costs and server
+    positions of the one-instance DP."""
+    req = np.sort(np.array(rounds, dtype=np.int64), axis=1)
+    srv = np.array(frees, dtype=np.int64)
+    cost, sel = _monotone_min_cost(req, srv)
+    want = [_monotone_min_cost_1d(r, f) for r, f in zip(req, srv)]
+    assert cost.tolist() == [c for c, _ in want], (frees, rounds)
+    assert sel.tolist() == [p for _, p in want], (frees, rounds)
+
+
 @pytest.mark.parametrize("slack", [255, 256])
 def test_stacked_batch_ties_match_one_instance_dp(slack):
     # grid_k = 0: integer requests on and between integer servers, many of
-    # them repeated, give long runs of equal DP values; slack 255 keeps the
-    # run starts in uint8 and slack 256 needs uint16.  A request on the last
-    # server starts a run at s = slack in the last row.
+    # them repeated, give long runs of equal DP values.  The run starts take
+    # the dtype of the window width, at most 14 here, so uint8 at both
+    # slacks.  A request on the last server starts a run at s = slack in the
+    # last row, so its window starts there: at slack 256 the traceback adds
+    # 256 to a one-byte run start.
     s = random.Random(slack)
     q = 40
     m = q + slack
@@ -274,17 +288,60 @@ def test_stacked_batch_ties_match_one_instance_dp(slack):
         spots = [free[s.randrange(m)] + s.randrange(3) - 1 for _ in range(5)] + [free[-1]]
         frees.append(free)
         rounds.append([spots[s.randrange(len(spots))] for _ in range(q)])
-    req = np.sort(np.array(rounds, dtype=np.int64), axis=1)
-    srv = np.array(frees, dtype=np.int64)
-    cost, sel = _monotone_min_cost(req, srv)
-    want = [_monotone_min_cost_1d(r, f) for r, f in zip(req, srv)]
-    assert cost.tolist() == [c for c, _ in want]
-    assert sel.tolist() == [p for _, p in want]
+    _check_block(frees, rounds)
+
+
+def _window(req, free):
+    """The batch DP's window per row, from its definition: hi_i the largest
+    slack of the first server at or right of a request i' <= i, lo_i the
+    smallest slack of the last server at or left of a request i' >= i,
+    both clipped to [0, m - q]."""
+    q, slack = len(req), len(free) - len(req)
+    right = [min(max(bisect_left(free, x) - i, 0), slack) for i, x in enumerate(req)]
+    left = [min(max(bisect_right(free, x) - 1 - i, 0), slack) for i, x in enumerate(req)]
+    return [min(left[i:]) for i in range(q)], [max(right[: i + 1]) for i in range(q)]
+
+
+def test_batch_wide_windows_match_one_instance_dp():
+    # 300 requests on 3 grid points between servers 10 apart: the window is
+    # 300 columns wide, so its run starts need uint16
+    free = [10 * j for j in range(1, 1001)]
+    cluster = [3000 + j % 3 for j in range(300)]
+    lo, hi = _window(sorted(cluster), free)
+    assert max(h - l for l, h in zip(lo, hi)) + 1 == 300
+    _check_block([free], [cluster])
+    # one request midway between each other pair of servers: 2 columns from
+    # slack 399 + i, so lo > 255 is added to a one-byte run start; stacked
+    # with the cluster, the block's union window is 300 wide again
+    spread = [10 * (400 + 2 * i) + 5 for i in range(300)]
+    lo, hi = _window(spread, free)
+    assert max(h - l for l, h in zip(lo, hi)) + 1 == 2 and min(lo) == 399
+    _check_block([free], [spread])
+    _check_block([free, free], [cluster, spread])
+    # dense clusters of requests between sparse servers, one block of up to
+    # three instances with windows of their own
+    s = random.Random(97)
+    widest = 0
+    for _ in range(150):
+        t, m = 1 + s.randrange(3), 20 + s.randrange(300)
+        q = 1 + s.randrange(m)
+        frees, rounds = [], []
+        for _ in range(t):
+            free = sorted(s.sample(range(1, 30 * m), m))
+            spots = [s.randrange(30 * m + 5) for _ in range(1 + s.randrange(4))]
+            reqs = [spots[s.randrange(len(spots))] + s.randrange(4) for _ in range(q)]
+            lo, hi = _window(sorted(reqs), free)
+            widest = max(widest, max(h - l for l, h in zip(lo, hi)) + 1)
+            frees.append(free)
+            rounds.append(reqs)
+        _check_block(frees, rounds)
+    assert widest >= 100  # far past the 2 to 5 columns of the hard instance
 
 
 def test_batch_solve_memory_at_n1023():
-    # one round-1 solve at n = 1023 keeps a 512 x 512 bool traceback table
-    # (256 KiB); a full (q+1) x (m+1) int64 DP matrix would take 4 MiB
+    # one round-1 solve at n = 1023 runs on windows a few columns wide, so
+    # its traceback table is a few bytes per row; the full band would take
+    # 512 x 512 bytes (256 KiB), a full (q+1) x (m+1) int64 DP matrix 4 MiB
     k = default_grid_k(1023)
     inst = generate(GenParams(i=10, grid_k=k, seed=5))
     free = [j << k for j in range(1, 1024)]
@@ -296,7 +353,7 @@ def test_batch_solve_memory_at_n1023():
     finally:
         tracemalloc.stop()
     assert len(free) == 511
-    assert peak < 1 << 20
+    assert peak < 1 << 17
 
 
 def test_integer_grid_breaks_the_round_floor():
