@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from matchline.geometry import Coord
-from matchline.rng import permutation_rows, stream_keys, u64_rows
+from matchline.rng import permutation_rows, stream_key_rows, stream_keys, u64_rows
 
 ORDER_LEFT_TO_RIGHT = "left_to_right"
 ORDER_SHUFFLED = "shuffled"
@@ -177,9 +177,7 @@ def origin_round_numerators(i: int, grid_k: int, seeds: Sequence[int]) -> list[n
     b depends on seeds[b] alone, so the block cannot change an instance.
     """
     # keys[b, r - 1]: the key of stream (seeds[b], "origin", r)
-    keys = np.array(
-        [stream_keys(seed, (_TAG_ORIGIN,), range(1, i + 1)) for seed in seeds], dtype=np.uint64
-    ).reshape(len(seeds), i)
+    keys = stream_key_rows(seeds, (_TAG_ORIGIN,), range(1, i + 1))
     out = []
     for r in range(1, i + 1):
         cells = 1 << (i - r)
@@ -227,11 +225,11 @@ def arrival_orders(params: Sequence[GenParams]) -> Iterator[np.ndarray]:
     every shuffled instance in one pass; row b depends on params[b] alone."""
     i = params[0].i
     shuffled = [b for b, p in enumerate(params) if p.request_order == ORDER_SHUFFLED]
-    keys = [stream_keys(params[b].seed, (_TAG_ORDER,), range(1, i + 1)) for b in shuffled]
+    keys = stream_key_rows([params[b].seed for b in shuffled], (_TAG_ORDER,), range(1, i + 1))
     for r in range(1, i + 1):
         cells = 1 << (i - r)
         orders = np.tile(np.arange(cells), (len(params), 1))
-        orders[shuffled] = permutation_rows([k[r - 1] for k in keys], cells)
+        orders[shuffled] = permutation_rows(keys[:, r - 1], cells)
         yield orders
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from matchline.adversary import Instance, arrival_orders, reachable_free_count
 from matchline.offline import sorted_cost_num
-from matchline.rng import permutation_rows, stream_key
+from matchline.rng import permutation_rows, stream_key_rows
 
 GREEDY_NEAREST = "greedy_nearest"
 BATCH_ROUND_OPTIMAL = "batch_round_optimal"
@@ -80,14 +80,14 @@ def _random_free(frees: Sequence[list[int]], seeds: Sequence[int]) -> Callable:
     """Uniform random free server.  With m servers free, instance b orders
     them by permutation_rows of the key (seeds[b], "choice", m), and request
     j of the round takes the server at place j: the first q places of a
-    uniform order are q uniform picks without replacement.  A round's
-    orders for the whole block come from one pass (the free lists have
-    one length)."""
+    uniform order are q uniform picks without replacement.  A round's keys
+    and orders for the whole block come from one pass each (the free lists
+    have one length)."""
 
     def serve(rounds: Sequence[Sequence[int]]) -> list[int]:
         _check_capacity(frees[0], rounds[0])
         m, q = len(frees[0]), len(rounds[0])
-        perm = permutation_rows([stream_key(seed, _TAG_CHOICE, m) for seed in seeds], m)
+        perm = permutation_rows(stream_key_rows(seeds, (_TAG_CHOICE,), [m])[:, 0], m)
         srv = np.array(frees, dtype=np.int64)
         picked = np.take_along_axis(srv, perm[:, :q], axis=1)
         costs = np.abs(np.array(rounds, dtype=np.int64) - picked).sum(axis=1)

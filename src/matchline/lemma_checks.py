@@ -86,22 +86,14 @@ class RoundConfig:
 
     def __post_init__(self) -> None:
         round_cells(self.n, self.r)
-        prev = 0
-        for s in self.free_servers:
-            if not isinstance(s, (int, np.integer)):
-                raise ValueError(f"free server {s!r} is not an integer")
-            if not 1 <= s <= self.n:
-                raise ValueError(f"free server {s} outside 1..{self.n}")
-            if s <= prev:
-                raise ValueError("free servers must be strictly increasing")
-            prev = s
+        _free_mask(self.n, [self.free_servers])
 
 
 def _free_mask(n: int, configs) -> np.ndarray:
     """(rows, n) mask of each row's free servers among 1..n.  Refuses rows
     of unequal length or of other than integers, and any row that does not
     climb strictly within 1..n, checked at once as positive steps from 0
-    through the row to n+1.  RoundConfig checks one row the same way."""
+    through the row to n+1; RoundConfig checks its one row here too."""
     free = np.zeros((len(configs), n), dtype=bool)
     if not len(configs):
         return free
@@ -135,19 +127,15 @@ def _sum_squared_segments(n: int, r: int, free: np.ndarray) -> np.ndarray:
     return np.add.reduceat(d * d, np.cumsum(counts) - counts)
 
 
-def config_lower_bounds(n: int, r: int, configs) -> list[Fraction]:
-    """Exact floor on the expected cost of serving round r from each
-    configuration, given as integer free-server tuples of one size, in one
-    pass; a round outside 1..i or a configuration that is not one raises
-    ValueError.
-
-    A request is uniform on its cell; conditioned on a segment of length d it
-    pays at least the distance to the closer endpoint, d/4 on average, and
-    lands there with probability d/2^r.
-    """
+def segment_square_sums(n: int, r: int, configs) -> np.ndarray:
+    """Sum d^2 of squared segment lengths over round r's cells, as int64, for
+    each configuration, given as integer free-server tuples of one size; a
+    round outside 1..i or a row that is not a configuration raises
+    ValueError.  sum d^2/(4*2^r) floors the expected cost of the round: a
+    request pays at least d/4 on average on a segment of length d, where it
+    lands with probability d/2^r."""
     round_cells(n, r)
-    sum_d2 = _sum_squared_segments(n, r, _free_mask(n, configs))
-    return [Fraction(s, 4 << r) for s in sum_d2.tolist()]
+    return _sum_squared_segments(n, r, _free_mask(n, configs))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ stream are distinct (GAMMA is odd and the mixer a bijection).  Draws can
 therefore be evaluated out of order, in parallel workers, or in numpy
 blocks, always reproducing the same values on any platform.  There is no
 global state and no counter: u64_rows reads the first draws of many keys
-at once, stream_keys derives many keys from one keyed BLAKE2b state, and
-permutation_rows turns a key into a random order by sorting its draws.
+at once, stream_key_rows derives the keys of many seeds under shared labels
+in one pass, and permutation_rows turns a key into a random order by
+sorting its draws.
 This module is the only place that knows the key and draw formats.
 """
 
@@ -37,31 +38,31 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _seeded(seed: int) -> hashlib.blake2b:
-    """An 8-byte BLAKE2b state keyed by the 64-bit seed."""
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be a 64-bit value, got {seed}")
-    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
+def stream_key_rows(
+    seeds: Sequence[int], labels: Sequence[int | str], lasts: Iterable[int | str]
+) -> np.ndarray:
+    """The 64-bit stream key of (seed, *labels, last) for each seed and each
+    last, as a read-only (len(seeds), len(lasts)) uint64 array: BLAKE2b
+    keyed by the seed, absorbing each label as str(label) followed by 0x1f,
+    so stable across platforms and processes.  Each seed absorbs the shared
+    labels once, and each key finishes its own copy of that state."""
+    shared = b"".join(str(label).encode() + b"\x1f" for label in labels)
+    suffixes = [str(last).encode() + b"\x1f" for last in lasts]
+    digests = []
+    for seed in seeds:
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must be a 64-bit value, got {seed}")
+        state = hashlib.blake2b(shared, digest_size=8, key=seed.to_bytes(8, "little"))
+        for suffix in suffixes:
+            h = state.copy()
+            h.update(suffix)
+            digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), "<u8").reshape(len(seeds), len(suffixes))
 
 
 def stream_keys(seed: int, labels: Sequence[int | str], lasts: Iterable[int | str]) -> list[int]:
-    """The 64-bit stream key of (seed, *labels, last) for each last in lasts.
-
-    A key is BLAKE2b keyed by the seed, absorbing each label as str(label)
-    followed by 0x1f.  The shared labels are absorbed once, and each key
-    finishes its own copy of that state.  Distinct label tuples give
-    independent-looking keys; the mapping is pure BLAKE2b, hence stable
-    across platforms and processes.
-    """
-    shared = _seeded(seed)
-    for label in labels:
-        shared.update(str(label).encode() + b"\x1f")
-    keys = []
-    for last in lasts:
-        h = shared.copy()
-        h.update(str(last).encode() + b"\x1f")
-        keys.append(int.from_bytes(h.digest(), "little"))
-    return keys
+    """The stream keys of one seed: stream_key_rows' one-row case, as ints."""
+    return stream_key_rows([seed], labels, lasts)[0].tolist()
 
 
 def stream_key(seed: int, label: int | str, *labels: int | str) -> int:

@@ -40,8 +40,8 @@ MUTANTS = (
     (
         "random_free_key_without_free_count",
         "src/matchline/algorithms.py",
-        "stream_key(seed, _TAG_CHOICE, m)",
-        "stream_key(seed, _TAG_CHOICE)",
+        "stream_key_rows(seeds, (_TAG_CHOICE,), [m])",
+        "stream_key_rows(seeds, (), [_TAG_CHOICE])",
         ("tests/test_algorithms.py::test_random_free_reproducible",),
     ),
     (
@@ -127,9 +127,27 @@ MUTANTS = (
         # which puts servers at odd positions, tells it apart
         "last_cell_split_off_by_one",
         "src/matchline/oracle.py",
-        "(right[j] - left) // 2 + 1",
-        "(right[j] - left) // 2",
+        "(gap >> 1) + 1",
+        "(gap >> 1)",
         ("tests/test_oracle.py::test_last_cell_sum_matches_the_direct_minimum",),
+    ),
+    (
+        # the piece right of every server counted at half: n = 7 rounds 1
+        # and 2 fall below a segment bound and stay above the floor
+        "last_cell_right_piece_halved",
+        "src/matchline/oracle.py",
+        "total += (b - a) * low.sum(axis=1) + prefixes * _span(a, b)",
+        "total += ((b - a) * low.sum(axis=1) + prefixes * _span(a, b)) // 2",
+        ("tests/test_oracle.py::test_oracle_report_n7_dominates_the_segment_bound",),
+    ),
+    (
+        # every stacked total halved: n = 7 round 1 falls to 335/512, under
+        # the floor 2/3
+        "round_game_totals_halved",
+        "src/matchline/oracle.py",
+        "return _last_cell_sums(best, servers[:, q - 1 :], (q - 1) * pts, q * pts)",
+        "return _last_cell_sums(best, servers[:, q - 1 :], (q - 1) * pts, q * pts) // 2",
+        ("tests/test_oracle.py::test_oracle_report_n7_exceeds_the_round_floor",),
     ),
     (
         # a window ending left of the one before takes a row for flat

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from matchline.adversary import g_moment_nums, reachable_free_count, rounds_for
+from matchline.lemma_checks import segment_square_sums
 
 BRUTE_FORCE_CAP = 9
 
@@ -80,6 +81,12 @@ def segment_square_sum(n, r, free):
     pts = np.sort(np.concatenate((bounds, free[free % width != 0])))
     d = np.diff(pts)
     return int((d * d).sum())
+
+
+def config_lower_bounds(n, r, configs):
+    """The segment bound sum d^2/(4*2^r) of each configuration as a
+    Fraction, read from lemma_checks.segment_square_sums."""
+    return [Fraction(s, 4 << r) for s in segment_square_sums(n, r, configs).tolist()]
 
 
 def min_segment_sum_by_enumeration(n, r):

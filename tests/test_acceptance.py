@@ -242,13 +242,10 @@ def test_criterion_07_round_game_value_floor():
 
 
 def test_criterion_07_fails_on_a_shrunk_oracle(monkeypatch):
-    # game values divided by 2^(k+1) fall below the segment bound
-    exact = oracle.exact_round_game_value
-
-    def shrunk(config, grid_k):
-        return exact(config, grid_k) / 2 ** (grid_k + 1)
-
-    monkeypatch.setattr(oracle, "exact_round_game_value", shrunk)
+    # game values divided by the points per cell, 2^(r+k), fall below the
+    # segment bound
+    totals = oracle._round_game_totals
+    monkeypatch.setattr(oracle, "_round_game_totals", lambda servers, q, pts: totals(servers, q, pts) // pts)
     assert not _round_game_value_floor_holds()
 
 

@@ -19,14 +19,18 @@ from matchline.experiments import ExperimentConfig, run_suite
 from matchline.lemma_checks import (
     LemmaReport,
     RoundConfig,
-    config_lower_bounds,
     lemma1_distance_mc,
     lemma1_exact,
     lemma2_config_property,
     render_reports,
 )
 from matchline.rng import stream_key, u64_rows
-from oracles import lemma1_exact_details_by_rank, min_segment_sum_by_enumeration, segment_square_sum
+from oracles import (
+    config_lower_bounds,
+    lemma1_exact_details_by_rank,
+    min_segment_sum_by_enumeration,
+    segment_square_sum,
+)
 
 
 def test_reachable_free_count():

@@ -8,15 +8,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import brute_force_cost, grid_game_value, segment_square_sum, subset_game_value
+from oracles import (
+    brute_force_cost,
+    config_lower_bounds,
+    grid_game_value,
+    segment_square_sum,
+    subset_game_value,
+)
 
 from matchline import oracle
 from matchline.adversary import reachable_free_count, rounds_for
-from matchline.lemma_checks import (
-    RoundConfig,
-    config_lower_bounds,
-    lemma2_config_property,
-)
+from matchline.lemma_checks import RoundConfig, lemma2_config_property
 from matchline.oracle import MAX_OUTCOMES, auto_grid_k, exact_round_game_value, oracle_report
 
 
@@ -46,7 +48,7 @@ def test_single_server_game_value_is_half():
     cfg = RoundConfig(1, 1, (1,))
     for k in (1, 3, 6):
         assert exact_round_game_value(cfg, grid_k=k) == Fraction(1, 2)
-    assert exact_round_game_value(cfg) == Fraction(1, 2)
+    assert exact_round_game_value(cfg, auto_grid_k(1, 1)) == Fraction(1, 2)
 
 
 def test_game_value_beats_floor_n3():
@@ -175,21 +177,100 @@ def test_closed_form_matches_grid_dp_on_seeded_configs():
     assert count > 100
 
 
+def _direct_last_cell_sum(best, servers, lo, hi):
+    """One row's last-cell sum by taking every minimum: cost[s, x, prefix]
+    = best[s][prefix] + |x - servers[s]|."""
+    x = np.arange(lo, hi)[:, None]
+    return int(np.min([b + np.abs(x - c) for b, c in zip(best, servers)], axis=0).sum())
+
+
 def test_last_cell_sum_matches_the_direct_minimum():
     # the closed form for any integer prefix costs and server positions: in
     # the round game every best[s] has the parity of its prefix's request sum
     # and servers are even, so R - L is even and a wrong split point at the
-    # tie goes unseen there; odd servers and free costs make it show
+    # tie goes unseen there; odd servers and free costs make it show.  The
+    # first 300 cases are one-row stacks; the rest stack 2 to 4 rows, whose
+    # servers leave a piece empty in some rows and not in others
     rng = random.Random(20261020)
-    for _ in range(300):
+    mixed = 0
+    for case in range(500):
+        rows = 1 if case < 300 else rng.randint(2, 4)
         lo = rng.randrange(-8, 8)
         hi = lo + rng.randrange(1, 24)
-        servers = sorted(rng.sample(range(lo - 6, hi + 6), rng.randint(1, 6)))
-        best = [np.array([rng.randrange(-9, 30) for _ in range(5)]) for _ in servers]
-        # cost[s, x, prefix] = best[s][prefix] + |x - servers[s]|
-        x = np.arange(lo, hi)[:, None]
-        want = int(np.min([b + np.abs(x - c) for b, c in zip(best, servers)], axis=0).sum())
-        assert oracle._last_cell_sum(best, servers, lo, hi) == want, (best, servers, lo, hi)
+        m = rng.randint(1, 6)
+        servers, best = [], []
+        for _ in range(rows):
+            servers.append(sorted(rng.sample(range(lo - 6, hi + 6), m)))
+            best.append([np.array([rng.randrange(-9, 30) for _ in range(5)]) for _ in range(m)])
+        want = [_direct_last_cell_sum(b, c, lo, hi) for b, c in zip(best, servers)]
+        stacked = [np.array([row[s] for row in best]) for s in range(m)]
+        got = oracle._last_cell_sums(stacked, np.array(servers), lo, hi)
+        assert got.tolist() == want, (best, servers, lo, hi)
+        empty = np.diff(np.clip(servers, lo, hi), axis=1, prepend=lo, append=hi) == 0
+        mixed += bool((empty.any(axis=0) & ~empty.all(axis=0)).any())
+    assert mixed >= 100
+
+
+def _stacked_values(n, r, configs, k):
+    """Game values of a stack of configurations of one size, in one pass."""
+    q, pts = (n + 1) >> r, 1 << (r + k)
+    totals = oracle._round_game_totals(np.array(configs, dtype=np.int64) << k, q, pts)
+    return [Fraction(int(t), pts**q << k) for t in totals.tolist()]
+
+
+def _check_stack(n, r, configs, k):
+    """Each row of a stacked pass equals the full-grid DP and, where its
+    reference cost fits the budget, the subset enumeration."""
+    q = (n + 1) >> r
+    for free, got in zip(configs, _stacked_values(n, r, configs, k)):
+        cfg = RoundConfig(n, r, free)
+        assert got == grid_game_value(cfg, k), (cfg, k)
+        if math.comb(len(free), q) * q * (1 << (r + k)) ** q <= _REFERENCE_BUDGET:
+            assert got == subset_game_value(cfg, k), (cfg, k)
+
+
+def test_stacked_values_match_enumeration_on_every_configuration_up_to_n7():
+    # every free-server set of every size from q to n, one stack per size, on
+    # each round's grid capped at 3
+    stacks = 0
+    for n in (1, 3, 7):
+        for r in range(1, rounds_for(n) + 1):
+            q = (n + 1) >> r
+            for f in range(q, n + 1):
+                configs = list(itertools.combinations(range(1, n + 1), f))
+                _check_stack(n, r, configs, min(auto_grid_k(n, r), 3))
+                stacks += len(configs) > 1
+    assert stacks > 10
+
+
+def test_stacked_values_match_enumeration_on_random_n15_stacks():
+    # three stacks of three random configurations of one random size per
+    # round, on the oracle's grid
+    rng = random.Random(20261021)
+    for r in range(1, rounds_for(15) + 1):
+        q = (15 + 1) >> r
+        for _ in range(3):
+            f = rng.randint(q, 15)
+            configs = [tuple(sorted(rng.sample(range(1, 16), f))) for _ in range(3)]
+            _check_stack(15, r, configs, auto_grid_k(15, r))
+
+
+@pytest.mark.parametrize("prefixes", [1, 1 << 30])
+def test_pass_size_changes_no_report(monkeypatch, prefixes):
+    # one configuration per pass, or a whole round in one pass
+    cases = [(3, 1), (7, 1), (7, 2), (7, 3), (15, 3), (15, 4)]
+    want = [oracle_report(n, r) for n, r in cases]
+    totals, rows = oracle._round_game_totals, []
+
+    def counted(servers, q, pts):
+        rows.append(len(servers))
+        return totals(servers, q, pts)
+
+    monkeypatch.setattr(oracle, "PASS_PREFIXES", prefixes)
+    monkeypatch.setattr(oracle, "_round_game_totals", counted)
+    assert [oracle_report(n, r) for n, r in cases] == want
+    configs = [rep.details["configurations"] for rep in want]
+    assert rows == ([1] * sum(configs) if prefixes == 1 else configs)
 
 
 def test_round_game_memory_stays_below_the_outcome_grid():
@@ -262,6 +343,18 @@ def test_oracle_report_n15_pinned(r, min_game):
     assert Fraction(rep.details["min_game_value"]) == min_game
     assert rep.details["dominates_segment_bound"]
     assert rep.details["configurations"] == {1: 1, 3: 455, 4: 15}[r]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_oracle_report_n7_dominates_the_segment_bound(r):
+    # fails alone when some game value falls below its segment bound but
+    # every one stays above the floor
+    assert oracle_report(7, r).details["dominates_segment_bound"]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_oracle_report_n7_exceeds_the_round_floor(r):
+    assert oracle_report(7, r).details["exceeds_round_floor"]
 
 
 def test_oracle_report_n1():

@@ -1,12 +1,21 @@
 """Counter-based RNG draws: determinism, block equivalence, uniform orders."""
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
 from matchline import rng
-from matchline.rng import GAMMA, mix64_array, permutation_rows, stream_key, stream_keys, u64_rows
+from matchline.rng import (
+    GAMMA,
+    mix64_array,
+    permutation_rows,
+    stream_key,
+    stream_key_rows,
+    stream_keys,
+    u64_rows,
+)
 from oracles import CALIBRATION_Z, MASK64, binomial_z, mix64
 
 # reference sequence for the mixing function: outputs for seed 0 of the
@@ -52,6 +61,32 @@ def test_stream_keys_are_one_stream_key_per_last():
         assert stream_keys(seed, labels, lasts) == [stream_key(seed, *labels, x) for x in lasts]
     assert stream_keys(5, ("a", 1), []) == []
     assert stream_keys(5, (), ["a", 1]) == [stream_key(5, "a"), stream_key(5, 1)]
+
+
+def _blake2b_key(seed, *labels):
+    """The documented key format, one label at a time."""
+    h = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
+    for label in labels:
+        h.update(str(label).encode() + b"\x1f")
+    return int.from_bytes(h.digest(), "little")
+
+
+def test_stream_key_rows_are_one_stream_key_per_seed_and_last():
+    rnd = random.Random(2306)
+    seeds = [0, (1 << 64) - 1, *(rnd.getrandbits(64) for _ in range(6))]
+    for labels, lasts in [(("origin",), range(1, 11)), (("alg", 3), ["x", 0, 5]), ((), [7])]:
+        rows = stream_key_rows(seeds, labels, lasts)
+        assert rows.dtype == np.uint64 and rows.shape == (len(seeds), len(lasts))
+        assert rows.tolist() == [[stream_key(seed, *labels, x) for x in lasts] for seed in seeds]
+        assert rows.tolist() == [[_blake2b_key(seed, *labels, x) for x in lasts] for seed in seeds]
+    assert stream_key_rows([], ("a",), [1, 2]).shape == (0, 2)
+    assert stream_key_rows([3, 4], ("a",), []).shape == (2, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_stream_key_rows_reject_a_seed_past_64_bits_in_any_row(seed):
+    with pytest.raises(ValueError, match="64-bit"):
+        stream_key_rows([0, seed], ("origin",), [1])
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
