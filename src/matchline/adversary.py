@@ -193,12 +193,14 @@ def origin_round_numerators(i: int, grid_k: int, seeds: Sequence[int]) -> list[n
 def check_round_numerators(params: GenParams, rounds: Sequence[np.ndarray]) -> None:
     """The instance invariants: i rounds, round r with (n+1)/2**r int64
     origins, origin m inside cell m.  Raises ValueError on the first breach,
-    with every round's length and dtype checked before any cell."""
+    with every round's length and dtype checked before any cell.  Rounds of
+    (T, cells) rows check T instances at once and name the first round any
+    row breaks."""
     if len(rounds) != params.i:
         raise ValueError(f"expected {params.i} rounds, got {len(rounds)}")
     counts = [(params.n + 1) >> r for r in range(1, params.i + 1)]
     for r, (nums, cells) in enumerate(zip(rounds, counts), start=1):
-        if len(nums) != cells:
+        if nums.shape[-1] != cells:
             raise ValueError(f"round {r}: expected {cells} requests")
         if nums.dtype != np.int64:
             raise ValueError(f"round {r}: origins must be int64, got {nums.dtype}")
@@ -206,9 +208,9 @@ def check_round_numerators(params: GenParams, rounds: Sequence[np.ndarray]) -> N
     # r + grid_k, iff its top bits are m; one pass over every round at once
     rnd = np.repeat(np.arange(1, params.i + 1), counts)  # each origin's round
     cell = np.arange(len(rnd)) - np.repeat(np.cumsum(counts) - counts, counts)
-    off = np.flatnonzero((np.concatenate(rounds) >> (rnd + params.grid_k)) != cell)
-    if off.size:
-        raise ValueError(f"round {rnd[off[0]]}: origin off its cell")
+    off = (np.concatenate(rounds, axis=-1) >> (rnd + params.grid_k)) != cell
+    if (col := np.flatnonzero(off.reshape(-1, len(rnd)).any(axis=0))).size:
+        raise ValueError(f"round {rnd[col[0]]}: origin off its cell")
 
 
 def generate(params: GenParams) -> Instance:

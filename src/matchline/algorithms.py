@@ -12,17 +12,18 @@ Four policies:
                        order of the free servers
 
 Each policy is one kernel over exact integer numerators at the instance grid
-scale: the free servers are a sorted list of numerators (server j sits at
-j << grid_k), and a kernel serves one round, removes the servers it used and
+scale: the free servers are sorted numerators (server j sits at
+j << grid_k), and a kernel serves one round, drops the servers it used and
 returns the round's cost.  Vectorized kernels run on int64 arrays, which
 GenParams' width rule keeps free of overflow.
 
-play() plays a block of instances of one size (per-round origin numerators)
-with every requested policy, one round at a time across the block, so the
-batch policy and the known-prefix batch solve one stacked DP per round, and
-the block's arrival orders and random_free picks take one draw pass per
-round.
-Costs stay integer numerators; RunStats.to_json_dict writes each as a
+play_block() plays a block of instances of one size and grid, given as
+per-round (T, cells) origin arrays, with every requested policy, one round
+at a time across the block, and all but the kernels in one pass per block.
+The batch and random_free kernels carry the block's free servers as one
+(T, m) int64 array from round to round, so each solves or draws a round in
+one pass; greedy and permutation keep one sorted list per instance.
+play() stacks Instances into a block.  Costs stay integer numerators; RunStats.to_json_dict writes each as a
 {"num", "k"} pair at the instance scale.
 """
 
@@ -30,13 +31,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import sub
 from typing import Callable, Sequence
 
 import numpy as np
 
-from matchline.adversary import Instance, arrival_orders, reachable_free_count
+from matchline.adversary import GenParams, Instance, arrival_orders, reachable_free_count
 from matchline.offline import sorted_cost_num
 from matchline.rng import permutation_rows, stream_key_rows
 
@@ -51,7 +51,9 @@ _TAG_CHOICE = "choice"
 # A kernel factory takes (free, seed) and returns serve(requests) -> cost.
 # free is the sorted list of free server numerators, shared with the caller;
 # serve removes every server it uses from it.  _KERNELS holds factories for
-# blocks: (frees, seeds) -> serve(rounds) -> costs, rounds[b] into frees[b].
+# blocks: (free, seeds) -> serve(free, rounds) -> (costs, free left), free the
+# (T, m) int64 array of sorted rows at the start and then what the last call
+# left (never written into), rounds (T, q) int64, row b served into row b.
 Kernel = Callable[[Sequence[int]], int]
 
 
@@ -76,25 +78,19 @@ def _greedy(free: list[int], seed: int) -> Kernel:
     return serve
 
 
-def _random_free(frees: Sequence[list[int]], seeds: Sequence[int]) -> Callable:
+def _random_free(start: np.ndarray, seeds: Sequence[int]) -> Callable:
     """Uniform random free server.  With m servers free, instance b orders
     them by permutation_rows of the key (seeds[b], "choice", m), and request
     j of the round takes the server at place j: the first q places of a
     uniform order are q uniform picks without replacement.  A round's keys
-    and orders for the whole block come from one pass each (the free lists
-    have one length)."""
+    and orders for the whole block come from one pass each."""
 
-    def serve(rounds: Sequence[Sequence[int]]) -> list[int]:
-        _check_capacity(frees[0], rounds[0])
-        m, q = len(frees[0]), len(rounds[0])
+    def serve(free: np.ndarray, rounds: np.ndarray) -> tuple[list[int], np.ndarray]:
+        _check_capacity(free[0], rounds[0])
+        m, q = free.shape[1], rounds.shape[1]
         perm = permutation_rows(stream_key_rows(seeds, (_TAG_CHOICE,), [m])[:, 0], m)
-        srv = np.array(frees, dtype=np.int64)
-        picked = np.take_along_axis(srv, perm[:, :q], axis=1)
-        costs = np.abs(np.array(rounds, dtype=np.int64) - picked).sum(axis=1)
-        rest = np.take_along_axis(srv, np.sort(perm[:, q:], axis=1), axis=1)
-        for free, row in zip(frees, rest.tolist()):
-            free[:] = row
-        return costs.tolist()
+        costs = np.abs(rounds - np.take_along_axis(free, perm[:, :q], axis=1)).sum(axis=1)
+        return costs.tolist(), np.take_along_axis(free, np.sort(perm[:, q:], axis=1), axis=1)
 
     return serve
 
@@ -204,18 +200,17 @@ def _monotone_min_cost(req: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, n
     return band[top], (run + (lo + ar)[:, None]).T
 
 
-def _serve_batch(frees: Sequence[list[int]], rounds: Sequence[Sequence[int]]) -> list[int]:
-    """Serve rounds[b] into frees[b] with a minimum-cost matching, for every
-    b at once; the rounds have one length, the free lists another."""
-    _check_capacity(frees[0], rounds[0])  # np.array refuses ragged blocks
-    if not rounds[0]:
-        return [0] * len(frees)
-    srv = np.array(frees, dtype=np.int64)
-    cost, sel = _monotone_min_cost(np.sort(np.array(rounds, dtype=np.int64), axis=1), srv)
-    for free, picked in zip(frees, sel.tolist()):
-        for pos in reversed(picked):
-            del free[pos]
-    return cost.tolist()
+def _serve_batch(free: np.ndarray, rounds: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Serve each row of rounds (T, q) into the same row of free (T, m) with
+    a minimum-cost matching: the T costs and the (T, m - q) servers left."""
+    _check_capacity(free[0], rounds[0])
+    t, q = rounds.shape
+    if not q:
+        return [0] * t, free
+    cost, sel = _monotone_min_cost(np.sort(rounds, axis=1), free)
+    keep = np.ones(free.shape, dtype=bool)
+    keep[np.arange(t)[:, None], sel] = False
+    return cost.tolist(), free[keep].reshape(t, free.shape[1] - q)
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +279,17 @@ def _permutation(free: list[int], seed: int) -> Kernel:
 def _each(factory: Callable[[list[int], int], Kernel]) -> Callable:
     """Block kernel factory that serves every instance with its own kernel."""
 
-    def block(frees: Sequence[list[int]], seeds: Sequence[int]) -> Callable:
+    def block(start: np.ndarray, seeds: Sequence[int]) -> Callable:
+        frees = start.tolist()
         serves = [factory(free, seed) for free, seed in zip(frees, seeds)]
-        return lambda rounds: [serve(reqs) for serve, reqs in zip(serves, rounds)]
+        return lambda free, rounds: ([f(x) for f, x in zip(serves, rounds.tolist())], frees)
 
     return block
 
 
 _KERNELS = {
     GREEDY_NEAREST: _each(_greedy),
-    BATCH_ROUND_OPTIMAL: lambda frees, seeds: lambda rounds: _serve_batch(frees, rounds),
+    BATCH_ROUND_OPTIMAL: lambda start, seeds: _serve_batch,
     PERMUTATION: _each(_permutation),
     RANDOM_FREE: _random_free,
 }
@@ -304,10 +300,11 @@ _KERNELS = {
 
 
 def cost_ratio(online: int, offline: int) -> float | None:
-    """online/offline rounded once, with 0/0 = 1; None when only offline is 0."""
+    """online/offline rounded once (int true division rounds the exact
+    quotient, as float(Fraction) does), 0/0 = 1; None when only offline is 0."""
     if offline == 0:
         return 1.0 if online == 0 else None
-    return float(Fraction(online, offline))
+    return online / offline
 
 
 @dataclass(frozen=True)
@@ -363,6 +360,61 @@ def check_play(kinds: Sequence[str], i: int, prefix_rounds: int) -> None:
         raise ValueError(f"prefix_rounds must be in 0..{i - 1}, got {prefix_rounds}")
 
 
+def play_block(
+    params: Sequence[GenParams],
+    rounds: Sequence[np.ndarray],
+    kinds: Sequence[str],
+    seeds: Sequence[Sequence[int]],
+    prefix_rounds: int,
+    trials: Sequence[int | None],
+) -> list[list[RunStats]]:
+    """Play a block of instances of one size and grid: row b of rounds[r - 1],
+    round r's (T, cells) origins, which the caller has checked with
+    check_round_numerators, belongs to params[b] and trial trials[b].  Every
+    policy in kinds plays every row, policy c seeded with seeds[c][b]: the
+    first prefix_rounds rounds as one optimal batch, the rest online with
+    the policy.  One list of RunStats per row, in kinds order.
+
+    A row's arrival orders, prefix batch and offline total are shared by its
+    policies.  check_play's rules hold, and random_free's first round
+    refuses a seed outside 64 bits.  A free-server count off the reachable
+    one, or an online total below the offline optimum, raises RuntimeError."""
+    n, i, k = params[0].n, params[0].i, params[0].grid_k
+    check_play(kinds, i, prefix_rounds)
+    if {(p.i, p.grid_k) for p in params} != {(i, k)}:
+        raise ValueError("the instances of a block must share one size and one grid")
+    arrived = [np.take_along_axis(nums, o, axis=1) for nums, o in zip(rounds, arrival_orders(params))]
+    servers = np.arange(1, n + 1, dtype=np.int64) << np.int64(k)
+    offline = sorted_cost_num(servers, np.concatenate(rounds, axis=1)).tolist()
+    start, prefix = np.tile(servers, (len(params), 1)), [0] * len(params)
+    if prefix_rounds:
+        prefix, start = _serve_batch(start, np.concatenate(rounds[:prefix_rounds], axis=1))
+
+    out: list[list[RunStats]] = [[] for _ in params]
+    for kind, kind_seeds in zip(kinds, seeds, strict=True):
+        serve, free, costs = _KERNELS[kind](start, kind_seeds), start, []
+        for r in range(prefix_rounds + 1, i + 1):
+            expected = reachable_free_count(n, r)
+            if wrong := {len(row) for row in free} - {expected}:
+                raise RuntimeError(f"round {r}: {min(wrong)} free servers, expected {expected}")
+            cost, free = serve(free, arrived[r - 1])
+            costs.append(cost)
+        for b, (p, round_nums) in enumerate(zip(params, zip(*costs))):
+            online_num = prefix[b] + sum(round_nums)
+            if online_num < offline[b]:
+                raise RuntimeError(
+                    f"trial {trials[b]}: {kind} pays {online_num}, below the offline"
+                    f" optimum {offline[b]}"
+                )
+            out[b].append(RunStats(
+                n=n, algorithm=kind, instance_seed=p.seed, grid_k=k, trial=trials[b],
+                prefix_rounds=prefix_rounds, prefix_cost=prefix[b], round_costs=round_nums,
+                online_total=online_num, offline_total=offline[b],
+                ratio=cost_ratio(online_num, offline[b]),
+            ))
+    return out
+
+
 def play(
     instances: Sequence[Instance],
     kinds: Sequence[str],
@@ -370,62 +422,9 @@ def play(
     prefix_rounds: int,
     trials: Sequence[int | None],
 ) -> list[list[RunStats]]:
-    """Play a block of instances of one size, instance b (trial trials[b])
-    with every policy in kinds, policy c seeded with seeds[b][c]: the first
-    prefix_rounds rounds as one optimal batch, the remaining rounds online
-    with the policy.  One list of RunStats per instance, in kinds order.
-
-    An instance's arrival orders, prefix batch and offline total are shared
-    by its policies; each policy gets its own copy of the free servers.
-    check_play's rules hold, and random_free's first round refuses a seed
-    outside 64 bits.  A free-server count off the reachable one, or an
-    online total below the offline optimum, raises RuntimeError."""
-    n, i = instances[0].params.n, instances[0].params.i
-    check_play(kinds, i, prefix_rounds)
-    rounds, offline, prefix_free = [[] for _ in instances], [], []  # per instance
-    for r, orders in enumerate(arrival_orders([inst.params for inst in instances]), 1):
-        for rr, inst, order in zip(rounds, instances, orders):
-            rr.append(inst.origins[r - 1][order].tolist())
-    for inst in instances:
-        servers = np.arange(1, n + 1, dtype=np.int64) << np.int64(inst.params.grid_k)
-        offline.append(sorted_cost_num(servers, np.concatenate(inst.origins)))
-        prefix_free.append(servers.tolist())
-    prefix = _serve_batch(
-        prefix_free, [[x for nums in rr[:prefix_rounds] for x in nums] for rr in rounds]
-    )
-
-    out: list[list[RunStats]] = [[] for _ in instances]
-    for col, kind in enumerate(kinds):
-        frees = [list(free) for free in prefix_free]
-        serve = _KERNELS[kind](frees, [row[col] for row in seeds])
-        costs = []
-        for r in range(prefix_rounds + 1, i + 1):
-            expected = reachable_free_count(n, r)
-            if wrong := {len(free) for free in frees} - {expected}:
-                raise RuntimeError(f"round {r}: {min(wrong)} free servers, expected {expected}")
-            costs.append(serve([rr[r - 1] for rr in rounds]))
-        for b, inst in enumerate(instances):
-            round_nums = tuple(c[b] for c in costs)
-            online_num = prefix[b] + sum(round_nums)
-            if online_num < offline[b]:
-                raise RuntimeError(
-                    f"trial {trials[b]}: {kind} pays {online_num}, below the offline"
-                    f" optimum {offline[b]}"
-                )
-            out[b].append(
-                RunStats(
-                    n=n,
-                    algorithm=kind,
-                    instance_seed=inst.params.seed,
-                    grid_k=inst.params.grid_k,
-                    trial=trials[b],
-                    prefix_rounds=prefix_rounds,
-                    prefix_cost=prefix[b],
-                    round_costs=round_nums,
-                    online_total=online_num,
-                    offline_total=offline[b],
-                    ratio=cost_ratio(online_num, offline[b]),
-                )
-            )
-    return out
-
+    """play_block on a block of Instances of one size and grid, instance b
+    (trial trials[b]) with every policy in kinds, policy c seeded with
+    seeds[b][c]."""
+    rounds = [np.stack(nums) for nums in zip(*(inst.origins for inst in instances))]
+    params = [inst.params for inst in instances]
+    return play_block(params, rounds, kinds, list(zip(*seeds)), prefix_rounds, trials)

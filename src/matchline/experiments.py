@@ -11,12 +11,15 @@ each pair; write_outputs writes it as four files into an output directory:
   rounds.csv     one row per (n, algorithm, online round)
   reports.json   the checker reports plus the configuration
 
-A task is (n, a contiguous block of trials): it generates each instance once
-and plays every configured policy on the whole block, so all policies of a
+A task is (n, a contiguous block of trials): it samples and checks the
+block's origins once, with one pass per round, and plays every configured
+policy on the whole block (algorithms.play_block), so all policies of a
 trial see the same requests.  workers counts the calling process: with N
 workers it forks N - 1 children, at most tasks - 1; process w plays task w
 first, then every process takes the next task not yet taken as it comes
-free, and each child sends its results back once.  Outputs are
+free, and each child sends its results back once.  The parent builds the
+reports before it joins the children, so their exit overlaps that work; on
+an error it stops and joins them before raising.  Outputs are
 byte-deterministic for a given configuration and seed: no trial's result
 depends on its block or its process, results are regrouped by
 (n, algorithm) in trial order, exact integer cost sums happen before any
@@ -36,19 +39,19 @@ from typing import Sequence
 
 from matchline.adversary import (
     GenParams,
-    Instance,
     ORDER_LEFT_TO_RIGHT,
     SAMPLER_VERSION,
+    check_round_numerators,
     instance_seeds,
     origin_round_numerators,
 )
-from matchline.algorithms import ALGORITHM_KINDS, RunStats, batch_table_bytes, check_play, play
+from matchline.algorithms import ALGORITHM_KINDS, RunStats, batch_table_bytes, check_play, play_block
 from matchline.lemma_checks import (
     LemmaReport,
     empirical_report_from_stats,
     ratio_report_from_stats,
 )
-from matchline.rng import stream_key
+from matchline.rng import stream_key_rows
 
 SCHEMA_VERSION = 2
 
@@ -141,11 +144,11 @@ def run_trials(
     params = [
         GenParams.for_size(n, grid_k, s, request_order) for s in instance_seeds(root_seed, trials)
     ]
-    # one pass per round: every params of the block has the same i and grid_k
+    # one pass per round and per policy: every params has the same i and grid_k
     rounds = origin_round_numerators(params[0].i, params[0].grid_k, [p.seed for p in params])
-    instances = [Instance(p, tuple(nums[b] for nums in rounds)) for b, p in enumerate(params)]
-    seeds = [[stream_key(root_seed, _TAG_ALG, kind, t) for kind in kinds] for t in trials]
-    return play(instances, kinds, seeds, prefix_rounds, trials)
+    check_round_numerators(params[0], rounds)
+    seeds = [stream_key_rows([root_seed], (_TAG_ALG, kind), trials)[0].tolist() for kind in kinds]
+    return play_block(params, rounds, kinds, seeds, prefix_rounds, trials)
 
 
 def _block_task(args: tuple) -> list[RunStats]:
@@ -183,7 +186,8 @@ def _block_size(n: int, trials: int, workers: int) -> int:
     return max(1, min(-(-trials // workers), BLOCK_TABLE_BYTES // batch_table_bytes(n)))
 
 
-def _collect_stats(config: ExperimentConfig) -> dict[tuple[int, str], list[RunStats]]:
+def _collect_stats(config: ExperimentConfig, children: list) -> dict[tuple[int, str], list[RunStats]]:
+    """The runs by (n, algorithm); each child it forks goes into children, for the caller to reap."""
     opts = (config.seed, config.grid_k, config.request_order, config.prefix_rounds)
     tasks = []
     for n in config.n_list:
@@ -194,34 +198,25 @@ def _collect_stats(config: ExperimentConfig) -> dict[tuple[int, str], list[RunSt
     # process w plays task w first, so every child plays; then each process
     # takes the next task as it comes free, so uneven blocks even out
     next_task = Value("q", workers)
-    children = []
-    try:
-        for w in range(1, workers):
-            recv, send = Pipe(duplex=False)
-            child = Process(target=_play_share, args=(tasks, w, next_task, send))
-            child.start()
-            send.close()  # so a child that dies without sending reads as EOF
-            children.append((child, recv))
-        played = _play_tasks(tasks, 0, next_task)
-        # a child blocked on send waits only for this loop: no cycle of waits
-        for child, recv in children:
-            try:
-                payload, trace = recv.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(
-                    f"worker process exited with code {child.exitcode} before sending results"
-                ) from None
-            if trace is not None:
-                raise payload from RuntimeError(f"in worker process:\n{trace}")
-            played += payload
+    for w in range(1, workers):
+        recv, send = Pipe(duplex=False)
+        child = Process(target=_play_share, args=(tasks, w, next_task, send))
+        child.start()
+        send.close()  # so a child that dies without sending reads as EOF
+        children.append((child, recv))
+    played = _play_tasks(tasks, 0, next_task)
+    # a child blocked on send waits only for this loop: no cycle of waits
+    for child, recv in children:
+        try:
+            payload, trace = recv.recv()
+        except EOFError:
             child.join()
-    finally:
-        for child, recv in children:  # stop a child before closing the pipe it may send on
-            if child.is_alive():
-                child.terminate()
-            child.join()
-            recv.close()
+            raise RuntimeError(
+                f"worker process exited with code {child.exitcode} before sending results"
+            ) from None
+        if trace is not None:
+            raise payload from RuntimeError(f"in worker process:\n{trace}")
+        played += payload
     stats: dict[tuple[int, str], list[RunStats]] = {
         (n, kind): [] for n in config.n_list for kind in config.algorithms
     }
@@ -275,19 +270,32 @@ def _pair_round_rows(lemma2_rep: LemmaReport) -> list[dict]:
 
 
 def run_suite(config: ExperimentConfig) -> SuiteResult:
-    """Run the whole suite; write_outputs writes its files."""
-    stats = _collect_stats(config)
+    """Run the whole suite; write_outputs writes its files.  The children
+    are joined only after the reports are built, so their exit overlaps that
+    work; on an error, each one still running is stopped first."""
+    children: list = []
     summary_rows: list[dict] = []
     round_rows: list[dict] = []
     reports: list[LemmaReport] = []
-    for n in config.n_list:
-        for kind in config.algorithms:
-            runs = stats[(n, kind)]
-            lemma2_rep = empirical_report_from_stats(runs, config.seed)
-            ratio_rep = ratio_report_from_stats(runs, config.seed)
-            reports.extend((lemma2_rep, ratio_rep))
-            summary_rows.append(_pair_summary(runs, (lemma2_rep, ratio_rep), config))
-            round_rows.extend(_pair_round_rows(lemma2_rep))
+    try:
+        stats = _collect_stats(config, children)
+        for n in config.n_list:
+            for kind in config.algorithms:
+                runs = stats[(n, kind)]
+                lemma2_rep = empirical_report_from_stats(runs, config.seed)
+                ratio_rep = ratio_report_from_stats(runs, config.seed)
+                reports.extend((lemma2_rep, ratio_rep))
+                summary_rows.append(_pair_summary(runs, (lemma2_rep, ratio_rep), config))
+                round_rows.extend(_pair_round_rows(lemma2_rep))
+    except BaseException:
+        for child, _ in children:  # stop a child before closing the pipe it may send on
+            if child.is_alive():
+                child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
     return SuiteResult(config, stats, summary_rows, round_rows, reports)
 
 

@@ -150,6 +150,30 @@ MUTANTS = (
         ("tests/test_oracle.py::test_oracle_report_n7_exceeds_the_round_floor",),
     ),
     (
+        # a block's offline points sorted across its trials, not within each
+        # one: a block of one trial and the 1-D form are unchanged, so a block
+        # played against its trials alone tells it apart
+        "block_offline_sorted_across_trials",
+        "src/matchline/offline.py",
+        "np.sort(np.asarray(point_nums, dtype=np.int64), axis=-1)",
+        "np.sort(np.asarray(point_nums, dtype=np.int64), axis=0)",
+        (
+            "tests/test_algorithms.py::test_block_plays_like_its_trials_one_at_a_time",
+            "tests/test_offline.py::test_row_wise_cost_matches_each_row_alone",
+        ),
+    ),
+    (
+        # the block's origin check reads its first row only
+        "block_origin_check_first_row_only",
+        "src/matchline/adversary.py",
+        "off.reshape(-1, len(rnd)).any(axis=0)",
+        "off.reshape(-1, len(rnd))[0]",
+        (
+            "tests/test_adversary.py::test_block_check_names_the_first_round_any_row_breaks",
+            "tests/test_experiments.py::test_run_trials_checks_every_row_of_the_block",
+        ),
+    ),
+    (
         # a window ending left of the one before takes a row for flat
         # where the row before it is not flat yet
         "batch_window_hi_no_running_max",

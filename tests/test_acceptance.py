@@ -309,9 +309,11 @@ def test_criterion_10_fails_on_process_salted_policy_seeds(monkeypatch, tmp_path
     # a forked child inherits the patch and salts its blocks with its own pid.
     # At --workers 2 the child always plays trials 4..7 of n = 15, whose 16
     # random_free rounds draw far too many picks for two salts to agree
-    key = experiments.stream_key
+    rows = experiments.stream_key_rows
     monkeypatch.setattr(
-        experiments, "stream_key", lambda seed, *labels: key(seed, *labels, os.getpid())
+        experiments,
+        "stream_key_rows",
+        lambda seeds, labels, lasts: rows(seeds, (*labels, os.getpid()), lasts),
     )
     assert experiments._block_size(15, 8, 2) == 4
     config = {"n_list": (15,), "trials": 8}

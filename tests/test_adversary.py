@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -186,6 +187,38 @@ def test_check_round_numerators_names_the_first_breach():
     wide = nums[:2] + [nums[2].astype(np.int32)]
     assert message(wide) == "round 3: origins must be int64, got int32"
     assert message(nums[:2]) == "expected 3 rounds, got 2"
+
+
+def test_block_check_names_the_first_round_any_row_breaks():
+    # (T, cells) rows are checked in one pass; the message is the one the
+    # per-instance check gives the row whose first breach comes first
+    s = random.Random(131)
+
+    def message(params, rounds):
+        try:
+            check_round_numerators(params, rounds)
+        except ValueError as err:
+            return str(err)
+        return None
+
+    mixed = 0  # blocks whose rows break in different first rounds
+    for _ in range(300):
+        i, k, t = 1 + s.randrange(5), s.randrange(6), 1 + s.randrange(5)
+        params = GenParams(i=i, grid_k=k, seed=0)
+        rounds = origin_round_numerators(i, k, range(t))
+        for _ in range(s.randrange(4)):
+            r = s.randrange(i)
+            row, m = s.randrange(t), s.randrange(rounds[r].shape[1])
+            rounds[r][row, m] += s.choice((-1, 1)) * s.randrange(1, 4 << (r + 1 + k))
+        alone = {message(params, [nums[b] for nums in rounds]) for b in range(t)} - {None}
+        first = min(alone, default=None, key=lambda text: int(text.split()[1][:-1]))
+        assert message(params, rounds) == first
+        mixed += len(alone) > 1
+    assert mixed >= 20
+    params, rounds = GenParams(i=3, grid_k=5, seed=0), origin_round_numerators(3, 5, range(4))
+    short = rounds[:2] + [rounds[2][:, :0]]
+    want = "round 3: expected 1 requests"
+    assert message(params, short) == message(params, [nums[0] for nums in short]) == want
 
 
 def test_origin_round_numerators_match_generate():

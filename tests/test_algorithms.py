@@ -22,6 +22,7 @@ from matchline.adversary import (
     check_round_numerators,
     default_grid_k,
     generate,
+    instance_seeds,
 )
 from matchline.algorithms import (
     ALGORITHM_KINDS,
@@ -36,9 +37,18 @@ from matchline.rng import GAMMA, stream_key
 
 
 def kernel(kind, free, seed=0):
-    """The policy's kernel on a block of one free list."""
-    serve = _KERNELS[kind]([free], [seed])
-    return lambda requests: serve([requests])[0]
+    """The policy's kernel on a block of one free list; each call leaves in
+    free the servers the kernel has left."""
+    rows = np.array([free], dtype=np.int64)
+    serve = _KERNELS[kind](rows, [seed])
+
+    def one(requests):
+        nonlocal rows
+        (cost,), rows = serve(rows, np.array([requests], dtype=np.int64))
+        free[:] = np.asarray(rows[0]).tolist()
+        return cost
+
+    return one
 
 
 def play_one(inst, kind, seed=0, trial=None, prefix_rounds=0):
@@ -247,9 +257,10 @@ def test_stacked_batch_matches_one_instance_dp():
         want = [_monotone_min_cost_1d(r, f) for r, f in zip(req, srv)]
         assert cost.tolist() == [c for c, _ in want], (frees, rounds)
         assert sel.tolist() == [p for _, p in want], (frees, rounds)
-        served = [list(f) for f in frees]
-        assert _serve_batch(served, rounds) == [c for c, _ in want]
-        for free, rest, (_, picked) in zip(frees, served, want):
+        costs, served = _serve_batch(srv, np.array(rounds, dtype=np.int64).reshape(len(frees), -1))
+        assert costs == [c for c, _ in want]
+        assert served.shape == (len(frees), srv.shape[1] - req.shape[1])
+        for free, rest, (_, picked) in zip(frees, served.tolist(), want):
             assert rest == [v for p, v in enumerate(free) if p not in picked]
         q, m = req.shape[1], srv.shape[1]
         # brute force where it is cheap: q <= 7 and at most 720 bijections
@@ -612,14 +623,14 @@ def test_random_free_block_plays_like_one_instance_at_a_time():
     n, k = 255, 3
     insts = [generate(GenParams(i=8, grid_k=k, seed=s, request_order=ORDER_SHUFFLED)) for s in range(16)]
     seeds = [stream_key(4, "alg", t) for t in range(16)]
-    frees = [[j << k for j in range(1, n + 1)] for _ in insts]
+    frees = np.tile(np.arange(1, n + 1) << k, (16, 1))
     serve = _KERNELS["random_free"](frees, seeds)
     alone = [[j << k for j in range(1, n + 1)] for _ in insts]
     alone_serves = [kernel("random_free", free, seed) for free, seed in zip(alone, seeds)]
     for nums in zip(*(inst.origins for inst in insts)):
-        rounds = [row.tolist() for row in nums]
-        assert serve(rounds) == [f(reqs) for f, reqs in zip(alone_serves, rounds)]
-        assert frees == alone
+        costs, frees = serve(frees, np.stack(nums))
+        assert costs == [f(row.tolist()) for f, row in zip(alone_serves, nums)]
+        assert frees.tolist() == alone
     assert alone == [[] for _ in insts]
     block = play(insts, ["random_free"], [[s] for s in seeds], 0, list(range(16)))
     for t, (inst, seed) in enumerate(zip(insts, seeds)):
@@ -628,10 +639,10 @@ def test_random_free_block_plays_like_one_instance_at_a_time():
 
 def test_random_free_frequency():
     # seeds 0..99999 as one block, which plays each seed as it plays alone
-    frees = [[1, 2, 3, 4] for _ in range(100_000)]
-    _KERNELS["random_free"](frees, range(100_000))([[2]] * 100_000)
+    frees = np.tile(np.arange(1, 5), (100_000, 1))
+    _, frees = _KERNELS["random_free"](frees, range(100_000))(frees, np.full((100_000, 1), 2))
     counts = [0] * 4
-    for free in frees:  # the server taken is the one missing from 1..4
+    for free in frees.tolist():  # the server taken is the one missing from 1..4
         counts[10 - sum(free) - 1] += 1
     for c in counts:
         assert abs(c / 100_000 - 0.25) < 0.01
@@ -661,6 +672,44 @@ def test_run_trial_matches_run_per_policy():
                 ]
                 assert got == want
                 assert [st.to_json_dict() for st in got] == [st.to_json_dict() for st in want]
+
+
+def test_block_plays_like_its_trials_one_at_a_time():
+    # a block shares one origin check, arrival gather, prefix batch, offline
+    # pass and kernel per policy; run_trials and play on a block of 8 must
+    # give each trial the RunStats it gets played alone
+    s = random.Random(107)
+    orders = (ORDER_LEFT_TO_RIGHT, ORDER_SHUFFLED)
+    for n, order, prefix in itertools.product((15, 63), orders, (0, 2)):
+        root, trials = s.randrange(1 << 64), sorted(s.sample(range(1000), 8))
+        opts = (None, order, prefix)
+        block = run_trials(n, ALGORITHM_KINDS, trials, root, *opts)
+        assert block == [run_trial(n, ALGORITHM_KINDS, t, root, *opts) for t in trials]
+        params = [GenParams.for_size(n, None, seed, order) for seed in instance_seeds(root, trials)]
+        insts = [generate(p) for p in params]
+        seeds = [[stream_key(root, "alg", kind, t) for kind in ALGORITHM_KINDS] for t in trials]
+        assert play(insts, ALGORITHM_KINDS, seeds, prefix, trials) == block
+        for inst, row, t, runs in zip(insts, seeds, trials, block):
+            assert play([inst], ALGORITHM_KINDS, [row], prefix, [t]) == [runs]
+
+
+def test_cost_ratio_rounds_like_the_fraction():
+    # int true division rounds the exact quotient once, as float(Fraction)
+    # does, also for numerators past 2**53 and 2**64
+    s = random.Random(109)
+    for _ in range(10_000):
+        a = s.getrandbits(s.choice((20, 53, 54, 64, 65, 90)))
+        b = 1 + s.getrandbits(s.choice((1, 20, 53, 54, 64, 65, 90)))
+        assert algorithms.cost_ratio(a, b) == float(Fraction(a, b)), (a, b)
+    assert algorithms.cost_ratio((1 << 64) + 1, 3) == float(Fraction((1 << 64) + 1, 3))
+    assert (algorithms.cost_ratio(0, 0), algorithms.cost_ratio(5, 0)) == (1.0, None)
+
+
+def test_play_refuses_a_block_of_two_grids():
+    a = generate(GenParams(i=2, grid_k=5, seed=1))
+    b = generate(GenParams(i=2, grid_k=6, seed=1))
+    with pytest.raises(ValueError, match="one size and one grid"):
+        play([a, b], ["greedy_nearest"], [[0], [0]], 0, [0, 1])
 
 
 def test_run_trial_policy_subset_and_order():

@@ -335,6 +335,38 @@ def test_run_suite_leaves_no_child():
     assert multiprocessing.active_children() == []
 
 
+@fork_only
+def test_no_child_outlives_run_suite(monkeypatch):
+    # a clean suite builds its reports before it joins its children; one whose
+    # child raises or dies silently stops and joins them before it raises
+    events = []
+
+    class Recording(multiprocessing.Process):
+        def join(self, timeout=None):
+            events.append("join")
+            super().join(timeout)
+
+    report = experiments.ratio_report_from_stats
+
+    def recording_report(runs, seed):
+        events.append("report")
+        return report(runs, seed)
+
+    monkeypatch.setattr(experiments, "Process", Recording)
+    monkeypatch.setattr(experiments, "ratio_report_from_stats", recording_report)
+    run_suite(_FAN_OUT)
+    assert multiprocessing.active_children() == []
+    assert events == ["report"] * 4 + ["join"] * 2
+    for fault, error in ((_raise_value_error, ValueError), (lambda: os._exit(3), RuntimeError)):
+        events.clear()
+        with monkeypatch.context() as patch:
+            _fail_in_block(patch, 2, fault)
+            with pytest.raises(error):
+                run_suite(_FAN_OUT)
+        assert multiprocessing.active_children() == []
+        assert "report" not in events and events.count("join") >= 2
+
+
 def _time_out(signum, frame):
     raise TimeoutError("run_suite took over 120 s")
 

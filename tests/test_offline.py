@@ -146,3 +146,32 @@ def test_sorted_cost_is_exact_or_refuses_at_the_int64_edge():
     assert sorted_matching_cost([Coord(1 << 61, 0)], [Coord(0, 1)]).total_cost == Coord(1 << 62, 1)
     with pytest.raises(ValueError):
         sorted_matching_cost([Coord(1 << 62, 0)], [Coord(0, 1)])
+
+
+def test_row_wise_cost_matches_each_row_alone():
+    # a (T, len) array of point rows is paired row by row, as the 1-D form
+    # pairs each row alone, and an overflowing row is refused with the same
+    # ValueError as that row alone
+    s = random.Random(290)
+    for _ in range(200):
+        size, rows = 1 + s.randrange(9), 1 + s.randrange(6)
+        bits = s.choice((12, 40, 59))
+        servers = np.asarray([s.randrange(1 << bits) for _ in range(size)], dtype=np.int64)
+        points = np.asarray(
+            [[s.randrange(1 << bits) for _ in range(size)] for _ in range(rows)], dtype=np.int64
+        )
+        got = sorted_cost_num(servers, points)
+        assert got.dtype == np.int64 and got.shape == (rows,)
+        assert got.tolist() == [sorted_cost_num(servers, row) for row in points]
+    top = (1 << 61) - 1
+    servers = np.zeros(4, dtype=np.int64)
+    points = np.array([[top] * 4, [0, 1, 2, 3], [top + 1] * 4, [top + 2] * 4], dtype=np.int64)
+    with pytest.raises(ValueError) as alone:
+        sorted_cost_num(servers, points[2])
+    with pytest.raises(ValueError) as rows:
+        sorted_cost_num(servers, points)
+    want = f"4 pairs over a span of {top + 1} may overflow int64"
+    assert str(rows.value) == str(alone.value) == want
+    assert sorted_cost_num(servers, points[:2]).tolist() == [4 * top, 6]
+    with pytest.raises(ValueError, match="size mismatch"):
+        sorted_cost_num(servers, points[:, :3])
