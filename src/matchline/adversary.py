@@ -12,7 +12,7 @@ with the same draws as one seed at a time.
 
 An Instance is the params plus one int64 numerator array per round, at scale
 grid_k and in cell order; servers are implicit (server j sits at j << grid_k).
-generate(), the JSON Lines reader and the run path all build this one form.
+generate() and the JSONL reader build this one form; the run path builds none.
 The JSON records write each value as {"num", "k"} integers, and only
 Instance.servers and all_requests build Coords from it.
 

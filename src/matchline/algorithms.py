@@ -23,8 +23,8 @@ at a time across the block, and all but the kernels in one pass per block.
 The batch and random_free kernels carry the block's free servers as one
 (T, m) int64 array from round to round, so each solves or draws a round in
 one pass; greedy and permutation keep one sorted list per instance.
-play() stacks Instances into a block.  Costs stay integer numerators; RunStats.to_json_dict writes each as a
-{"num", "k"} pair at the instance scale.
+play() stacks Instances into a block.  Costs stay integer numerators,
+which RunStats.to_json_dict writes as {"num", "k"} pairs at instance scale.
 """
 
 from __future__ import annotations
@@ -129,19 +129,14 @@ def _random_free(start: np.ndarray, seeds: Sequence[int]) -> Callable:
 # A block takes the union of its instances' windows, which the two facts
 # hold for too.  The run starts are kept relative to lo_i in a (q, w, T)
 # table, w the widest window, in the smallest unsigned dtype that holds
-# w - 1; the widest possible window, w = slack + 1, gives batch_table_bytes.
+# w - 1.  A block whose table would pass _TABLE_BYTES is solved in two
+# halves: the facts hold for any subset of the block, so each half is exact.
+_TABLE_BYTES = 8 << 20
 
 
 # Rows of request-server distances the batch DP computes in one pass, as
 # int64 over the window: a small slice of the table it fills.
 _COST_ROWS = 64
-
-
-def batch_table_bytes(n: int) -> int:
-    """Bytes of one instance's largest batch traceback table: (n+1)/2
-    requests into n servers (round 1, or a one-round prefix), at the widest
-    possible window."""
-    return ((n + 1) // 2) ** 2 * np.min_scalar_type((n - 1) // 2).itemsize
 
 
 def _monotone_min_cost(req: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,8 +154,12 @@ def _monotone_min_cost(req: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, n
     hi = np.clip(np.maximum.accumulate(right), 0, slack)
     lo = np.clip(np.minimum.accumulate(left[::-1])[::-1], 0, slack)
     w = int((hi - lo).max(initial=0)) + 1
+    dtype = np.min_scalar_type(w - 1)
+    if t > 1 and q * w * t * dtype.itemsize > _TABLE_BYTES:
+        halves = [_monotone_min_cost(req[s], free[s]) for s in (slice(t // 2), slice(t // 2, t))]
+        return tuple(np.concatenate(parts) for parts in zip(*halves))
     # start[i, c, b]: 1 where row i at lo_i + c differs from c - 1, then its run start
-    start = np.zeros((q, w, t), dtype=np.min_scalar_type(w - 1))
+    start = np.zeros((q, w, t), dtype=dtype)
     flags = start.view(bool) if start.itemsize == 1 else start  # skips a cast per row
     band = np.zeros((slack + 1, t), dtype=np.int64)  # row 0: dp[0][j] = 0
     los, his = lo.tolist(), hi.tolist()
@@ -376,22 +375,24 @@ def play_block(
     the policy.  One list of RunStats per row, in kinds order.
 
     A row's arrival orders, prefix batch and offline total are shared by its
-    policies.  check_play's rules hold, and random_free's first round
-    refuses a seed outside 64 bits.  A free-server count off the reachable
-    one, or an online total below the offline optimum, raises RuntimeError."""
-    n, i, k = params[0].n, params[0].i, params[0].grid_k
+    policies.  check_play's rules and the shapes above hold; random_free's
+    first round refuses a seed outside 64 bits.  A free-server count off the
+    reachable one, or an online total under the offline one, raises RuntimeError."""
+    n, i, k, t = params[0].n, params[0].i, params[0].grid_k, len(params)
     check_play(kinds, i, prefix_rounds)
     if {(p.i, p.grid_k) for p in params} != {(i, k)}:
         raise ValueError("the instances of a block must share one size and one grid")
+    if len(seeds) != len(kinds) or {t} != {len(trials), *map(len, seeds), *map(len, rounds)}:
+        raise ValueError(f"a block of {t} needs {t} trials, round rows and seeds per policy")
     arrived = [np.take_along_axis(nums, o, axis=1) for nums, o in zip(rounds, arrival_orders(params))]
     servers = np.arange(1, n + 1, dtype=np.int64) << np.int64(k)
     offline = sorted_cost_num(servers, np.concatenate(rounds, axis=1)).tolist()
-    start, prefix = np.tile(servers, (len(params), 1)), [0] * len(params)
+    start, prefix = np.tile(servers, (t, 1)), [0] * t
     if prefix_rounds:
         prefix, start = _serve_batch(start, np.concatenate(rounds[:prefix_rounds], axis=1))
 
     out: list[list[RunStats]] = [[] for _ in params]
-    for kind, kind_seeds in zip(kinds, seeds, strict=True):
+    for kind, kind_seeds in zip(kinds, seeds):
         serve, free, costs = _KERNELS[kind](start, kind_seeds), start, []
         for r in range(prefix_rounds + 1, i + 1):
             expected = reachable_free_count(n, r)

@@ -45,7 +45,7 @@ from matchline.adversary import (
     instance_seeds,
     origin_round_numerators,
 )
-from matchline.algorithms import ALGORITHM_KINDS, RunStats, batch_table_bytes, check_play, play_block
+from matchline.algorithms import ALGORITHM_KINDS, RunStats, check_play, play_block
 from matchline.lemma_checks import (
     LemmaReport,
     empirical_report_from_stats,
@@ -55,8 +55,8 @@ from matchline.rng import stream_key_rows
 
 SCHEMA_VERSION = 2
 
-# Bytes of batch-DP traceback table one task may hold (see _block_size).
-BLOCK_TABLE_BYTES = 8 << 20
+# Cells one task may hold, about 50 MB of block state (see _block_size).
+BLOCK_CELLS = 1 << 18
 
 _TAG_ALG = "alg"
 
@@ -180,10 +180,9 @@ def _play_share(tasks: list[tuple], first: int, next_task, conn) -> None:
 
 
 def _block_size(n: int, trials: int, workers: int) -> int:
-    """Trials per task: an even share per worker, capped so the batch DP's
-    traceback table, batch_table_bytes(n) per trial, stays within
-    BLOCK_TABLE_BYTES."""
-    return max(1, min(-(-trials // workers), BLOCK_TABLE_BYTES // batch_table_bytes(n)))
+    """Trials per task: an even share per worker, capped at BLOCK_CELLS cells,
+    n + 1 per trial; a block holds about 175-195 bytes per server per trial."""
+    return max(1, min(-(-trials // workers), BLOCK_CELLS // (n + 1)))
 
 
 def _collect_stats(config: ExperimentConfig, children: list) -> dict[tuple[int, str], list[RunStats]]:

@@ -197,6 +197,15 @@ MUTANTS = (
             "tests/test_algorithms.py::test_batch_wide_windows_match_one_instance_dp",
         ),
     ),
+    (
+        # a block past the table cap solved whole: the same results from T
+        # tables at once
+        "batch_table_cap_never_slices",
+        "src/matchline/algorithms.py",
+        "q * w * t * dtype.itemsize > _TABLE_BYTES:",
+        "q * w * t * dtype.itemsize > _TABLE_BYTES << 30:",
+        ("tests/test_algorithms.py::test_batch_block_past_the_table_cap_is_solved_in_slices",),
+    ),
 )
 
 EQUIVALENT = (

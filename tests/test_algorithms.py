@@ -349,6 +349,58 @@ def test_batch_wide_windows_match_one_instance_dp():
     assert widest >= 100  # far past the 2 to 5 columns of the hard instance
 
 
+def _traced(call):
+    """call() under tracemalloc: its result and its peak of traced bytes."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_batch_block_past_the_table_cap_is_solved_in_slices(monkeypatch):
+    # 16 rounds of 300 requests on 3 grid points between servers 10 apart,
+    # each with a window about 300 columns wide (a uint16 table of about
+    # 180 KB); a cap of two such tables splits the block into eight slices
+    free = [10 * j for j in range(1, 1001)]
+    s = random.Random(5)
+    rounds = [[3000 + s.randrange(3) for _ in range(300)] for _ in range(16)]
+    req = np.sort(np.array(rounds, dtype=np.int64), axis=1)
+    srv = np.array([free] * 16, dtype=np.int64)
+    lo, hi = np.array([_window(r.tolist(), free) for r in req]).transpose(1, 0, 2)
+    w = int((hi.max(axis=0) - lo.min(axis=0)).max()) + 1  # the block's union window
+    assert 295 <= w <= 305
+    cap = 2 * 300 * w * 2
+    monkeypatch.setattr(algorithms, "_TABLE_BYTES", cap)
+    _, pair_peak = _traced(lambda: algorithms._monotone_min_cost(req[:2], srv[:2]))
+    sizes = []
+    solve = algorithms._monotone_min_cost
+
+    def counted(r, f):
+        sizes.append(len(r))
+        return solve(r, f)
+
+    monkeypatch.setattr(algorithms, "_monotone_min_cost", counted)
+    (cost, sel), peak = _traced(lambda: algorithms._monotone_min_cost(req, srv))
+    assert sorted(sizes) == [2] * 8 + [4] * 4 + [8] * 2 + [16]
+    # the block peaks near one slice, whose passes of 64 cost rows take more
+    # than its table; the sixteen tables alone would take 8 caps
+    assert peak < pair_peak * 1.25 and peak < 8 * cap, (peak, pair_peak, cap)
+    want = [_monotone_min_cost_1d(r, f) for r, f in zip(req, srv)]
+    assert cost.tolist() == [c for c, _ in want]
+    assert sel.tolist() == [p for _, p in want]
+    # a cap no table fits solves every row alone, and a lone row past the
+    # cap is solved whole
+    monkeypatch.setattr(algorithms, "_TABLE_BYTES", 0)
+    sizes.clear()
+    cost, sel = algorithms._monotone_min_cost(req[:3], srv[:3])
+    assert sorted(sizes) == [1, 1, 1, 2, 3]
+    assert cost.tolist() == [c for c, _ in want[:3]]
+    assert sel.tolist() == [p for _, p in want[:3]]
+
+
 def test_batch_solve_memory_at_n1023():
     # one round-1 solve at n = 1023 runs on windows a few columns wide, so
     # its traceback table is a few bytes per row; the full band would take
@@ -357,12 +409,7 @@ def test_batch_solve_memory_at_n1023():
     inst = generate(GenParams(i=10, grid_k=k, seed=5))
     free = [j << k for j in range(1, 1024)]
     reqs = inst.origins[0].tolist()
-    tracemalloc.start()
-    try:
-        kernel("batch_round_optimal", free)(reqs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced(lambda: kernel("batch_round_optimal", free)(reqs))
     assert len(free) == 511
     assert peak < 1 << 17
 
@@ -710,6 +757,24 @@ def test_play_refuses_a_block_of_two_grids():
     b = generate(GenParams(i=2, grid_k=6, seed=1))
     with pytest.raises(ValueError, match="one size and one grid"):
         play([a, b], ["greedy_nearest"], [[0], [0]], 0, [0, 1])
+
+
+def test_play_refuses_seed_rows_and_trials_of_another_length(monkeypatch):
+    # one seed row for two instances once broadcast (random_free), went
+    # unread (batch) or failed mid-play on a free count (greedy, permutation)
+    a, b = (generate(GenParams(i=3, grid_k=4, seed=s)) for s in (1, 2))
+    for kind in ALGORITHM_KINDS:
+        with monkeypatch.context() as patch:
+            patch.setitem(_KERNELS, kind, lambda start, seeds: pytest.fail("played"))
+            for seeds, trials in (([[0]], [0, 1]), ([[0], [1]], [0]), ([[0, 1], [1, 0]], [0, 1])):
+                for prefix in (0, 1):
+                    with pytest.raises(ValueError, match="a block of 2 needs 2 trials"):
+                        play([a, b], [kind], seeds, prefix, trials)
+            # a round with one row for the block's two
+            rounds = [np.stack((a.origins[0], b.origins[0]))] + [r[None] for r in a.origins[1:]]
+            with pytest.raises(ValueError, match="round rows"):
+                algorithms.play_block([a.params, b.params], rounds, [kind], [[0, 1]], 0, [0, 1])
+        assert len(play([a, b], [kind], [[0], [1]], 0, [0, 1])) == 2
 
 
 def test_run_trial_policy_subset_and_order():

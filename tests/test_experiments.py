@@ -376,7 +376,7 @@ def test_shared_counter_gives_each_task_to_one_process(monkeypatch):
     # 2000 one-trial tasks over more processes than cores: a lost update on
     # the shared counter would play a trial twice or not at all (without the
     # lock, 85 to 350 trials were played twice in each of eight runs)
-    monkeypatch.setattr(experiments, "BLOCK_TABLE_BYTES", 0)
+    monkeypatch.setattr(experiments, "BLOCK_CELLS", 0)
     config = ExperimentConfig(n_list=(3,), trials=2000, workers=6, algorithms=("greedy_nearest",))
     previous = signal.signal(signal.SIGALRM, _time_out)
     signal.alarm(120)
@@ -389,17 +389,19 @@ def test_shared_counter_gives_each_task_to_one_process(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_block_size_share_and_table_budget():
-    # an even share per worker, capped by BLOCK_TABLE_BYTES over ((n + 1)/2)^2
-    # run starts, one byte each through n = 511 and two from n = 1023 on
-    assert experiments.BLOCK_TABLE_BYTES == 8 << 20
+def test_block_size_share_and_cell_cap():
+    # an even share per worker, capped at BLOCK_CELLS over n + 1 cells a trial
+    assert experiments.BLOCK_CELLS == 1 << 18
     assert experiments._block_size(255, 32, 2) == 16
     assert experiments._block_size(255, 500, 1) == 500
-    assert experiments._block_size(255, 1000, 1) == 512
-    assert experiments._block_size(511, 500, 1) == 128
-    assert experiments._block_size(1023, 500, 2) == 16
-    assert experiments._block_size(4095, 500, 1) == 1
-    assert experiments._block_size(8191, 500, 1) == 1  # one table past the budget
+    assert experiments._block_size(255, 2000, 1) == 1024
+    assert experiments._block_size(1023, 500, 2) == 250
+    assert experiments._block_size(1023, 500, 1) == 256
+    assert experiments._block_size(4095, 64, 1) == 64
+    assert experiments._block_size(4095, 500, 2) == 64
+    assert experiments._block_size(65535, 500, 1) == 4
+    assert experiments._block_size(262143, 500, 1) == 1  # one trial fills the cap
+    assert experiments._block_size(524287, 500, 1) == 1  # and one past it still plays
     assert experiments._block_size(7, 5, 5000) == 1
 
 
@@ -412,7 +414,7 @@ def test_block_partition_invariance(monkeypatch, tmp_path, workers):
     )
     assert experiments._block_size(63, 5, workers) > 1
     default = write_outputs(run_suite(ExperimentConfig(**kw)), str(tmp_path / "default"))
-    monkeypatch.setattr(experiments, "BLOCK_TABLE_BYTES", 0)
+    monkeypatch.setattr(experiments, "BLOCK_CELLS", 0)
     assert experiments._block_size(63, 5, workers) == 1
     single = write_outputs(run_suite(ExperimentConfig(**kw)), str(tmp_path / "single"))
     for pa, pb in zip(default, single):
