@@ -24,7 +24,7 @@ The batch and random_free kernels carry the block's free servers as one
 (T, m) int64 array from round to round, so each solves or draws a round in
 one pass; greedy and permutation keep one sorted list per instance.
 play() stacks Instances into a block.  Costs stay integer numerators,
-which RunStats.to_json_dict writes as {"num", "k"} pairs at instance scale.
+which run's trial rows write as {"num", "k"} pairs at instance scale.
 """
 
 from __future__ import annotations
@@ -82,13 +82,15 @@ def _random_free(start: np.ndarray, seeds: Sequence[int]) -> Callable:
     """Uniform random free server.  With m servers free, instance b orders
     them by permutation_rows of the key (seeds[b], "choice", m), and request
     j of the round takes the server at place j: the first q places of a
-    uniform order are q uniform picks without replacement.  A round's keys
-    and orders for the whole block come from one pass each."""
+    uniform order are q uniform picks without replacement.  The keys of the
+    rounds to come, each leaving m >> 1 of its m servers free, take one pass."""
+    counts = [start.shape[1] >> j for j in range(start.shape[1].bit_length())]
+    keys = dict(zip(counts, stream_key_rows(seeds, (_TAG_CHOICE,), counts).T))
 
     def serve(free: np.ndarray, rounds: np.ndarray) -> tuple[list[int], np.ndarray]:
         _check_capacity(free[0], rounds[0])
         m, q = free.shape[1], rounds.shape[1]
-        perm = permutation_rows(stream_key_rows(seeds, (_TAG_CHOICE,), [m])[:, 0], m)
+        perm = permutation_rows(keys[m], m)
         costs = np.abs(rounds - np.take_along_axis(free, perm[:, :q], axis=1)).sum(axis=1)
         return costs.tolist(), np.take_along_axis(free, np.sort(perm[:, q:], axis=1), axis=1)
 
@@ -139,23 +141,34 @@ _TABLE_BYTES = 8 << 20
 _COST_ROWS = 64
 
 
+def _places(req: np.ndarray, free: np.ndarray, span: int) -> np.ndarray:
+    """(T, q) counts of row b's servers below req[b, j], all rows in one search."""
+    rows = np.arange(len(req), dtype=np.int64)[:, None]
+    return np.searchsorted((free + rows * span).reshape(-1), req + rows * span) - rows * free.shape[1]
+
+
 def _monotone_min_cost(req: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cheapest injection of each row of sorted requests req (T, q) into the
-    same row of sorted free servers free (T, m), both int64: the (T,) costs
-    and the (T, q) server positions, the leftmost server set on ties."""
+    same row of sorted free servers free (T, m), both int64 and >= 0: the
+    (T,) costs and the (T, q) server positions, the leftmost server set on ties."""
     t, q = req.shape
     m = free.shape[1]
     slack = m - q
     ar = np.arange(q)
-    below = np.array([f.searchsorted(x) for f, x in zip(free, req)])  # servers < x
-    on = free.reshape(-1)[np.minimum(below, m - 1) + (np.arange(t) * m)[:, None]] == req
-    right = below.max(axis=0) - ar  # slack of the first server at or right of x
-    left = (below + on).min(axis=0) - 1 - ar  # and of the last at or left of it
-    hi = np.clip(np.maximum.accumulate(right), 0, slack)
-    lo = np.clip(np.minimum.accumulate(left[::-1])[::-1], 0, slack)
-    w = int((hi - lo).max(initial=0)) + 1
-    dtype = np.min_scalar_type(w - 1)
-    if t > 1 and q * w * t * dtype.itemsize > _TABLE_BYTES:
+    # _places puts row b at b * span, span past every value, so below T span:
+    # under 2**59 on the default grid (k <= 40, T (n + 1) <= BLOCK_CELLS = 2**18,
+    # the prefix batch included); a block past 2**63 is halved, as past the table cap.
+    span = int(max(free[:, -1:].max(initial=0), req[:, -1:].max(initial=0))) + 1
+    if t * span <= 1 << 63:
+        below = _places(req, free, span)  # servers < x
+        on = np.take_along_axis(free, np.minimum(below, m - 1), axis=1) == req
+        right = below.max(axis=0) - ar  # slack of the first server at or right of x
+        left = (below + on).min(axis=0) - 1 - ar  # and of the last at or left of it
+        hi = np.clip(np.maximum.accumulate(right), 0, slack)
+        lo = np.clip(np.minimum.accumulate(left[::-1])[::-1], 0, slack)
+        w = int((hi - lo).max(initial=0)) + 1
+        dtype = np.min_scalar_type(w - 1)
+    if t > 1 and (t * span > 1 << 63 or q * w * t * dtype.itemsize > _TABLE_BYTES):
         halves = [_monotone_min_cost(req[s], free[s]) for s in (slice(t // 2), slice(t // 2, t))]
         return tuple(np.concatenate(parts) for parts in zip(*halves))
     # start[i, c, b]: 1 where row i at lo_i + c differs from c - 1, then its run start
@@ -330,22 +343,6 @@ class RunStats:
     offline_total: int
     ratio: float | None
 
-    def to_json_dict(self) -> dict:
-        k = self.grid_k
-        return {
-            "n": self.n,
-            "algorithm": self.algorithm,
-            "trial": self.trial,
-            "instance_seed": self.instance_seed,
-            "grid_k": self.grid_k,
-            "prefix_rounds": self.prefix_rounds,
-            "prefix_cost": {"num": self.prefix_cost, "k": k},
-            "round_costs": [{"num": c, "k": k} for c in self.round_costs],
-            "online_total": {"num": self.online_total, "k": k},
-            "offline_total": {"num": self.offline_total, "k": k},
-            "ratio": self.ratio,
-        }
-
 
 def check_play(kinds: Sequence[str], i: int, prefix_rounds: int) -> None:
     """Refuse what play refuses before it plays an instance of i rounds: a
@@ -375,8 +372,8 @@ def play_block(
     the policy.  One list of RunStats per row, in kinds order.
 
     A row's arrival orders, prefix batch and offline total are shared by its
-    policies.  check_play's rules and the shapes above hold; random_free's
-    first round refuses a seed outside 64 bits.  A free-server count off the
+    policies.  check_play's rules and the shapes above hold; random_free
+    refuses a seed outside 64 bits.  A free-server count off the
     reachable one, or an online total under the offline one, raises RuntimeError."""
     n, i, k, t = params[0].n, params[0].i, params[0].grid_k, len(params)
     check_play(kinds, i, prefix_rounds)

@@ -5,8 +5,8 @@ policies.  A suite runs every (n, algorithm) pair over a block of trials
 and attaches the per-round floor report and the aggregate ratio report to
 each pair; write_outputs writes it as four files into an output directory:
 
-  trials.jsonl   one record per trial, preceded by a header record that
-                 names the schema and sampler versions
+  trials.jsonl   a header record that names the schema and sampler
+                 versions, then one record per trial, written by _trial_line
   summary.csv    one row per (n, algorithm)
   rounds.csv     one row per (n, algorithm, online round)
   reports.json   the checker reports plus the configuration
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing import Pipe, Process, Value
@@ -250,22 +251,20 @@ def _pair_summary(
 
 
 def _pair_round_rows(lemma2_rep: LemmaReport) -> list[dict]:
-    rows = []
-    for row in lemma2_rep.details["per_round"]:
-        rows.append(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "n": lemma2_rep.n,
-                "algorithm": lemma2_rep.details["algorithm"],
-                "round": row["round"],
-                "trials": lemma2_rep.trials,
-                "mean_cost": row["mean"],
-                "se_cost": row["se"],
-                "floor": lemma2_rep.bound,
-                "pass": row["pass"],
-            }
-        )
-    return rows
+    return [
+        {
+            "schema_version": SCHEMA_VERSION,
+            "n": lemma2_rep.n,
+            "algorithm": lemma2_rep.details["algorithm"],
+            "round": row["round"],
+            "trials": lemma2_rep.trials,
+            "mean_cost": row["mean"],
+            "se_cost": row["se"],
+            "floor": lemma2_rep.bound,
+            "pass": row["pass"],
+        }
+        for row in lemma2_rep.details["per_round"]
+    ]
 
 
 def run_suite(config: ExperimentConfig) -> SuiteResult:
@@ -306,6 +305,23 @@ def _json_line(obj: dict) -> str:
     return _ENCODER.encode(obj) + "\n"
 
 
+def _trial_line(st: RunStats) -> str:
+    """st as one trial record: the shared encoder's bytes, costs as {"num", "k"}
+    pairs.  The algorithm needs no escaping: check_play admits only ALGORITHM_KINDS."""
+    k, trial = st.grid_k, "null" if st.trial is None else st.trial
+    if st.ratio is not None and not math.isfinite(st.ratio):
+        raise ValueError(f"trial {st.trial}: ratio {st.ratio} is not JSON compliant")
+    ratio = "null" if st.ratio is None else float.__repr__(st.ratio)
+    costs = ",".join([f'{{"num":{c},"k":{k}}}' for c in st.round_costs])
+    return (
+        f'{{"record":"trial","n":{st.n},"algorithm":"{st.algorithm}","trial":{trial},'
+        f'"instance_seed":{st.instance_seed},"grid_k":{k},"prefix_rounds":{st.prefix_rounds},'
+        f'"prefix_cost":{{"num":{st.prefix_cost},"k":{k}}},"round_costs":[{costs}],'
+        f'"online_total":{{"num":{st.online_total},"k":{k}}},'
+        f'"offline_total":{{"num":{st.offline_total},"k":{k}}},"ratio":{ratio}}}\n'
+    )
+
+
 def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -341,15 +357,10 @@ def write_outputs(result: SuiteResult, out_dir: str | Path) -> list[Path]:
         fh.write(_json_line(header))
         for n in config.n_list:
             for kind in config.algorithms:
-                for st in result.stats[(n, kind)]:
-                    rec = {"record": "trial"}
-                    rec.update(st.to_json_dict())
-                    fh.write(_json_line(rec))
+                fh.write("".join(map(_trial_line, result.stats[(n, kind)])))
 
-    summary_path = out / "summary.csv"
+    summary_path, rounds_path = out / "summary.csv", out / "rounds.csv"
     _write_csv(summary_path, result.summary_rows)
-
-    rounds_path = out / "rounds.csv"
     _write_csv(rounds_path, result.round_rows)
 
     reports_path = write_reports(out, {

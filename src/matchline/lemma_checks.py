@@ -196,11 +196,12 @@ def render_reports(reports: list[LemmaReport]) -> str:
     return "\n".join(lines)
 
 
-def _mean_se(nums: list[int], k: int) -> tuple[float, float]:
-    """Mean and standard error of integer numerators at scale 2^-k; the mean
-    is exact, rounded once."""
-    xs = np.array(nums, dtype=np.float64) / float(1 << k)
-    return float(Fraction(sum(nums), len(nums) << k)), math.sqrt(float(xs.var(ddof=1)) / xs.size)
+def _mean_se_rows(rows: list, k: int) -> tuple[list[float], list[float]]:
+    """Mean and standard error of each row of T integer numerators at scale 2^-k: int true division
+    rounds each exact mean once, as float(Fraction); one var pass gives each row's np.var exactly."""
+    t = len(rows[0])
+    xs = np.array(rows, dtype=np.float64) / float(1 << k)
+    return [sum(row) / (t << k) for row in rows], np.sqrt(xs.var(axis=1, ddof=1) / t).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +394,11 @@ def empirical_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport
     first = stats[0]
     n = first.n
     floor = float(round_floor(n))
-    rows = []
-    for idx in range(len(first.round_costs)):  # play leaves at least one
-        mean, se = _mean_se([s.round_costs[idx] for s in stats], first.grid_k)
-        rows.append({
-            "round": first.prefix_rounds + 1 + idx, "mean": mean, "se": se,
-            "pass": mean >= floor - 3.0 * se,
-        })
+    means, ses = _mean_se_rows(list(zip(*(s.round_costs for s in stats))), first.grid_k)
+    rows = [
+        {"round": r, "mean": mean, "se": se, "pass": mean >= floor - 3.0 * se}
+        for r, (mean, se) in enumerate(zip(means, ses), first.prefix_rounds + 1)
+    ]
     # observed is the round closest to failing; the first of equals wins
     worst = min(rows, key=lambda row: row["mean"] - (floor - 3.0 * row["se"]))
     return LemmaReport(
@@ -441,8 +440,7 @@ def ratio_report_from_stats(stats: list[RunStats], seed: int) -> LemmaReport:
     on_nums = [s.online_total for s in stats]
     off_nums = [s.offline_total for s in stats]
     sum_on, sum_off = sum(on_nums), sum(off_nums)
-    mean_on, se_on = _mean_se(on_nums, k)
-    mean_off, se_off = _mean_se(off_nums, k)
+    (mean_on, mean_off), (se_on, se_off) = _mean_se_rows([on_nums, off_nums], k)
     t = len(stats)
     agg = cost_ratio(sum_on, sum_off)
     se_ratio = 0.0

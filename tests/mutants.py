@@ -40,8 +40,8 @@ MUTANTS = (
     (
         "random_free_key_without_free_count",
         "src/matchline/algorithms.py",
-        "stream_key_rows(seeds, (_TAG_CHOICE,), [m])",
-        "stream_key_rows(seeds, (), [_TAG_CHOICE])",
+        "stream_key_rows(seeds, (_TAG_CHOICE,), counts)",
+        "stream_key_rows(seeds, (), [_TAG_CHOICE] * len(counts))",
         ("tests/test_algorithms.py::test_random_free_reproducible",),
     ),
     (
@@ -202,9 +202,25 @@ MUTANTS = (
         # tables at once
         "batch_table_cap_never_slices",
         "src/matchline/algorithms.py",
-        "q * w * t * dtype.itemsize > _TABLE_BYTES:",
-        "q * w * t * dtype.itemsize > _TABLE_BYTES << 30:",
+        "q * w * t * dtype.itemsize > _TABLE_BYTES)",
+        "q * w * t * dtype.itemsize > _TABLE_BYTES << 30)",
         ("tests/test_algorithms.py::test_batch_block_past_the_table_cap_is_solved_in_slices",),
+    ),
+    (
+        # a NaN or infinite ratio written as nan or inf, which no JSON reader takes
+        "trial_line_non_finite_ratio_written",
+        "src/matchline/experiments.py",
+        "if st.ratio is not None and not math.isfinite(st.ratio):",
+        "if False:",
+        ("tests/test_experiments.py::test_trial_line_writes_what_json_dumps_writes",),
+    ),
+    (
+        # each round's error taken down the trials: one value per trial
+        "round_variance_wrong_axis",
+        "src/matchline/lemma_checks.py",
+        "xs.var(axis=1, ddof=1)",
+        "xs.var(axis=0, ddof=1)",
+        ("tests/test_lemma_checks.py::test_round_statistics_match_one_round_at_a_time",),
     ),
 )
 

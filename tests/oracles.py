@@ -98,6 +98,33 @@ def min_segment_sum_by_enumeration(n, r):
     )
 
 
+def trial_dict(st):
+    """One RunStats as the dict a trial record of trials.jsonl holds after
+    its "record" key, costs as {"num", "k"} pairs at the instance scale: the
+    reference experiments._trial_line is checked against."""
+    k = st.grid_k
+    return {
+        "n": st.n,
+        "algorithm": st.algorithm,
+        "trial": st.trial,
+        "instance_seed": st.instance_seed,
+        "grid_k": k,
+        "prefix_rounds": st.prefix_rounds,
+        "prefix_cost": {"num": st.prefix_cost, "k": k},
+        "round_costs": [{"num": c, "k": k} for c in st.round_costs],
+        "online_total": {"num": st.online_total, "k": k},
+        "offline_total": {"num": st.offline_total, "k": k},
+        "ratio": st.ratio,
+    }
+
+
+def mean_se_by_fraction(nums, k):
+    """Mean and standard error of integer numerators at scale 2^-k, one
+    sample at a time: the mean as float(Fraction), the error from np.var."""
+    xs = np.array(nums, dtype=np.float64) / float(1 << k)
+    return float(Fraction(sum(nums), len(nums) << k)), math.sqrt(float(xs.var(ddof=1)) / xs.size)
+
+
 def lemma1_exact_details_by_rank(n):
     """lemma1_exact's four details, one scalar g_moment_nums call per rank,
     with both gates in unbounded Python integers."""

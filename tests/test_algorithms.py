@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import brute_force_cost, mix64
+from oracles import brute_force_cost, mix64, trial_dict
 
 from matchline import algorithms
 from matchline.adversary import (
@@ -23,6 +24,8 @@ from matchline.adversary import (
     default_grid_k,
     generate,
     instance_seeds,
+    origin_round_numerators,
+    reachable_free_count,
 )
 from matchline.algorithms import (
     ALGORITHM_KINDS,
@@ -32,7 +35,7 @@ from matchline.algorithms import (
     _serve_batch,
     play,
 )
-from matchline.experiments import run_trials
+from matchline.experiments import _trial_line, run_trials
 from matchline.rng import GAMMA, stream_key
 
 
@@ -401,6 +404,51 @@ def test_batch_block_past_the_table_cap_is_solved_in_slices(monkeypatch):
     assert sel.tolist() == [p for _, p in want[:3]]
 
 
+def test_batch_places_match_one_search_per_row():
+    # each request's place among its row's servers comes from one search over
+    # the shifted rows; it must equal a search per row, at run's block sizes
+    # at n = 255, on round 1's full rows and on round 3's ragged ones, with
+    # requests on servers and at both ends of the line
+    s = random.Random(137)
+    n, k = 255, default_grid_k(255)
+    servers = np.arange(1, n + 1, dtype=np.int64) << k
+    for t in (1, 16, 1024):
+        rounds = origin_round_numerators(8, k, [s.randrange(1 << 64) for _ in range(t)])
+        picks = [sorted(s.sample(range(n), reachable_free_count(n, 3))) for _ in range(t)]
+        for req, free in ((rounds[0], np.tile(servers, (t, 1))), (rounds[2], servers[picks])):
+            req = req.copy()
+            for b in range(t):
+                req[b, s.randrange(req.shape[1])] = free[b, s.randrange(free.shape[1])]
+            req[0, 0], req[-1, -1] = 0, (n + 1) << k
+            req.sort(axis=1)
+            span = int(max(free.max(), req.max())) + 1
+            want = [f.searchsorted(x) for f, x in zip(free, req)]
+            assert algorithms._places(req, free, span).tolist() == np.array(want).tolist()
+
+
+def test_batch_block_past_the_int64_span_is_solved_in_halves(monkeypatch):
+    # n = 3 on grid 56 puts numerators near 2**58, so a block of 100 rows
+    # laid end to end would pass 2**63: it is halved until 25 rows fit, and
+    # each row still gets its one-instance solve
+    s = random.Random(139)
+    k = 56
+    req = np.sort(np.array([[s.randrange(4 << k) for _ in range(2)] for _ in range(100)]), axis=1)
+    srv = np.array([[1 << k, 2 << k, 3 << k]] * 100, dtype=np.int64)
+    sizes = []
+    solve = algorithms._monotone_min_cost
+
+    def counted(r, f):
+        sizes.append(len(r))
+        return solve(r, f)
+
+    monkeypatch.setattr(algorithms, "_monotone_min_cost", counted)
+    cost, sel = algorithms._monotone_min_cost(req, srv)
+    assert sorted(sizes) == [25] * 4 + [50] * 2 + [100]
+    want = [_monotone_min_cost_1d(r, f) for r, f in zip(req, srv)]
+    assert cost.tolist() == [c for c, _ in want]
+    assert sel.tolist() == [p for _, p in want]
+
+
 def test_batch_solve_memory_at_n1023():
     # one round-1 solve at n = 1023 runs on windows a few columns wide, so
     # its traceback table is a few bytes per row; the full band would take
@@ -638,11 +686,13 @@ def test_random_free_single_choice():
 
 
 def test_random_free_reproducible():
+    # a kernel derives its keys for the free counts of the hard instance's
+    # rounds, m, m >> 1, ..., 1; a round is keyed by (seed, m) alone, so
+    # single picks from 8, 7, ..., 1 free servers take one kernel each
     picks = []
     for _ in range(2):
         free = at4(range(1, 9))
-        serve = kernel("random_free", free, seed=99)
-        picks.append([serve_one(serve, free, 4 << 4)[0] for _ in range(8)])
+        picks.append([serve_one(kernel("random_free", free, seed=99), free, 4 << 4)[0] for _ in range(8)])
     assert picks[0] == picks[1]
     assert sorted(picks[0]) == at4(range(1, 9))
     # pinned with SAMPLER_VERSION: a new draw rule must bump the version
@@ -718,7 +768,7 @@ def test_run_trial_matches_run_per_policy():
                     for kind in ALGORITHM_KINDS
                 ]
                 assert got == want
-                assert [st.to_json_dict() for st in got] == [st.to_json_dict() for st in want]
+                assert [_trial_line(st) for st in got] == [_trial_line(st) for st in want]
 
 
 def test_block_plays_like_its_trials_one_at_a_time():
@@ -890,7 +940,9 @@ def test_run_trials_shapes():
 
 def test_stats_json_dict():
     (stats,) = run_trial(3, ("greedy_nearest",), 2, root_seed=7)
-    d = stats.to_json_dict()
+    d = json.loads(_trial_line(stats))
+    assert d.pop("record") == "trial"
+    assert d == trial_dict(stats)
     assert d["n"] == 3
     assert d["algorithm"] == "greedy_nearest"
     assert d["trial"] == 2

@@ -13,6 +13,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+from oracles import trial_dict
 
 import matchline
 import matchline.cli as cli
@@ -697,12 +698,16 @@ def test_parse_args_leaves_the_parser_unchanged():
 
 
 def test_shared_json_encoders_write_what_json_dumps_writes():
-    stats = experiments.run_trials(7, ("permutation",), [0], 3)[0][0]
-    rec = {"record": "trial", **dataclasses.replace(stats, trial=None, ratio=1 / 3).to_json_dict()}
+    stats = dataclasses.replace(experiments.run_trials(7, ("permutation",), [0], 3)[0][0], trial=None, ratio=1 / 3)
+    rec = {"record": "trial", **trial_dict(stats)}
     assert rec["trial"] is None
-    assert experiments._json_line(rec) == json.dumps(rec, separators=(",", ":"), allow_nan=False) + "\n"
+    line = json.dumps(rec, separators=(",", ":"), allow_nan=False) + "\n"
+    assert experiments._json_line(rec) == line
+    assert experiments._trial_line(stats) == line
     with pytest.raises(ValueError):
         experiments._json_line({**rec, "ratio": float("nan")})
+    with pytest.raises(ValueError):
+        experiments._trial_line(dataclasses.replace(stats, ratio=float("nan")))
     text = adversary.instance_to_jsonl(generate(GenParams(i=3, grid_k=2, seed=1)))
     lines = text.splitlines()
     assert len(lines) == 8

@@ -1,6 +1,8 @@
 """Suite runner: output files, determinism, prefix mode, aggregation."""
 
 import csv
+import dataclasses
+import itertools
 import json
 import math
 import multiprocessing
@@ -11,9 +13,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from oracles import trial_dict
 
 from matchline import experiments
-from matchline.algorithms import RunStats, cost_ratio
+from matchline.adversary import rounds_for
+from matchline.algorithms import ALGORITHM_KINDS, RunStats, cost_ratio
 from matchline.experiments import ExperimentConfig, run_suite, write_outputs
 from matchline.lemma_checks import ratio_report_from_stats, render_reports
 from matchline.rng import stream_key
@@ -488,6 +492,29 @@ def test_trials_header_and_counts(tmp_path):
     trials = [json.loads(line) for line in lines[1:]]
     assert len(trials) == 4
     assert all(rec["record"] == "trial" for rec in trials)
+
+
+def test_trial_line_writes_what_json_dumps_writes():
+    # the one writer of a trial row against json.dumps of the reference dict,
+    # on every RunStats of seeded blocks and on edited trials and ratios
+    def dumped(st):
+        return json.dumps({"record": "trial", **trial_dict(st)}, separators=(",", ":")) + "\n"
+
+    runs = []
+    for n, order, prefix in itertools.product((3, 15, 255), ("left_to_right", "shuffled"), (0, 2)):
+        prefix = min(prefix, rounds_for(n) - 1)  # n = 3 has two rounds
+        block = experiments.run_trials(n, ALGORITHM_KINDS, range(3), 11, None, order, prefix)
+        runs += [st for row in block for st in row]
+    assert len(runs) == 3 * 2 * 2 * 3 * len(ALGORITHM_KINDS)
+    for st in runs:
+        assert experiments._trial_line(st) == dumped(st)
+    st = runs[-1]
+    for edit in ({"trial": None}, {"ratio": None}, {"ratio": 1 / 3}, {"trial": None, "ratio": None}):
+        edited = dataclasses.replace(st, **edit)
+        assert experiments._trial_line(edited) == dumped(edited)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            experiments._trial_line(dataclasses.replace(st, ratio=bad))
 
 
 def test_summary_recomputable_from_trials(tmp_path):

@@ -15,6 +15,7 @@ from matchline.adversary import (
     reachable_free_count,
     rounds_for,
 )
+from matchline.algorithms import RunStats
 from matchline.experiments import ExperimentConfig, run_suite
 from matchline.lemma_checks import (
     LemmaReport,
@@ -28,6 +29,7 @@ from matchline.rng import stream_key, u64_rows
 from oracles import (
     config_lower_bounds,
     lemma1_exact_details_by_rank,
+    mean_se_by_fraction,
     min_segment_sum_by_enumeration,
     segment_square_sum,
 )
@@ -396,6 +398,39 @@ def test_lemma2_empirical_prefix_labels():
     )
     assert [row["round"] for row in rep.details["per_round"]] == [2, 3]
     assert rep.details["prefix_rounds"] == 1
+
+
+def _hex(pairs):
+    return [(mean.hex(), se.hex()) for mean, se in pairs]
+
+
+def test_round_statistics_match_one_round_at_a_time():
+    # every round's mean and standard error of a policy come from one
+    # (rounds, trials) pass; each must equal the per-round Fraction mean and
+    # np.var error bit for bit, also past numpy's pairwise-summation block
+    # of 128 (T = 129, 600); so must the theorem report's two totals
+    s = random.Random(131)
+    for t, k in itertools.product((2, 3, 129, 600), (0, 1, 40)):
+        for n, prefix in ((3, 1), (255, 0), (255, 3), ((1 << 20) - 1, 0)):
+            bits = s.choice((3, 20)) + k  # 3 gives many equal costs
+            rounds = rounds_for(n) - prefix
+            costs = [tuple(s.randrange(1 << bits) for _ in range(rounds)) for _ in range(t)]
+            stats = [
+                RunStats(
+                    n=n, algorithm="greedy_nearest", instance_seed=b, grid_k=k, trial=b,
+                    prefix_rounds=prefix, prefix_cost=0, round_costs=c, online_total=sum(c),
+                    offline_total=s.randrange(1 << bits), ratio=None,
+                )
+                for b, c in enumerate(costs)
+            ]
+            rows = lemma_checks.empirical_report_from_stats(stats, 0).details["per_round"]
+            assert [row["round"] for row in rows] == list(range(prefix + 1, prefix + rounds + 1))
+            got = [(row["mean"], row["se"]) for row in rows]
+            assert _hex(got) == _hex(mean_se_by_fraction(col, k) for col in zip(*costs)), (t, k, n)
+            d = lemma_checks.ratio_report_from_stats(stats, 0).details
+            got = [(d["mean_online"], d["se_online"]), (d["mean_offline"], d["se_offline"])]
+            want = [[st.online_total for st in stats], [st.offline_total for st in stats]]
+            assert _hex(got) == _hex(mean_se_by_fraction(nums, k) for nums in want), (t, k, n)
 
 
 def test_theorem_ratio_floor_of_one():
