@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from operator import sub
 from typing import Callable, Sequence
 
 import numpy as np
@@ -246,13 +245,13 @@ def _serve_batch(free: np.ndarray, rounds: np.ndarray) -> tuple[list[int], np.nd
 #      the pool rank of s_L, the two matchings agree outside the block, so
 #      H(s_R) - H(s_L) = sum_a |Q[a] - pool[j+1+a]| - sum_a |Q[a] - pool[j+a]|.
 #      With no seen request between s_L and s_R, (a) leaves no used server
-#      there either, so Q = [x], pool[j+1] = s_R and the rule reads
-#      s_R - x >= x - s_L -> s_L.
+#      there either: Q = [x], pool[j+1] = s_R, the difference (s_R-x) - (x-s_L).
 #  (d) With s_L = free[b-1] and s_R = free[b], (a) makes #seen <= s_L the
 #      #U below s_L, rank(s_L) - b + 1, and #seen < s_R the #U below s_R,
 #      rank(s_R) - b (a seen request at s_R would leave D < 0 just left of
-#      it).  So Q's seen part is seen[rank(s_L)-b+1 : rank(s_R)-b], empty
-#      exactly when rank(s_R) - rank(s_L) = 1.
+#      it).  So Q's seen part is seen[rank(s_L)-b+1 : rank(s_R)-b].  It is
+#      empty exactly when rank(s_R) - rank(s_L) = 1, and then, with no seen
+#      request in (s_L, s_R], x's place in seen is rank(s_L) - b + 1.
 
 
 def _permutation(free: list[int], seed: int) -> Kernel:
@@ -265,24 +264,25 @@ def _permutation(free: list[int], seed: int) -> Kernel:
         total = 0
         for x in requests:
             b = bisect_left(free, x)
-            if b == len(free):  # x right of every free server: the last
-                b -= 1
-            elif b:
+            if 0 < b < len(free):
                 lo, hi = free[b - 1], free[b]
                 j, end = rank[lo], rank[hi]
-                if end - j == 1:
-                    if hi - x >= x - lo:
-                        b -= 1
+                start, stop = j - b + 1, end - b  # (d); x joins Q = seen[start : stop + 1]
+                if end - j == 1:  # d = H(s_R) - H(s_L) of (c), ties to s_L
+                    seen.insert(start, x)
+                    d = hi - x - (x - lo)
                 else:
-                    start, stop = j - b + 1, end - b  # (d)
-                    block = seen[start:stop]
-                    block.insert(bisect_left(seen, x, start, stop) - start, x)
-                    srv = pool[j : end + 1]
-                    cost_r = sum(map(abs, map(sub, block, srv[1:])))
-                    if cost_r >= sum(map(abs, map(sub, block, srv))):
-                        b -= 1
+                    seen.insert(bisect_left(seen, x, start, stop), x)
+                    d, left = 0, lo
+                    for y, s in zip(seen[start : stop + 1], pool[j + 1 : end + 1]):
+                        d += abs(y - s) - abs(y - left)
+                        left = s
+                if d >= 0:
+                    b -= 1
+            else:  # x left or right of every free server: the first or the last
+                b = min(b, len(free) - 1)
+                insort(seen, x)
             total += abs(x - free.pop(b))
-            insort(seen, x)
         return total
 
     return serve

@@ -222,6 +222,23 @@ MUTANTS = (
         "xs.var(axis=0, ddof=1)",
         ("tests/test_lemma_checks.py::test_round_statistics_match_one_round_at_a_time",),
     ),
+    (
+        # a request whose two neighbours cost the same served from the right
+        "permutation_block_tie_goes_right",
+        "src/matchline/algorithms.py",
+        "if d >= 0:",
+        "if d > 0:",
+        ("tests/test_algorithms.py::test_permutation_tie_goes_left",),
+    ),
+    (
+        # a request past an empty gap inserted one place right of its own,
+        # leaving seen unsorted for the blocks to come
+        "permutation_empty_gap_insert_misplaced",
+        "src/matchline/algorithms.py",
+        "seen.insert(start, x)",
+        "seen.insert(start + 1, x)",
+        ("tests/test_algorithms.py::test_permutation_block_rule_matches_scan",),
+    ),
 )
 
 EQUIVALENT = (

@@ -609,14 +609,20 @@ def test_permutation_block_rule_matches_scan():
             assert fast_free == scan_free, (pool, rounds)
 
 
-@pytest.mark.parametrize("i", [10, 12])
-def test_permutation_play_matches_scan(i, monkeypatch):
-    inst = generate(
-        GenParams(i=i, grid_k=default_grid_k((1 << i) - 1), seed=i, request_order=ORDER_SHUFFLED)
-    )
-    fast = [play([inst], ["permutation"], [[0]], prefix, [i]) for prefix in (0, 2)]
+@pytest.mark.parametrize(
+    "i, trials, prefixes", [(10, [10], (0, 2)), (12, [12], (0, 2)), (8, range(16), (0, 3))],
+    ids=["10", "12", "8-block"],
+)
+def test_permutation_play_matches_scan(i, trials, prefixes, monkeypatch):
+    # 8-block is the first 16-trial task of `run --n 255 --order shuffled`
+    # at root seed 0, played as one block as that run plays it: the shape of
+    # the suite_n255_w2 benchmark's blocks
+    seeds = [i] if len(trials) == 1 else instance_seeds(0, trials)
+    insts = [generate(GenParams.for_size((1 << i) - 1, None, s, ORDER_SHUFFLED)) for s in seeds]
+    args = (["permutation"], [[0]] * len(insts))
+    fast = [play(insts, *args, prefix, list(trials)) for prefix in prefixes]
     monkeypatch.setitem(_KERNELS, "permutation", _each(_permutation_scan))
-    assert fast == [play([inst], ["permutation"], [[0]], prefix, [i]) for prefix in (0, 2)]
+    assert fast == [play(insts, *args, prefix, list(trials)) for prefix in prefixes]
 
 
 @pytest.mark.parametrize("order", [ORDER_LEFT_TO_RIGHT, ORDER_SHUFFLED])
