@@ -11,20 +11,21 @@ each pair; write_outputs writes it as four files into an output directory:
   rounds.csv     one row per (n, algorithm, online round)
   reports.json   the checker reports plus the configuration
 
-A task is (n, a contiguous block of trials): it samples and checks the
+A block is (n, a contiguous run of trials): it samples and checks the
 block's origins once, with one pass per round, and plays every configured
 policy on the whole block (algorithms.play_block), so all policies of a
-trial see the same requests.  workers counts the calling process: with N
-workers it forks N - 1 children, at most tasks - 1; process w plays task w
-first, then every process takes the next task not yet taken as it comes
-free, and each child sends its results back once.  The parent builds the
-reports before it joins the children, so their exit overlaps that work; on
-an error it stops and joins them before raising.  Outputs are
-byte-deterministic for a given configuration and seed: no trial's result
-depends on its block or its process, results are regrouped by
-(n, algorithm) in trial order, exact integer cost sums happen before any
-float conversion, and neither the worker count nor the blocks appear in a
-file.  Floats serialize via Python's shortest round-trip repr.
+trial see the same requests.  workers counts the calling process: with
+W = min(workers, trials) it forks W - 1 children, and process w, the parent
+being 0, plays an even share of every n, trials T*w//W .. T*(w+1)//W - 1,
+so each process plays at least one trial and shares differ by at most one.
+Each child sends its results back once.  The parent builds the reports
+before it joins the children, so their exit overlaps that work; on an error
+it stops and joins them before raising.  Outputs are byte-deterministic for
+a given configuration and seed: no trial's result depends on its block or
+its process, results are regrouped by (n, algorithm) in trial order, exact
+integer cost sums happen before any float conversion, and neither the
+worker count nor the blocks appear in a file.  Floats serialize via
+Python's shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import csv
 import json
 import math
 import traceback
-from dataclasses import dataclass, field
-from multiprocessing import Pipe, Process, Value
+from dataclasses import dataclass
+from multiprocessing import Pipe, Process
 from pathlib import Path
 from typing import Sequence
 
@@ -56,7 +57,7 @@ from matchline.rng import stream_key_rows
 
 SCHEMA_VERSION = 2
 
-# Cells one task may hold, about 50 MB of block state (see _block_size).
+# Cells one block may hold, about 50 MB of block state (see _block_size).
 BLOCK_CELLS = 1 << 18
 
 _TAG_ALG = "alg"
@@ -122,9 +123,9 @@ class ExperimentConfig:
 class SuiteResult:
     config: ExperimentConfig
     stats: dict[tuple[int, str], list[RunStats]]
-    summary_rows: list[dict] = field(default_factory=list)
-    round_rows: list[dict] = field(default_factory=list)
-    reports: list[LemmaReport] = field(default_factory=list)
+    summary_rows: list[dict]
+    round_rows: list[dict]
+    reports: list[LemmaReport]
 
 
 def run_trials(
@@ -152,59 +153,48 @@ def run_trials(
     return play_block(params, rounds, kinds, seeds, prefix_rounds, trials)
 
 
-def _block_task(args: tuple) -> list[RunStats]:
-    return [st for runs in run_trials(*args) for st in runs]
+def _block_size(n: int) -> int:
+    """Trials per block: BLOCK_CELLS cells, n + 1 per trial, but at least one;
+    a block holds about 175-195 bytes per server per trial."""
+    return max(1, BLOCK_CELLS // (n + 1))
 
 
-def _play_tasks(tasks: list[tuple], first: int, next_task) -> list[tuple[int, list[RunStats]]]:
-    """Play tasks[first], then take the lowest task index no process has
-    taken from the shared counter next_task, until none is left; (index,
-    results) of every task played."""
-    played, i = [], first
-    while i < len(tasks):
-        played.append((i, _block_task(tasks[i])))
-        with next_task.get_lock():
-            i = next_task.value
-            next_task.value = i + 1
-    return played
+def _share(config: ExperimentConfig, w: int, workers: int) -> list[RunStats]:
+    """The runs of process w of workers: trials T*w//workers .. T*(w+1)//workers - 1
+    of every n, in n_list order, in blocks of at most _block_size(n) trials."""
+    lo, hi = config.trials * w // workers, config.trials * (w + 1) // workers
+    opts = (config.seed, config.grid_k, config.request_order, config.prefix_rounds)
+    runs = []
+    for n in config.n_list:
+        size = _block_size(n)
+        for t in range(lo, hi, size):
+            for trial_runs in run_trials(n, config.algorithms, range(t, min(t + size, hi)), *opts):
+                runs += trial_runs
+    return runs
 
 
-def _play_share(tasks: list[tuple], first: int, next_task, conn) -> None:
-    """A child's body: send what _play_tasks returns, or (the exception that
-    stopped it, its traceback as text), then close conn."""
+def _play_share(config: ExperimentConfig, w: int, workers: int, conn) -> None:
+    """A child's body: send (what _share returns, None), or (the exception
+    that stopped it, its traceback as text), then close conn."""
     try:
-        msg = (_play_tasks(tasks, first, next_task), None)
+        msg = (_share(config, w, workers), None)
     except Exception as exc:
         msg = (exc, traceback.format_exc())
     conn.send(msg)
     conn.close()
 
 
-def _block_size(n: int, trials: int, workers: int) -> int:
-    """Trials per task: an even share per worker, capped at BLOCK_CELLS cells,
-    n + 1 per trial; a block holds about 175-195 bytes per server per trial."""
-    return max(1, min(-(-trials // workers), BLOCK_CELLS // (n + 1)))
-
-
 def _collect_stats(config: ExperimentConfig, children: list) -> dict[tuple[int, str], list[RunStats]]:
-    """The runs by (n, algorithm); each child it forks goes into children, for the caller to reap."""
-    opts = (config.seed, config.grid_k, config.request_order, config.prefix_rounds)
-    tasks = []
-    for n in config.n_list:
-        size = _block_size(n, config.trials, config.workers)
-        blocks = [range(t, min(t + size, config.trials)) for t in range(0, config.trials, size)]
-        tasks += [(n, config.algorithms, block, *opts) for block in blocks]
-    workers = min(config.workers, len(tasks))
-    # process w plays task w first, so every child plays; then each process
-    # takes the next task as it comes free, so uneven blocks even out
-    next_task = Value("q", workers)
+    """The runs by (n, algorithm); each child it forks goes into children, for
+    the caller to reap.  Process w plays share w of workers (see _share)."""
+    workers = min(config.workers, config.trials)
     for w in range(1, workers):
         recv, send = Pipe(duplex=False)
-        child = Process(target=_play_share, args=(tasks, w, next_task, send))
+        child = Process(target=_play_share, args=(config, w, workers, send))
         child.start()
         send.close()  # so a child that dies without sending reads as EOF
         children.append((child, recv))
-    played = _play_tasks(tasks, 0, next_task)
+    runs = _share(config, 0, workers)
     # a child blocked on send waits only for this loop: no cycle of waits
     for child, recv in children:
         try:
@@ -216,13 +206,12 @@ def _collect_stats(config: ExperimentConfig, children: list) -> dict[tuple[int, 
             ) from None
         if trace is not None:
             raise payload from RuntimeError(f"in worker process:\n{trace}")
-        played += payload
+        runs += payload
     stats: dict[tuple[int, str], list[RunStats]] = {
         (n, kind): [] for n in config.n_list for kind in config.algorithms
     }
-    for _, runs in sorted(played):  # task order, whoever played them
-        for st in runs:
-            stats[(st.n, st.algorithm)].append(st)
+    for st in runs:  # shares in process order: trial order within each (n, algorithm)
+        stats[(st.n, st.algorithm)].append(st)
     return stats
 
 

@@ -47,7 +47,7 @@ than that bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -153,7 +153,7 @@ class LemmaReport:
     bound: float
     standard_error: float
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_json_dict(self) -> dict:
         return {

@@ -239,6 +239,22 @@ MUTANTS = (
         "seen.insert(start + 1, x)",
         ("tests/test_algorithms.py::test_permutation_block_rule_matches_scan",),
     ),
+    (
+        # each share stops one trial short, leaving its last trial unplayed
+        "share_upper_bound_one_short",
+        "src/matchline/experiments.py",
+        "config.trials * (w + 1) // workers\n",
+        "config.trials * (w + 1) // workers - 1\n",
+        ("tests/test_experiments.py::test_shares_play_every_trial_once_in_capped_blocks",),
+    ),
+    (
+        # the children's runs put before the parent's: no longer trial order
+        "children_runs_before_parent",
+        "src/matchline/experiments.py",
+        "runs += payload",
+        "runs[:0] = payload",
+        ("tests/test_experiments.py::test_worker_count_invariance",),
+    ),
 )
 
 EQUIVALENT = (

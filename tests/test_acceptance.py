@@ -315,7 +315,11 @@ def test_criterion_10_fails_on_process_salted_policy_seeds(monkeypatch, tmp_path
         "stream_key_rows",
         lambda seeds, labels, lasts: rows(seeds, (*labels, os.getpid()), lasts),
     )
-    assert experiments._block_size(15, 8, 2) == 4
+    blocks = []
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "run_trials", lambda n, kinds, trials, *rest: blocks.append(trials) or [])
+        experiments._share(ExperimentConfig(n_list=(15,), trials=8, workers=2), 1, 2)
+    assert blocks == [range(4, 8)]
     config = {"n_list": (15,), "trials": 8}
     assert _byte_identical_reruns(tmp_path / "w1", (1, 1), **config)
     assert not _byte_identical_reruns(tmp_path / "w2", (1, 2), **config)

@@ -614,9 +614,9 @@ def test_permutation_block_rule_matches_scan():
     ids=["10", "12", "8-block"],
 )
 def test_permutation_play_matches_scan(i, trials, prefixes, monkeypatch):
-    # 8-block is the first 16-trial task of `run --n 255 --order shuffled`
-    # at root seed 0, played as one block as that run plays it: the shape of
-    # the suite_n255_w2 benchmark's blocks
+    # 8-block is the parent's 16-trial share of `run --n 255 --order shuffled
+    # --trials 32 --workers 2` at root seed 0, played as one block as that run
+    # plays it: the shape of the suite_n255_w2 benchmark's blocks
     seeds = [i] if len(trials) == 1 else instance_seeds(0, trials)
     insts = [generate(GenParams.for_size((1 << i) - 1, None, s, ORDER_SHUFFLED)) for s in seeds]
     args = (["permutation"], [[0]] * len(insts))

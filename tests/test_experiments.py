@@ -56,7 +56,7 @@ def test_config_validation():
         ExperimentConfig(n_list=(3,), trials=2, workers=0)
     with pytest.raises(ValueError):
         ExperimentConfig(n_list=(3,), trials=2, request_order="sideways")
-    # a repeated size would run each of its (n, trial) tasks twice
+    # a repeated size would run each of its (n, trial) pairs twice
     with pytest.raises(ValueError, match="duplicate n"):
         ExperimentConfig(n_list=(7, 3, 7), trials=2)
     # the per-round floor is false on the integer grid (see
@@ -220,15 +220,15 @@ def _pipe(duplex=True):
 
 
 def _record_fan_out(monkeypatch):
-    block_task = experiments._block_task
+    play = experiments.run_trials
 
-    def recording(task):
-        _SerialChild.plays.append((_SerialChild.playing, task[0], list(task[2])))
-        return block_task(task)
+    def recording(n, kinds, trials, *rest):
+        _SerialChild.plays.append((_SerialChild.playing, n, list(trials)))
+        return play(n, kinds, trials, *rest)
 
     monkeypatch.setattr(experiments, "Process", _SerialChild)
     monkeypatch.setattr(experiments, "Pipe", _pipe)
-    monkeypatch.setattr(experiments, "_block_task", recording)
+    monkeypatch.setattr(experiments, "run_trials", recording)
     monkeypatch.setattr(_SerialChild, "started", 0)
     monkeypatch.setattr(_SerialChild, "plays", [])
 
@@ -242,69 +242,85 @@ def _fan_out(config):
 
 
 def test_pool_never_larger_than_task_count(monkeypatch, tmp_path):
+    # a run starts min(workers, trials) - 1 children, and process w plays share
+    # w of every n: trials 3 w // W .. 3 (w + 1) // W - 1 of 3
     _record_fan_out(monkeypatch)
-    kw = dict(n_list=(3, 7), trials=2, seed=5)  # four (n, one-trial block) tasks
+    kw = dict(n_list=(3, 7), trials=3, seed=5)
     ref = write_outputs(run_suite(ExperimentConfig(**kw)), str(tmp_path / "w1"))
-    blocks = [(3, [0]), (3, [1]), (7, [0]), (7, [1])]
-    for workers, children in ((5000, 3), (4, 3), (3, 2)):
+    shares = {
+        1: [(0, 3, [0]), (0, 7, [0]), (1, 3, [1, 2]), (1, 7, [1, 2])],
+        2: [(0, 3, [0]), (0, 7, [0]), (1, 3, [1]), (1, 7, [1]), (2, 3, [2]), (2, 7, [2])],
+    }
+    for workers, children in ((5000, 2), (4, 2), (3, 2), (2, 1)):
         result, started, plays = _fan_out(ExperimentConfig(workers=workers, **kw))
         out = write_outputs(result, str(tmp_path / f"w{workers}"))
         for pa, pb in zip(ref, out):
             assert pa.read_bytes() == pb.read_bytes(), pa.name
         assert started == children
-        # every block is played once, and process w plays task w first
-        assert sorted(p[1:] for p in plays) == blocks
-        assert all((w, *blocks[w]) in plays for w in range(children + 1))
+        assert sorted(plays) == shares[children]
     assert _fan_out(ExperimentConfig(n_list=(3,), trials=2, workers=5000))[1] == 1
-    # an even share per worker: 5 trials on 2 workers are blocks of 3 and 2,
-    # and the parent plays task 0
+    # 5 trials on 2 workers: the parent plays trials 0 and 1, the child 2..4
     _, started, plays = _fan_out(ExperimentConfig(n_list=(3, 7), trials=5, workers=2))
     assert started == 1
-    assert sorted(p[1:] for p in plays) == [(3, [0, 1, 2]), (3, [3, 4]), (7, [0, 1, 2]), (7, [3, 4])]
-    assert (0, 3, [0, 1, 2]) in plays
+    assert sorted(plays) == [(0, 3, [0, 1]), (0, 7, [0, 1]), (1, 3, [2, 3, 4]), (1, 7, [2, 3, 4])]
 
 
-def test_play_tasks_takes_the_next_free_task(monkeypatch):
-    # process 1 plays task 1, then takes tasks from the shared counter; while
-    # it plays task 3, another process takes task 4
-    next_task = multiprocessing.Value("q", 3)
-
-    def block_task(task):
-        if task == "t3":
-            next_task.value += 1
-        return [task]
-
-    monkeypatch.setattr(experiments, "_block_task", block_task)
-    tasks = [f"t{i}" for i in range(6)]
-    played = experiments._play_tasks(tasks, 1, next_task)
-    assert played == [(1, ["t1"]), (3, ["t3"]), (5, ["t5"])]
-    assert next_task.value == 7
+def test_shares_play_every_trial_once_in_capped_blocks(monkeypatch):
+    # min(workers, trials) shares, none empty and within one trial of each
+    # other in size; each plays its trials of every n in n_list order, in
+    # ascending blocks of _block_size(n), only its last block of an n short,
+    # and the shares in process order play every trial of every n once, in order
+    blocks = []
+    monkeypatch.setattr(
+        experiments, "run_trials", lambda n, kinds, trials, *rest: blocks.append((n, trials)) or []
+    )
+    inputs = itertools.product(((3,), (7, 63), (1023, 255)), (2, 3, 5, 10, 1000), (1, 2, 3, 4, 5000))
+    for cells, (n_list, trials, workers) in itertools.product((experiments.BLOCK_CELLS, 0), inputs):
+        monkeypatch.setattr(experiments, "BLOCK_CELLS", cells)
+        config = ExperimentConfig(n_list=n_list, trials=trials, workers=workers)
+        count = min(workers, trials)
+        played = {n: [] for n in n_list}
+        sizes = set()
+        for w in range(count):
+            blocks.clear()
+            assert experiments._share(config, w, count) == []
+            order = [n for n, _ in blocks]
+            assert order == sorted(order, key=n_list.index)
+            for n in n_list:
+                size = experiments._block_size(n)
+                mine = [list(b) for m, b in blocks if m == n]
+                assert mine and all(len(b) == size for b in mine[:-1]) and 1 <= len(mine[-1]) <= size
+                share = [t for b in mine for t in b]
+                assert share == list(range(share[0], share[0] + len(share)))
+                played[n] += share
+                sizes.add(len(share))
+        assert all(played[n] == list(range(trials)) for n in n_list), (cells, n_list, trials, workers)
+        assert max(sizes) - min(sizes) <= 1
 
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="children must inherit the patched _block_task",
+    reason="children must inherit the patched run_trials",
 )
 
 
 def _fail_in_block(monkeypatch, first_trial, fault):
-    """Patch _block_task to call fault() on the block starting at first_trial."""
-    block_task = experiments._block_task
+    """Patch run_trials to call fault() on the block starting at first_trial."""
+    play = experiments.run_trials
 
-    def faulty(task):
-        if task[2][0] == first_trial:
+    def faulty(n, kinds, trials, *rest):
+        if trials[0] == first_trial:
             fault()
-        return block_task(task)
+        return play(n, kinds, trials, *rest)
 
-    monkeypatch.setattr(experiments, "_block_task", faulty)
+    monkeypatch.setattr(experiments, "run_trials", faulty)
 
 
 def _raise_value_error():
     raise ValueError("no such block")
 
 
-# n = 3 and 6 trials at 3 workers: blocks [0, 1], [2, 3], [4, 5], three
-# tasks, so process w plays task w and none is left to take
+# n = 3 and 6 trials at 3 workers: process w plays the one block [2w, 2w + 1]
 _FAN_OUT = ExperimentConfig(n_list=(3,), trials=6, workers=3)
 
 
@@ -376,10 +392,9 @@ def _time_out(signum, frame):
 
 
 @fork_only
-def test_shared_counter_gives_each_task_to_one_process(monkeypatch):
-    # 2000 one-trial tasks over more processes than cores: a lost update on
-    # the shared counter would play a trial twice or not at all (without the
-    # lock, 85 to 350 trials were played twice in each of eight runs)
+def test_forked_shares_play_each_trial_once_in_order(monkeypatch):
+    # 2000 one-trial blocks over more processes than cores: every trial comes
+    # back once, and the shares regroup in trial order
     monkeypatch.setattr(experiments, "BLOCK_CELLS", 0)
     config = ExperimentConfig(n_list=(3,), trials=2000, workers=6, algorithms=("greedy_nearest",))
     previous = signal.signal(signal.SIGALRM, _time_out)
@@ -394,19 +409,15 @@ def test_shared_counter_gives_each_task_to_one_process(monkeypatch):
 
 
 def test_block_size_share_and_cell_cap():
-    # an even share per worker, capped at BLOCK_CELLS over n + 1 cells a trial
+    # BLOCK_CELLS over n + 1 cells a trial; a share plays in blocks of this size
     assert experiments.BLOCK_CELLS == 1 << 18
-    assert experiments._block_size(255, 32, 2) == 16
-    assert experiments._block_size(255, 500, 1) == 500
-    assert experiments._block_size(255, 2000, 1) == 1024
-    assert experiments._block_size(1023, 500, 2) == 250
-    assert experiments._block_size(1023, 500, 1) == 256
-    assert experiments._block_size(4095, 64, 1) == 64
-    assert experiments._block_size(4095, 500, 2) == 64
-    assert experiments._block_size(65535, 500, 1) == 4
-    assert experiments._block_size(262143, 500, 1) == 1  # one trial fills the cap
-    assert experiments._block_size(524287, 500, 1) == 1  # and one past it still plays
-    assert experiments._block_size(7, 5, 5000) == 1
+    assert experiments._block_size(7) == 32768
+    assert experiments._block_size(255) == 1024
+    assert experiments._block_size(1023) == 256
+    assert experiments._block_size(4095) == 64
+    assert experiments._block_size(65535) == 4
+    assert experiments._block_size(262143) == 1  # one trial fills the cap
+    assert experiments._block_size(524287) == 1  # and one past it still plays
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -416,10 +427,10 @@ def test_block_partition_invariance(monkeypatch, tmp_path, workers):
         n_list=(7, 63), trials=5, seed=11, request_order="shuffled",
         prefix_rounds=2, workers=workers,
     )
-    assert experiments._block_size(63, 5, workers) > 1
+    assert experiments._block_size(63) > 1
     default = write_outputs(run_suite(ExperimentConfig(**kw)), str(tmp_path / "default"))
     monkeypatch.setattr(experiments, "BLOCK_CELLS", 0)
-    assert experiments._block_size(63, 5, workers) == 1
+    assert experiments._block_size(63) == 1
     single = write_outputs(run_suite(ExperimentConfig(**kw)), str(tmp_path / "single"))
     for pa, pb in zip(default, single):
         assert pa.read_bytes() == pb.read_bytes(), pa.name
