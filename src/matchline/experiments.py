@@ -18,14 +18,14 @@ trial see the same requests.  workers counts the calling process: with
 W = min(workers, trials) it forks W - 1 children, and process w, the parent
 being 0, plays an even share of every n, trials T*w//W .. T*(w+1)//W - 1,
 so each process plays at least one trial and shares differ by at most one.
-Each child sends its results back once.  The parent builds the reports
-before it joins the children, so their exit overlaps that work; on an error
-it stops and joins them before raising.  Outputs are byte-deterministic for
-a given configuration and seed: no trial's result depends on its block or
-its process, results are regrouped by (n, algorithm) in trial order, exact
-integer cost sums happen before any float conversion, and neither the
-worker count nor the blocks appear in a file.  Floats serialize via
-Python's shortest round-trip repr.
+Each child, forked by os.fork, pickles its results into its pipe once.  The
+parent builds the reports before it reaps the children, so their exit overlaps
+that work; on an error it stops and reaps them before raising.  Outputs are
+byte-deterministic for a given configuration and seed: no trial's result
+depends on its block or its process, results are regrouped by (n, algorithm)
+in trial order, exact integer cost sums happen before any float conversion,
+and neither the worker count nor the blocks appear in a file.  Floats
+serialize via Python's shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -33,11 +33,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import pickle
+import signal
 import traceback
 from dataclasses import dataclass
-from multiprocessing import Pipe, Process
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 from matchline.adversary import (
     GenParams,
@@ -97,6 +99,8 @@ class ExperimentConfig:
             raise ValueError(f"need at least 2 trials for a standard error, got {self.trials}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.workers > 1 and not hasattr(os, "fork"):
+            raise ValueError(f"workers {self.workers} needs os.fork, which this platform lacks")
         for n in self.n_list:
             p = GenParams.for_size(n, self.grid_k, self.seed, self.request_order)
             check_play(self.algorithms, p.i, self.prefix_rounds)
@@ -173,15 +177,31 @@ def _share(config: ExperimentConfig, w: int, workers: int) -> list[RunStats]:
     return runs
 
 
-def _play_share(config: ExperimentConfig, w: int, workers: int, conn) -> None:
-    """A child's body: send (what _share returns, None), or (the exception
-    that stopped it, its traceback as text), then close conn."""
+def _fork_share(config: ExperimentConfig, w: int, workers: int) -> tuple[int, BinaryIO]:
+    """(pid, pipe read end) of a child that pickles into the pipe (share w's runs, None)
+    or (its exception, or RuntimeError(repr(exc)) if that does not round-trip, its traceback
+    text), then leaves by os._exit, code 1 on error: it never returns or flushes stdio."""
+    reader, writer = map(open, os.pipe(), ("rb", "wb"))
+    if pid := os.fork():
+        writer.close()  # so a child that dies without sending reads as EOF
+        return pid, reader
+    code = 1
     try:
-        msg = (_share(config, w, workers), None)
-    except Exception as exc:
-        msg = (exc, traceback.format_exc())
-    conn.send(msg)
-    conn.close()
+        reader.close()
+        try:
+            data = pickle.dumps((_share(config, w, workers), None))
+        except Exception as exc:
+            trace = traceback.format_exc()
+            try:
+                data = pickle.dumps((exc, trace))
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((RuntimeError(repr(exc)), trace))
+        with writer:
+            writer.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _collect_stats(config: ExperimentConfig, children: list) -> dict[tuple[int, str], list[RunStats]]:
@@ -189,21 +209,17 @@ def _collect_stats(config: ExperimentConfig, children: list) -> dict[tuple[int, 
     the caller to reap.  Process w plays share w of workers (see _share)."""
     workers = min(config.workers, config.trials)
     for w in range(1, workers):
-        recv, send = Pipe(duplex=False)
-        child = Process(target=_play_share, args=(config, w, workers, send))
-        child.start()
-        send.close()  # so a child that dies without sending reads as EOF
-        children.append((child, recv))
+        children.append(_fork_share(config, w, workers))
     runs = _share(config, 0, workers)
-    # a child blocked on send waits only for this loop: no cycle of waits
-    for child, recv in children:
-        try:
-            payload, trace = recv.recv()
-        except EOFError:
-            child.join()
-            raise RuntimeError(
-                f"worker process exited with code {child.exitcode} before sending results"
-            ) from None
+    # a child blocked on its write waits only for this loop: no cycle of waits
+    for child in children:
+        with child[1] as fh:
+            data = fh.read()
+        if not data:
+            children.remove(child)  # reaped here, for its exit code
+            code = os.waitstatus_to_exitcode(os.waitpid(child[0], 0)[1])
+            raise RuntimeError(f"worker process exited with code {code} before sending results")
+        payload, trace = pickle.loads(data)
         if trace is not None:
             raise payload from RuntimeError(f"in worker process:\n{trace}")
         runs += payload
@@ -258,9 +274,9 @@ def _pair_round_rows(lemma2_rep: LemmaReport) -> list[dict]:
 
 def run_suite(config: ExperimentConfig) -> SuiteResult:
     """Run the whole suite; write_outputs writes its files.  The children
-    are joined only after the reports are built, so their exit overlaps that
-    work; on an error, each one still running is stopped first."""
-    children: list = []
+    are reaped only after the reports are built, so their exit overlaps that
+    work; on an error, each one not yet reaped gets SIGTERM first."""
+    children: list = []  # (pid, read end) of each child not yet reaped
     summary_rows: list[dict] = []
     round_rows: list[dict] = []
     reports: list[LemmaReport] = []
@@ -275,14 +291,13 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
                 summary_rows.append(_pair_summary(runs, (lemma2_rep, ratio_rep), config))
                 round_rows.extend(_pair_round_rows(lemma2_rep))
     except BaseException:
-        for child, _ in children:  # stop a child before closing the pipe it may send on
-            if child.is_alive():
-                child.terminate()
+        for pid, _ in children:  # stop a child before closing the pipe it may write to
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for child, recv in children:
-            child.join()
-            recv.close()
+        for pid, fh in children:
+            fh.close()
+            os.waitpid(pid, 0)
     return SuiteResult(config, stats, summary_rows, round_rows, reports)
 
 

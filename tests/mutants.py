@@ -255,6 +255,26 @@ MUTANTS = (
         "runs[:0] = payload",
         ("tests/test_experiments.py::test_worker_count_invariance",),
     ),
+    (
+        # a child that leaves _fork_share by returning runs on as a second
+        # caller of run_suite; the killing test stops any such process itself
+        "child_returns_instead_of_exit",
+        "src/matchline/experiments.py",
+        "os._exit(code)",
+        "pass",
+        ("tests/test_experiments.py::test_child_system_exit_leaves_only_the_caller",),
+    ),
+    (
+        # the parent holds on to a copy of each write end, so no read of a
+        # pipe ever sees EOF; the killing test's alarm ends the wait.  Only
+        # skipping the close would leave the end to refcounting, which closes
+        # it when _fork_share returns
+        "parent_keeps_write_end",
+        "src/matchline/experiments.py",
+        "writer.close()",
+        "os.dup(writer.fileno())",
+        ("tests/test_experiments.py::test_child_that_dies_silently_names_its_exit_code",),
+    ),
 )
 
 EQUIVALENT = (

@@ -10,6 +10,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -500,6 +502,26 @@ def test_grid_k_past_width_rule_exits_two(capsys):
     rc = cli.main(["run", "--n", "7", "--trials", "2", "--grid-k", "55"])
     assert rc == 2
     assert "exceeds 61" in capsys.readouterr().err
+
+
+def test_workers_without_fork_exit_two(monkeypatch, tmp_path, capsys):
+    # where os has no fork, a pool is refused before any trial; one process still runs
+    monkeypatch.delattr(os, "fork", raising=False)
+    with pytest.raises(ValueError, match="workers 2 needs os.fork"):
+        ExperimentConfig(n_list=(7,), trials=2, workers=2)
+    assert cli.main(["run", "--n", "7", "--trials", "2", "--workers", "2"]) == 2
+    assert capsys.readouterr().err == "error: workers 2 needs os.fork, which this platform lacks\n"
+    assert cli.main(["run", "--n", "7", "--trials", "2", "--out", str(tmp_path)]) == 0
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # run forks its own workers: importing multiprocessing would cost every
+    # start about 0.9 MB and 5-7 ms, forking or not
+    code = "import sys, matchline.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_public_names_resolve():

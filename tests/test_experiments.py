@@ -1,14 +1,16 @@
 """Suite runner: output files, determinism, prefix mode, aggregation."""
 
+import contextlib
 import csv
 import dataclasses
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import pickle
 import signal
+import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -169,54 +171,32 @@ def test_suite_files_agree_on_one_mean_and_one_cap(tmp_path):
 
 
 class _SerialChild:
-    """Serial stand-in for multiprocessing.Process: start() plays the child's
-    share on the spot.  plays gets one (process, n, trials) entry per block
-    played, process 0 being the parent and c the c-th child of its run."""
+    """Serial stand-in for experiments._fork_share: fork plays the child's
+    share on the spot and leaves (its runs, None) pickled in a temporary file,
+    the slot the parent reads as that child's pipe, beside the pid of a real
+    child that exits at once, so reaping and stopping act on a real process.
+    plays gets one (process, n, trials) entry per block played, process 0
+    being the parent and c the c-th child of its run."""
 
     started = 0  # children started in the current run
     playing = 0
     plays: list[tuple[int, int, list[int]]] = []
 
-    def __init__(self, target, args):
-        self.target, self.args = target, args
-
-    def start(self):
+    @staticmethod
+    def fork(config, w, workers):
         _SerialChild.started += 1
         _SerialChild.playing = _SerialChild.started
         try:
-            self.target(*self.args)
+            runs = experiments._share(config, w, workers)
         finally:
             _SerialChild.playing = 0
-
-    def is_alive(self):
-        return False
-
-    def join(self):
-        pass
-
-
-class _Slot:
-    """In-memory stand-in for both ends of a one-way Pipe, so a serial child's
-    send never waits on a reader: send pickles into the slot, recv unpickles."""
-
-    def __init__(self):
-        self.items = []
-
-    def send(self, obj):
-        self.items.append(pickle.dumps(obj))
-
-    def recv(self):
-        if not self.items:
-            raise EOFError
-        return pickle.loads(self.items.pop(0))
-
-    def close(self):
-        pass
-
-
-def _pipe(duplex=True):
-    slot = _Slot()
-    return slot, slot
+        slot = tempfile.TemporaryFile()
+        slot.write(pickle.dumps((runs, None)))
+        slot.seek(0)
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        return pid, slot
 
 
 def _record_fan_out(monkeypatch):
@@ -226,8 +206,7 @@ def _record_fan_out(monkeypatch):
         _SerialChild.plays.append((_SerialChild.playing, n, list(trials)))
         return play(n, kinds, trials, *rest)
 
-    monkeypatch.setattr(experiments, "Process", _SerialChild)
-    monkeypatch.setattr(experiments, "Pipe", _pipe)
+    monkeypatch.setattr(experiments, "_fork_share", _SerialChild.fork)
     monkeypatch.setattr(experiments, "run_trials", recording)
     monkeypatch.setattr(_SerialChild, "started", 0)
     monkeypatch.setattr(_SerialChild, "plays", [])
@@ -241,6 +220,33 @@ def _fan_out(config):
     return result, _SerialChild.started, list(_SerialChild.plays)
 
 
+fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="run forks its workers with os.fork")
+
+
+def _assert_no_child_left():
+    # waitpid on any child raises only when this process has none, live or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block runs past seconds, so a
+    parent that waits on a pipe no child will close fails instead of hanging."""
+
+    def time_out(signum, frame):
+        raise TimeoutError(f"run_suite took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, time_out)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@fork_only
 def test_pool_never_larger_than_task_count(monkeypatch, tmp_path):
     # a run starts min(workers, trials) - 1 children, and process w plays share
     # w of every n: trials 3 w // W .. 3 (w + 1) // W - 1 of 3
@@ -263,6 +269,7 @@ def test_pool_never_larger_than_task_count(monkeypatch, tmp_path):
     _, started, plays = _fan_out(ExperimentConfig(n_list=(3, 7), trials=5, workers=2))
     assert started == 1
     assert sorted(plays) == [(0, 3, [0, 1]), (0, 7, [0, 1]), (1, 3, [2, 3, 4]), (1, 7, [2, 3, 4])]
+    _assert_no_child_left()
 
 
 def test_shares_play_every_trial_once_in_capped_blocks(monkeypatch):
@@ -298,12 +305,6 @@ def test_shares_play_every_trial_once_in_capped_blocks(monkeypatch):
         assert max(sizes) - min(sizes) <= 1
 
 
-fork_only = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="children must inherit the patched run_trials",
-)
-
-
 def _fail_in_block(monkeypatch, first_trial, fault):
     """Patch run_trials to call fault() on the block starting at first_trial."""
     play = experiments.run_trials
@@ -320,75 +321,130 @@ def _raise_value_error():
     raise ValueError("no such block")
 
 
-# n = 3 and 6 trials at 3 workers: process w plays the one block [2w, 2w + 1]
-_FAN_OUT = ExperimentConfig(n_list=(3,), trials=6, workers=3)
+# n = 3 and 6 trials at 3 workers: process w plays the one block [2w, 2w + 1].
+# Kept as keywords: without os.fork, the config itself is refused
+_FAN_OUT = dict(n_list=(3,), trials=6, workers=3)
 
 
 @fork_only
 def test_child_error_reaches_the_caller(monkeypatch):
     _fail_in_block(monkeypatch, 2, _raise_value_error)
-    with pytest.raises(ValueError, match="no such block") as info:
-        run_suite(_FAN_OUT)
+    with _deadline(30), pytest.raises(ValueError, match="no such block") as info:
+        run_suite(ExperimentConfig(**_FAN_OUT))
     assert "in _raise_value_error" in str(info.value.__cause__)  # the child's traceback
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
+
+
+def _raise_lambda_holder():
+    raise ValueError("holds a lambda", lambda: None)
+
+
+class _TwoArgumentError(Exception):
+    # pickles as cls(message), which its __init__ refuses on unpickling
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def _raise_two_argument_error():
+    raise _TwoArgumentError("no such block", 2)
+
+
+@fork_only
+@pytest.mark.parametrize("fault, shown", [
+    (_raise_lambda_holder, "ValueError('holds a lambda', <function"),
+    (_raise_two_argument_error, "_TwoArgumentError('no such block at 2')"),
+])
+def test_child_error_that_does_not_round_trip_reaches_the_caller(monkeypatch, fault, shown):
+    # the child sends RuntimeError(repr(exc)) with its own traceback text
+    _fail_in_block(monkeypatch, 2, fault)
+    with _deadline(30), pytest.raises(RuntimeError) as info:
+        run_suite(ExperimentConfig(**_FAN_OUT))
+    assert str(info.value).startswith(shown)
+    assert f"in {fault.__name__}" in str(info.value.__cause__)
+    _assert_no_child_left()
 
 
 @fork_only
 def test_parent_error_leaves_no_child(monkeypatch):
     _fail_in_block(monkeypatch, 0, _raise_value_error)
-    with pytest.raises(ValueError, match="no such block"):
-        run_suite(_FAN_OUT)
-    assert multiprocessing.active_children() == []
+    with _deadline(30), pytest.raises(ValueError, match="no such block"):
+        run_suite(ExperimentConfig(**_FAN_OUT))
+    _assert_no_child_left()
 
 
 @fork_only
 def test_child_that_dies_silently_names_its_exit_code(monkeypatch):
     _fail_in_block(monkeypatch, 4, lambda: os._exit(3))
-    with pytest.raises(RuntimeError, match="code 3"):
-        run_suite(_FAN_OUT)
-    assert multiprocessing.active_children() == []
+    with _deadline(30), pytest.raises(RuntimeError, match="code 3"):
+        run_suite(ExperimentConfig(**_FAN_OUT))
+    _assert_no_child_left()
+
+
+@fork_only
+def test_child_system_exit_leaves_only_the_caller(monkeypatch, tmp_path):
+    # a child share that raises SystemExit(0) never returns from run_suite in
+    # the child: only the caller writes the marker, and the error names the
+    # child's non-zero exit code.  A process that did return stops here.
+    caller, marker = os.getpid(), tmp_path / "returned"
+    _fail_in_block(monkeypatch, 2, lambda: sys.exit(0))
+    error = None
+    try:
+        with _deadline(30):
+            run_suite(ExperimentConfig(**_FAN_OUT))
+    except BaseException as exc:  # a child that returns may raise anything
+        error = exc
+    with marker.open("a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\n")
+    if os.getpid() != caller:
+        os._exit(0)
+    assert marker.read_text(encoding="utf-8") == f"{caller}\n"
+    assert isinstance(error, RuntimeError), repr(error)
+    assert str(error) == "worker process exited with code 1 before sending results"
+    _assert_no_child_left()
 
 
 @fork_only
 def test_run_suite_leaves_no_child():
-    assert len(run_suite(_FAN_OUT).stats[(3, "permutation")]) == 6
-    assert multiprocessing.active_children() == []
+    with _deadline(30):
+        assert len(run_suite(ExperimentConfig(**_FAN_OUT)).stats[(3, "permutation")]) == 6
+    _assert_no_child_left()
 
 
 @fork_only
 def test_no_child_outlives_run_suite(monkeypatch):
-    # a clean suite builds its reports before it joins its children; one whose
-    # child raises or dies silently stops and joins them before it raises
+    # a clean suite builds its reports before it reaps its children; one whose
+    # child raises or dies silently stops and reaps each once before it raises
     events = []
-
-    class Recording(multiprocessing.Process):
-        def join(self, timeout=None):
-            events.append("join")
-            super().join(timeout)
-
+    fork, waitpid = experiments._fork_share, os.waitpid
     report = experiments.ratio_report_from_stats
+
+    def recording_fork(*args):
+        events.append("fork")
+        return fork(*args)
+
+    def recording_waitpid(pid, options):
+        events.append("join")
+        return waitpid(pid, options)
 
     def recording_report(runs, seed):
         events.append("report")
         return report(runs, seed)
 
-    monkeypatch.setattr(experiments, "Process", Recording)
+    monkeypatch.setattr(experiments, "_fork_share", recording_fork)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
     monkeypatch.setattr(experiments, "ratio_report_from_stats", recording_report)
-    run_suite(_FAN_OUT)
-    assert multiprocessing.active_children() == []
-    assert events == ["report"] * 4 + ["join"] * 2
+    with _deadline(30):
+        run_suite(ExperimentConfig(**_FAN_OUT))
+    assert events == ["fork"] * 2 + ["report"] * 4 + ["join"] * 2
     for fault, error in ((_raise_value_error, ValueError), (lambda: os._exit(3), RuntimeError)):
         events.clear()
         with monkeypatch.context() as patch:
             _fail_in_block(patch, 2, fault)
-            with pytest.raises(error):
-                run_suite(_FAN_OUT)
-        assert multiprocessing.active_children() == []
-        assert "report" not in events and events.count("join") >= 2
-
-
-def _time_out(signum, frame):
-    raise TimeoutError("run_suite took over 120 s")
+            with _deadline(30), pytest.raises(error):
+                run_suite(ExperimentConfig(**_FAN_OUT))
+        assert events == ["fork"] * 2 + ["join"] * 2
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    _assert_no_child_left()
 
 
 @fork_only
@@ -397,15 +453,10 @@ def test_forked_shares_play_each_trial_once_in_order(monkeypatch):
     # back once, and the shares regroup in trial order
     monkeypatch.setattr(experiments, "BLOCK_CELLS", 0)
     config = ExperimentConfig(n_list=(3,), trials=2000, workers=6, algorithms=("greedy_nearest",))
-    previous = signal.signal(signal.SIGALRM, _time_out)
-    signal.alarm(120)
-    try:
+    with _deadline(120):
         runs = run_suite(config).stats[(3, "greedy_nearest")]
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert [st.trial for st in runs] == list(range(2000))
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 def test_block_size_share_and_cell_cap():
